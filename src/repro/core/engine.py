@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-import numpy as np
-
 from repro.alloc.ouroboros import OuroborosAllocator
 from repro.alloc.stack import (
     OverflowPolicy,
@@ -88,9 +86,8 @@ class TDFSEngine:
             # The compiled plan is passed down so portfolio resolution
             # happens exactly once, here in the coordinating process.
             return ShardCoordinator(self).run(graph, plan, collect_matches)
-        edges = graph.directed_edge_array()
         return self._run_single(
-            graph, plan, edges, gpu_name="gpu0", collect_matches=collect_matches
+            graph, plan, [(graph.directed_edge_array(), 2)], "gpu0", collect_matches
         )
 
     def run_resume(
@@ -116,13 +113,11 @@ class TDFSEngine:
         # Deterministic planner ⇒ same plan choice as the original run, so
         # snapshot rows keep their meaning (positions in the same order).
         plan = self.compile(query, graph)
-        edges = np.empty((0, 2), dtype=np.int64)
-        result = self._run_single(
-            graph, plan, edges, gpu_name="gpu0", resume=list(groups)
-        )
+        groups = list(groups)
+        result = self._run_single(graph, plan, groups, "gpu0", recovered=True)
         result.count += int(base_count)
         result.resumed = True
-        result.resume_rows = pending_rows(list(groups))
+        result.resume_rows = pending_rows(groups)
         result.resume_base_count = int(base_count)
         return result
 
@@ -189,43 +184,57 @@ class TDFSEngine:
         self,
         graph: CSRGraph,
         plan: MatchingPlan,
-        edges: np.ndarray,
+        groups: list,
         gpu_name: str,
         collect_matches: int = 0,
-        resume: Optional[list] = None,
+        recovered: bool = False,
     ) -> MatchResult:
         """Run one device's share of the job (all of it when 1 GPU).
 
-        ``resume`` (a list of ``(rows, width)`` groups from a recovery
-        snapshot) makes this a *resume run*: the given prefixes are the
-        entire workload, fed to the warps after ``edges`` (usually empty).
-        With ``config.retry`` set, failed attempts are retried from their
-        own snapshots under the policy's degradation ladder; without it,
-        behaviour is exactly the classic single-attempt run.
+        ``groups`` — a list of ``(rows, width)`` work groups (see
+        :data:`repro.faults.recovery.WorkGroup`) — is the entire workload.
+        ``recovered`` marks groups that come out of a recovery snapshot
+        (resume, retry, failover) rather than the initial-task space: such
+        rows already encode what host prefiltering and a hybrid BFS phase
+        would produce, so both are skipped.  With ``config.retry`` set,
+        failed attempts are retried from their own snapshots under the
+        policy's degradation ladder; without it, behaviour is exactly the
+        classic single-attempt run.
         """
         cfg = self.config
         if cfg.retry is None:
             result, job, _gpu, fatal = self._run_attempt(
-                graph, plan, edges, gpu_name, 1, collect_matches, resume
+                graph, plan, groups, gpu_name, 1, collect_matches, recovered
             )
             if fatal is not None and cfg.fault_plan is not None:
-                # No retry here, but a multi-GPU driver may still fail the
-                # remainder over to surviving devices.
-                result.pending_work = self._attempt_snapshot(job, edges, resume)
+                # No retry here, but the caller can still resume the
+                # remainder (run_resume) off the result.
+                result.pending_work = self._attempt_snapshot(job, groups)
             return result
         return self._run_resilient(
-            graph, plan, edges, gpu_name, collect_matches, resume
+            graph, plan, groups, gpu_name, collect_matches, recovered
+        )
+
+    def _blank_result(self, graph: CSRGraph, plan: MatchingPlan) -> MatchResult:
+        return MatchResult(
+            engine=self.name,
+            graph_name=graph.name,
+            query_name=plan.query.name,
+            count=0,
+            elapsed_cycles=0,
+            aut_size=plan.aut_size,
+            symmetry_enabled=plan.symmetry_enabled,
         )
 
     def _run_attempt(
         self,
         graph: CSRGraph,
         plan: MatchingPlan,
-        edges: np.ndarray,
+        groups: list,
         gpu_name: str,
         attempt: int,
         collect_matches: int = 0,
-        resume: Optional[list] = None,
+        recovered: bool = False,
     ) -> tuple[MatchResult, Optional[MatchJob], VirtualGPU, Optional[BaseException]]:
         """One device attempt; returns ``(result, job, gpu, fatal_error)``.
 
@@ -245,15 +254,7 @@ class TDFSEngine:
         injector = None
         if cfg.fault_plan is not None:
             injector = cfg.fault_plan.arm(gpu, gpu_name, attempt)
-        result = MatchResult(
-            engine=self.name,
-            graph_name=graph.name,
-            query_name=plan.query.name,
-            count=0,
-            elapsed_cycles=0,
-            aut_size=plan.aut_size,
-            symmetry_enabled=plan.symmetry_enabled,
-        )
+        result = self._blank_result(graph, plan)
         job_sink: list = []
         fatal: Optional[BaseException] = None
         try:
@@ -263,10 +264,10 @@ class TDFSEngine:
                 gpu,
                 graph,
                 plan,
-                edges,
+                groups,
                 result,
                 collect_matches,
-                resume_groups=resume,
+                recovered=recovered,
                 injector=injector,
                 job_sink=job_sink,
             )
@@ -297,12 +298,7 @@ class TDFSEngine:
     # Resilient execution (retry + degradation ladder; see repro.faults)
     # ------------------------------------------------------------------ #
 
-    def _attempt_snapshot(
-        self,
-        job: Optional[MatchJob],
-        fed_edges: np.ndarray,
-        fed_resume: Optional[list],
-    ) -> list:
+    def _attempt_snapshot(self, job: Optional[MatchJob], groups: list) -> list:
         """Pending work of a failed attempt, as ``(rows, width)`` groups."""
         from repro.faults.recovery import snapshot_pending_work
 
@@ -310,12 +306,7 @@ class TDFSEngine:
             return snapshot_pending_work(job)
         # The attempt died before the job existed (e.g. OOM while sizing
         # the queue or arena): nothing was consumed, everything is pending.
-        groups: list = []
-        if len(fed_edges):
-            groups.append((fed_edges, 2))
-        if fed_resume:
-            groups.extend(fed_resume)
-        return groups
+        return list(groups)
 
     def _degraded_config(self, base: TDFSConfig, rungs: tuple) -> TDFSConfig:
         """Apply ladder rungs to a config (cpu-fallback is driver-handled)."""
@@ -340,10 +331,10 @@ class TDFSEngine:
         self,
         graph: CSRGraph,
         plan: MatchingPlan,
-        edges: np.ndarray,
+        groups: list,
         gpu_name: str,
         collect_matches: int = 0,
-        resume: Optional[list] = None,
+        recovered: bool = False,
     ) -> MatchResult:
         """Retry driver: snapshot-resume each failed attempt, degrading.
 
@@ -351,8 +342,9 @@ class TDFSEngine:
         re-executes only the snapshot of what the failed attempt had not
         finished, so the final count equals the fault-free count.
         """
+        from repro.baselines.cpu import cpu_count
         from repro.faults.plan import RUNG_CPU_FALLBACK
-        from repro.faults.recovery import cpu_resume_count, pending_rows
+        from repro.faults.recovery import pending_rows
 
         policy = self.config.retry
         base_cfg = self.config
@@ -361,8 +353,7 @@ class TDFSEngine:
         collected_pos: list = []  # order-position tuples across attempts
         total_elapsed = 0
         applied_rungs: list = []
-        pending: Optional[list] = resume
-        attempt_edges = edges
+        pending: list = groups
         result: Optional[MatchResult] = None
 
         for attempt in range(1, policy.max_attempts + 1):
@@ -371,67 +362,44 @@ class TDFSEngine:
             new_rungs = list(rungs[len(applied_rungs) :])
             applied_rungs.extend(new_rungs)
             recovery.degradations.extend(new_rungs)
+            room = collect_matches
+            if collect_matches:
+                room = max(0, collect_matches - len(collected_pos))
 
             if RUNG_CPU_FALLBACK in rungs:
                 # Last rung: finish the remainder on the host — no device,
                 # no device faults, guaranteed termination.
-                room = 0
-                sink: Optional[list] = None
-                if collect_matches:
-                    room = max(0, collect_matches - len(collected_pos))
-                    sink = []
-                total_count += cpu_resume_count(
+                sink: Optional[list] = [] if collect_matches else None
+                total_count += cpu_count(
                     graph,
                     plan,
-                    pending or [],
                     collect=sink,
+                    resume_groups=pending,
                     collect_limit=room,
                 )
                 if sink:
                     collected_pos.extend(sink)
                 recovery.tasks_reexecuted += pending_rows(pending)
                 if result is None:
-                    result = MatchResult(
-                        engine=self.name,
-                        graph_name=graph.name,
-                        query_name=plan.query.name,
-                        count=0,
-                        elapsed_cycles=0,
-                        aut_size=plan.aut_size,
-                        symmetry_enabled=plan.symmetry_enabled,
-                    )
+                    result = self._blank_result(graph, plan)
                 result.error = None
-                result.count = total_count
-                result.elapsed_cycles = total_elapsed
-                if collect_matches:
-                    result.matches = self._reindex_matches(plan, collected_pos)
-                result.recovery = recovery
-                result.pending_work = None
-                return result
+                pending = None
+                break
 
-            room = collect_matches
-            if collect_matches:
-                room = max(0, collect_matches - len(collected_pos))
-            cfg = self._degraded_config(base_cfg, rungs)
-            self.config = cfg
+            self.config = self._degraded_config(base_cfg, rungs)
             try:
                 result, job, _gpu, fatal = self._run_attempt(
                     graph,
                     plan,
-                    attempt_edges,
+                    pending,
                     gpu_name,
                     attempt,
                     collect_matches=room,
-                    resume=pending,
+                    recovered=recovered or attempt > 1,
                 )
             finally:
                 self.config = base_cfg
-            recovery.faults_injected += result.recovery.faults_injected
-            recovery.faults_survived += result.recovery.faults_survived
-            for kind, n in result.recovery.faults_by_kind.items():
-                recovery.faults_by_kind[kind] = (
-                    recovery.faults_by_kind.get(kind, 0) + n
-                )
+            recovery.merge(result.recovery)  # the attempt's injected faults
             if job is not None:
                 total_count += job.count
                 if collect_matches:
@@ -439,16 +407,11 @@ class TDFSEngine:
             total_elapsed += result.elapsed_cycles
 
             if fatal is None:
-                result.count = total_count
-                result.elapsed_cycles = total_elapsed
-                if collect_matches:
-                    result.matches = self._reindex_matches(plan, collected_pos)
-                result.recovery = recovery
-                return result
+                pending = None
+                break
 
             # The attempt aborted: snapshot what it had not finished.
-            pending = self._attempt_snapshot(job, attempt_edges, pending)
-            attempt_edges = attempt_edges[:0]
+            pending = self._attempt_snapshot(job, pending)
             if attempt < policy.max_attempts:
                 # The abort will be survived by the next attempt.
                 recovery.faults_survived += 1
@@ -457,10 +420,13 @@ class TDFSEngine:
                 recovery.backoff_cycles += backoff
                 total_elapsed += backoff
 
-        # Out of attempts: report the terminal failure, but keep the partial
-        # count and attach the snapshot so a multi-GPU driver can fail over.
+        # Finished — or out of attempts: the terminal failure is reported,
+        # but with the partial count and the snapshot attached so a
+        # multi-GPU driver can fail over.
         result.count = total_count
         result.elapsed_cycles = total_elapsed
+        if collect_matches and not result.failed:
+            result.matches = self._reindex_matches(plan, collected_pos)
         result.recovery = recovery
         result.pending_work = pending
         return result
@@ -488,27 +454,27 @@ class TDFSEngine:
         gpu: VirtualGPU,
         graph: CSRGraph,
         plan: MatchingPlan,
-        edges: np.ndarray,
+        groups: list,
         result: MatchResult,
-    ) -> tuple[np.ndarray, int, int]:
-        """Hook: produce the initial work rows for the DFS warps.
+    ) -> tuple[list, int]:
+        """Hook: turn the initial-task groups into the DFS warps' work.
 
-        Returns ``(rows, prefix_width, device_cycles)``.  The default is the
-        paper's pipeline — one row per directed edge, width 2, no extra
-        cost.  The hybrid engine overrides this with a BFS phase that
-        returns deeper prefixes.
+        Returns ``(groups, device_cycles)``.  The default is the paper's
+        pipeline — the directed-edge rows as they are, no extra cost.  The
+        hybrid engine overrides this with a BFS phase that returns one
+        group of deeper prefixes.  Not called for recovered work.
         """
-        return edges, 2, 0
+        return groups, 0
 
     def _execute(
         self,
         gpu: VirtualGPU,
         graph: CSRGraph,
         plan: MatchingPlan,
-        edges: np.ndarray,
+        groups: list,
         result: MatchResult,
         collect_matches: int = 0,
-        resume_groups: Optional[list] = None,
+        recovered: bool = False,
         injector=None,
         job_sink: Optional[list] = None,
     ) -> None:
@@ -518,24 +484,19 @@ class TDFSEngine:
         # ``result.metrics`` an exact snapshot of this run alone.
         obs = cfg.obs if cfg.obs is not None else Observability()
         host_cycles = 0
-        prefiltered = False
-        resuming = bool(resume_groups)
-        if self.host_filter and not resuming:
+        prefiltered = self.host_filter and not recovered
+        if prefiltered:
             # STMatch-style serial host preprocessing before kernel launch.
-            edges, host_cycles = host_prefilter(
+            rows, host_cycles = host_prefilter(
                 graph, plan, cfg.cost, prune_degree=cfg.enable_edge_filter
             )
-            prefiltered = True
+            groups = [(rows, 2)]
         result.host_preprocess_cycles = host_cycles
         pre_cycles, job_extra = self._pre_kernel(gpu, graph, plan, result)
-        if resuming:
-            # Resume runs carry their work in recovered (rows, width)
-            # groups; skip the hybrid BFS phase (its output for the lost
-            # remainder is already encoded in the groups).
-            prefix_width, phase_cycles = 2, 0
-        else:
-            edges, prefix_width, phase_cycles = self._initial_work(
-                gpu, graph, plan, edges, result
+        phase_cycles = 0
+        if not recovered:
+            groups, phase_cycles = self._initial_work(
+                gpu, graph, plan, groups, result
             )
         start_time = host_cycles + pre_cycles + phase_cycles
 
@@ -594,15 +555,13 @@ class TDFSEngine:
             plan=plan,
             config=cfg,
             gpu=gpu,
-            edges=edges,
+            groups=groups,
             queue=queue,
             level_factory=factory,
             backend=backend,
             prefiltered=prefiltered,
             child_stack_bytes=child_stack_bytes,
-            prefix_width=prefix_width,
             collect_limit=collect_matches,
-            extra_groups=resume_groups,
             tracer=obs.tracer,
             device=_device_index(gpu.name),
             **job_extra,
@@ -624,13 +583,7 @@ class TDFSEngine:
         # ----- fold the run into the result ----------------------------- #
         result.count = job.count
         if collect_matches:
-            # Re-index from order positions to query vertex ids.
-            order = plan.order
-            k = plan.num_levels
-            result.matches = [
-                tuple(m[plan.position_of(u)] for u in range(k))
-                for m in job.collected
-            ]
+            result.matches = self._reindex_matches(plan, job.collected)
         result.elapsed_cycles = gpu.finish_time
         result.num_gpus = 1
         result.overflowed = job.overflowed()
@@ -723,13 +676,7 @@ def match(
         from repro.query.patterns import get_pattern
 
         query = get_pattern(query)
-    engines = _engine_registry()
-    if engine not in engines:
-        raise UnsupportedError(
-            f"unknown engine {engine!r}; available: "
-            f"{', '.join(available_engines())}"
-        )
-    return engines[engine](config).run(graph, query)
+    return make_engine(engine, config).run(graph, query)
 
 
 def available_engines() -> tuple[str, ...]:

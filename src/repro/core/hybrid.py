@@ -60,11 +60,13 @@ class HybridEngine(TDFSEngine):
         gpu: VirtualGPU,
         graph: CSRGraph,
         plan: MatchingPlan,
-        edges: np.ndarray,
+        groups: list,
         result: MatchResult,
-    ) -> tuple[np.ndarray, int, int]:
+    ) -> tuple[list, int]:
         cfg = self.config
         cost = cfg.cost
+        # The BFS phase is one bulk pass over the run's whole share of edges.
+        edges = np.concatenate([rows for rows, _ in groups])
         budget = int(gpu.memory.free * self.bfs_fraction)
 
         mask = edge_mask(graph, plan, edges, prune_degree=cfg.enable_edge_filter)
@@ -95,4 +97,4 @@ class HybridEngine(TDFSEngine):
         if partials.nbytes:
             gpu.memory.allocate(int(partials.nbytes), tag="bfs-partials")
         self.bfs_levels_run = width - 2
-        return partials, width, int(cycles)
+        return [(partials, width)], int(cycles)

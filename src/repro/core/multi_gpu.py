@@ -1,4 +1,4 @@
-"""Multi-GPU scale-out (paper Section III and Fig. 12).
+"""Multi-GPU scale-out (paper Section III and Fig. 12) and the one fan-out.
 
 T-DFS partitions the initial tasks (directed edges) round-robin — the
 ``i``-th edge goes to GPU ``i mod NUM_GPU`` — and runs each device
@@ -9,24 +9,24 @@ and the count is the sum.
 The paper observes near-ideal speedup because round-robin over millions of
 edges balances the devices statistically; the same holds for the stand-ins.
 
-Device failover (chaos harness, see :mod:`repro.faults`): when the engine
-carries a :class:`~repro.faults.plan.RetryPolicy` and a device fails
-terminally, its recovery snapshot — the exact unfinished remainder — is
-re-sharded round-robin over the surviving devices and re-executed there, so
-a dead GPU costs time but never matches.
+Every work group roots independent search subtrees, so any partition of a
+job's groups can be run part by part and summed, and any lost part re-run
+from its remainder (DESIGN.md "Work groups").  :func:`fan_out` is that
+argument as code; :func:`run_multi_gpu` (devices in this process) and
+:class:`repro.shard.ShardCoordinator` (worker processes) both go through it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.core.result import MatchResult
+from repro.core.result import MatchResult, RecoveryStats
+from repro.faults.recovery import WorkGroup, pending_rows, reshard_groups
 from repro.graph.csr import CSRGraph
 from repro.query.plan import MatchingPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import TDFSEngine
-
 
 def run_multi_gpu(
     graph: CSRGraph,
@@ -35,92 +35,120 @@ def run_multi_gpu(
     num_gpus: int,
     collect_matches: int = 0,
 ) -> MatchResult:
-    """Round-robin the initial edges over ``num_gpus`` devices and merge."""
+    """Round-robin the initial edges over ``num_gpus`` devices and merge.
+
+    Device failover (chaos harness, see :mod:`repro.faults`): when the
+    engine carries a :class:`~repro.faults.plan.RetryPolicy` and a device
+    fails terminally, its recovery snapshot — the exact unfinished
+    remainder — is re-sharded over the surviving devices and re-executed
+    there, so a dead GPU costs time but never matches.
+    """
     edges = graph.directed_edge_array()
-    per_gpu: list[MatchResult] = []
-    for g in range(num_gpus):
-        shard = edges[g::num_gpus]
-        per_gpu.append(
-            engine._run_single(
-                graph, plan, shard, gpu_name=f"gpu{g}",
-                collect_matches=collect_matches,
-            )
+    free_at: dict[int, int] = {}
+
+    def run_part(g: int, groups: list, collect: int, rescue_of: Optional[int]):
+        rescue = rescue_of is not None
+        result = engine._run_single(
+            graph,
+            plan,
+            groups,
+            f"gpu{g}+fo{rescue_of}" if rescue else f"gpu{g}",
+            collect,
+            recovered=rescue,
         )
-    if engine.config.retry is not None:
-        _failover(graph, plan, engine, per_gpu, collect_matches)
-    merged = merge_results(per_gpu, num_gpus)
+        # A device is a serial resource: a rescue run starts when the
+        # survivor has finished its own share (and any earlier rescue).
+        result.elapsed_cycles += free_at.get(g, 0)
+        free_at[g] = result.elapsed_cycles
+        return result
+
+    merged = fan_out(
+        [[(edges[g::num_gpus], 2)] for g in range(num_gpus)],
+        run_part,
+        collect_matches,
+        num_gpus=num_gpus,
+        failover=engine.config.retry is not None,
+    )
     if engine.config.obs is not None:
         # A shared obs bundle already accumulated every device's publish;
         # its snapshot is authoritative (summing per-device snapshots of
         # the same registry would double-count).
         merged.metrics = engine.config.obs.flat()
-    if collect_matches:
-        merged.matches = []
-        for r in per_gpu:
-            if r.matches:
-                room = collect_matches - len(merged.matches)
-                if room <= 0:
-                    break
-                merged.matches.extend(r.matches[:room])
     return merged
 
 
-def _failover(
-    graph: CSRGraph,
-    plan: MatchingPlan,
-    engine: "TDFSEngine",
-    per_gpu: list[MatchResult],
-    collect_matches: int,
-) -> None:
-    """Re-execute failed devices' pending work on the survivors, in place.
+def fan_out(
+    parts: list[list[WorkGroup]],
+    run_part: Callable[[int, list, int, Optional[int]], Optional[MatchResult]],
+    collect_matches: int = 0,
+    *,
+    num_gpus: int = 1,
+    results: Optional[list[Optional[MatchResult]]] = None,
+    failover: bool = False,
+) -> MatchResult:
+    """Run every part, re-run what was lost, merge.
 
-    Each failed device's snapshot is re-sharded round-robin across the
-    surviving devices and run as resume jobs there; the recovered counts
-    (and stats) are folded into the survivors' results and the failed
-    device's error is cleared — it was survived.
+    ``run_part(slot, groups, collect_matches, rescue_of)`` executes groups
+    on executor ``slot`` — a part's own share (``rescue_of`` is ``None``) or
+    a sub-part of lost part ``rescue_of``'s remainder.  An own share may
+    return ``None``: the executor died without handing anything back.
+    ``results`` lets a caller that ran the own shares elsewhere (a process
+    pool) hand in what came back.  Two kinds of loss are re-run, each
+    remainder split by :func:`reshard_groups`:
+
+    * nothing came back (``None``): the executor is respawnable, so the
+      whole part re-runs *in place*, split ``len(parts)`` ways so a giant
+      part re-executes as balanced units;
+    * with ``failover``, a device that failed terminally hands back its
+      recovery snapshot (``pending_work``) and is gone, so the snapshot is
+      re-sharded over the *surviving* slots.
+
+    A lost part is absorbed (its error cleared, ``faults_survived`` bumped)
+    once all its sub-parts succeeded; the first failed rescue stops the
+    re-running and every error stands.
     """
-    from repro.faults.recovery import pending_rows, reshard_groups
-
-    failed = [g for g, r in enumerate(per_gpu) if r.failed]
-    survivors = [g for g, r in enumerate(per_gpu) if not r.failed]
-    if not failed or not survivors:
-        return
-    for g in failed:
-        dead = per_gpu[g]
-        pending = dead.pending_work or []
-        # reshard_groups returns only non-empty shards (possibly fewer
-        # than survivors when the remainder is tiny); zip pairs each with
-        # a survivor and leaves the rest untouched.
-        shards = reshard_groups(pending, len(survivors)) if pending else []
-        per_gpu[survivors[0]].recovery.devices_failed_over += 1
-        for shard, s in zip(shards, survivors):
-            surv = per_gpu[s]
-            room = 0
-            if collect_matches:
-                have = sum(len(r.matches or []) for r in per_gpu)
-                room = max(0, collect_matches - have)
-            rescue = engine._run_single(
-                graph,
-                plan,
-                graph.directed_edge_array()[:0],
-                gpu_name=f"gpu{s}+fo{g}",
-                collect_matches=room,
-                resume=shard,
-            )
+    if results is None:
+        results = [
+            run_part(i, part, collect_matches, None)
+            for i, part in enumerate(parts)
+        ]
+    lost: dict[int, list[WorkGroup]] = {}
+    for i, result in enumerate(results):
+        if result is None:
+            lost[i] = parts[i]
+        elif failover and result.failed:
+            lost[i] = result.pending_work or []
+    survivors = [i for i in range(len(parts)) if i not in lost]
+    done = [r for r in results if r is not None]
+    stats = RecoveryStats()
+    for i, remainder in lost.items():
+        slots = [i] * len(parts) if results[i] is None else survivors
+        if not slots:
+            break  # every device is gone: nowhere to fail over to
+        stats.devices_failed_over += 1
+        subs = reshard_groups(remainder, len(slots)) if remainder else []
+        if results[i] is None and not subs:
+            subs = [remainder]  # an empty part still owes its (blank) result
+        absorbed = True
+        for sub, slot in zip(subs, slots):
+            rescue = run_part(slot, sub, collect_matches, i)
+            done.append(rescue)
             if rescue.failed:
-                # Even the rescue run died: keep the original error.
-                surv.recovery.merge(rescue.recovery)
-                return
-            surv.count += rescue.count
-            surv.elapsed_cycles += rescue.elapsed_cycles
-            surv.recovery.merge(rescue.recovery)
-            surv.recovery.tasks_reexecuted += pending_rows(shard)
-            if collect_matches and rescue.matches:
-                surv.matches = (surv.matches or []) + rescue.matches
-        # The failure was fully absorbed.
-        dead.error = None
-        dead.pending_work = None
-        dead.recovery.faults_survived += 1
+                absorbed = False
+                break
+            stats.tasks_reexecuted += pending_rows(sub)
+        if not absorbed:
+            break  # even the rescue run died: every error stands
+        stats.faults_survived += 1
+        if results[i] is not None:
+            results[i].error = None
+            results[i].pending_work = None
+    merged = merge_results(done, num_gpus)
+    merged.recovery.merge(stats)
+    if collect_matches:
+        found = [m for r in done for m in r.matches or []]
+        merged.matches = found[:collect_matches]
+    return merged
 
 
 def _merge_metrics(per_gpu_metrics: list) -> dict:

@@ -1,7 +1,7 @@
 """Warp-level backtracking with load balancing (Algorithms 2 and 4).
 
 A :class:`MatchJob` holds everything the warps of one device share — the
-graph, the compiled plan, the initial-edge cursor, ``Q_task``, the busy
+graph, the compiled plan, the work-group cursor, ``Q_task``, the busy
 counter used for termination detection — and produces warp *bodies*:
 generators the DES scheduler drives.
 
@@ -115,14 +115,12 @@ class MatchJob:
         plan: MatchingPlan,
         config: TDFSConfig,
         gpu: VirtualGPU,
-        edges: np.ndarray,
+        groups: list,
         queue: Optional[LockFreeTaskQueue],
         level_factory: LevelFactory,
         prefiltered: bool = False,
         child_stack_bytes: int = 0,
-        prefix_width: int = 2,
         collect_limit: int = 0,
-        extra_groups: Optional[list] = None,
         tracer: Optional[Tracer] = None,
         device: int = 0,
         backend: Optional[KernelBackend] = None,
@@ -132,15 +130,22 @@ class MatchJob:
         self.config = config
         self.gpu = gpu
         self.cost = config.cost
-        self.edges = edges
+        #: The job's whole workload as ``(rows, width)`` work groups (see
+        #: :data:`repro.faults.recovery.WorkGroup`): width 2 for edge tasks
+        #: (the paper's default), deeper prefixes when a hybrid BFS phase or
+        #: a recovery snapshot seeds the DFS.  Warps claim them in order,
+        #: ``chunk_size`` rows at a time; ``(_group, _cursor)`` always points
+        #: at an unclaimed row, or ``_group == len(groups)`` when none is left.
+        self.groups: list = [
+            (np.asarray(rows), int(width)) for rows, width in groups if len(rows)
+        ]
+        self._group = 0
+        self._cursor = 0
+        #: Width-2 rows already passed the edge filter on the host (STMatch).
         self.prefiltered = prefiltered
         self.queue = queue
         self.level_factory = level_factory
         self.child_stack_bytes = child_stack_bytes
-        #: Width of initial-work rows: 2 for edge tasks (the paper's default)
-        #: or deeper prefixes when a hybrid BFS phase seeds the DFS.
-        self.prefix_width = int(prefix_width)
-        self.cursor = 0
         self.busy = 0
         self.count = 0
         #: Optional enumeration sink (position-order vertex tuples).
@@ -175,16 +180,6 @@ class MatchJob:
         #: cache object itself keeps cumulative stats across runs).
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Recovered work groups ``(rows, width)`` fed back into the warps on
-        #: a resume run (see :mod:`repro.faults.recovery`).  Consumed after
-        #: ``edges`` with the same chunked fetch protocol.
-        self.extra_groups: list = [
-            (np.asarray(rows, dtype=np.int64), int(width))
-            for rows, width in (extra_groups or [])
-            if len(rows)
-        ]
-        self._extra_idx = 0
-        self._extra_cursor = 0
         #: Host-side multiset of in-flight ``Q_task`` triples.  Armed only
         #: when the config carries a fault plan, retry policy, or periodic
         #: checkpointing: it lets the dequeue path *detect* corrupted ring
@@ -207,10 +202,8 @@ class MatchJob:
     # ------------------------------------------------------------------ #
 
     def finished(self) -> bool:
-        """True when no initial edges, queued tasks, or busy warps remain."""
-        if self.cursor < len(self.edges):
-            return False
-        if self._extra_idx < len(self.extra_groups):
+        """True when no work rows, queued tasks, or busy warps remain."""
+        if self._group < len(self.groups):
             return False
         if self.queue is not None and self.queue.num_tasks > 0:
             return False
@@ -221,31 +214,25 @@ class MatchJob:
     # ------------------------------------------------------------------ #
 
     def pending_initial(self) -> list:
-        """Unfetched initial work as ``(rows, width)`` groups."""
-        groups: list = []
-        if self.cursor < len(self.edges):
-            groups.append((self.edges[self.cursor :], self.prefix_width))
-        idx, cur = self._extra_idx, self._extra_cursor
-        while idx < len(self.extra_groups):
-            rows, width = self.extra_groups[idx]
-            if cur < len(rows):
-                groups.append((rows[cur:], width))
-            idx += 1
-            cur = 0
-        return groups
+        """Unfetched work rows as ``(rows, width)`` groups."""
+        if self._group == len(self.groups):
+            return []
+        rows, width = self.groups[self._group]
+        return [(rows[self._cursor :], width), *self.groups[self._group + 1 :]]
 
-    def _next_extra_chunk(self) -> Optional[tuple]:
-        """Claim the next chunk of recovered rows (warp fetch protocol)."""
-        while self._extra_idx < len(self.extra_groups):
-            rows, width = self.extra_groups[self._extra_idx]
-            if self._extra_cursor < len(rows):
-                lo = self._extra_cursor
-                hi = min(lo + self.config.chunk_size, len(rows))
-                self._extra_cursor = hi
-                return rows[lo:hi], width
-            self._extra_idx += 1
-            self._extra_cursor = 0
-        return None
+    def _next_chunk(self) -> Optional[tuple]:
+        """Claim the next ``chunk_size`` rows (warp fetch protocol)."""
+        if self._group == len(self.groups):
+            return None
+        rows, width = self.groups[self._group]
+        lo = self._cursor
+        hi = min(lo + self.config.chunk_size, len(rows))
+        if hi == len(rows):
+            self._group += 1
+            self._cursor = 0
+        else:
+            self._cursor = hi
+        return rows[lo:hi], width
 
     def _journal_add(self, task: Task) -> None:
         if self.journal is not None:
@@ -264,17 +251,13 @@ class MatchJob:
             and 0 <= task.v2 < n
             and (task.v3 == PLACEHOLDER or 0 <= task.v3 < n)
         )
-        if self.journal is not None:
-            if ok and self.journal.get(task, 0) > 0:
-                left = self.journal[task] - 1
-                if left:
-                    self.journal[task] = left
-                else:
-                    del self.journal[task]
-                return
-            raise IllegalAccessError(
-                f"corrupted Q_task slot: dequeued {tuple(task)}"
-            )
+        if ok and self.journal is not None:
+            left = self.journal.get(task, 0) - 1
+            ok = left >= 0
+            if left > 0:
+                self.journal[task] = left
+            elif ok:
+                del self.journal[task]
         if not ok:
             raise IllegalAccessError(
                 f"corrupted Q_task slot: dequeued {tuple(task)}"
@@ -307,17 +290,18 @@ class MatchJob:
                     self.busy -= 1
                     self.gpu.note_work_done(warp.now)
                     continue
-            # Priority 2: fetch the next chunk of initial tasks.
-            if self.cursor < len(self.edges):
+            # Priority 2: fetch the next chunk of work rows.
+            if self._group < len(self.groups):
                 yield warp.sync()
-                if self.cursor < len(self.edges):
-                    lo = self.cursor
-                    hi = min(lo + self.config.chunk_size, len(self.edges))
-                    self.cursor = hi
+                fetched = self._next_chunk()
+                if fetched is not None:
+                    chunk, width = fetched
                     warp.charge(cost.chunk_fetch)
                     warp.stats.chunks += 1
-                    chunk = self.edges[lo:hi]
-                    if not self.prefiltered and self.prefix_width == 2:
+                    if width == 2 and not self.prefiltered:
+                        # Idempotent on recovered rows: those that already
+                        # passed the filter pass again, raw rows from an
+                        # unfetched tail get filtered for the first time.
                         chunk, cycles = filter_chunk(
                             self.graph,
                             self.plan,
@@ -334,35 +318,6 @@ class MatchJob:
                         self.tracer.record(
                             "match", warp.wid, t0, warp.now, self.device
                         )
-                        st.busy_flag = False
-                        self.busy -= 1
-                        self.gpu.note_work_done(warp.now)
-                    continue
-            # Priority 2b: recovered work groups (resume after a fault).
-            if self._extra_idx < len(self.extra_groups):
-                yield warp.sync()
-                fetched = self._next_extra_chunk()
-                if fetched is not None:
-                    rows, width = fetched
-                    warp.charge(cost.chunk_fetch)
-                    warp.stats.chunks += 1
-                    chunk = rows
-                    if width == 2:
-                        # Re-applying the edge filter is idempotent: rows
-                        # that already passed it pass again, raw rows from
-                        # an unfetched tail get filtered for the first time.
-                        chunk, cycles = filter_chunk(
-                            self.graph,
-                            self.plan,
-                            chunk,
-                            cost,
-                            prune_degree=self.config.enable_edge_filter,
-                        )
-                        warp.charge(cycles)
-                    if len(chunk):
-                        self.busy += 1
-                        st.busy_flag = True
-                        yield from self._process_chunk(warp, st, chunk)
                         st.busy_flag = False
                         self.busy -= 1
                         self.gpu.note_work_done(warp.now)
@@ -485,24 +440,7 @@ class MatchJob:
             st.iters[p] = 0
         if prefix_len == k - 1:
             # The item's first unfilled position is the leaf: bulk count.
-            st.inflight = prefix_len  # level.write may abort mid-expansion
-            raw, cycles = self._raw(st, prefix_len)
-            self.tracer.record(
-                "intersect", warp.wid, warp.now, warp.now + cycles, self.device
-            )
-            level = st.stack.level(prefix_len)
-            cycles += level.write(raw, cost)
-            leaves, leaf_cycles = leaf_matches(
-                self.graph,
-                plan,
-                st.path,
-                level.values(),
-                cost,
-                self.config.stmatch_removal,
-            )
-            warp.charge(cycles + leaf_cycles)
-            self._emit_leaves(warp, st, leaves, prefix_len)
-            st.inflight = None
+            self._expand_leaf(warp, st, prefix_len, 0)
             return
 
         pos = prefix_len
@@ -559,24 +497,7 @@ class MatchJob:
                 st.path[pos] = v
                 nxt = pos + 1
                 if nxt == k - 1:
-                    st.inflight = nxt  # level.write may abort mid-expansion
-                    raw, cycles = self._raw(st, nxt)
-                    self.tracer.record(
-                        "intersect", warp.wid, warp.now, warp.now + cycles, self.device
-                    )
-                    level = st.stack.level(nxt)
-                    cycles += level.write(raw, cost)
-                    leaves, leaf_cycles = leaf_matches(
-                        self.graph,
-                        plan,
-                        st.path,
-                        level.values(),
-                        cost,
-                        self.config.stmatch_removal,
-                    )
-                    warp.charge(cost.step + cycles + leaf_cycles)
-                    self._emit_leaves(warp, st, leaves, nxt)
-                    st.inflight = None
+                    self._expand_leaf(warp, st, nxt, cost.step)
                 else:
                     pos = nxt
                     launched = yield from self._fill(warp, st, pos)
@@ -587,6 +508,28 @@ class MatchJob:
                 if pos == prefix_len:
                     return
                 pos -= 1
+
+    def _expand_leaf(self, warp: Warp, st: RunState, pos: int, cycles: int) -> None:
+        """Fill the leaf level ``pos`` and count its matches in bulk."""
+        cost = self.cost
+        st.inflight = pos  # level.write may abort mid-expansion
+        raw, raw_cycles = self._raw(st, pos)
+        self.tracer.record(
+            "intersect", warp.wid, warp.now, warp.now + raw_cycles, self.device
+        )
+        level = st.stack.level(pos)
+        cycles += raw_cycles + level.write(raw, cost)
+        leaves, leaf_cycles = leaf_matches(
+            self.graph,
+            self.plan,
+            st.path,
+            level.values(),
+            cost,
+            self.config.stmatch_removal,
+        )
+        warp.charge(cycles + leaf_cycles)
+        self._emit_leaves(warp, st, leaves, pos)
+        st.inflight = None
 
     def _leaf_block(
         self, warp: Warp, st: RunState, pos: int, f: np.ndarray, i: int

@@ -253,11 +253,7 @@ class IncrementalMatcher:
                 cfg = self._anchor_config(ctx.child(anchor=f"{a}-{b}", side=side))
             engine = TDFSEngine(cfg)
             result = engine._run_single(
-                graph,
-                plan,
-                rows,
-                gpu_name="gpu0",
-                collect_matches=cap,
+                graph, plan, [(rows, 2)], "gpu0", collect_matches=cap
             )
             if result.error is not None:
                 raise _AnchorFallback(f"anchor-error ({result.error})")

@@ -9,8 +9,6 @@ Friendster, and the New-Kernel strategy crashes on some pattern/graph pairs.
 
 from __future__ import annotations
 
-import warnings
-
 
 class ReproError(Exception):
     """Base class for all errors raised by :mod:`repro`."""
@@ -72,10 +70,6 @@ class StackLevelOverflowError(ReproError):
     STMatch's fixed 4096-slot levels overflow on skewed graphs, which the
     paper shows leads to *incorrect counts* — engines may either raise this
     or record-and-truncate depending on their ``on_overflow`` policy.
-
-    .. note:: This class used to be exported as ``StackOverflowError_``
-       (trailing underscore to avoid evoking a Python builtin); the old name
-       is still importable as a deprecated alias.
     """
 
 
@@ -89,15 +83,3 @@ class UnsupportedError(ReproError):
 class CalibrationError(ReproError):
     """A cost-model calibration constraint was violated."""
 
-
-def __getattr__(name: str):
-    """Deprecated-name shim: ``StackOverflowError_`` → ``StackLevelOverflowError``."""
-    if name == "StackOverflowError_":
-        warnings.warn(
-            "repro.errors.StackOverflowError_ is deprecated; use "
-            "StackLevelOverflowError instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return StackLevelOverflowError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

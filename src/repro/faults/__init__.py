@@ -8,8 +8,8 @@ Public surface:
   virtual-cycle backoff, degradation ladder);
 * :class:`FaultInjector` — hooks one attempt of one device to a plan;
 * recovery helpers — :func:`snapshot_pending_work`,
-  :func:`reshard_groups`, :func:`cpu_resume_count`,
-  :func:`format_survival_report` (see :mod:`repro.faults.recovery`).
+  :func:`reshard_groups`, :func:`format_survival_report`
+  (see :mod:`repro.faults.recovery`).
 """
 
 from repro.faults.injector import POISON_VALUE, FaultInjector
@@ -25,7 +25,6 @@ from repro.faults.plan import (
     RUNG_SHRINK_CHUNK,
 )
 from repro.faults.recovery import (
-    cpu_resume_count,
     deadline_policy,
     format_survival_report,
     pending_rows,
@@ -55,7 +54,6 @@ __all__ = [
     "WorkerFaultKind",
     "WorkerFaultPlan",
     "WorkerFaultSpec",
-    "cpu_resume_count",
     "deadline_policy",
     "format_survival_report",
     "pending_rows",

@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.taskqueue.tasks import PLACEHOLDER
 
 #: A unit of recoverable work: ``(rows, width)`` where ``rows`` is a 2-D
@@ -131,8 +132,6 @@ def reshard_groups(
     shard is a no-op device attempt at best.
     """
     if num_shards <= 0:
-        from repro.errors import ReproError
-
         raise ReproError(
             f"reshard_groups: num_shards must be >= 1, got {num_shards} "
             f"({pending_rows(groups)} pending rows would be dropped)"
@@ -144,30 +143,6 @@ def reshard_groups(
             if len(part):
                 shards[s].append((part, width))
     return [s for s in shards if s]
-
-
-# --------------------------------------------------------------------------- #
-# The ladder's last rung: serial CPU re-execution (immune to device faults)
-# --------------------------------------------------------------------------- #
-
-
-def cpu_resume_count(
-    graph,
-    plan,
-    groups: list[WorkGroup],
-    collect: Optional[list] = None,
-    collect_limit: int = 0,
-) -> int:
-    """Count the matches rooted at the snapshot's rows on the host CPU."""
-    from repro.baselines.cpu import cpu_count
-
-    return cpu_count(
-        graph,
-        plan,
-        collect=collect,
-        resume_groups=groups,
-        collect_limit=collect_limit,
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -212,17 +187,13 @@ def deadline_policy(
         return base, ()
     if remaining_ms > 0.5 * deadline_ms:
         return base, ()
-    if base is not None:
-        policy = replace(
-            base,
-            max_attempts=min(base.max_attempts, 2),
-            backoff_base_cycles=0,
-            ladder=(RUNG_CPU_FALLBACK,),
-        )
-    else:
-        policy = RetryPolicy(
-            max_attempts=2, backoff_base_cycles=0, ladder=(RUNG_CPU_FALLBACK,)
-        )
+    base = base if base is not None else RetryPolicy()
+    policy = replace(
+        base,
+        max_attempts=min(base.max_attempts, 2),
+        backoff_base_cycles=0,
+        ladder=(RUNG_CPU_FALLBACK,),
+    )
     return policy, (RUNG_SHRINK_CHUNK,)
 
 

@@ -36,7 +36,6 @@ from repro.serve.cache import (
 from repro.serve.metrics import Histogram, ServeMetrics
 from repro.serve.resilience import (
     BreakerState,
-    CheckpointStore,
     CircuitBreaker,
     CircuitOpenError,
     MatchCheckpoint,
@@ -60,7 +59,6 @@ __all__ = [
     "AdmissionRejected",
     "BreakerState",
     "CacheStats",
-    "CheckpointStore",
     "CircuitBreaker",
     "CircuitOpenError",
     "DeltaResponse",

@@ -54,20 +54,20 @@ import logging
 import threading
 import time
 import traceback
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.errors import ReproError
-from repro.faults.recovery import pending_rows, snapshot_pending_work
+from repro.faults.recovery import snapshot_pending_work
 from repro.faults.workers import WorkerCrash, WorkerFaultKind, WorkerFaultPlan
 from repro.serve.batcher import AdmissionRejected, QueueEntry
+from repro.serve.cache import LRUCache
 
 logger = logging.getLogger("repro.serve")
 
 __all__ = [
     "BreakerState",
-    "CheckpointStore",
     "CircuitBreaker",
     "CircuitOpenError",
     "MatchCheckpoint",
@@ -128,40 +128,6 @@ class MatchCheckpoint:
     """1-based checkpoint index within the delivery that took it."""
     taken_at: float
     """Wall-clock (``time.monotonic``) timestamp, for the age histogram."""
-
-    @property
-    def rows(self) -> int:
-        return pending_rows(self.groups)
-
-
-class CheckpointStore:
-    """Thread-safe latest-checkpoint-per-request map (bounded)."""
-
-    def __init__(self, capacity: int = 1024) -> None:
-        self.capacity = int(capacity)
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[int, MatchCheckpoint] = OrderedDict()
-        self.total_taken = 0
-
-    def put(self, ck: MatchCheckpoint) -> None:
-        with self._lock:
-            self._entries[ck.request_id] = ck
-            self._entries.move_to_end(ck.request_id)
-            self.total_taken += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def get(self, request_id: int) -> Optional[MatchCheckpoint]:
-        with self._lock:
-            return self._entries.get(request_id)
-
-    def pop(self, request_id: int) -> Optional[MatchCheckpoint]:
-        with self._lock:
-            return self._entries.pop(request_id, None)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 # --------------------------------------------------------------------------- #
@@ -365,48 +331,39 @@ class Quarantine:
     """Bounded registry of request fingerprints that exhausted redelivery."""
 
     def __init__(self, capacity: int = 256) -> None:
-        self.capacity = int(capacity)
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, tuple[str, int]] = OrderedDict()
+        self._entries = LRUCache(capacity)
         self.total_poisoned = 0
-        self.total_rejections = 0
+
+    @property
+    def total_rejections(self) -> int:
+        """Submissions rejected so far — every :meth:`check` that hit."""
+        return self._entries.stats().hits
 
     def poison(self, fingerprint: tuple, failure: str, request_id: int) -> None:
-        with self._lock:
-            self._entries[fingerprint] = (failure, request_id)
-            self._entries.move_to_end(fingerprint)
-            self.total_poisoned += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        self._entries.put(fingerprint, (failure, request_id))
+        self.total_poisoned += 1
 
     def check(self, fingerprint: tuple) -> None:
         """Raise :class:`PoisonedRequestError` for a quarantined repeat."""
-        with self._lock:
-            hit = self._entries.get(fingerprint)
-            if hit is None:
-                return
-            self.total_rejections += 1
-            failure, request_id = hit
-        raise PoisonedRequestError(fingerprint, failure, request_id)
+        hit = self._entries.get(fingerprint)
+        if hit is not None:
+            raise PoisonedRequestError(fingerprint, *hit)
 
     def release(self, fingerprint: tuple) -> bool:
         """Manually lift a quarantine (operator override)."""
-        with self._lock:
-            return self._entries.pop(fingerprint, None) is not None
+        return self._entries.pop(fingerprint) is not None
 
     def entries(self) -> dict:
-        with self._lock:
-            return {
-                "/".join(str(p) for p in fp): {
-                    "failure": failure,
-                    "request_id": rid,
-                }
-                for fp, (failure, rid) in self._entries.items()
+        return {
+            "/".join(str(p) for p in fp): {
+                "failure": failure,
+                "request_id": rid,
             }
+            for fp, (failure, rid) in self._entries.items()
+        }
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 # --------------------------------------------------------------------------- #
@@ -471,7 +428,8 @@ class Supervisor(threading.Thread):
         super().__init__(name="repro-serve-supervisor", daemon=True)
         self.service = service
         self.config = config or SupervisorConfig()
-        self.checkpoints = CheckpointStore(self.config.checkpoint_capacity)
+        #: Latest :class:`MatchCheckpoint` per request id (bounded).
+        self.checkpoints = LRUCache(self.config.checkpoint_capacity)
         self.quarantine = Quarantine(self.config.quarantine_capacity)
         self.breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
@@ -541,29 +499,29 @@ class Supervisor(threading.Thread):
         metrics.incr(
             "worker_crashes" if reason == "worker-crash" else "worker_stalls"
         )
-        flight = getattr(self.service, "flight", None)
-        if flight is not None:
-            flight.record(
-                "worker.crash" if reason == "worker-crash" else "worker.stall",
-                worker=worker.index,
-                slot=slot,
-                inflight=worker.unsettled_inflight(),
-            )
+        self.service.flight.record(
+            "worker.crash" if reason == "worker-crash" else "worker.stall",
+            worker=worker.index,
+            slot=slot,
+            inflight=worker.unsettled_inflight(),
+        )
+        # Count the restart before re-offering anything: a sibling worker may
+        # settle a redelivered entry (and wake its caller) before this thread
+        # runs again, and a settled response must find the books closed.
+        self.restarts += 1
+        metrics.incr("supervisor_restarts")
         for entry in worker.take_inflight():
             if not entry.settled:
                 self.redeliver(entry, reason)
-        replacement = pool.replace(slot)
-        self.restarts += 1
-        metrics.incr("supervisor_restarts")
+        pool.replace(slot)
         metrics.set_pool_size(sum(1 for w in pool.workers if w.is_alive()))
-        del replacement  # already started; nothing else to wire
 
     # -- redelivery / quarantine ---------------------------------------- #
 
     def redeliver(self, entry: QueueEntry, reason: str) -> None:
         """Re-enqueue a lost entry, or quarantine it past its budget."""
         metrics = self.service.metrics
-        flight = getattr(self.service, "flight", None)
+        flight = self.service.flight
         self.breaker.record_failure(request_signature(entry))
         entry.redeliveries += 1
         if entry.redeliveries > self.config.max_redeliveries:
@@ -571,34 +529,36 @@ class Supervisor(threading.Thread):
             self.quarantine.poison(fingerprint, reason, entry.request_id)
             self.checkpoints.pop(entry.request_id)
             metrics.incr("quarantined")
-            if flight is not None:
-                flight.record(
-                    "quarantine",
-                    request_id=entry.request_id,
-                    reason=reason,
-                    redeliveries=entry.redeliveries,
-                    trace_id=getattr(entry.trace, "trace_id", None),
-                )
+            flight.record(
+                "quarantine",
+                request_id=entry.request_id,
+                reason=reason,
+                redeliveries=entry.redeliveries,
+                trace_id=getattr(entry.trace, "trace_id", None),
+            )
             self.service._settle_error(
                 entry,
                 f"POISONED ({reason} x{entry.redeliveries})",
             )
             return
         entry.checkpoint = self.checkpoints.get(entry.request_id)
+        # Counter and flight event first, for the reason given in _recover.
+        # Neither can be taken back if the offer is then rejected (counters
+        # are monotonic, the recorder append-only); they then agree with
+        # ``entry.redeliveries``, which the SHUTDOWN response reports too.
+        metrics.incr("redeliveries")
+        flight.record(
+            "redelivery",
+            request_id=entry.request_id,
+            reason=reason,
+            delivery=entry.redeliveries + 1,
+            resumable=entry.checkpoint is not None,
+            trace_id=getattr(entry.trace, "trace_id", None),
+        )
         try:
             # force: redelivery of already-admitted work bypasses the
             # drain seal (but never a full close).
             self.service._queue.offer(entry, force=True)
-            metrics.incr("redeliveries")
-            if flight is not None:
-                flight.record(
-                    "redelivery",
-                    request_id=entry.request_id,
-                    reason=reason,
-                    delivery=entry.redeliveries + 1,
-                    resumable=entry.checkpoint is not None,
-                    trace_id=getattr(entry.trace, "trace_id", None),
-                )
         except AdmissionRejected:
             self.service._settle_error(entry, "SHUTDOWN")
 
@@ -635,7 +595,7 @@ class Supervisor(threading.Thread):
                 seq=seq,
                 taken_at=time.monotonic(),
             )
-            self.checkpoints.put(ck)
+            self.checkpoints.put(entry.request_id, ck)
             metrics.incr("checkpoints")
             plan = self.worker_faults
             if plan is None:
@@ -661,14 +621,12 @@ class Supervisor(threading.Thread):
         if new is BreakerState.OPEN:
             metrics.incr("breaker_opens")
         metrics.set_breaker_open(self.breaker.open_count())
-        flight = getattr(self.service, "flight", None)
-        if flight is not None:
-            flight.record(
-                "breaker.transition",
-                signature="/".join(str(p) for p in signature),
-                old=old.value,
-                new=new.value,
-            )
+        self.service.flight.record(
+            "breaker.transition",
+            signature="/".join(str(p) for p in signature),
+            old=old.value,
+            new=new.value,
+        )
 
     # -- introspection --------------------------------------------------- #
 
@@ -681,5 +639,5 @@ class Supervisor(threading.Thread):
             "breaker_rejections": self.breaker.total_rejections,
             "quarantine": self.quarantine.entries(),
             "checkpoints_stored": len(self.checkpoints),
-            "checkpoints_taken": self.checkpoints.total_taken,
+            "checkpoints_taken": self.service.metrics.get("checkpoints"),
         }

@@ -384,8 +384,6 @@ class Worker(threading.Thread):
                     chunk_size=max(1, config.chunk_size // 2), retry=policy
                 )
                 base.degraded = True
-            elif policy is not config.retry:
-                config = config.replace(retry=policy)
 
         engine = self._engine(request.engine, config)
         supports_resume = bool(getattr(engine, "supports_resume", False))
@@ -407,9 +405,14 @@ class Worker(threading.Thread):
             )
             engine = self._engine(request.engine, config)
 
-        plan, compile_ms, plan_hit = self._resolve_plan(
-            engine, prepared, request, version, graph
+        pkey = plan_key(
+            request.graph_id,
+            version,
+            prepared.plan_fp,
+            request.engine,
+            prepared.config_fp,
         )
+        plan, compile_ms, plan_hit = self._resolve_plan(engine, prepared, pkey, graph)
         base.compile_ms = compile_ms
         base.plan_cache_hit = plan_hit
         planner_active = (
@@ -422,17 +425,7 @@ class Worker(threading.Thread):
             if not planner_active or result is None:
                 return
             service.record_plan_feedback(
-                request.graph_id,
-                prepared.plan_fp,
-                plan_key(
-                    request.graph_id,
-                    version,
-                    prepared.plan_fp,
-                    request.engine,
-                    prepared.config_fp,
-                ),
-                plan,
-                result,
+                request.graph_id, prepared.plan_fp, pkey, plan, result
             )
 
         # Checkpoint/resume: a redelivered entry carrying a checkpoint is
@@ -440,55 +433,49 @@ class Worker(threading.Thread):
         # count plus the re-executed remainder equals the uninterrupted
         # total exactly.
         checkpoint = entry.checkpoint
-        if (
-            checkpoint is not None
-            and supports_resume
-            and not request.collect_matches
-        ):
+        if not supports_resume or request.collect_matches:
+            checkpoint = None
+        result = self._run_engine(entry, engine, graph, plan, checkpoint, base)
+        if result is not None:
+            record_feedback(result)
+            if checkpoint is None:
+                if (
+                    entry.deadline_at is not None
+                    and time.monotonic() > entry.deadline_at
+                ):
+                    base.deadline_missed = True
+                    metrics.incr("deadline_missed")
+                if (
+                    result.error is None
+                    and service.config.enable_result_cache
+                    and request.use_result_cache
+                ):
+                    service.result_cache.put(rkey, result)
+        finish(base)
+
+    def _run_engine(self, entry: QueueEntry, engine, graph, plan, checkpoint, base):
+        """Run (or, given a ``checkpoint``, resume) one request's match.
+
+        Fills ``base`` with the timing, the result and its typed error, and
+        records the ``engine.run`` / ``engine.resume`` span and any
+        shard-failure flight event.  Returns the result, or ``None`` when
+        the engine raised (``base.error`` then says why).
+        """
+        request = entry.request.request
+        metrics = self.service.metrics
+        if checkpoint is not None:
             metrics.incr("resumed")
             metrics.observe_checkpoint_age(
                 (time.monotonic() - checkpoint.taken_at) * 1000.0
             )
-            t0 = time.monotonic()
-            t0_wall = time.time() * 1000.0
-            try:
-                result = engine.run_resume(
-                    graph, plan, checkpoint.groups, base_count=checkpoint.count
-                )
-            except UnsupportedError:
-                base.error = "N/A"
-                base.run_ms = (time.monotonic() - t0) * 1000.0
-                finish(base)
-                return
-            except ReproError as exc:
-                base.error = f"ERR ({type(exc).__name__})"
-                base.run_ms = (time.monotonic() - t0) * 1000.0
-                finish(base)
-                return
-            base.run_ms = (time.monotonic() - t0) * 1000.0
-            base.result = result
-            base.error = result.error
-            base.resumed = True
-            if trace is not None:
-                ops_tracer().record(
-                    make_span(
-                        "engine.resume",
-                        trace.child(stage="engine"),
-                        t0_wall,
-                        time.time() * 1000.0,
-                        engine=request.engine,
-                        count=result.count,
-                    )
-                )
-            self._flight_shard_failures(entry, result)
-            record_feedback(result)
-            finish(base)
-            return
-
         t0 = time.monotonic()
         t0_wall = time.time() * 1000.0
         try:
-            if request.collect_matches and self._accepts_collect(request.engine):
+            if checkpoint is not None:
+                result = engine.run_resume(
+                    graph, plan, checkpoint.groups, base_count=checkpoint.count
+                )
+            elif request.collect_matches and self._accepts_collect(request.engine):
                 result = engine.run(
                     graph, plan, collect_matches=request.collect_matches
                 )
@@ -496,22 +483,20 @@ class Worker(threading.Thread):
                 result = engine.run(graph, plan)
         except UnsupportedError:
             base.error = "N/A"
-            base.run_ms = (time.monotonic() - t0) * 1000.0
-            finish(base)
-            return
+            return None
         except ReproError as exc:
             base.error = f"ERR ({type(exc).__name__})"
+            return None
+        finally:
             base.run_ms = (time.monotonic() - t0) * 1000.0
-            finish(base)
-            return
-        base.run_ms = (time.monotonic() - t0) * 1000.0
         base.result = result
         base.error = result.error
-        if trace is not None:
+        base.resumed = checkpoint is not None
+        if entry.trace is not None:
             ops_tracer().record(
                 make_span(
-                    "engine.run",
-                    trace.child(stage="engine"),
+                    "engine.resume" if base.resumed else "engine.run",
+                    entry.trace.child(stage="engine"),
                     t0_wall,
                     time.time() * 1000.0,
                     engine=request.engine,
@@ -519,21 +504,11 @@ class Worker(threading.Thread):
                 )
             )
         self._flight_shard_failures(entry, result)
-        record_feedback(result)
-        if entry.deadline_at is not None and time.monotonic() > entry.deadline_at:
-            base.deadline_missed = True
-            metrics.incr("deadline_missed")
-        if (
-            result.error is None
-            and service.config.enable_result_cache
-            and request.use_result_cache
-        ):
-            service.result_cache.put(rkey, result)
-        finish(base)
+        return result
 
     # ------------------------------------------------------------------ #
 
-    def _resolve_plan(self, engine, prepared, request, version: int, graph):
+    def _resolve_plan(self, engine, prepared, key: tuple, graph):
         """Plan for the request: precompiled > cached > freshly compiled.
 
         Compilation goes through ``engine.compile`` so engines that pin
@@ -549,13 +524,6 @@ class Worker(threading.Thread):
         service = self.service
         if isinstance(prepared.query, MatchingPlan):
             return prepared.query, 0.0, False
-        key = plan_key(
-            request.graph_id,
-            version,
-            prepared.plan_fp,
-            request.engine,
-            prepared.config_fp,
-        )
         if service.config.enable_plan_cache:
             plan = service.plan_cache.get(key)
             if plan is not None:
@@ -570,7 +538,7 @@ class Worker(threading.Thread):
                 portfolio = engine.plan_portfolio(graph, prepared.query)
                 service.portfolio_cache.put(key, portfolio)
             choice = service.feedback.preferred(
-                (request.graph_id, prepared.plan_fp), portfolio
+                (prepared.request.graph_id, prepared.plan_fp), portfolio
             )
             plan = choice.plan
         else:

@@ -26,12 +26,7 @@ DESIGN.md §12 for the exactness argument and the failure/re-execution
 path.
 """
 
-from repro.shard.coordinator import (
-    ShardCoordinator,
-    ShardProcessError,
-    merge_shard_results,
-    run_sharded,
-)
+from repro.shard.coordinator import ShardCoordinator, ShardProcessError
 from repro.shard.planner import (
     SHARD_STRATEGIES,
     ShardPlan,
@@ -44,6 +39,4 @@ __all__ = [
     "ShardPlan",
     "ShardPlanner",
     "ShardProcessError",
-    "merge_shard_results",
-    "run_sharded",
 ]

@@ -10,19 +10,18 @@ The coordinator's exactness contract has two halves:
   simulation of a pickled ``(graph, plan, config, rows)`` tuple, so
   executing it in a worker process is bit-identical to executing it in
   the coordinator's process.  The merged result (counts sum, makespan is
-  the max, counters sum, ``.peak`` metrics max — exactly the multi-GPU
-  merge) is therefore identical whether the shards ran over a
-  ``ProcessPoolExecutor`` or inline, which is what
-  ``tests/test_shard_conformance.py`` sweeps.
+  the max, counters sum, ``.peak`` metrics max — the one
+  :func:`~repro.core.multi_gpu.merge_results`) is therefore identical
+  whether the shards ran over a ``ProcessPoolExecutor`` or inline, which
+  is what ``tests/test_shard_conformance.py`` sweeps.
 
 Failure path: a shard process that dies (a killed worker, a poisoned
-pickle, an injected :class:`ShardProcessError`) is *re-executed* — its
-shard's work groups are re-split through
-:func:`repro.faults.recovery.reshard_groups` (the device-failover rule)
-and run in the coordinator process, so a dead shard costs host time but
-never loses or double-counts a match.  The recovery accounting lands in
-``result.recovery`` (``devices_failed_over`` / ``tasks_reexecuted`` /
-``faults_survived``) like every other recovery mechanism in the repo.
+pickle, an injected :class:`ShardProcessError`) hands nothing back, so
+:func:`repro.core.multi_gpu.fan_out` re-runs its whole shard in the
+coordinator process and does the recovery accounting (DESIGN.md "Work
+groups").  What lives here is only what is process-specific: the pool, the
+child config, the ``shard.dispatch`` / ``shard.run`` spans and the
+``shard.*`` metrics.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from repro.core.multi_gpu import merge_results
+from repro.core.multi_gpu import fan_out
 from repro.core.result import MatchResult
 from repro.errors import ReproError, UnsupportedError
-from repro.faults.recovery import WorkGroup, pending_rows, reshard_groups
+from repro.faults.recovery import WorkGroup, pending_rows
 from repro.graph.csr import CSRGraph
 from repro.obs.ops import make_span, ops_tracer
 from repro.query.plan import MatchingPlan
@@ -73,18 +72,6 @@ def _child_config(config):
     )
 
 
-def _split_groups(groups: list[WorkGroup]) -> tuple[np.ndarray, list[WorkGroup]]:
-    """Width-2 groups become the initial edge rows; deeper prefixes (from a
-    pre-split or re-execution of recovered work) ride in as extra groups."""
-    edge_parts = [rows for rows, width in groups if width == 2]
-    deep = [(rows, width) for rows, width in groups if width != 2]
-    if edge_parts:
-        edges = np.concatenate(edge_parts).astype(np.int64, copy=False)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return edges, deep
-
-
 def _run_shard(
     engine_name: str,
     config,
@@ -106,15 +93,15 @@ def _run_shard(
     from repro.core.engine import make_engine
 
     engine = make_engine(engine_name, config)
-    edges, deep = _split_groups(groups)
+    # A shard is one share of the initial-task space: whatever groups the
+    # planner's pre-split or a re-run's reshard delivered it in, its rows
+    # (all width 2, see ShardPlanner.plan) are fetched as one edge array.
+    rows = np.empty((0, 2), dtype=np.int64)
+    if groups:
+        rows = np.concatenate([r for r, _ in groups])
     t0 = time.time() * 1000.0
     result = engine._run_single(
-        graph,
-        plan,
-        edges,
-        gpu_name=f"shard{shard_index}",
-        collect_matches=collect_matches,
-        resume=deep or None,
+        graph, plan, [(rows, 2)], f"shard{shard_index}", collect_matches
     )
     ctx = getattr(config, "trace_context", None)
     if ctx is not None:
@@ -127,26 +114,11 @@ def _run_shard(
             t0,
             time.time() * 1000.0,
             shard=shard_index,
-            rows=int(len(edges)),
+            rows=int(len(rows)),
             count=int(result.count),
         )
         result.op_spans = (result.op_spans or []) + [span]
     return result
-
-
-def merge_shard_results(
-    per_shard: list[MatchResult], num_shards: int
-) -> MatchResult:
-    """Multi-GPU merge semantics applied to shard results.
-
-    Counts/counters sum, the makespan is the max (shards run
-    concurrently), obs ``.peak`` rows max, and RecoveryStats fold — then
-    the result is stamped with the shard count (``num_gpus`` stays 1:
-    every shard simulated one device).
-    """
-    merged = merge_results(per_shard, num_gpus=1)
-    merged.shards = num_shards
-    return merged
 
 
 class ShardCoordinator:
@@ -201,17 +173,44 @@ class ShardCoordinator:
         """
         plan = self.engine.compile(query, graph)
         shard_plan = self.planner.plan(graph)
+        parts = shard_plan.shards
         ctx = getattr(self.engine.config, "trace_context", None)
         dispatch_ctx = ctx.child(stage="shard") if ctx is not None else None
         t_dispatch = time.time() * 1000.0
-        per_shard, failures, reexecuted = self._execute(
-            graph, plan, shard_plan, collect_matches, dispatch_ctx
-        )
-        merged = merge_shard_results(per_shard, self.num_shards)
-        if failures:
-            merged.recovery.devices_failed_over += failures
-            merged.recovery.faults_survived += failures
-            merged.recovery.tasks_reexecuted += reexecuted
+
+        def job(s: int, groups: list, collect: int, rescue_of=None) -> tuple:
+            """Arguments of :func:`_run_shard` for one (re-)run of shard ``s``."""
+            config = self.child_config
+            if dispatch_ctx is not None:
+                extra = {"shard": str(s)}
+                if rescue_of is not None:
+                    extra["reexec"] = "1"
+                # A fresh child context per shard: the pickled config
+                # carries the identity into the worker process, where
+                # _run_shard stamps the shard.run span with it.
+                config = config.replace(trace_context=dispatch_ctx.child(**extra))
+            fail = rescue_of is None and s in self.fault_shards
+            return (self.engine.name, config, graph, plan, groups, s, collect, fail)
+
+        def run_part(*args) -> Optional[MatchResult]:
+            try:
+                return _run_shard(*job(*args))
+            except ShardProcessError:
+                return None
+
+        if self.mode == "process":
+            first = self._execute_pool(
+                [job(s, part, collect_matches) for s, part in enumerate(parts)]
+            )
+        else:
+            first = [
+                run_part(s, part, collect_matches) for s, part in enumerate(parts)
+            ]
+        dead = [s for s, result in enumerate(first) if result is None]
+        failures = len(dead)
+        reexecuted = sum(pending_rows(parts[s]) for s in dead)
+        merged = fan_out(parts, run_part, collect_matches, results=first)
+        merged.shards = self.num_shards
         self._finalize_metrics(merged, shard_plan, failures, reexecuted)
         if dispatch_ctx is not None:
             # One parent span for the fan-out, plus adoption of every
@@ -228,89 +227,19 @@ class ShardCoordinator:
             )
             merged.op_spans = (merged.op_spans or []) + [span]
             ops_tracer().adopt(merged.op_spans)
-        if collect_matches:
-            merged.matches = []
-            for r in per_shard:
-                if r.matches:
-                    room = collect_matches - len(merged.matches)
-                    if room <= 0:
-                        break
-                    merged.matches.extend(r.matches[:room])
         return merged
 
     # ------------------------------------------------------------------ #
 
-    def _execute(
-        self,
-        graph: CSRGraph,
-        plan: MatchingPlan,
-        shard_plan: ShardPlan,
-        collect_matches: int,
-        dispatch_ctx=None,
-    ) -> tuple[list[MatchResult], int, int]:
-        """Run every shard; returns ``(results, failed_shards, rows_rerun)``."""
-
-        def shard_config(s: int, reexec: bool = False):
-            if dispatch_ctx is None:
-                return self.child_config
-            extra = {"shard": str(s)}
-            if reexec:
-                extra["reexec"] = "1"
-            # A fresh child context per shard: the pickled config carries
-            # the identity into the worker process, where _run_shard
-            # stamps the shard.run span with it.
-            return self.child_config.replace(
-                trace_context=dispatch_ctx.child(**extra)
-            )
-
-        jobs = [
-            (
-                self.engine.name,
-                shard_config(s),
-                graph,
-                plan,
-                shard_plan.shards[s],
-                s,
-                collect_matches,
-                s in self.fault_shards,
-            )
-            for s in range(self.num_shards)
-        ]
-        results: list[Optional[MatchResult]] = [None] * self.num_shards
-        dead: list[int] = []
-        if self.mode == "inline":
-            for s, job in enumerate(jobs):
-                try:
-                    results[s] = _run_shard(*job)
-                except ShardProcessError:
-                    dead.append(s)
-        else:
-            results, dead = self._execute_pool(jobs)
-        reexecuted = 0
-        for s in dead:
-            rescue, rows = self._reexecute(
-                graph,
-                plan,
-                shard_plan.shards[s],
-                s,
-                collect_matches,
-                config=shard_config(s, reexec=True),
-            )
-            results[s] = rescue
-            reexecuted += rows
-        return [r for r in results if r is not None], len(dead), reexecuted
-
-    def _execute_pool(
-        self, jobs: list[tuple]
-    ) -> tuple[list[Optional[MatchResult]], list[int]]:
+    def _execute_pool(self, jobs: list[tuple]) -> list[Optional[MatchResult]]:
         """Fan the shard jobs out over a process pool.
 
         ``fork`` is preferred (the graph is shared copy-on-write and
         startup is milliseconds); ``spawn`` works too since
         :func:`_run_shard` is module-level and every argument pickles.
         Any worker-side failure — injected death, a broken pool after a
-        real kill — marks that shard dead for re-execution rather than
-        failing the job.
+        real kill — leaves that shard's slot ``None`` (dead, to be re-run)
+        rather than failing the job.
         """
         import concurrent.futures as cf
         import multiprocessing as mp
@@ -322,7 +251,6 @@ class ShardCoordinator:
             len(jobs), max(1, os.cpu_count() or 1)
         )
         results: list[Optional[MatchResult]] = [None] * len(jobs)
-        dead: list[int] = []
         with cf.ProcessPoolExecutor(
             max_workers=workers, mp_context=context
         ) as pool:
@@ -334,42 +262,8 @@ class ShardCoordinator:
                 try:
                     results[s] = future.result()
                 except Exception:
-                    dead.append(s)
-        dead.sort()
-        return results, dead
-
-    def _reexecute(
-        self,
-        graph: CSRGraph,
-        plan: MatchingPlan,
-        groups: list[WorkGroup],
-        shard_index: int,
-        collect_matches: int,
-        config=None,
-    ) -> tuple[MatchResult, int]:
-        """Recover a dead shard: reshard its groups, run them inline.
-
-        Uses the device-failover rule (:func:`reshard_groups`) so a giant
-        dead shard re-executes as balanced sub-units, then merges the
-        sub-results with the usual shard semantics.
-        """
-        rows = pending_rows(groups)
-        subgroups = reshard_groups(groups, self.num_shards) if groups else []
-        if not subgroups:
-            subgroups = [groups] if groups else [[]]
-        sub_results = [
-            _run_shard(
-                self.engine.name,
-                config if config is not None else self.child_config,
-                graph,
-                plan,
-                sub,
-                shard_index,
-                collect_matches,
-            )
-            for sub in subgroups
-        ]
-        return merge_shard_results(sub_results, len(sub_results)), rows
+                    pass  # a dead worker: the slot stays None
+        return results
 
     def _finalize_metrics(
         self,
@@ -406,13 +300,3 @@ class ShardCoordinator:
             reg.counter("shard.presplit").inc(shard_plan.presplit_shards)
             reg.counter("shard.process_failures").inc(failures)
             reg.counter("shard.rows_reexecuted").inc(reexecuted)
-
-
-def run_sharded(
-    graph: CSRGraph,
-    query: Union[MatchingPlan, object],
-    engine: "TDFSEngine",
-    collect_matches: int = 0,
-) -> MatchResult:
-    """Engine entry point for ``TDFSConfig(shards=N)`` (see engine.run)."""
-    return ShardCoordinator(engine).run(graph, query, collect_matches)

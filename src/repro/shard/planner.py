@@ -213,19 +213,12 @@ class ShardPlanner:
             groups, shards[s] = shards[s], []
             shard_weights[s] = 0
             split += 1
-            # reshard_groups drops empty trailing shards; pad back to n so
-            # positional alignment with the shard indexes holds.
-            for t, sub in enumerate(self._align(reshard_groups(groups, n), n)):
-                if not sub:
-                    continue
+            # reshard_groups drops empty shards, which under round-robin are
+            # always the trailing ones: sub-part t still belongs to shard t.
+            for t, sub in enumerate(reshard_groups(groups, n)):
                 shards[t].extend(sub)
                 for rows, _w in sub:
                     shard_weights[t] += int(
                         (graph.degrees[rows[:, 1]] + 1).sum()
                     )
         return split
-
-    @staticmethod
-    def _align(parts: list[list[WorkGroup]], n: int) -> list[list[WorkGroup]]:
-        """Pad reshard output (empty shards dropped) back to ``n`` slots."""
-        return parts + [[] for _ in range(n - len(parts))]

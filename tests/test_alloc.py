@@ -12,7 +12,7 @@ from repro.alloc.stack import (
     array_level_factory,
     paged_level_factory,
 )
-from repro.errors import DeviceOOMError, StackOverflowError_
+from repro.errors import DeviceOOMError, StackLevelOverflowError
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.memory import DeviceMemory
 
@@ -76,7 +76,7 @@ class TestPageTable:
 
     def test_exhaustion(self):
         t = PageTable(2)
-        with pytest.raises(StackOverflowError_):
+        with pytest.raises(StackLevelOverflowError):
             t.page_at(2)
 
 
@@ -116,7 +116,7 @@ class TestPagedLevel:
     def test_overflow_via_page_table(self):
         level, _ = self.make(pages=64)
         # 8-entry table × 16 ints = 128 ids max.
-        with pytest.raises(StackOverflowError_):
+        with pytest.raises(StackLevelOverflowError):
             level.write(np.arange(200, dtype=np.int32), COST)
 
     def test_memory_bytes_counts_pages_and_table(self):
@@ -140,7 +140,7 @@ class TestArrayLevel:
 
     def test_overflow_raises(self):
         level = ArrayLevel(capacity=2, policy=OverflowPolicy.RAISE)
-        with pytest.raises(StackOverflowError_):
+        with pytest.raises(StackLevelOverflowError):
             level.write(np.arange(5, dtype=np.int32), COST)
 
     def test_overflow_truncates(self):

@@ -339,6 +339,36 @@ def test_reshard_groups_empty_input():
     assert reshard_groups([], 3) == []
 
 
+def test_resuming_every_initial_task_is_the_run_itself(graph):
+    """One currency of work: the whole initial-task space handed back as a
+    recovered group goes down the same fetch path as a fresh run — same
+    count, same virtual cycles, same spans (the recovered-rows path used to
+    record no ``match`` spans)."""
+    from repro.obs import Observability
+
+    query = get_pattern("P3")  # times out on dblp, so "steal" spans exist too
+    seen = []
+    for resume in (False, True):
+        obs = Observability(tracing=True)
+        engine = TDFSEngine(TDFSConfig(obs=obs))
+        if resume:
+            r = engine.run_resume(graph, query, [(graph.directed_edge_array(), 2)])
+        else:
+            r = engine.run(graph, query)
+        seen.append(
+            (
+                r.count,
+                r.elapsed_cycles,
+                r.busy_cycles,
+                r.idle_cycles,
+                r.chunks_fetched,
+                dict(obs.tracer.counts),
+            )
+        )
+    assert seen[0] == seen[1]
+    assert seen[0][-1]["match"] > 0 and seen[0][-1]["steal"] > 0
+
+
 def test_cpu_resume_groups_equals_full_count(graph):
     from repro.baselines.cpu import cpu_count
 
@@ -397,23 +427,6 @@ def test_multi_gpu_collect_clamps_at_limit(graph):
     result = engine.run(graph, plan_q, collect_matches=limit)
     assert result.matches is not None
     assert len(result.matches) == limit
-
-
-# --------------------------------------------------------------------------- #
-# Satellite fix: StackOverflowError_ rename + deprecation alias
-# --------------------------------------------------------------------------- #
-
-
-def test_stack_overflow_error_renamed_with_alias():
-    import repro.errors
-
-    from repro.errors import StackLevelOverflowError
-
-    with pytest.warns(DeprecationWarning, match="StackOverflowError_"):
-        old = repro.errors.StackOverflowError_
-    assert old is StackLevelOverflowError
-    with pytest.raises(AttributeError):
-        repro.errors.NoSuchName
 
 
 # --------------------------------------------------------------------------- #

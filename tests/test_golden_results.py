@@ -1,11 +1,13 @@
-"""Golden-count regression against the checked-in benchmark tables.
+"""Golden-count regression against a tracked fixture.
 
-The ``results/fig-9-*.tsv`` tables were produced by the full benchmark
-grid; their ``instances`` column is the ground-truth embedding count per
-(dataset, pattern) cell.  Re-running a pinned subset of that matrix and
-comparing counts (only counts — timings are configuration-dependent)
-catches any semantic drift in the matcher, the plans, or the stand-in
-dataset generators, all of which are deterministic by construction.
+``tests/golden/fig9_counts.tsv`` pins the embedding count of ten
+(dataset, pattern) cells of the fig-9 grid — the cheap patterns of two
+datasets, including zero-count cells (absence is as load-bearing as
+presence).  Each count was produced through ``run_cell`` and cross-checked
+against ``engine="cpu"``.  Re-running the cells and comparing counts (only
+counts — timings are configuration-dependent) catches any semantic drift in
+the matcher, the plans, or the stand-in dataset generators, all of which
+are deterministic by construction.
 """
 
 from __future__ import annotations
@@ -16,56 +18,40 @@ import pytest
 
 from repro.bench.harness import run_cell
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
-
-#: Pinned (dataset, pattern) cells: the cheap patterns of two datasets,
-#: including zero-count cells (absence is as load-bearing as presence).
-GOLDEN_CELLS = [
-    ("dblp", "P1"),
-    ("dblp", "P2"),
-    ("dblp", "P3"),
-    ("dblp", "P4"),
-    ("dblp", "P6"),
-    ("facebook", "P1"),
-    ("facebook", "P2"),
-    ("facebook", "P4"),
-    ("facebook", "P5"),
-    ("facebook", "P7"),
-]
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "fig9_counts.tsv")
 
 
-def load_golden(dataset: str) -> dict[str, int]:
-    """Parse one fig-9 table into ``{pattern: instances}``."""
-    path = os.path.join(
-        RESULTS_DIR, f"fig-9-unlabeled-comparison-on-{dataset}.tsv"
-    )
-    counts: dict[str, int] = {}
-    with open(path) as fh:
+def load_golden() -> dict[tuple[str, str], int]:
+    """Parse the fixture into ``{(dataset, pattern): instances}``."""
+    counts: dict[tuple[str, str], int] = {}
+    with open(GOLDEN_PATH) as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#") or line.startswith("pattern\t"):
+            if not line or line.startswith("#") or line.startswith("dataset\t"):
                 continue
-            fields = line.split("\t")
-            counts[fields[0]] = int(fields[1].rstrip("!"))
+            dataset, pattern, instances = line.split("\t")
+            counts[(dataset, pattern)] = int(instances)
     return counts
 
 
-def test_golden_tables_parse():
-    for dataset in ("dblp", "facebook"):
-        golden = load_golden(dataset)
-        assert set(golden) == {f"P{i}" for i in range(1, 12)}
-        assert all(v >= 0 for v in golden.values())
+GOLDEN = load_golden()
 
 
-@pytest.mark.parametrize("dataset,pattern", GOLDEN_CELLS)
+def test_golden_fixture_parses():
+    assert len(GOLDEN) == 10
+    assert {d for d, _ in GOLDEN} == {"dblp", "facebook"}
+    assert all(v >= 0 for v in GOLDEN.values())
+    assert any(v == 0 for v in GOLDEN.values())
+
+
+@pytest.mark.parametrize("dataset,pattern", sorted(GOLDEN))
 def test_count_matches_golden(dataset, pattern):
-    golden = load_golden(dataset)
     result = run_cell(dataset, pattern, "tdfs")
     assert not result.failed, result.error
-    assert result.count == golden[pattern], (
+    assert result.count == GOLDEN[(dataset, pattern)], (
         f"{dataset}/{pattern}: got {result.count}, "
-        f"golden table says {golden[pattern]}"
+        f"golden fixture says {GOLDEN[(dataset, pattern)]}"
     )
-    # Every bench cell now also carries the obs snapshot.
+    # Every bench cell also carries the obs snapshot.
     assert result.metrics is not None
     assert result.metrics["engine.matches"] == result.count

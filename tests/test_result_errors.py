@@ -12,7 +12,7 @@ from repro.errors import (
     PlanError,
     QueryError,
     ReproError,
-    StackOverflowError_,
+    StackLevelOverflowError,
     UnsupportedError,
 )
 from repro.gpusim.costmodel import CYCLES_PER_MS
@@ -76,7 +76,7 @@ class TestErrors:
             DeviceOOMError,
             IllegalAccessError,
             KernelLaunchError,
-            StackOverflowError_,
+            StackLevelOverflowError,
             UnsupportedError,
         ):
             assert issubclass(exc, ReproError)

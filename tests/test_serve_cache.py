@@ -52,6 +52,15 @@ class TestLRUCache:
         assert len(c) == 1
         assert c.get(("b", 1, "fp")) == 3
 
+    def test_pop_and_items(self):
+        c = LRUCache(4)
+        c.put(("g", 1), "x")
+        c.put(("g", 2), "y")
+        assert c.items() == [(("g", 1), "x"), (("g", 2), "y")]
+        assert c.pop(("g", 1)) == "x"
+        assert c.pop(("g", 1)) is None
+        assert c.items() == [(("g", 2), "y")]
+
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             LRUCache(0)

@@ -277,6 +277,62 @@ def submit_uncached(svc, pattern: str, **kwargs):
     ))
 
 
+class TestRecoveryBookkeeping:
+    def test_books_are_closed_before_an_entry_is_reoffered(self):
+        """Regression: ``_recover`` bumped ``restarts`` only after the
+        re-offer and ``redeliver`` counted after ``offer``, so a sibling
+        worker could settle the entry — and wake a caller who then read
+        stale counters — first.  A queue whose ``offer`` looks at the books
+        synchronously makes that ordering deterministic."""
+        from types import SimpleNamespace
+
+        from repro.obs.ops import FlightRecorder
+        from repro.serve.metrics import ServeMetrics
+        from repro.serve.resilience import Supervisor
+
+        seen = {}
+
+        def offer(entry, force=False):
+            seen.update(
+                restarts=sup.restarts,
+                supervisor_restarts=service.metrics.get("supervisor_restarts"),
+                redeliveries=service.metrics.get("redeliveries"),
+                flight=service.flight.counts(),
+            )
+
+        entry = QueueEntry(
+            request=SimpleNamespace(
+                request=SimpleNamespace(graph_id="g", engine="tdfs"),
+                plan_fp="p",
+                config_fp="c",
+            ),
+            ticket=None, request_id=7, priority=0, batch_key="k",
+            submitted_at=0.0,
+        )
+        dead = SimpleNamespace(
+            index=0,
+            unsettled_inflight=lambda: 1,
+            take_inflight=lambda: [entry],
+            is_alive=lambda: False,
+        )
+        pool = SimpleNamespace(workers=[dead], replace=lambda slot: None)
+        service = SimpleNamespace(
+            config=SimpleNamespace(worker_faults=None),
+            metrics=ServeMetrics(),
+            flight=FlightRecorder(),
+            _queue=SimpleNamespace(offer=offer),
+            _pool=pool,
+        )
+        sup = Supervisor(service)
+        sup._recover(pool, 0, dead, "worker-crash")
+        assert seen["restarts"] == 1
+        assert seen["supervisor_restarts"] == 1
+        assert seen["redeliveries"] == 1
+        assert seen["flight"]["worker.crash"] == 1
+        assert seen["flight"]["redelivery"] == 1
+        assert entry.redeliveries == 1
+
+
 class TestKillResume:
     def test_kill_mid_match_resumes_to_exact_count(self, small_plc, fast_config):
         baseline = match(small_plc, "P1", config=fast_config).count

@@ -34,7 +34,7 @@ def make_job(graph, pattern="P3", strategy=Strategy.TIMEOUT, **cfg_over):
         plan=plan,
         config=cfg,
         gpu=gpu,
-        edges=graph.directed_edge_array(),
+        groups=[(graph.directed_edge_array(), 2)],
         queue=queue,
         level_factory=paged_level_factory(allocator),
     )
@@ -63,7 +63,7 @@ class TestJobLifecycle:
         gpu.run()
         assert job.finished()
         assert job.busy == 0
-        assert job.cursor == len(job.edges)
+        assert job.pending_initial() == []
 
     def test_counts_deterministic(self, wheel_graph):
         counts = set()
@@ -153,8 +153,8 @@ class TestTaskEncodingRoundTrip:
         job, gpu = make_job(wheel_graph)
         # Pre-seed the queue with one edge task and run with no initial
         # edges: the count must equal that edge's subtree alone.
-        edge = job.edges[0]
-        job.edges = job.edges[:0]
+        edge = job.groups[0][0][0]
+        job.groups = []
         ok, _ = job.queue.enqueue(Task(int(edge[0]), int(edge[1]), PLACEHOLDER))
         assert ok
         gpu.launch(job.warp_body)
