@@ -18,8 +18,9 @@ Run with::
     python examples/load_balancing_study.py
 """
 
-from repro import Strategy, TDFSConfig, from_edges, match, get_pattern
+from repro import Observability, Strategy, TDFSConfig, from_edges, match, get_pattern
 from repro.bench.reporting import Table, format_ms
+from repro.obs import ascii_timeline, utilization
 
 
 def build_lens_graph(shared: int = 150, tail: int = 500):
@@ -71,14 +72,16 @@ def main() -> None:
     table.show()
 
     # Visualize the straggler: per-warp timelines with and without stealing
-    # ('#' = busy, '.' = idle).  Without stealing one warp carries the lens
-    # subtree alone; with the timeout queue every warp shares it.
+    # ('#' = working inside a `match` span, '.' = waiting).  Without stealing
+    # one warp carries the lens subtree alone; with the timeout queue every
+    # warp shares it.
     for strategy in (Strategy.NONE, Strategy.TIMEOUT):
-        cfg = TDFSConfig(strategy=strategy, num_warps=8, trace=True)
-        r = match(graph, query, config=cfg)
+        obs = Observability(tracing=True)
+        match(graph, query, config=TDFSConfig(strategy=strategy, num_warps=8, obs=obs))
+        spans = obs.tracer.spans()
         print(f"\nwarp timeline — {strategy.value} "
-              f"(utilization {r.trace.utilization(8):.0%}):")
-        print(r.trace.ascii_timeline(8, width=56))
+              f"(utilization {utilization(spans, 8):.0%}):")
+        print(ascii_timeline(spans, 8, width=56))
 
     # The τ knob: sweep it to see the decomposition/overhead trade-off.
     sweep = Table(

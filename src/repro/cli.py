@@ -64,6 +64,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from typing import Optional, Sequence
@@ -206,8 +207,6 @@ def _load_workload(path: str) -> list[dict]:
     Each line: ``{"pattern": "P1", "repeat": 10, "engine": "tdfs",
     "priority": 0, "deadline_ms": null}`` (all but ``pattern`` optional).
     """
-    import json
-
     specs: list[dict] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -707,7 +706,7 @@ def _cmd_delta(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Profile one matching run: spans + metrics snapshot (+ Chrome JSON)."""
-    from repro.obs import Observability
+    from repro.obs import Observability, to_chrome
 
     obs = Observability(tracing=True, sample_every=args.sample_every)
     config = TDFSConfig(
@@ -745,9 +744,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         f"({'OK' if consistent else 'MISMATCH'})"
     )
     if args.trace:
-        obs.tracer.write_chrome(args.trace)
+        with open(args.trace, "w") as fh:
+            json.dump(to_chrome(obs.tracer.spans()), fh)
         print(
-            f"trace            : {len(obs.tracer.spans)} spans -> {args.trace} "
+            f"trace            : {len(obs.tracer)} spans -> {args.trace} "
             f"(open in chrome://tracing or ui.perfetto.dev)"
         )
     return 0 if consistent and not result.failed else 1

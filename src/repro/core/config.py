@@ -110,10 +110,6 @@ class TDFSConfig:
     device_memory: Optional[int] = None
     """Device memory budget in bytes; ``None`` = dataset default."""
 
-    trace: bool = False
-    """Record a per-warp execution timeline (see repro.gpusim.trace);
-    costs Python time, off by default."""
-
     num_gpus: int = 1
     cost: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
     max_events: int = 50_000_000

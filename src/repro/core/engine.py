@@ -249,7 +249,6 @@ class TDFSEngine:
             memory_bytes=budget,
             cost=cfg.cost,
             name=gpu_name,
-            trace=cfg.trace,
         )
         injector = None
         if cfg.fault_plan is not None:
@@ -606,7 +605,6 @@ class TDFSEngine:
                 dequeue_failures=queue.dequeue_failures,
                 peak_tasks=queue.peak_tasks,
             )
-        result.trace = gpu.trace
         result.intersections = job.intersections
         result.reuse_hits = job.reuse_hits
         mem = result.memory

@@ -110,9 +110,6 @@ class MatchResult:
     matches: Optional[list] = None
     """When enumeration was requested: matches as tuples of data-vertex ids
     indexed by *query vertex id* (capped at the requested limit)."""
-    trace: Optional[object] = None
-    """Per-warp timeline (a :class:`repro.gpusim.trace.TraceRecorder`)
-    when ``TDFSConfig(trace=True)``."""
 
     # detailed accounting
     matches_per_warp_max: int = 0

@@ -40,7 +40,7 @@ from repro.errors import IllegalAccessError
 from repro.gpusim.device import VirtualGPU, Warp
 from repro.graph.csr import CSRGraph
 from repro.kernels import KernelBackend, resolve_backend
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer, make_span
 from repro.query.plan import MatchingPlan
 from repro.alloc.stack import WarpStack, LevelFactory
 from repro.taskqueue.ring import LockFreeTaskQueue
@@ -154,8 +154,8 @@ class MatchJob:
         self.run_states: list[RunState] = []
         self.strategy = config.strategy
         self.tau = config.tau_cycles
-        #: Span tracer (see :mod:`repro.obs`); the shared NULL_TRACER makes
-        #: every record() a no-op when tracing is off.
+        #: Span tracer (see :mod:`repro.obs`); every span site is guarded
+        #: on ``tracer.enabled`` and evaluates nothing when tracing is off.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.device = int(device)
         #: Set-operation accounting (published into the obs registry).
@@ -234,6 +234,10 @@ class MatchJob:
             self._cursor = hi
         return rows[lo:hi], width
 
+    def _span(self, warp: Warp, name: str, start: int, end: int) -> None:
+        """Record one virtual span (callers guard on ``tracer.enabled``)."""
+        self.tracer.record(make_span(name, None, start, end, self.device, warp.wid))
+
     def _journal_add(self, task: Task) -> None:
         if self.journal is not None:
             self.journal[task] = self.journal.get(task, 0) + 1
@@ -281,14 +285,7 @@ class MatchJob:
                 if task is not None:
                     self._validate_task(task)
                     warp.stats.tasks_dequeued += 1
-                    self.busy += 1
-                    st.busy_flag = True
-                    t0 = warp.now
-                    yield from self._process_task(warp, st, task)
-                    self.tracer.record("match", warp.wid, t0, warp.now, self.device)
-                    st.busy_flag = False
-                    self.busy -= 1
-                    self.gpu.note_work_done(warp.now)
+                    yield from self._work(warp, st, self._process_task(warp, st, task))
                     continue
             # Priority 2: fetch the next chunk of work rows.
             if self._group < len(self.groups):
@@ -311,35 +308,37 @@ class MatchJob:
                         )
                         warp.charge(cycles)
                     if len(chunk):
-                        self.busy += 1
-                        st.busy_flag = True
-                        t0 = warp.now
-                        yield from self._process_chunk(warp, st, chunk)
-                        self.tracer.record(
-                            "match", warp.wid, t0, warp.now, self.device
+                        yield from self._work(
+                            warp, st, self._process_chunk(warp, st, chunk)
                         )
-                        st.busy_flag = False
-                        self.busy -= 1
-                        self.gpu.note_work_done(warp.now)
                     continue
             # Priority 3: half stealing (STMatch-style).
             if self.strategy is Strategy.HALF_STEAL:
                 pending = yield from self._try_steal(warp, st)
                 if pending is not None:
-                    self.busy += 1
-                    st.busy_flag = True
-                    t0 = warp.now
-                    yield from self._process_stolen(warp, st, pending)
-                    self.tracer.record("match", warp.wid, t0, warp.now, self.device)
-                    st.busy_flag = False
-                    self.busy -= 1
-                    self.gpu.note_work_done(warp.now)
+                    yield from self._work(
+                        warp, st, self._process_stolen(warp, st, pending)
+                    )
                     continue
             # Idle: poll until the job is done.
             if self.finished():
                 break
             warp.charge(cost.idle_poll, busy=False)
             yield warp.sync()
+
+    def _work(self, warp: Warp, st: RunState, work) -> Generator[int, None, None]:
+        """Run one claimed piece of work (a dequeued task, a chunk, a stolen
+        half): the warp counts as busy — and is inside a ``match`` span —
+        from here until ``work`` is exhausted."""
+        self.busy += 1
+        st.busy_flag = True
+        t0 = warp.now
+        yield from work
+        if self.tracer.enabled:
+            self._span(warp, "match", t0, warp.now)
+        st.busy_flag = False
+        self.busy -= 1
+        self.gpu.note_work_done(warp.now)
 
     # ------------------------------------------------------------------ #
     # Work-item processing
@@ -514,9 +513,8 @@ class MatchJob:
         cost = self.cost
         st.inflight = pos  # level.write may abort mid-expansion
         raw, raw_cycles = self._raw(st, pos)
-        self.tracer.record(
-            "intersect", warp.wid, warp.now, warp.now + raw_cycles, self.device
-        )
+        if self.tracer.enabled:
+            self._span(warp, "intersect", warp.now, warp.now + raw_cycles)
         level = st.stack.level(pos)
         cycles += raw_cycles + level.write(raw, cost)
         leaves, leaf_cycles = leaf_matches(
@@ -565,7 +563,7 @@ class MatchJob:
         offsets = block.offsets
         if (
             block.sizes is not None
-            and self.tracer is NULL_TRACER
+            and not self.tracer.enabled
             and self.config.fault_plan is None
         ):
             # Bulk phase 2: when nothing can interrupt the window — no
@@ -625,9 +623,8 @@ class MatchJob:
             else:
                 raw = block.values[offsets[j] : offsets[j + 1]]
             cycles = int(block.pre_cycles[j])
-            self.tracer.record(
-                "intersect", warp.wid, warp.now, warp.now + cycles, self.device
-            )
+            if self.tracer.enabled:
+                self._span(warp, "intersect", warp.now, warp.now + cycles)
             cycles += level.write(raw, cost)
             if level.length != raw.size:
                 # A fixed-capacity level truncated: the precomputed counts
@@ -760,9 +757,8 @@ class MatchJob:
         # page allocation inside level.write may abort right here.
         st.inflight = pos
         raw, raw_cycles = self._raw(st, pos)
-        self.tracer.record(
-            "intersect", warp.wid, warp.now, warp.now + raw_cycles, self.device
-        )
+        if self.tracer.enabled:
+            self._span(warp, "intersect", warp.now, warp.now + raw_cycles)
         level = st.stack.level(pos)
         cycles += raw_cycles + level.write(raw, cost)
         filtered, filter_cycles = filter_candidates(
@@ -830,12 +826,14 @@ class MatchJob:
             warp.charge(cycles)
             if not ok:
                 st.t0 = warp.now
-                self.tracer.record("steal", warp.wid, span0, warp.now, self.device)
+                if self.tracer.enabled:
+                    self._span(warp, "steal", span0, warp.now)
                 return False
             self._journal_add(task)
             warp.stats.tasks_enqueued += 1
             st.iters[pos] += 1
-        self.tracer.record("steal", warp.wid, span0, warp.now, self.device)
+        if self.tracer.enabled:
+            self._span(warp, "steal", span0, warp.now)
         return True
 
     def _enqueue_remaining_edges(
@@ -852,12 +850,14 @@ class MatchJob:
             warp.charge(cycles)
             if not ok:
                 st.t0 = warp.now
-                self.tracer.record("steal", warp.wid, span0, warp.now, self.device)
+                if self.tracer.enabled:
+                    self._span(warp, "steal", span0, warp.now)
                 return False
             self._journal_add(task)
             warp.stats.tasks_enqueued += 1
             st.chunk_pos += 1
-        self.tracer.record("steal", warp.wid, span0, warp.now, self.device)
+        if self.tracer.enabled:
+            self._span(warp, "steal", span0, warp.now)
         return True
 
     # ------------------------------------------------------------------ #
@@ -878,7 +878,8 @@ class MatchJob:
             pending = self._steal_from(warp, victim)
             if pending is not None:
                 warp.stats.steals += 1
-                self.tracer.record("steal", warp.wid, probe0, warp.now, self.device)
+                if self.tracer.enabled:
+                    self._span(warp, "steal", probe0, warp.now)
                 return pending
         return None
 
@@ -987,7 +988,8 @@ class MatchJob:
                 cst.path[pos] = int(c)
                 yield from self._process_item(warp, cst, pos + 1)
             cst.aux_cands = None
-            self.tracer.record("match", warp.wid, t0, warp.now, self.device)
+            if self.tracer.enabled:
+                self._span(warp, "match", t0, warp.now)
             cst.busy_flag = False
             yield warp.sync()
             self.busy -= 1

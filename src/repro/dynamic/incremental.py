@@ -51,7 +51,7 @@ from repro.core.result import MatchResult
 from repro.dynamic.delta import DeltaBatch, NetDelta
 from repro.errors import ReproError, UnsupportedError
 from repro.graph.csr import CSRGraph
-from repro.obs.ops import make_span, ops_tracer
+from repro.obs.ops import ops_tracer
 from repro.query.ordering import anchored_matching_order
 from repro.query.pattern import QueryGraph
 from repro.query.plan import MatchingPlan, compile_plan
@@ -163,35 +163,27 @@ class IncrementalMatcher:
         if net.size > self.inc.max_delta_edges:
             return self._fallback(new_graph, query, out, "delta-too-large", t0)
         ctx = self.config.trace_context
-        try:
-            lost_emb, lost_tasks, lost_cycles = self._affected(
-                old_graph, net.removed, query, ctx, side="removed"
-            )
-            gained_emb, gained_tasks, gained_cycles = self._affected(
-                new_graph, net.added, query, ctx, side="added"
-            )
-        except _AnchorFallback as exc:
-            return self._fallback(new_graph, query, out, exc.reason, t0)
-        out.lost = self._to_instances(query, len(lost_emb))
-        out.gained = self._to_instances(query, len(gained_emb))
-        out.count = int(base_count) + out.gained - out.lost
-        out.anchored_tasks = lost_tasks + gained_tasks
-        out.anchor_runs = 2 * query.num_edges if net.size else 0
-        out.elapsed_cycles = lost_cycles + gained_cycles
-        out.host_ms = (time.perf_counter() - t0) * 1000.0
-        out.result = self._synthesize(new_graph, query, out)
-        if ctx is not None:
-            end_ms = time.time() * 1000.0
-            ops_tracer().record(
-                make_span(
-                    "delta.count",
-                    ctx.child(stage="delta"),
-                    end_ms - out.host_ms,
-                    end_ms,
-                    gained=out.gained,
-                    lost=out.lost,
-                    anchor_runs=out.anchor_runs,
+        with ops_tracer(ctx).span("delta.count", parent=ctx) as span:
+            try:
+                lost_emb, lost_tasks, lost_cycles = self._affected(
+                    old_graph, net.removed, query, ctx, side="removed"
                 )
+                gained_emb, gained_tasks, gained_cycles = self._affected(
+                    new_graph, net.added, query, ctx, side="added"
+                )
+            except _AnchorFallback as exc:
+                span.tags["fallback"] = exc.reason
+                return self._fallback(new_graph, query, out, exc.reason, t0)
+            out.lost = self._to_instances(query, len(lost_emb))
+            out.gained = self._to_instances(query, len(gained_emb))
+            out.count = int(base_count) + out.gained - out.lost
+            out.anchored_tasks = lost_tasks + gained_tasks
+            out.anchor_runs = 2 * query.num_edges if net.size else 0
+            out.elapsed_cycles = lost_cycles + gained_cycles
+            out.host_ms = (time.perf_counter() - t0) * 1000.0
+            out.result = self._synthesize(new_graph, query, out)
+            span.tags.update(
+                gained=out.gained, lost=out.lost, anchor_runs=out.anchor_runs
             )
         self._publish(out)
         return out
@@ -209,7 +201,6 @@ class IncrementalMatcher:
             planner=None,
             retry=None,
             fault_plan=None,
-            trace=False,
             obs=None,
             checkpoint_every_events=0,
             checkpoint_hook=None,
@@ -233,49 +224,39 @@ class IncrementalMatcher:
         """
         if len(pairs) == 0:
             return set(), 0, 0
-        t0_ms = time.time() * 1000.0
         run_cfg = self._anchor_config()
         cap = self.inc.max_anchor_matches
         rows = np.concatenate([pairs, pairs[:, ::-1]]).astype(np.int64)
         embeddings: set = set()
         tasks = 0
         cycles = 0
-        for a, b in query.edges():
-            order = anchored_matching_order(query, a, b)
-            plan = compile_plan(
-                query,
-                order=order,
-                enable_symmetry=False,
-                enable_reuse=run_cfg.enable_reuse,
-            )
-            cfg = run_cfg
-            if ctx is not None:
-                cfg = self._anchor_config(ctx.child(anchor=f"{a}-{b}", side=side))
-            engine = TDFSEngine(cfg)
-            result = engine._run_single(
-                graph, plan, [(rows, 2)], "gpu0", collect_matches=cap
-            )
-            if result.error is not None:
-                raise _AnchorFallback(f"anchor-error ({result.error})")
-            found = result.matches or []
-            if result.count > len(found):
-                raise _AnchorFallback("anchor-overflow")
-            embeddings.update(found)
-            tasks += len(rows)
-            cycles += result.elapsed_cycles
-        if ctx is not None:
-            ops_tracer().record(
-                make_span(
-                    "delta.affected",
-                    ctx.child(stage="delta", side=side),
-                    t0_ms,
-                    time.time() * 1000.0,
-                    side=side,
-                    edges=int(len(pairs)),
-                    embeddings=len(embeddings),
-                    tasks=tasks,
+        with ops_tracer(ctx).span(
+            "delta.affected", parent=ctx, side=side, edges=len(pairs)
+        ) as span:
+            for a, b in query.edges():
+                order = anchored_matching_order(query, a, b)
+                plan = compile_plan(
+                    query,
+                    order=order,
+                    enable_symmetry=False,
+                    enable_reuse=run_cfg.enable_reuse,
                 )
-            )
+                cfg = run_cfg
+                if ctx is not None:
+                    cfg = self._anchor_config(ctx.child(anchor=f"{a}-{b}", side=side))
+                engine = TDFSEngine(cfg)
+                result = engine._run_single(
+                    graph, plan, [(rows, 2)], "gpu0", collect_matches=cap
+                )
+                if result.error is not None:
+                    raise _AnchorFallback(f"anchor-error ({result.error})")
+                found = result.matches or []
+                if result.count > len(found):
+                    raise _AnchorFallback("anchor-overflow")
+                embeddings.update(found)
+                tasks += len(rows)
+                cycles += result.elapsed_cycles
+            span.tags.update(embeddings=len(embeddings), tasks=tasks)
         return embeddings, tasks, cycles
 
     def _to_instances(self, query: QueryGraph, num_embeddings: int) -> int:
@@ -303,8 +284,9 @@ class IncrementalMatcher:
         t0: float,
     ) -> DeltaCount:
         """Full re-match on the successor graph (exact, never wrong)."""
-        engine = TDFSEngine(self.config)
-        result = engine.run(new_graph, query)
+        ctx = self.config.trace_context
+        with ops_tracer(ctx).span("delta.fallback", parent=ctx, reason=reason):
+            result = TDFSEngine(self.config).run(new_graph, query)
         if result.error is not None:
             raise ReproError(
                 f"incremental fallback re-match failed: {result.error}"
@@ -317,18 +299,6 @@ class IncrementalMatcher:
         out.elapsed_cycles = result.elapsed_cycles
         out.host_ms = (time.perf_counter() - t0) * 1000.0
         out.result = result
-        ctx = self.config.trace_context
-        if ctx is not None:
-            end_ms = time.time() * 1000.0
-            ops_tracer().record(
-                make_span(
-                    "delta.fallback",
-                    ctx.child(stage="delta"),
-                    end_ms - out.host_ms,
-                    end_ms,
-                    reason=reason,
-                )
-            )
         self._publish(out)
         return out
 

@@ -74,9 +74,6 @@ class Warp:
     def charge(self, cycles: int, busy: bool = True) -> None:
         """Account ``cycles`` of work since the last sync."""
         c = int(cycles)
-        trace = self.gpu.trace
-        if trace is not None:
-            trace.record(self.wid, self.now, c, busy)
         self._accrued += c
         if busy:
             self.stats.busy_cycles += c
@@ -102,7 +99,6 @@ class VirtualGPU:
         memory_bytes: int = 64 * 1024 * 1024,
         cost: Optional[CostModel] = None,
         name: str = "gpu0",
-        trace: bool = False,
     ) -> None:
         if num_warps < 1:
             raise ValueError("need at least one warp")
@@ -118,11 +114,6 @@ class VirtualGPU:
         #: ``hook(count, at)`` before warps are created and may raise
         #: :class:`~repro.errors.KernelLaunchError`.
         self.launch_hook: Optional[Callable[[Optional[int], Optional[int]], None]] = None
-        self.trace = None
-        if trace:
-            from repro.gpusim.trace import TraceRecorder
-
-            self.trace = TraceRecorder()
 
     # ------------------------------------------------------------------ #
 

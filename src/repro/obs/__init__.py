@@ -12,7 +12,7 @@ The usual entry point is :class:`Observability`, a bundle of one
     cfg = TDFSConfig(..., obs=obs)
     result = engine.run(...)
     print(obs.tracer.summary())
-    obs.tracer.write_chrome("trace.json")
+    json.dump(to_chrome(obs.tracer.spans()), open("trace.json", "w"))
 
 Tracing is off by default (``NULL_TRACER``); metrics publishing happens
 at run end from counters the hot paths already keep, so the
@@ -26,20 +26,17 @@ from typing import Optional
 from .ops import (
     FlightRecorder,
     INCIDENT_FORMAT,
-    OpsTracer,
-    TraceContext,
     load_incident,
     make_incident,
-    make_span,
     ops_tracer,
     render_incident,
-    stitch_chrome,
     write_incident,
 )
 from .registry import Counter, Gauge, Histogram, Registry, DEFAULT_BUCKETS
 from .sinks import LineProtocolSink, MemorySink, TSVSink
 from .slo import SLO, OutcomeWindow, SLOStatus, SLOTracker
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer
+from .tracer import NULL_TRACER, TraceContext, Tracer, make_span, to_chrome
+from .tracer import ascii_timeline, straggler_tail, utilization
 
 __all__ = [
     "Counter",
@@ -50,19 +47,19 @@ __all__ = [
     "MemorySink",
     "TSVSink",
     "LineProtocolSink",
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "Observability",
-    # -- ops layer (cross-process tracing + flight recorder) ------------ #
     "TraceContext",
-    "OpsTracer",
+    "Tracer",
+    "NULL_TRACER",
+    "make_span",
+    "to_chrome",
+    "utilization",
+    "straggler_tail",
+    "ascii_timeline",
+    "Observability",
+    # -- ops layer (host ring + flight recorder + incidents) ------------ #
     "FlightRecorder",
     "INCIDENT_FORMAT",
-    "make_span",
     "ops_tracer",
-    "stitch_chrome",
     "make_incident",
     "write_incident",
     "load_incident",
@@ -79,8 +76,8 @@ class Observability:
     """A registry + tracer pair scoped to one run (or one process).
 
     ``tracing=False`` (the default) installs :data:`NULL_TRACER`, so code
-    holding ``obs.tracer`` pays a no-op call per span site and nothing is
-    allocated.
+    holding ``obs.tracer`` pays one ``enabled`` check per span site and
+    nothing is allocated.
     """
 
     def __init__(
@@ -93,14 +90,9 @@ class Observability:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.registry = registry if registry is not None else Registry(threaded=threaded)
-        if tracer is not None:
-            self.tracer = tracer
-        elif tracing:
-            self.tracer = Tracer(
-                enabled=True, sample_every=sample_every, max_spans=max_spans
-            )
-        else:
-            self.tracer = NULL_TRACER
+        if tracer is None and tracing:
+            tracer = Tracer(tracing, sample_every, max_spans, threaded)
+        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     @property
     def tracing(self) -> bool:

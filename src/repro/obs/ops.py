@@ -1,21 +1,11 @@
-"""Operational observability: cross-process tracing + the flight recorder.
+"""Operational observability: the host ring, flight recorder, incidents.
 
-PR 3's :class:`~repro.obs.tracer.Tracer` records *virtual-cycle* spans
-inside one engine run; this module follows one **serve request** across
-real processes and wall-clock time:
+The span model lives in :mod:`repro.obs.tracer`; this module holds what
+follows one **serve request** across real processes and wall-clock time:
 
-* :class:`TraceContext` — the identity (trace id, span id, parent span,
-  baggage) minted per request and threaded AdmissionQueue → worker →
-  engine → shard subprocesses → incremental delta runs.  It is a frozen,
-  picklable value object: a shard worker unpickles the context it was
-  handed and stamps its spans with the *same* trace id, so the
-  coordinator can stitch one timeline out of many processes.
-* span dicts + :class:`OpsTracer` — finished spans are plain dicts
-  (pickle- and JSON-friendly by construction; they cross process
-  boundaries inside ``MatchResult.op_spans``), retained in a bounded
-  ring per process.
-* :func:`stitch_chrome` — spans → one Chrome ``trace_event`` document,
-  with per-pid process rows so a sharded request reads as a fan-out.
+* :func:`ops_tracer` — the process-wide host-clock :class:`Tracer` ring.
+  Requests carry a :class:`TraceContext` (re-exported here) AdmissionQueue
+  → worker → engine → shard subprocesses → incremental delta runs.
 * :class:`FlightRecorder` — a bounded ring of structured operational
   events (admissions, redeliveries, breaker flips, shard deaths, delta
   fallbacks, SLO breaches) with fault-kind callbacks that trigger
@@ -35,19 +25,17 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.errors import ReproError
 
+from .tracer import NULL_TRACER, TraceContext, Tracer, to_chrome
+
 __all__ = [
     "TraceContext",
-    "OpsTracer",
     "FlightRecorder",
     "INCIDENT_FORMAT",
-    "make_span",
     "ops_tracer",
-    "stitch_chrome",
     "make_incident",
     "write_incident",
     "load_incident",
@@ -55,288 +43,15 @@ __all__ = [
 ]
 
 
-def _hex_id(nbytes: int) -> str:
-    return os.urandom(nbytes).hex()
+_PROCESS_TRACER = Tracer(max_spans=4096, threaded=True)
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """Identity of one request's position in a distributed trace.
-
-    ``baggage`` is a tuple of ``(key, value)`` string pairs (tuples keep
-    the dataclass hashable and cheaply picklable); it is inherited by
-    every child context, so a shard subprocess still knows which
-    ``request_id`` it is working for.
-    """
-
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str] = None
-    baggage: tuple = ()
-
-    @classmethod
-    def mint(cls, **baggage: str) -> "TraceContext":
-        """A fresh root context (new trace id, no parent)."""
-        return cls(
-            trace_id=_hex_id(8),
-            span_id=_hex_id(4),
-            baggage=tuple(sorted((k, str(v)) for k, v in baggage.items())),
-        )
-
-    def child(self, **extra: str) -> "TraceContext":
-        """A child context: same trace, new span id, parent = this span."""
-        baggage = dict(self.baggage)
-        baggage.update({k: str(v) for k, v in extra.items()})
-        return replace(
-            self,
-            span_id=_hex_id(4),
-            parent_id=self.span_id,
-            baggage=tuple(sorted(baggage.items())),
-        )
-
-    def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        for k, v in self.baggage:
-            if k == key:
-                return v
-        return default
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "baggage": dict(self.baggage),
-        }
-
-
-def make_span(
-    name: str,
-    ctx: TraceContext,
-    start_ms: float,
-    end_ms: float,
-    **tags,
-) -> dict:
-    """One finished span as a plain dict (the cross-process wire format).
-
-    ``start_ms`` / ``end_ms`` are unix-epoch milliseconds
-    (``time.time() * 1000``) so spans from different processes share one
-    clock; ``pid`` is stamped by the *recording* process, which is what
-    lets :func:`stitch_chrome` prove a trace crossed process boundaries.
-    """
-    span = {
-        "name": name,
-        "trace_id": ctx.trace_id,
-        "span_id": ctx.span_id,
-        "parent_id": ctx.parent_id,
-        "pid": os.getpid(),
-        "tid": threading.get_ident() & 0xFFFF,
-        "start_ms": round(float(start_ms), 3),
-        "dur_ms": round(max(0.0, float(end_ms) - float(start_ms)), 3),
-    }
-    if tags:
-        span["tags"] = {k: v for k, v in tags.items()}
-    return span
-
-
-class _SpanHandle:
-    """An open span: context + start time, finished via the tracer."""
-
-    __slots__ = ("name", "ctx", "start_ms", "tags")
-
-    def __init__(self, name: str, ctx: TraceContext, tags: dict) -> None:
-        self.name = name
-        self.ctx = ctx
-        self.start_ms = time.time() * 1000.0
-        self.tags = tags
-
-
-class OpsTracer:
-    """Per-process collector of wall-clock operational spans.
-
-    Thread-safe; keeps the most recent ``max_spans`` finished spans (a
-    serving process runs forever — unbounded retention is an OOM) plus
-    the set of currently-open spans, which the flight recorder dumps so
-    an incident shows what was *in flight* when it happened.
-    """
-
-    def __init__(self, max_spans: int = 4096) -> None:
-        self._lock = threading.Lock()
-        self._spans: deque[dict] = deque(maxlen=max(1, int(max_spans)))
-        self._active: dict[int, _SpanHandle] = {}
-        self._next_handle = 0
-
-    # -- recording ------------------------------------------------------ #
-
-    def start(
-        self,
-        name: str,
-        ctx: Optional[TraceContext] = None,
-        parent: Optional[TraceContext] = None,
-        **tags,
-    ) -> _SpanHandle:
-        """Open a span.  ``ctx`` *is* the span's identity when given;
-        otherwise a child of ``parent`` (or a fresh root) is minted."""
-        if ctx is None:
-            ctx = parent.child() if parent is not None else TraceContext.mint()
-        handle = _SpanHandle(name, ctx, tags)
-        with self._lock:
-            self._next_handle += 1
-            handle_id = self._next_handle
-            self._active[handle_id] = handle
-        handle.tags["_handle"] = handle_id
-        return handle
-
-    def finish(self, handle: _SpanHandle, **tags) -> dict:
-        """Close a span; returns (and retains) the finished span dict."""
-        handle_id = handle.tags.pop("_handle", None)
-        merged = dict(handle.tags)
-        merged.update(tags)
-        span = make_span(
-            handle.name,
-            handle.ctx,
-            handle.start_ms,
-            time.time() * 1000.0,
-            **merged,
-        )
-        with self._lock:
-            if handle_id is not None:
-                self._active.pop(handle_id, None)
-            self._spans.append(span)
-        return span
-
-    def record(self, span: dict) -> None:
-        """Retain an already-finished span dict (e.g. built explicitly)."""
-        with self._lock:
-            self._spans.append(span)
-
-    def adopt(self, spans: Optional[Iterable[dict]]) -> int:
-        """Fold spans recorded in *another* process (shipped back inside
-        ``MatchResult.op_spans``) into this process's ring."""
-        if not spans:
-            return 0
-        n = 0
-        with self._lock:
-            for span in spans:
-                self._spans.append(span)
-                n += 1
-        return n
-
-    class _SpanCtx:
-        def __init__(self, tracer: "OpsTracer", handle: _SpanHandle) -> None:
-            self.tracer = tracer
-            self.handle = handle
-            self.ctx = handle.ctx
-
-        def __enter__(self) -> "OpsTracer._SpanCtx":
-            return self
-
-        def __exit__(self, exc_type, exc, tb) -> None:
-            tags = {"error": type(exc).__name__} if exc_type is not None else {}
-            self.tracer.finish(self.handle, **tags)
-
-    def span(
-        self,
-        name: str,
-        ctx: Optional[TraceContext] = None,
-        parent: Optional[TraceContext] = None,
-        **tags,
-    ) -> "OpsTracer._SpanCtx":
-        """Context manager: ``with tracer.span("x", parent=c) as s: ...``."""
-        return OpsTracer._SpanCtx(self, self.start(name, ctx=ctx, parent=parent, **tags))
-
-    # -- introspection -------------------------------------------------- #
-
-    def spans(
-        self, trace_id: Optional[str] = None, last: Optional[int] = None
-    ) -> list[dict]:
-        with self._lock:
-            out = list(self._spans)
-        if trace_id is not None:
-            out = [s for s in out if s.get("trace_id") == trace_id]
-        if last is not None:
-            out = out[-last:]
-        return out
-
-    def active_spans(self) -> list[dict]:
-        """Open spans as dicts (dur_ms = elapsed so far)."""
-        now_ms = time.time() * 1000.0
-        with self._lock:
-            handles = list(self._active.values())
-        out = []
-        for h in handles:
-            tags = {k: v for k, v in h.tags.items() if k != "_handle"}
-            span = make_span(h.name, h.ctx, h.start_ms, now_ms, **tags)
-            span["active"] = True
-            out.append(span)
-        return out
-
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
-            self._active.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
-
-
-_PROCESS_TRACER: Optional[OpsTracer] = None
-_PROCESS_TRACER_LOCK = threading.Lock()
-
-
-def ops_tracer() -> OpsTracer:
-    """The process-wide tracer (one ring per process, lazily created)."""
-    global _PROCESS_TRACER
-    with _PROCESS_TRACER_LOCK:
-        if _PROCESS_TRACER is None:
-            _PROCESS_TRACER = OpsTracer()
-        return _PROCESS_TRACER
-
-
-# --------------------------------------------------------------------------- #
-# Chrome-trace stitching
-# --------------------------------------------------------------------------- #
-
-
-def stitch_chrome(spans: Iterable[dict]) -> dict:
-    """Span dicts (any mix of processes) → one Chrome trace document.
-
-    Timestamps are unix-epoch microseconds, so spans recorded by a shard
-    subprocess line up with the coordinator's on one shared axis; each
-    distinct pid gets a named process row.
-    """
-    events = []
-    pids = {}
-    for span in spans:
-        pid = span.get("pid", 0)
-        pids.setdefault(pid, len(pids))
-        args = {
-            "trace_id": span.get("trace_id"),
-            "span_id": span.get("span_id"),
-            "parent_id": span.get("parent_id"),
-        }
-        args.update(span.get("tags") or {})
-        events.append(
-            {
-                "name": span.get("name", "?"),
-                "ph": "X",
-                "ts": round(span.get("start_ms", 0.0) * 1000.0, 1),
-                "dur": round(span.get("dur_ms", 0.0) * 1000.0, 1),
-                "pid": pid,
-                "tid": span.get("tid", 0),
-                "args": args,
-            }
-        )
-    for pid, index in sorted(pids.items(), key=lambda kv: kv[1]):
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "args": {"name": f"repro pid {pid}"},
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+def ops_tracer(traced: object = True) -> Tracer:
+    """The process-wide host-clock tracer (one ring per process).  Call
+    sites whose request may be untraced pass its context —
+    ``ops_tracer(ctx).span(..., parent=ctx)`` — and get the disabled
+    :data:`NULL_TRACER` when there is none, so they need no ``if``."""
+    return _PROCESS_TRACER if traced else NULL_TRACER
 
 
 # --------------------------------------------------------------------------- #
@@ -439,15 +154,14 @@ INCIDENT_FORMAT = "repro.incident.v1"
 def make_incident(
     reason: str,
     recorder: Optional[FlightRecorder] = None,
-    tracer: Optional[OpsTracer] = None,
+    tracer: Tracer = NULL_TRACER,
     metrics: Optional[dict] = None,
     slos: Optional[list] = None,
     fingerprints: Optional[dict] = None,
     info: Optional[dict] = None,
 ) -> dict:
     """Assemble one self-contained incident bundle (a JSON-ready dict)."""
-    spans = tracer.spans() if tracer is not None else []
-    active = tracer.active_spans() if tracer is not None else []
+    spans, active = tracer.spans(), tracer.active_spans()
     return {
         "format": INCIDENT_FORMAT,
         "reason": reason,
@@ -460,7 +174,7 @@ def make_incident(
         "flight": recorder.snapshot() if recorder is not None else {},
         "active_spans": active,
         "spans": spans,
-        "chrome_trace": stitch_chrome(spans + active),
+        "chrome_trace": to_chrome(spans + active),
     }
 
 

@@ -1,138 +1,295 @@
-"""Span-based tracer with per-warp timeline events.
+"""The one span model: record, collector, Chrome exporter, warp timelines.
 
-Spans are named intervals in *virtual* time — the discrete-event
-simulator's cycle clock — attributed to a warp on a device.  The tracer
-exports two views:
+A span is a plain dict (pickle- and JSON-friendly by construction; spans
+cross process boundaries inside ``MatchResult.op_spans``) built by
+:func:`make_span` and tagged with the clock it was measured on:
 
-* Chrome ``trace_event`` JSON (:meth:`Tracer.to_chrome`), loadable in
-  ``chrome://tracing`` / Perfetto.  The mapping: 1 virtual cycle ≈ 1 ns,
-  so ``ts``/``dur`` (microseconds) are ``cycles / 1000``.  Devices map to
-  processes (``pid``), warps to threads (``tid``).
-* a text flamegraph-style summary (:meth:`Tracer.summary`) aggregating
-  total time and call counts per span name.
+* ``clock == "virtual"`` — the simulator's cycle clock: integer ``start`` /
+  ``dur`` cycles, ``pid`` is the device and ``tid`` the warp.  Recorded per
+  engine run (``match`` / ``intersect`` / ``steal``) by the :class:`Tracer`
+  inside :class:`~repro.obs.Observability`.
+* ``clock == "host"`` — wall time: ``start_ms`` / ``dur_ms`` in unix-epoch
+  milliseconds, so spans from different processes share one axis, with the
+  *recording* process and thread as ``pid`` / ``tid`` and the request's
+  :class:`TraceContext` ids.  Recorded by the process-wide ring behind
+  :func:`repro.obs.ops.ops_tracer`.
 
-Tracing is **off by default**: the module-level :data:`NULL_TRACER` is
-what every hot path holds unless a profile run installs a real tracer,
-and its ``record`` is a no-op so the disabled path costs one attribute
-check.  A real tracer bounds its own overhead with ``sample_every`` (keep
-1 of every N spans per name) and ``max_spans``; per-name *counts* stay
-exact even when span objects are sampled out.
+:func:`to_chrome` exports either kind (``chrome://tracing`` / Perfetto;
+1 virtual cycle ≈ 1 ns); :meth:`Tracer.summary` is the text view.
+
+Tracing is **off by default**: hot paths hold :data:`NULL_TRACER` unless a
+profile run installs an enabled tracer, and guard every span site on
+``tracer.enabled`` — the disabled path costs one attribute check and
+evaluates nothing else.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Optional
+import os
+import threading
+import time
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import Iterable, Optional
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
+from .registry import _NULL_LOCK
+
+__all__ = [
+    "TraceContext", "Tracer", "NULL_TRACER", "make_span", "to_chrome",
+    "utilization", "straggler_tail", "ascii_timeline",
+]
+
+
+def _hex_id(nbytes: int) -> str:
+    return os.urandom(nbytes).hex()
 
 
 @dataclass(frozen=True)
-class Span:
-    """One named interval of virtual time on a warp."""
+class TraceContext:
+    """Identity of one request's position in a distributed trace.
 
-    name: str
-    warp: int
-    start: int  # virtual cycles
-    end: int  # virtual cycles
-    device: int = 0
+    Minted per serve request and threaded AdmissionQueue → worker → engine
+    → shard subprocesses → incremental delta runs; a shard worker unpickles
+    the context it was handed and stamps its spans with the *same* trace
+    id, so one timeline stitches out of many processes.
 
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
+    ``baggage`` is a tuple of ``(key, value)`` string pairs (tuples keep
+    the dataclass hashable and cheaply picklable); it is inherited by
+    every child context, so a shard subprocess still knows which
+    ``request_id`` it is working for.
+    """
+
+    trace_id: str
+    span_id: str
+    parent_id: Optional[str] = None
+    baggage: tuple = ()
+
+    @classmethod
+    def mint(cls, **baggage: str) -> "TraceContext":
+        """A fresh root context (new trace id, no parent)."""
+        return cls(
+            trace_id=_hex_id(8),
+            span_id=_hex_id(4),
+            baggage=tuple(sorted((k, str(v)) for k, v in baggage.items())),
+        )
+
+    def child(self, **extra: str) -> "TraceContext":
+        """A child context: same trace, new span id, parent = this span."""
+        baggage = dict(self.baggage)
+        baggage.update({k: str(v) for k, v in extra.items()})
+        return replace(
+            self,
+            span_id=_hex_id(4),
+            parent_id=self.span_id,
+            baggage=tuple(sorted(baggage.items())),
+        )
+
+    def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
+        for k, v in self.baggage:
+            if k == key:
+                return v
+        return default
+
+
+def make_span(
+    name: str,
+    ctx: Optional[TraceContext],
+    start: float,
+    end: float,
+    pid: Optional[int] = None,
+    tid: Optional[int] = None,
+    **tags,
+) -> dict:
+    """One finished span as a plain dict (also the cross-process wire format).
+
+    With a ``ctx`` this is a host span: ``start`` / ``end`` are unix-epoch
+    milliseconds (``time.time() * 1000``) and ``pid`` is stamped by the
+    *recording* process, which is what lets a stitched trace prove it
+    crossed process boundaries.  With ``ctx=None`` it is a virtual span:
+    integer cycles on device ``pid``, warp ``tid``.
+    """
+    if ctx is None:
+        span = {
+            "name": name,
+            "pid": pid or 0,
+            "tid": tid or 0,
+            "start": start,
+            "dur": end - start,
+            "clock": "virtual",
+        }
+    else:
+        span = {
+            "name": name,
+            "trace_id": ctx.trace_id,
+            "span_id": ctx.span_id,
+            "parent_id": ctx.parent_id,
+            "pid": os.getpid() if pid is None else pid,
+            "tid": threading.get_ident() & 0xFFFF if tid is None else tid,
+            "start_ms": round(float(start), 3),
+            "dur_ms": round(max(0.0, float(end) - float(start)), 3),
+            "clock": "host",
+        }
+    if tags:
+        span["tags"] = tags
+    return span
+
+
+class _OpenSpan:
+    """An open host span; its own context manager.
+
+    ``finish`` closes it once (later calls are no-ops), so a body may
+    close early with its outcome tags and still rely on ``with`` to close
+    it — tagged ``error=<exception type>`` — on every other exit.
+    """
+
+    __slots__ = ("tracer", "name", "ctx", "start_ms", "tags")
+
+    def __init__(self, tracer, name, ctx, tags) -> None:
+        self.tracer = tracer
+        self.name = name
+        self.ctx = ctx
+        self.start_ms = time.time() * 1000.0
+        self.tags = tags
+
+    def to_span(self, **tags) -> dict:
+        return make_span(
+            self.name, self.ctx, self.start_ms, time.time() * 1000.0,
+            **{**self.tags, **tags},
+        )
+
+    def finish(self, **tags) -> Optional[dict]:
+        """Close the span; returns its dict (None if it was closed before)."""
+        tracer = self.tracer
+        with tracer._lock:
+            if tracer._active.pop(id(self), None) is None:
+                return None
+        span = self.to_span(**tags)
+        tracer.record(span)
+        return span
+
+    def __enter__(self) -> "_OpenSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.finish(**({"error": exc_type.__name__} if exc_type else {}))
 
 
 class Tracer:
-    """Collects :class:`Span` records from instrumented hot paths."""
+    """Collects span dicts of either clock.
+
+    Bounds its own overhead: retains 1 of every ``sample_every`` spans per
+    name in a ring of the newest ``max_spans`` (a serving process runs
+    forever — unbounded retention is an OOM), while per-name ``counts``
+    and ``totals`` (cycles or ms) stay exact through both.  Also tracks
+    the currently-open spans, which an incident bundle dumps to show what
+    was *in flight* when it happened.  ``threaded=True`` guards all of it
+    with a lock; the per-run tracer of the single-threaded simulation
+    skips it.
+    """
 
     def __init__(
         self,
         enabled: bool = True,
         sample_every: int = 1,
         max_spans: int = 200_000,
+        threaded: bool = False,
     ) -> None:
         self.enabled = enabled
         self.sample_every = max(1, int(sample_every))
         self.max_spans = max(0, int(max_spans))
-        self.spans: list[Span] = []
-        #: Exact per-name event counts — kept even for sampled-out spans.
+        self._spans: deque[dict] = deque(maxlen=self.max_spans)
         self.counts: dict[str, int] = {}
-        #: Exact per-name total cycles — same.
-        self.cycles: dict[str, int] = {}
+        self.totals: dict[str, float] = {}
         self.dropped = 0
+        self._active: dict[int, _OpenSpan] = {}
+        self._lock = threading.Lock() if threaded else _NULL_LOCK
 
-    def record(
-        self, name: str, warp: int, start: int, end: int, device: int = 0
-    ) -> None:
+    # -- recording ------------------------------------------------------ #
+
+    def record(self, span: dict) -> None:
+        """Count, total and (sampling permitting) retain a finished span."""
         if not self.enabled:
             return
-        n = self.counts.get(name, 0) + 1
-        self.counts[name] = n
-        self.cycles[name] = self.cycles.get(name, 0) + (end - start)
-        if n % self.sample_every != 0:
-            return
-        if len(self.spans) >= self.max_spans:
+        name = span["name"]
+        dur = span["dur"] if span["clock"] == "virtual" else span["dur_ms"]
+        with self._lock:
+            n = self.counts.get(name, 0) + 1
+            self.counts[name] = n
+            self.totals[name] = self.totals.get(name, 0) + dur
+            if n % self.sample_every == 0:
+                self._retain(span)
+
+    def _retain(self, span: dict) -> None:
+        if len(self._spans) >= self.max_spans:
             self.dropped += 1
-            return
-        self.spans.append(Span(name, warp, start, end, device))
+        self._spans.append(span)
 
-    # ------------------------------------------------------------------ #
-    # Export: Chrome trace_event JSON
-    # ------------------------------------------------------------------ #
+    def adopt(self, spans: Optional[Iterable[dict]]) -> int:
+        """Retain spans recorded in *another* process (shipped back inside
+        ``MatchResult.op_spans``); returns how many."""
+        spans = list(spans or ())
+        with self._lock:
+            for span in spans:
+                self._retain(span)
+        return len(spans)
 
-    def to_chrome(self) -> dict:
-        """Chrome ``trace_event`` object format (1 cycle ≈ 1 ns)."""
-        events: list[dict] = []
-        devices = sorted({s.device for s in self.spans})
-        for dev in devices:
-            events.append(
-                {
-                    "ph": "M",
-                    "pid": dev,
-                    "tid": 0,
-                    "name": "process_name",
-                    "args": {"name": f"virtual-gpu-{dev}"},
-                }
-            )
-        for s in self.spans:
-            events.append(
-                {
-                    "ph": "X",
-                    "name": s.name,
-                    "pid": s.device,
-                    "tid": s.warp,
-                    "ts": s.start / 1000.0,
-                    "dur": max(s.end - s.start, 0) / 1000.0,
-                    "args": {"cycles": s.end - s.start},
-                }
-            )
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "clock": "virtual (1 cycle = 1 ns)",
-                "sample_every": self.sample_every,
-                "recorded_spans": len(self.spans),
-                "dropped_spans": self.dropped,
-                "event_counts": dict(sorted(self.counts.items())),
-            },
-        }
+    def span(
+        self,
+        name: str,
+        ctx: Optional[TraceContext] = None,
+        parent: Optional[TraceContext] = None,
+        **tags,
+    ) -> _OpenSpan:
+        """Open a host span: ``with tracer.span("x", parent=c) as s: ...``.
 
-    def write_chrome(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_chrome(), fh)
+        ``ctx`` *is* the span's identity when given; otherwise a child of
+        ``parent`` (or a fresh root) is minted — unless the tracer is
+        disabled, whose spans are inert and have no identity.  ``s.tags``
+        may be added to until the span closes.
+        """
+        if ctx is None and self.enabled:
+            ctx = parent.child() if parent is not None else TraceContext.mint()
+        handle = _OpenSpan(self, name, ctx, tags)
+        if self.enabled:
+            with self._lock:
+                self._active[id(handle)] = handle
+        return handle
 
-    # ------------------------------------------------------------------ #
-    # Export: text flamegraph-style summary
-    # ------------------------------------------------------------------ #
+    # -- introspection -------------------------------------------------- #
+
+    def spans(
+        self, trace_id: Optional[str] = None, last: Optional[int] = None
+    ) -> list[dict]:
+        with self._lock:
+            out = list(self._spans)
+        if trace_id is not None:
+            out = [s for s in out if s.get("trace_id") == trace_id]
+        if last is not None:
+            out = out[-last:]
+        return out
+
+    def active_spans(self) -> list[dict]:
+        """Open spans as dicts (``dur_ms`` = elapsed so far)."""
+        with self._lock:
+            handles = list(self._active.values())
+        return [dict(h.to_span(), active=True) for h in handles]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._spans.clear()
+            self._active.clear()
+
+    def __len__(self) -> int:
+        return len(self._spans)
+
+    # -- text flamegraph-style summary ---------------------------------- #
 
     def summary(self, width: int = 40) -> str:
         """Aggregate per-name totals with proportional bars."""
         if not self.counts:
             return "trace: no spans recorded"
         rows = sorted(
-            ((self.cycles.get(name, 0), self.counts[name], name) for name in self.counts),
+            ((self.totals[name], self.counts[name], name) for name in self.counts),
             reverse=True,
         )
         total = sum(c for c, _, _ in rows) or 1
@@ -150,23 +307,118 @@ class Tracer:
             lines.append(f"({self.dropped} spans dropped at max_spans={self.max_spans})")
         return "\n".join(lines)
 
-    def __len__(self) -> int:
-        return len(self.spans)
+
+#: The disabled tracer (stateless, safe to share): what every hot path
+#: holds, and what :func:`repro.obs.ops.ops_tracer` hands an untraced run.
+NULL_TRACER = Tracer(enabled=False, max_spans=0)
 
 
-class NullTracer(Tracer):
-    """The disabled tracer: ``record`` is a pure no-op.
+# --------------------------------------------------------------------------- #
+# Chrome trace_event export
+# --------------------------------------------------------------------------- #
 
-    Hot paths hold this by default, so tracing-off adds a single method
-    call per instrumented site and records nothing.
+
+def to_chrome(spans: Iterable[dict]) -> dict:
+    """Span dicts (either clock, any mix of processes) → one Chrome trace.
+
+    Timestamps are microseconds — epoch-based for host spans, so a shard
+    subprocess lines up with its coordinator on one shared axis, and
+    ``cycles / 1000`` for virtual ones.  Each distinct pid (process or
+    virtual device) gets one named process row.
     """
+    rows: dict[int, str] = {}
+    events = []
+    for span in spans:
+        pid = span.get("pid", 0)
+        args = dict(span.get("tags") or {})
+        if span.get("clock") == "virtual":
+            rows.setdefault(pid, f"virtual-gpu-{pid}")
+            ts, dur = span["start"] / 1000.0, max(span["dur"], 0) / 1000.0
+            args["cycles"] = span["dur"]
+        else:
+            rows.setdefault(pid, f"repro pid {pid}")
+            ts = round(span.get("start_ms", 0.0) * 1000.0, 1)
+            dur = round(span.get("dur_ms", 0.0) * 1000.0, 1)
+            for key in ("trace_id", "span_id", "parent_id"):
+                args.setdefault(key, span.get(key))
+        events.append(
+            {
+                "name": span.get("name", "?"),
+                "ph": "X",
+                "ts": ts,
+                "dur": dur,
+                "pid": pid,
+                "tid": span.get("tid", 0),
+                "args": args,
+            }
+        )
+    meta = [
+        {"name": "process_name", "ph": "M", "pid": p, "tid": 0, "args": {"name": label}}
+        for p, label in rows.items()
+    ]
+    return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 
-    def __init__(self) -> None:
-        super().__init__(enabled=False, max_spans=0)
 
-    def record(self, name: str, warp: int, start: int, end: int, device: int = 0) -> None:
-        return None
+# --------------------------------------------------------------------------- #
+# Warp timelines: who was working when (paper Section III, Fig. 11)
+# --------------------------------------------------------------------------- #
 
 
-#: Shared module-level disabled tracer (stateless, safe to share).
-NULL_TRACER = NullTracer()
+def _work(spans: Iterable[dict]) -> tuple[list, int]:
+    """The ``match`` spans and their makespan.  A warp is *working* while
+    inside one (a claimed chunk, dequeued task or stolen half); between
+    them — queue polls, chunk fetches, steal probes — it is waiting."""
+    work = [s for s in spans if s["name"] == "match" and s["dur"] > 0]
+    return work, max((s["start"] + s["dur"] for s in work), default=0)
+
+
+def _raster(spans: Iterable[dict], cells: int) -> tuple[int, dict]:
+    """``match`` spans on a grid of ``cells`` cells over the makespan:
+    ``(makespan, {(device, warp): set of working cell indexes})``."""
+    work, makespan = _work(spans)
+    cell = max(1, makespan // cells)
+    busy: dict[tuple, set] = {}
+    for s in work:
+        lo, hi = s["start"] // cell, min((s["start"] + s["dur"]) // cell, cells)
+        busy.setdefault((s["pid"], s["tid"]), set()).update(range(lo, hi + 1))
+    return makespan, busy
+
+
+def utilization(spans: Iterable[dict], num_warps: int) -> float:
+    """Working fraction of the device over the makespan."""
+    work, makespan = _work(spans)
+    if makespan == 0 or num_warps == 0:
+        return 0.0
+    return sum(s["dur"] for s in work) / (makespan * num_warps)
+
+
+def straggler_tail(spans: Iterable[dict], num_warps: int) -> float:
+    """Fraction of the makespan during which < 25 % of warps work.
+
+    A long tail is the signature of an undecomposed straggler — the
+    exact pathology the timeout mechanism removes.
+    """
+    buckets = 100
+    makespan, busy = _raster(spans, buckets)
+    if makespan == 0:
+        return 0.0
+    active = [sum(b in cells for cells in busy.values()) for b in range(buckets + 1)]
+    quiet = sum(1 for n in active if 0 < n < max(1, num_warps // 4))
+    return quiet / len(active)
+
+
+def ascii_timeline(spans: Iterable[dict], num_warps: int, width: int = 60) -> str:
+    """Render warps × time as text: '#' working, '.' waiting, ' ' done."""
+    makespan, busy = _raster(spans, width)
+    if makespan == 0:
+        return "(no activity)"
+    lines = []
+    for key in sorted(busy)[:num_warps]:
+        cells = busy[key]
+        row = "".join(
+            "#" if x in cells else "." if x < max(cells) else " "
+            for x in range(width + 1)
+        )
+        lines.append(f"w{key[1]:>3} |{row}|")
+    lines.append(f"      0{' ' * (width - 8)}{makespan} cycles")
+    return "\n".join(lines)

@@ -33,7 +33,7 @@ from repro.serve.cache import (
     plan_key,
     result_key,
 )
-from repro.serve.metrics import Histogram, ServeMetrics
+from repro.serve.metrics import ServeMetrics
 from repro.serve.resilience import (
     BreakerState,
     CircuitBreaker,
@@ -62,7 +62,6 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "DeltaResponse",
-    "Histogram",
     "LRUCache",
     "MatchCheckpoint",
     "MatchRequest",

@@ -201,7 +201,6 @@ _CONFIG_FP_SKIP = frozenset(
         "cost",
         "fault_plan",
         "retry",
-        "trace",
         "max_events",
         "obs",
         "checkpoint_every_events",

@@ -7,10 +7,9 @@ substrate the engines publish into — so a serve deployment exports one
 consistent schema (and can dump it as influx line protocol via
 :meth:`ServeMetrics.line_protocol`).
 
-``Histogram`` here is the obs histogram specialized with millisecond
-latency buckets; percentiles stay exact over a bounded sliding window of
-recent observations, so a long-lived service reports *recent* latency,
-not all-time latency.
+Latencies go into obs histograms with millisecond buckets; percentiles
+stay exact over a bounded sliding window of recent observations, so a
+long-lived service reports *recent* latency, not all-time latency.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import time
 from typing import Optional
 
 from repro.obs import LineProtocolSink, OutcomeWindow, Registry
-from repro.obs.registry import Histogram as _ObsHistogram
 
 #: Fixed bucket boundaries for latency histograms (milliseconds).
 LATENCY_BUCKETS_MS = (
@@ -33,30 +31,6 @@ BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 #: Bucket boundaries for the planner's relative estimator error
 #: ``|est - actual| / actual`` (0.1 = within 10 %, 10 = off by 10×).
 PLAN_ERROR_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 100.0)
-
-
-class Histogram(_ObsHistogram):
-    """Obs histogram with serve defaults (ms buckets, big window)."""
-
-    def __init__(
-        self,
-        window: int = 16384,
-        name: str = "",
-        buckets=LATENCY_BUCKETS_MS,
-        help: str = "",
-        lock=None,
-        max_age_s=None,
-        clock=None,
-    ) -> None:
-        super().__init__(
-            name=name,
-            buckets=buckets,
-            window=window,
-            help=help,
-            lock=lock,
-            max_age_s=max_age_s,
-            clock=clock,
-        )
 
 
 #: Counter names every snapshot reports (missing ones render as 0), so the

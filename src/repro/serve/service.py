@@ -38,7 +38,6 @@ from repro.obs.ops import (
     FlightRecorder,
     TraceContext,
     make_incident,
-    make_span,
     ops_tracer,
     write_incident,
 )
@@ -444,8 +443,20 @@ class MatchService:
         returned count is exact and the graph version is bumped exactly
         once (same cache-invalidation semantics as :meth:`apply_edges`).
         """
+        trace = TraceContext.mint(kind="delta", graph=graph_id, engine=engine)
+        with self.tracer.span("serve.delta", ctx=trace, graph=graph_id) as span:
+            response = self._match_delta(
+                trace, graph_id, query, add, remove, engine, config
+            )
+            span.tags.update(
+                query=response.query_name, incremental=response.incremental
+            )
+        return response
+
+    def _match_delta(
+        self, trace, graph_id, query, add, remove, engine, config
+    ) -> DeltaResponse:
         t0 = time.monotonic()
-        t_wall = time.time() * 1000.0
         self.metrics.incr("delta_requests")
         if engine not in available_engines():
             raise UnsupportedError(
@@ -457,7 +468,6 @@ class MatchService:
 
             query = get_pattern(query)
         cfg = config or self.config.match_config
-        trace = TraceContext.mint(kind="delta", graph=graph_id, engine=engine)
         if cfg.trace_context is None:
             cfg = cfg.replace(trace_context=trace)
         plan_fp = plan_fingerprint(query)
@@ -540,17 +550,6 @@ class MatchService:
                 response.result,
             )
         response.total_ms = (time.monotonic() - t0) * 1000.0
-        self.tracer.record(
-            make_span(
-                "serve.delta",
-                trace,
-                t_wall,
-                time.time() * 1000.0,
-                graph=graph_id,
-                query=q_name,
-                incremental=response.incremental,
-            )
-        )
         return response
 
     def graph(self, graph_id: str) -> CSRGraph:
@@ -727,7 +726,6 @@ class MatchService:
         engine.
         """
         t_submit = time.monotonic()
-        t_wall = time.time() * 1000.0
         prepared = self._prepare(request)
         with self._id_lock:
             self._next_id += 1
@@ -778,36 +776,29 @@ class MatchService:
             )
             cached = self.result_cache.get(key)
             if cached is not None:
-                total_ms = (time.monotonic() - t_submit) * 1000.0
-                response = MatchResponse(
-                    request_id=rid,
-                    graph_id=request.graph_id,
-                    graph_version=version,
-                    engine=request.engine,
-                    query_name=prepared.query_name,
-                    result=cached,
-                    result_cache_hit=True,
-                    total_ms=total_ms,
-                )
-                ticket._complete(response)
-                self.metrics.incr("completed")
-                self.metrics.incr("result_cache_hits")
-                self.metrics.observe_latency(total_ms)
-                self.tracer.record(
-                    make_span(
-                        "serve.request",
-                        trace,
-                        t_wall,
-                        time.time() * 1000.0,
+                with self.tracer.span(
+                    "serve.request", ctx=trace, request_id=rid, cache="hit"
+                ):
+                    total_ms = (time.monotonic() - t_submit) * 1000.0
+                    response = MatchResponse(
                         request_id=rid,
-                        cache="hit",
+                        graph_id=request.graph_id,
+                        graph_version=version,
+                        engine=request.engine,
+                        query_name=prepared.query_name,
+                        result=cached,
+                        result_cache_hit=True,
+                        total_ms=total_ms,
                     )
-                )
-                self._record_outcome(total_ms, error=False)
-                if self.supervisor is not None:
-                    # A cache hit is a healthy outcome: it closes a
-                    # half-open circuit's probe like any other success.
-                    self.supervisor.breaker.record_success(breaker_sig)
+                    ticket._complete(response)
+                    self.metrics.incr("completed")
+                    self.metrics.incr("result_cache_hits")
+                    self.metrics.observe_latency(total_ms)
+                    self._record_outcome(total_ms, error=False)
+                    if self.supervisor is not None:
+                        # A cache hit is a healthy outcome: it closes a
+                        # half-open circuit's probe like any other success.
+                        self.supervisor.breaker.record_success(breaker_sig)
                 return ticket
 
         if self.config.autostart:

@@ -39,7 +39,7 @@ from repro.core.engine import make_engine
 from repro.errors import ReproError, UnsupportedError
 from repro.faults.recovery import deadline_policy
 from repro.faults.workers import WorkerCrash
-from repro.obs.ops import make_span, ops_tracer
+from repro.obs.ops import ops_tracer
 from repro.query.plan import MatchingPlan
 from repro.serve.batcher import QueueEntry
 from repro.serve.cache import plan_key, result_key
@@ -265,6 +265,25 @@ class Worker(threading.Thread):
     def _process_one(
         self, entry: QueueEntry, graph, version: int, batch_size: int
     ) -> None:
+        # The worker's serve.request span uses the root context minted at
+        # admission *as* its identity (so engine/shard children parent to
+        # it); redelivery reuses the same root, stitching the crashed and
+        # resumed attempts into one trace.  A response that settles closes
+        # it with its outcome; a crashed delivery, an escaped exception or
+        # a lost settle race closes it here, tagged ``error=``.
+        with ops_tracer(entry.trace).span(
+            "serve.request",
+            ctx=entry.trace,
+            worker=self.index,
+            request_id=entry.request_id,
+            delivery=entry.redeliveries,
+        ) as span:
+            self._serve(entry, graph, version, batch_size, span)
+            span.finish(error="SETTLED_ELSEWHERE")
+
+    def _serve(
+        self, entry: QueueEntry, graph, version: int, batch_size: int, span
+    ) -> None:
         service = self.service
         metrics = service.metrics
         sup = service.supervisor
@@ -276,23 +295,6 @@ class Worker(threading.Thread):
         metrics.observe_queue_wait(queue_ms)
 
         breaker_sig = (request.graph_id, prepared.plan_fp)
-
-        # The request's trace identity, minted at admission.  The worker's
-        # serve.request span uses the root context *as* its identity (so
-        # engine/shard children parent to it); redelivery reuses the same
-        # root, stitching the crashed and resumed attempts into one trace.
-        trace = entry.trace
-        handle = (
-            ops_tracer().start(
-                "serve.request",
-                ctx=trace,
-                worker=self.index,
-                request_id=entry.request_id,
-                delivery=entry.redeliveries,
-            )
-            if trace is not None
-            else None
-        )
 
         def finish(response) -> None:
             # Settle-once: a redelivered entry may be finished by both the
@@ -310,11 +312,10 @@ class Worker(threading.Thread):
             try:
                 metrics.incr("completed")
                 metrics.observe_latency(response.total_ms)
-                if handle is not None:
-                    tags = {"resumed": response.resumed}
-                    if response.error is not None:
-                        tags["error"] = response.error
-                    ops_tracer().finish(handle, **tags)
+                tags = {"resumed": response.resumed}
+                if response.error is not None:
+                    tags["error"] = response.error
+                span.finish(**tags)
                 service._record_outcome(
                     response.total_ms, error=response.error is not None
                 )
@@ -368,6 +369,7 @@ class Worker(threading.Thread):
                 return
 
         config = prepared.config
+        trace = entry.trace
         if trace is not None and getattr(config, "trace_context", None) is None:
             # Thread the request's identity into the engine config BEFORE
             # the engine is built: the shard coordinator (and, pickled
@@ -469,40 +471,34 @@ class Worker(threading.Thread):
                 (time.monotonic() - checkpoint.taken_at) * 1000.0
             )
         t0 = time.monotonic()
-        t0_wall = time.time() * 1000.0
-        try:
-            if checkpoint is not None:
-                result = engine.run_resume(
-                    graph, plan, checkpoint.groups, base_count=checkpoint.count
-                )
-            elif request.collect_matches and self._accepts_collect(request.engine):
-                result = engine.run(
-                    graph, plan, collect_matches=request.collect_matches
-                )
-            else:
-                result = engine.run(graph, plan)
-        except UnsupportedError:
-            base.error = "N/A"
-            return None
-        except ReproError as exc:
-            base.error = f"ERR ({type(exc).__name__})"
-            return None
-        finally:
-            base.run_ms = (time.monotonic() - t0) * 1000.0
+        with ops_tracer(entry.trace).span(
+            "engine.resume" if checkpoint is not None else "engine.run",
+            parent=entry.trace,
+            engine=request.engine,
+        ) as span:
+            try:
+                if checkpoint is not None:
+                    result = engine.run_resume(
+                        graph, plan, checkpoint.groups, base_count=checkpoint.count
+                    )
+                elif request.collect_matches and self._accepts_collect(request.engine):
+                    result = engine.run(
+                        graph, plan, collect_matches=request.collect_matches
+                    )
+                else:
+                    result = engine.run(graph, plan)
+            except UnsupportedError:
+                base.error = span.tags["error"] = "N/A"
+                return None
+            except ReproError as exc:
+                base.error = span.tags["error"] = f"ERR ({type(exc).__name__})"
+                return None
+            finally:
+                base.run_ms = (time.monotonic() - t0) * 1000.0
+            span.tags["count"] = result.count
         base.result = result
         base.error = result.error
         base.resumed = checkpoint is not None
-        if entry.trace is not None:
-            ops_tracer().record(
-                make_span(
-                    "engine.resume" if base.resumed else "engine.run",
-                    entry.trace.child(stage="engine"),
-                    t0_wall,
-                    time.time() * 1000.0,
-                    engine=request.engine,
-                    count=result.count,
-                )
-            )
         self._flight_shard_failures(entry, result)
         return result
 

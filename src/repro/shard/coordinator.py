@@ -27,7 +27,6 @@ child config, the ``shard.dispatch`` / ``shard.run`` spans and the
 from __future__ import annotations
 
 import os
-import time
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
@@ -37,7 +36,8 @@ from repro.core.result import MatchResult
 from repro.errors import ReproError, UnsupportedError
 from repro.faults.recovery import WorkGroup, pending_rows
 from repro.graph.csr import CSRGraph
-from repro.obs.ops import make_span, ops_tracer
+from repro.obs.ops import ops_tracer
+from repro.obs.tracer import Tracer
 from repro.query.plan import MatchingPlan
 from repro.shard.planner import ShardPlan, ShardPlanner
 
@@ -99,25 +99,17 @@ def _run_shard(
     rows = np.empty((0, 2), dtype=np.int64)
     if groups:
         rows = np.concatenate([r for r, _ in groups])
-    t0 = time.time() * 1000.0
-    result = engine._run_single(
-        graph, plan, [(rows, 2)], f"shard{shard_index}", collect_matches
-    )
     ctx = getattr(config, "trace_context", None)
-    if ctx is not None:
-        # Recorded here — inside the (possibly forked) worker process — so
-        # the span's pid proves which process ran the shard.  It travels
-        # back to the coordinator inside the pickled result.
-        span = make_span(
-            "shard.run",
-            ctx,
-            t0,
-            time.time() * 1000.0,
-            shard=shard_index,
-            rows=int(len(rows)),
-            count=int(result.count),
+    # Recorded here — inside the (possibly forked) worker process — so the
+    # span's pid proves which process ran the shard.  It travels back to the
+    # coordinator inside the pickled result, hence the throwaway collector.
+    tracer = Tracer(enabled=ctx is not None, max_spans=1)
+    with tracer.span("shard.run", ctx=ctx, shard=shard_index, rows=len(rows)) as span:
+        result = engine._run_single(
+            graph, plan, [(rows, 2)], f"shard{shard_index}", collect_matches
         )
-        result.op_spans = (result.op_spans or []) + [span]
+        span.tags["count"] = int(result.count)
+    result.op_spans = (result.op_spans or []) + tracer.spans() or None
     return result
 
 
@@ -175,58 +167,55 @@ class ShardCoordinator:
         shard_plan = self.planner.plan(graph)
         parts = shard_plan.shards
         ctx = getattr(self.engine.config, "trace_context", None)
-        dispatch_ctx = ctx.child(stage="shard") if ctx is not None else None
-        t_dispatch = time.time() * 1000.0
+        with ops_tracer(ctx).span("shard.dispatch", parent=ctx) as dispatch:
+            dispatch_ctx = dispatch.ctx  # None when the run is untraced
 
-        def job(s: int, groups: list, collect: int, rescue_of=None) -> tuple:
-            """Arguments of :func:`_run_shard` for one (re-)run of shard ``s``."""
-            config = self.child_config
+            def job(s: int, groups: list, collect: int, rescue_of=None) -> tuple:
+                """Arguments of :func:`_run_shard` for one (re-)run of shard ``s``."""
+                config = self.child_config
+                if dispatch_ctx is not None:
+                    extra = {"shard": str(s)}
+                    if rescue_of is not None:
+                        extra["reexec"] = "1"
+                    # A fresh child context per shard: the pickled config
+                    # carries the identity into the worker process, where
+                    # _run_shard stamps the shard.run span with it.
+                    config = config.replace(trace_context=dispatch_ctx.child(**extra))
+                fail = rescue_of is None and s in self.fault_shards
+                return (self.engine.name, config, graph, plan, groups, s, collect, fail)
+
+            def run_part(*args) -> Optional[MatchResult]:
+                try:
+                    return _run_shard(*job(*args))
+                except ShardProcessError:
+                    return None
+
+            if self.mode == "process":
+                first = self._execute_pool(
+                    [job(s, part, collect_matches) for s, part in enumerate(parts)]
+                )
+            else:
+                first = [
+                    run_part(s, part, collect_matches) for s, part in enumerate(parts)
+                ]
+            dead = [s for s, result in enumerate(first) if result is None]
+            failures = len(dead)
+            reexecuted = sum(pending_rows(parts[s]) for s in dead)
+            merged = fan_out(parts, run_part, collect_matches, results=first)
+            merged.shards = self.num_shards
+            self._finalize_metrics(merged, shard_plan, failures, reexecuted)
             if dispatch_ctx is not None:
-                extra = {"shard": str(s)}
-                if rescue_of is not None:
-                    extra["reexec"] = "1"
-                # A fresh child context per shard: the pickled config
-                # carries the identity into the worker process, where
-                # _run_shard stamps the shard.run span with it.
-                config = config.replace(trace_context=dispatch_ctx.child(**extra))
-            fail = rescue_of is None and s in self.fault_shards
-            return (self.engine.name, config, graph, plan, groups, s, collect, fail)
-
-        def run_part(*args) -> Optional[MatchResult]:
-            try:
-                return _run_shard(*job(*args))
-            except ShardProcessError:
-                return None
-
-        if self.mode == "process":
-            first = self._execute_pool(
-                [job(s, part, collect_matches) for s, part in enumerate(parts)]
-            )
-        else:
-            first = [
-                run_part(s, part, collect_matches) for s, part in enumerate(parts)
-            ]
-        dead = [s for s, result in enumerate(first) if result is None]
-        failures = len(dead)
-        reexecuted = sum(pending_rows(parts[s]) for s in dead)
-        merged = fan_out(parts, run_part, collect_matches, results=first)
-        merged.shards = self.num_shards
-        self._finalize_metrics(merged, shard_plan, failures, reexecuted)
-        if dispatch_ctx is not None:
-            # One parent span for the fan-out, plus adoption of every
-            # child-process span into this process's tracer ring — the
-            # service (or `repro top`) reads one stitched timeline.
-            span = make_span(
-                "shard.dispatch",
-                dispatch_ctx,
-                t_dispatch,
-                time.time() * 1000.0,
-                shards=self.num_shards,
-                failures=failures,
-                rows_reexecuted=reexecuted,
-            )
-            merged.op_spans = (merged.op_spans or []) + [span]
-            ops_tracer().adopt(merged.op_spans)
+                # Adopt every child-process span into this process's tracer
+                # ring, then close the one parent span of the fan-out — the
+                # service (or `repro top`) reads one stitched timeline.
+                ops_tracer().adopt(merged.op_spans)
+                merged.op_spans = (merged.op_spans or []) + [
+                    dispatch.finish(
+                        shards=self.num_shards,
+                        failures=failures,
+                        rows_reexecuted=reexecuted,
+                    )
+                ]
         return merged
 
     # ------------------------------------------------------------------ #

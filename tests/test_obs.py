@@ -15,6 +15,9 @@ importantly — the engine integration contract:
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
 
 import pytest
 
@@ -24,9 +27,11 @@ from repro.obs import (
     LineProtocolSink,
     MemorySink,
     NULL_TRACER,
-    NullTracer,
-    Span,
     TSVSink,
+    TraceContext,
+    make_span,
+    ops_tracer,
+    to_chrome,
 )
 from repro.obs.registry import Counter, Gauge, Histogram
 from repro.query.patterns import get_pattern
@@ -140,75 +145,186 @@ class TestRegistry:
 # --------------------------------------------------------------------- #
 
 
+def vspan(name, warp, start, end, device=0):
+    return make_span(name, None, start, end, device, warp)
+
+
 class TestTracer:
+    """The one collector: virtual spans of a run and the host-clock ring."""
+
     def test_records_spans(self):
         t = Tracer()
-        t.record("match", warp=3, start=100, end=250, device=1)
+        t.record(vspan("match", 3, 100, 250, device=1))
         assert len(t) == 1
-        span = t.spans[0]
-        assert span == Span("match", 3, 100, 250, 1)
-        assert span.duration == 150
+        (span,) = t.spans()
+        assert span == {
+            "name": "match", "clock": "virtual",
+            "pid": 1, "tid": 3, "start": 100, "dur": 150,
+        }
         assert t.counts["match"] == 1
-        assert t.cycles["match"] == 150
+        assert t.totals["match"] == 150
 
     def test_sampling_keeps_exact_counts(self):
         t = Tracer(sample_every=10)
         for i in range(100):
-            t.record("x", 0, i, i + 1)
+            t.record(vspan("x", 0, i, i + 1))
         assert t.counts["x"] == 100
-        assert t.cycles["x"] == 100
-        assert len(t.spans) == 10  # 1 in 10 stored
+        assert t.totals["x"] == 100
+        assert len(t.spans()) == 10  # 1 in 10 stored
 
     def test_max_spans_drops_but_counts(self):
         t = Tracer(max_spans=5)
         for i in range(8):
-            t.record("x", 0, i, i + 1)
-        assert len(t.spans) == 5
+            t.record(vspan("x", 0, i, i + 1))
+        assert len(t.spans()) == 5
         assert t.dropped == 3
-        assert t.counts["x"] == 8
+        assert t.counts["x"] == 8 and t.totals["x"] == 8
+        assert [s["start"] for s in t.spans()] == [3, 4, 5, 6, 7]  # a ring
+
+    def test_ring_is_bounded(self):
+        tracer = Tracer(max_spans=3, threaded=True)
+        ctx = TraceContext.mint()
+        for i in range(10):
+            tracer.record(make_span(f"s{i}", ctx, 0.0, 1.0))
+        assert [s["name"] for s in tracer.spans()] == ["s7", "s8", "s9"]
 
     def test_null_tracer_is_pure_noop(self):
-        n = NullTracer()
-        n.record("x", 0, 0, 10)
+        n = Tracer(enabled=False)
+        n.record(vspan("x", 0, 0, 10))
         assert len(n) == 0
         assert n.counts == {}
-        assert not n.enabled
-        assert isinstance(NULL_TRACER, NullTracer)
+        assert not n.enabled and not NULL_TRACER.enabled
+        # An open span on the disabled tracer is inert too.
+        with NULL_TRACER.span("work") as span:
+            assert NULL_TRACER.active_spans() == []
+        assert span.finish() is None
+        assert len(NULL_TRACER) == 0 and NULL_TRACER.counts == {}
+
+    def test_start_finish_and_active(self):
+        tracer = Tracer(threaded=True)
+        handle = tracer.span("work", parent=TraceContext.mint(), rows=3)
+        active = tracer.active_spans()
+        assert len(active) == 1 and active[0]["active"] is True
+        assert active[0]["tags"] == {"rows": 3}
+        span = handle.finish(outcome="ok")
+        assert span["tags"] == {"rows": 3, "outcome": "ok"}
+        assert span["clock"] == "host"
+        assert tracer.active_spans() == []
+        assert len(tracer) == 1
+        assert handle.finish(outcome="again") is None  # closes once
+        assert len(tracer) == 1 and tracer.counts == {"work": 1}
+
+    def test_spans_filter_and_adopt(self):
+        tracer = Tracer()
+        mine, other = TraceContext.mint(), TraceContext.mint()
+        tracer.record(make_span("local", mine, 0.0, 1.0))
+        assert tracer.adopt([make_span("shipped", other, 0.0, 1.0)]) == 1
+        assert tracer.adopt(None) == 0
+        assert [s["name"] for s in tracer.spans(trace_id=other.trace_id)] == [
+            "shipped"
+        ]
+        assert len(tracer.spans(last=1)) == 1
+
+    def test_span_context_manager_tags_errors(self):
+        tracer = Tracer()
+        with pytest.raises(ValueError):
+            with tracer.span("boom"):
+                raise ValueError("x")
+        (span,) = tracer.spans()
+        assert span["tags"]["error"] == "ValueError"
+        assert tracer.active_spans() == []
+
+    def test_threaded_ring_loses_no_update(self):
+        """More threads than cores opening and closing spans on one locked
+        tracer: counts stay exact and nothing is left in flight."""
+        tracer = Tracer(max_spans=64, threaded=True)
+        threads, per_thread = 4 * (os.cpu_count() or 1), 200
+
+        def hammer():
+            for _ in range(per_thread):
+                with tracer.span("work"):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert tracer.counts == {"work": threads * per_thread}
+        assert tracer.active_spans() == []
+        assert len(tracer) == 64 and tracer.dropped == threads * per_thread - 64
+
+    def test_process_singleton(self):
+        assert ops_tracer() is ops_tracer()
+        assert ops_tracer(TraceContext.mint()) is ops_tracer()
+        assert ops_tracer(None) is NULL_TRACER  # an untraced run
 
     def test_chrome_export_shape(self):
         t = Tracer()
-        t.record("match", 2, 1000, 4000, device=0)
-        t.record("steal", 5, 2000, 2500, device=1)
-        doc = t.to_chrome()
+        t.record(vspan("match", 2, 1000, 4000, device=0))
+        t.record(vspan("steal", 5, 2000, 2500, device=1))
         # Valid JSON round-trip.
-        doc = json.loads(json.dumps(doc))
+        doc = json.loads(json.dumps(to_chrome(t.spans())))
         events = doc["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
         spans = [e for e in events if e["ph"] == "X"]
         assert {m["pid"] for m in meta} == {0, 1}
+        assert {m["args"]["name"] for m in meta} == {
+            "virtual-gpu-0", "virtual-gpu-1",
+        }
         assert len(spans) == 2
         m = next(e for e in spans if e["name"] == "match")
         assert m["pid"] == 0 and m["tid"] == 2
         assert m["ts"] == 1.0 and m["dur"] == 3.0  # cycles/1000 = us
         assert m["args"]["cycles"] == 3000
-        assert doc["otherData"]["event_counts"] == {"match": 1, "steal": 1}
-
-    def test_write_chrome(self, tmp_path):
-        t = Tracer()
-        t.record("x", 0, 0, 10)
-        out = tmp_path / "trace.json"
-        t.write_chrome(str(out))
-        doc = json.loads(out.read_text())
-        assert any(e["name"] == "x" for e in doc["traceEvents"])
 
     def test_summary_text(self):
         t = Tracer()
-        t.record("match", 0, 0, 900)
-        t.record("steal", 0, 0, 100)
+        t.record(vspan("match", 0, 0, 900))
+        t.record(vspan("steal", 0, 0, 100))
         text = t.summary()
         assert "match" in text and "steal" in text
         assert "90.0%" in text
         assert Tracer().summary() == "trace: no spans recorded"
+
+
+def _virtual_spans(graph):
+    obs = Observability(tracing=True)
+    TDFSEngine(TDFSConfig(num_warps=4, obs=obs)).run(graph, get_pattern("P3"))
+    return obs.tracer.spans()
+
+
+def _host_spans(graph):
+    config = TDFSConfig(num_warps=4, shards=2, trace_context=TraceContext.mint())
+    return TDFSEngine(config).run(graph, get_pattern("P3")).op_spans
+
+
+@pytest.mark.parametrize("clock, make", [("virtual", _virtual_spans), ("host", _host_spans)])
+def test_one_exporter_one_event_schema(small_plc, clock, make):
+    """A traced virtual run and a sharded host trace that crossed process
+    boundaries go through the same exporter and yield the same schema."""
+    spans = make(small_plc)
+    assert spans and {s["clock"] for s in spans} == {clock}
+    doc = json.loads(json.dumps(to_chrome(spans)))
+    assert set(doc) == {"traceEvents", "displayTimeUnit"}
+    xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+    meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
+    assert len(xs) == len(spans)
+    for e in xs:
+        assert set(e) == {"name", "ph", "ts", "dur", "pid", "tid", "args"}
+        assert e["ts"] >= 0 and e["dur"] >= 0
+    # Exactly one named process row per pid.
+    assert sorted(m["pid"] for m in meta) == sorted({e["pid"] for e in xs})
+    assert all(m["name"] == "process_name" and m["args"]["name"] for m in meta)
+    if clock == "host":
+        assert len({e["pid"] for e in xs}) >= 2
+        assert {"shard.run", "shard.dispatch"} <= {e["name"] for e in xs}
 
 
 # --------------------------------------------------------------------- #
@@ -339,12 +455,12 @@ class TestEngineMetrics:
         # Steal spans account for every decomposition and work steal.
         assert obs.tracer.counts["steal"] == result.timeouts + result.steals
         # Spans are attributed to real warps of this run.
-        warps = {s.warp for s in obs.tracer.spans}
+        warps = {s["tid"] for s in obs.tracer.spans()}
         assert warps <= set(range(STEAL_CFG.num_warps))
         assert len(warps) > 1
         # And the export is valid Chrome trace JSON.
         out = tmp_path / "trace.json"
-        obs.tracer.write_chrome(str(out))
+        out.write_text(json.dumps(to_chrome(obs.tracer.spans())))
         doc = json.loads(out.read_text())
         spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert {e["name"] for e in spans} == names

@@ -2,8 +2,9 @@
 
 Covers the cross-process trace context (including pickling into a
 subprocess running under a *different* ``PYTHONHASHSEED`` — hash
-randomization must not leak into trace identity), span dicts and Chrome
-stitching, the ops tracer ring, the flight recorder's fault callbacks,
+randomization must not leak into trace identity), host span dicts and
+their Chrome export (the collector itself is covered by
+``tests/test_obs.py::TestTracer``), the flight recorder's fault callbacks,
 SLO burn-rate math with exact gauge reconciliation, incident bundle
 round-trips, and the time-driven histogram window rotation.
 """
@@ -23,17 +24,16 @@ from repro.errors import ReproError
 from repro.obs import (
     SLO,
     FlightRecorder,
-    OpsTracer,
     OutcomeWindow,
     Registry,
     SLOTracker,
     TraceContext,
+    Tracer,
     load_incident,
     make_incident,
     make_span,
-    ops_tracer,
     render_incident,
-    stitch_chrome,
+    to_chrome,
     write_incident,
 )
 from repro.obs.ops import FAULT_EVENT_KINDS, INCIDENT_FORMAT
@@ -78,7 +78,6 @@ class TestTraceContext:
         ctx = TraceContext.mint(request_id=3).child(stage="shard")
         clone = pickle.loads(pickle.dumps(ctx))
         assert clone == ctx
-        assert clone.to_dict() == ctx.to_dict()
 
 
 _CHILD_PROGRAM = """
@@ -113,14 +112,14 @@ def test_trace_context_pickles_across_hashseed(hashseed):
     # The child's span stitches into the parent's timeline: same trace,
     # two distinct pids in the Chrome document.
     here = make_span("parent.work", ctx, 0.0, 30.0)
-    doc = stitch_chrome([here, span])
+    doc = to_chrome([here, span])
     xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     assert {e["args"]["trace_id"] for e in xs} == {ctx.trace_id}
     assert len({e["pid"] for e in xs}) == 2
 
 
 # --------------------------------------------------------------------------- #
-# Spans + stitching
+# Host spans + their Chrome export
 # --------------------------------------------------------------------------- #
 
 
@@ -132,19 +131,23 @@ class TestSpans:
         assert span["start_ms"] == 100.0 and span["dur_ms"] == 3.5
         assert span["tags"] == {"rows": 7}
         assert span["span_id"] == ctx.span_id
+        assert set(span) == {
+            "name", "trace_id", "span_id", "parent_id", "pid", "tid",
+            "start_ms", "dur_ms", "tags", "clock",
+        } and span["clock"] == "host"
         json.dumps(span)  # wire format must stay JSON-safe
 
     def test_negative_duration_clamped(self):
         span = make_span("s", TraceContext.mint(), 10.0, 5.0)
         assert span["dur_ms"] == 0.0
 
-    def test_stitch_chrome_units_and_process_rows(self):
+    def test_chrome_units_and_process_rows(self):
         ctx = TraceContext.mint()
         spans = [
             make_span("a", ctx, 1.0, 2.0),
             dict(make_span("b", ctx.child(), 2.0, 4.0), pid=999),
         ]
-        doc = stitch_chrome(spans)
+        doc = to_chrome(spans)
         assert doc["displayTimeUnit"] == "ms"
         xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         metas = [e for e in doc["traceEvents"] if e["ph"] == "M"]
@@ -152,48 +155,6 @@ class TestSpans:
         assert {m["args"]["name"] for m in metas} == {
             f"repro pid {os.getpid()}", "repro pid 999",
         }
-
-
-class TestOpsTracer:
-    def test_start_finish_and_active(self):
-        tracer = OpsTracer()
-        handle = tracer.start("work", parent=TraceContext.mint(), rows=3)
-        active = tracer.active_spans()
-        assert len(active) == 1 and active[0]["active"] is True
-        assert active[0]["tags"] == {"rows": 3}  # _handle never leaks
-        span = tracer.finish(handle, outcome="ok")
-        assert span["tags"] == {"rows": 3, "outcome": "ok"}
-        assert tracer.active_spans() == []
-        assert len(tracer) == 1
-
-    def test_ring_is_bounded(self):
-        tracer = OpsTracer(max_spans=3)
-        ctx = TraceContext.mint()
-        for i in range(10):
-            tracer.record(make_span(f"s{i}", ctx, 0.0, 1.0))
-        assert [s["name"] for s in tracer.spans()] == ["s7", "s8", "s9"]
-
-    def test_spans_filter_and_adopt(self):
-        tracer = OpsTracer()
-        mine, other = TraceContext.mint(), TraceContext.mint()
-        tracer.record(make_span("local", mine, 0.0, 1.0))
-        assert tracer.adopt([make_span("shipped", other, 0.0, 1.0)]) == 1
-        assert tracer.adopt(None) == 0
-        assert [s["name"] for s in tracer.spans(trace_id=other.trace_id)] == [
-            "shipped"
-        ]
-        assert len(tracer.spans(last=1)) == 1
-
-    def test_span_context_manager_tags_errors(self):
-        tracer = OpsTracer()
-        with pytest.raises(ValueError):
-            with tracer.span("boom"):
-                raise ValueError("x")
-        (span,) = tracer.spans()
-        assert span["tags"]["error"] == "ValueError"
-
-    def test_process_singleton(self):
-        assert ops_tracer() is ops_tracer()
 
 
 # --------------------------------------------------------------------------- #
@@ -383,10 +344,10 @@ class TestSLOTracker:
 
 class TestIncidentBundles:
     def _bundle(self):
-        tracer = OpsTracer()
+        tracer = Tracer()
         ctx = TraceContext.mint(request_id=5)
         tracer.record(make_span("serve.request", ctx, 0.0, 9.0))
-        tracer.start("engine.run", ctx=ctx.child(stage="engine"))
+        tracer.span("engine.run", ctx=ctx.child(stage="engine"))
         rec = FlightRecorder(clock=lambda: 2.0)
         rec.record("request.admitted", request_id=5)
         rec.record("worker.crash", worker=1)

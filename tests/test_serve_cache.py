@@ -5,15 +5,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro import TDFSConfig, compile_plan, get_pattern
+from repro import Observability, TDFSConfig, compile_plan, get_pattern
 from repro.faults import (
     RUNG_CPU_FALLBACK,
     RetryPolicy,
     deadline_policy,
 )
 from repro.query.pattern import QueryGraph
+from repro.obs.registry import Histogram
 from repro.serve import (
-    Histogram,
     LRUCache,
     ServeMetrics,
     config_fingerprint,
@@ -87,7 +87,7 @@ class TestFingerprints:
     def test_config_fp_skips_result_irrelevant_fields(self):
         base = TDFSConfig()
         assert config_fingerprint(base) == config_fingerprint(
-            base.replace(max_events=123, trace=True)
+            base.replace(max_events=123, obs=Observability(tracing=True))
         )
         assert config_fingerprint(base) != config_fingerprint(
             base.replace(num_warps=7)

@@ -199,6 +199,7 @@ class TestCrossProcessTraces:
 
     def test_trace_context_threads_through_queue_and_worker(self, k5):
         with _service() as service:
+            service.tracer.clear()  # the ring is process-wide
             service.register_graph("g", k5)
             assert service.query("g", "P2").ok
             spans = service.tracer.spans()
@@ -234,12 +235,21 @@ class TestDumpOnWorkerFault:
             enable_result_cache=False,
         ) as service:
             service.register_graph("g", k5)
+            service.tracer.clear()  # the ring is process-wide
             response = service.query("g", "P1", timeout=60.0)
             assert response.ok  # redelivered after the kill
             path = service.incident_path
             assert path is not None
+            # Every ticket is settled: nothing may still look in flight.
+            assert service.tracer.active_spans() == []
         bundle = load_incident(path)
         assert bundle["reason"] == "worker.crash"
+        # The killed delivery is a finished span tagged with its error,
+        # not a phantom in-flight request.
+        assert not [s for s in bundle["active_spans"] if s["name"] == "serve.request"]
+        (killed,) = [s for s in bundle["spans"] if s["name"] == "serve.request"]
+        assert killed["tags"]["delivery"] == 0
+        assert killed["tags"]["error"] == "WorkerCrash"
         kinds = bundle["flight"]["counts"]
         assert kinds.get("worker.crash", 0) >= 1
         assert kinds.get("request.admitted", 0) >= 1

@@ -340,6 +340,7 @@ class TestKillResume:
             WorkerFaultSpec(WorkerFaultKind.KILL, request_id=1, at_checkpoint=2),
         ))
         with make_supervised(fast_config, plan) as svc:
+            svc.tracer.clear()  # the ring is process-wide
             svc.register_graph("g", small_plc)
             resp = submit_uncached(svc, "P1").result(timeout=60.0)
             assert resp.ok, resp.error
@@ -354,6 +355,23 @@ class TestKillResume:
             snap = svc.snapshot()["resilience"]
             assert snap["restarts"] == 1
             assert snap["checkpoints_taken"] >= 1
+            # Regression: the killed delivery's serve.request span used to
+            # stay open forever (a phantom in-flight request in every later
+            # incident bundle).  Once the ticket is settled nothing is in
+            # flight, and the crashed delivery is a *finished* span, tagged
+            # with its error, in the same trace as the resumed one.
+            svc.drain()
+            assert svc.tracer.active_spans() == []
+            killed, resumed = sorted(
+                (s for s in svc.tracer.spans() if s["name"] == "serve.request"),
+                key=lambda s: s["tags"]["delivery"],
+            )
+            assert killed["tags"]["error"] == "WorkerCrash"
+            assert resumed["tags"] == {
+                "worker": resumed["tags"]["worker"], "request_id": 1,
+                "delivery": 1, "resumed": True,
+            }
+            assert killed["trace_id"] == resumed["trace_id"]
 
     def test_stall_mid_match_is_abandoned_and_redelivered(
         self, small_plc, fast_config
@@ -580,3 +598,28 @@ class TestMidBatchIsolation:
         assert r2.ok, r2.error
         assert r2.count == baseline
         assert svc.metrics.get("completed") == 2
+
+    def test_escaped_exception_closes_the_request_span(
+        self, small_plc, fast_config, monkeypatch
+    ):
+        """An exception escaping the request body settles the entry through
+        ``_respond_error``; its serve.request span must close too."""
+        from repro.serve.workers import Worker
+
+        def exploding(self, *args):
+            raise RuntimeError("boom in the engine")
+
+        monkeypatch.setattr(Worker, "_run_engine", exploding)
+        with MatchService(ServeConfig(
+            workers=1, enable_result_cache=False, match_config=fast_config,
+        )) as svc:
+            svc.tracer.clear()  # the ring is process-wide
+            svc.register_graph("g", small_plc)
+            resp = submit_uncached(svc, "P1").result(timeout=60.0)
+            assert resp.error == "ERR (RuntimeError)"
+            svc.drain()
+            assert svc.tracer.active_spans() == []
+            (span,) = [
+                s for s in svc.tracer.spans() if s["name"] == "serve.request"
+            ]
+            assert span["tags"]["error"] == "RuntimeError"
