@@ -15,9 +15,9 @@ Cells are the kernel-bound slice of the fig-9 smoke workload: P3 on the
 high-degree datasets (pokec, youtube, web-google), where leaf frontiers
 average dozens of candidates and one NumPy pass replaces dozens of scalar
 loop iterations.  On frontier-bound cells (P1/P2 everywhere — mean leaf
-batch below the vectorization threshold) the backend declines blocks and
-host time matches scalar by design; the full (non-quick) run includes
-those cells to document the flat profile.
+batch below the vectorization threshold) the backend declines leaf blocks;
+what it saves there comes from level-2 prefix blocks (DESIGN.md §9), and
+the full (non-quick) run includes those cells to show both.
 """
 
 import time

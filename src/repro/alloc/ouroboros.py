@@ -4,10 +4,11 @@ The real system integrates Ouroboros (Winter et al., ICS'20): a large arena
 is reserved in device memory up front, cut into fixed-size pages, and warps
 ``malloc``/``free`` pages on demand.  This port preserves the interface and
 the accounting (arena reservation, pages in use, peak, exhaustion), plus a
-free-list so released pages are reused.
+free-list so released pages are reused (most recently freed first; pages
+never handed out yet come from a counter, ascending from 0).
 
 Page size defaults to 8 KB in the paper; the dataset stand-ins are scaled
-down ~10³–10⁵×, so the simulated default is 128 B (32 vertex ids) — the
+down ~10³–10⁵×, so the simulated default is 64 B (16 vertex ids) — the
 ratio of page size to typical candidate-set size is what drives the memory
 results in Tables V and VII, and the scaled page keeps that ratio faithful.
 """
@@ -46,7 +47,10 @@ class OuroborosAllocator:
             self._arena_handle = memory.allocate(
                 self.num_pages * self.page_bytes, tag="ouroboros-arena"
             )
-        self._free_list: list[int] = list(range(self.num_pages - 1, -1, -1))
+        #: Pages ``>= _next_fresh`` were never handed out; freed ones stack up
+        #: in ``_freed`` and are reused before any fresh page.
+        self._next_fresh = 0
+        self._freed: list[int] = []
         self.in_use = 0
         self.peak_in_use = 0
         self.total_allocs = 0
@@ -59,18 +63,22 @@ class OuroborosAllocator:
 
     @property
     def available(self) -> int:
-        return len(self._free_list)
+        return self.num_pages - self._next_fresh + len(self._freed)
 
     def malloc_page(self) -> int:
         """Allocate one page; returns its page id.
 
         Raises :class:`DeviceOOMError` when the arena is exhausted.
         """
-        if not self._free_list:
+        if self._freed:
+            page = self._freed.pop()
+        elif self._next_fresh < self.num_pages:
+            page = self._next_fresh
+            self._next_fresh += 1
+        else:
             raise DeviceOOMError(
                 self.page_bytes, 0, what="ouroboros page (arena exhausted)"
             )
-        page = self._free_list.pop()
         self.in_use += 1
         self.total_allocs += 1
         self.peak_in_use = max(self.peak_in_use, self.in_use)
@@ -80,7 +88,7 @@ class OuroborosAllocator:
         """Return a page to the free list."""
         if not 0 <= page < self.num_pages:
             raise ValueError(f"invalid page id {page}")
-        self._free_list.append(page)
+        self._freed.append(page)
         self.in_use -= 1
         self.total_frees += 1
 

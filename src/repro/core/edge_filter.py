@@ -53,6 +53,18 @@ def edge_mask(
     return mask
 
 
+def filter_chunk_cycles(num_edges: int, cost: CostModel) -> int:
+    """What a warp pays to filter a fetched chunk of ``num_edges`` rows.
+
+    The warp loads the chunk coalesced and evaluates the predicates
+    lane-parallel, so the charge is per 32-edge batch.
+    """
+    if num_edges == 0:
+        return cost.step
+    batches = (num_edges + WARP_SIZE - 1) // WARP_SIZE
+    return batches * (cost.load_batch + cost.compact_batch)
+
+
 def filter_chunk(
     graph: CSRGraph,
     plan: MatchingPlan,
@@ -60,17 +72,11 @@ def filter_chunk(
     cost: CostModel,
     prune_degree: bool = True,
 ) -> tuple[np.ndarray, int]:
-    """Device-side filtering of one fetched chunk; returns ``(kept, cycles)``.
-
-    The warp loads the chunk coalesced and evaluates the predicates
-    lane-parallel, so the charge is per 32-edge batch.
-    """
+    """Device-side filtering of one fetched chunk; returns ``(kept, cycles)``."""
+    cycles = filter_chunk_cycles(len(edges), cost)
     if len(edges) == 0:
-        return edges, cost.step
-    batches = (len(edges) + WARP_SIZE - 1) // WARP_SIZE
-    cycles = batches * (cost.load_batch + cost.compact_batch)
-    kept = edges[edge_mask(graph, plan, edges, prune_degree)]
-    return kept, cycles
+        return edges, cycles
+    return edges[edge_mask(graph, plan, edges, prune_degree)], cycles
 
 
 def host_prefilter(

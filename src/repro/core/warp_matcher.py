@@ -34,12 +34,13 @@ import numpy as np
 
 from repro.core.candidates import filter_candidates, leaf_matches
 from repro.core.config import Strategy, TDFSConfig
-from repro.core.edge_filter import filter_chunk
+from repro.core.edge_filter import filter_chunk, filter_chunk_cycles
 from repro.core.intersect import intersect_sorted
 from repro.errors import IllegalAccessError
 from repro.gpusim.device import VirtualGPU, Warp
 from repro.graph.csr import CSRGraph
 from repro.kernels import KernelBackend, resolve_backend
+from repro.kernels.base import PrefixBlock
 from repro.obs.tracer import NULL_TRACER, Tracer, make_span
 from repro.query.plan import MatchingPlan
 from repro.alloc.stack import WarpStack, LevelFactory
@@ -130,6 +131,9 @@ class MatchJob:
         self.config = config
         self.gpu = gpu
         self.cost = config.cost
+        # Plan lookups the per-item loop would otherwise redo on every call.
+        self._k = plan.num_levels
+        self._labeled = plan.is_labeled and graph.is_labeled
         #: The job's whole workload as ``(rows, width)`` work groups (see
         #: :data:`repro.faults.recovery.WorkGroup`): width 2 for edge tasks
         #: (the paper's default), deeper prefixes when a hybrid BFS phase or
@@ -143,6 +147,16 @@ class MatchJob:
         self._cursor = 0
         #: Width-2 rows already passed the edge filter on the host (STMatch).
         self.prefiltered = prefiltered
+        #: Look-ahead :class:`~repro.kernels.base.PrefixBlock` over the rows
+        #: of the current group from ``_block_lo`` on.  The cursor only moves
+        #: forward and every warp claims through :meth:`_next_chunk`, so this
+        #: is a plain memo; it lives here, not on the backend, because serve
+        #: shares backend instances across worker threads.
+        self._block: Optional[PrefixBlock] = None
+        self._block_lo = 0
+        #: ``u * n + v`` per directed edge, built by the vectorized backend's
+        #: first prefix block (graph-wide, so kept for the job, not a window).
+        self.edge_keys: Optional[np.ndarray] = None
         self.queue = queue
         self.level_factory = level_factory
         self.child_stack_bytes = child_stack_bytes
@@ -171,6 +185,10 @@ class MatchJob:
             )
         )
         self.backend.begin_run(graph)
+        #: Whether width-2 groups are offered to ``backend.prefix_block``.
+        self._offer_blocks = (
+            self.backend.batched and not prefiltered and self._k >= 3
+        )
         #: Whether :meth:`adjacency` returns plain CSR slices.  EGSM's
         #: label-pruned CT-index reads clear this, which disables the
         #: vectorized varying-list path and intersection caching (their
@@ -221,18 +239,33 @@ class MatchJob:
         return [(rows[self._cursor :], width), *self.groups[self._group + 1 :]]
 
     def _next_chunk(self) -> Optional[tuple]:
-        """Claim the next ``chunk_size`` rows (warp fetch protocol)."""
+        """Claim the next ``chunk_size`` rows (warp fetch protocol).
+
+        Returns ``(rows, width, block, first)``: when ``block`` is not
+        ``None`` it covers the whole chunk, whose first row is the block's
+        window row ``first``.  A chunk the current block does not fully
+        cover opens a new block at the chunk's first row, which drops the
+        old one.
+        """
         if self._group == len(self.groups):
             return None
         rows, width = self.groups[self._group]
         lo = self._cursor
         hi = min(lo + self.config.chunk_size, len(rows))
+        block = None
+        if width == 2 and self._offer_blocks:
+            block = self._block
+            if block is None or hi > self._block_lo + block.count:
+                block = self._block = self.backend.prefix_block(self, rows[lo:])
+                self._block_lo = lo
+        first = lo - self._block_lo
         if hi == len(rows):
             self._group += 1
             self._cursor = 0
+            self._block = None
         else:
             self._cursor = hi
-        return rows[lo:hi], width
+        return rows[lo:hi], width, block, first
 
     def _span(self, warp: Warp, name: str, start: int, end: int) -> None:
         """Record one virtual span (callers guard on ``tracer.enabled``)."""
@@ -292,10 +325,19 @@ class MatchJob:
                 yield warp.sync()
                 fetched = self._next_chunk()
                 if fetched is not None:
-                    chunk, width = fetched
+                    chunk, width, block, first = fetched
                     warp.charge(cost.chunk_fetch)
                     warp.stats.chunks += 1
-                    if width == 2 and not self.prefiltered:
+                    slot = 0
+                    if block is not None:
+                        # The block already filtered these rows; the charge
+                        # is the one ``filter_chunk`` makes for their count.
+                        warp.charge(filter_chunk_cycles(len(chunk), cost))
+                        slot = block.kept_before[first]
+                        chunk = block.rows[
+                            slot : block.kept_before[first + len(chunk)]
+                        ]
+                    elif width == 2 and not self.prefiltered:
                         # Idempotent on recovered rows: those that already
                         # passed the filter pass again, raw rows from an
                         # unfetched tail get filtered for the first time.
@@ -309,7 +351,9 @@ class MatchJob:
                         warp.charge(cycles)
                     if len(chunk):
                         yield from self._work(
-                            warp, st, self._process_chunk(warp, st, chunk)
+                            warp,
+                            st,
+                            self._process_chunk(warp, st, chunk, block, slot),
                         )
                     continue
             # Priority 3: half stealing (STMatch-style).
@@ -345,12 +389,19 @@ class MatchJob:
     # ------------------------------------------------------------------ #
 
     def _process_chunk(
-        self, warp: Warp, st: RunState, edges: np.ndarray
+        self,
+        warp: Warp,
+        st: RunState,
+        edges: np.ndarray,
+        block: Optional[PrefixBlock] = None,
+        slot: int = 0,
     ) -> Generator[int, None, None]:
         """Process a chunk of initial work rows (Algorithm 4 lines 4–6).
 
         Rows are edges (width 2) in the standard pipeline, or deeper
-        prefixes when a hybrid BFS phase seeded the DFS.
+        prefixes when a hybrid BFS phase seeded the DFS.  With a ``block``,
+        row ``i`` of ``edges`` is the block's slot ``slot + i`` (a thief's
+        stolen half comes without one and takes the scalar path).
         """
         width = edges.shape[1] if edges.ndim == 2 else 2
         st.chunk = edges
@@ -370,10 +421,11 @@ class MatchJob:
                     st.chunk = None
                     return
             row = st.chunk[st.chunk_pos]
+            row_slot = slot + st.chunk_pos
             st.chunk_pos += 1
             for i in range(width):
                 st.path[i] = int(row[i])
-            yield from self._process_item(warp, st, width)
+            yield from self._process_item(warp, st, width, block, row_slot)
         st.chunk = None
 
     def _process_task(
@@ -419,11 +471,17 @@ class MatchJob:
     # ------------------------------------------------------------------ #
 
     def _process_item(
-        self, warp: Warp, st: RunState, prefix_len: int
+        self,
+        warp: Warp,
+        st: RunState,
+        prefix_len: int,
+        block: Optional[PrefixBlock] = None,
+        slot: int = 0,
     ) -> Generator[int, None, None]:
+        """DFS below ``st.path[:prefix_len]``; ``block``/``slot`` carry the
+        precomputed first level of a width-2 row (see :meth:`_fill_level`)."""
         cost = self.cost
-        plan = self.plan
-        k = plan.num_levels
+        k = self._k
         st.item_prefix = prefix_len
         st.valid_from = prefix_len
         if prefix_len >= k:
@@ -439,11 +497,11 @@ class MatchJob:
             st.iters[p] = 0
         if prefix_len == k - 1:
             # The item's first unfilled position is the leaf: bulk count.
-            self._expand_leaf(warp, st, prefix_len, 0)
+            self._expand_leaf(warp, st, prefix_len, 0, block, slot)
             return
 
         pos = prefix_len
-        launched = yield from self._fill(warp, st, pos)
+        launched = yield from self._fill(warp, st, pos, block, slot)
         if launched:
             return
         # Smallest batch the backend would accept at the leaf for this
@@ -508,26 +566,67 @@ class MatchJob:
                     return
                 pos -= 1
 
-    def _expand_leaf(self, warp: Warp, st: RunState, pos: int, cycles: int) -> None:
+    def _expand_leaf(
+        self,
+        warp: Warp,
+        st: RunState,
+        pos: int,
+        cycles: int,
+        block: Optional[PrefixBlock] = None,
+        slot: int = 0,
+    ) -> None:
         """Fill the leaf level ``pos`` and count its matches in bulk."""
-        cost = self.cost
-        st.inflight = pos  # level.write may abort mid-expansion
-        raw, raw_cycles = self._raw(st, pos)
+        leaves, fill_cycles = self._fill_level(warp, st, pos, block, slot)
+        warp.charge(cycles + fill_cycles + len(leaves) * self.cost.emit_match)
+        self._emit_leaves(warp, st, leaves, pos)
+        st.inflight = None
+
+    def _fill_level(
+        self,
+        warp: Warp,
+        st: RunState,
+        pos: int,
+        block: Optional[PrefixBlock],
+        slot: int,
+    ) -> tuple[np.ndarray, int]:
+        """Raw set → stack level → selection filter for position ``pos``.
+
+        Returns ``(filtered, cycles)`` and leaves ``st.inflight == pos`` (a
+        stack page allocation inside ``level.write`` may abort right here;
+        the caller clears the marker once it owns the result).  With a
+        ``block`` the two pure steps — ``_raw`` and ``filter_candidates`` —
+        are read from its ``slot``; the write, the span and the accounting
+        stay real.  A fixed-capacity level that truncated is rescanned by
+        the scalar filter (the block's result covers the full set), which
+        keeps STMatch's wrong counts identically wrong.
+        """
+        st.inflight = pos
+        if block is None:
+            raw, cycles = self._raw(st, pos)
+        else:
+            raw = block.raw[block.raw_offsets[slot] : block.raw_offsets[slot + 1]]
+            cycles = block.raw_cycles[slot]
+            self.intersections += block.intersections
         if self.tracer.enabled:
-            self._span(warp, "intersect", warp.now, warp.now + raw_cycles)
+            self._span(warp, "intersect", warp.now, warp.now + cycles)
         level = st.stack.level(pos)
-        cycles += raw_cycles + level.write(raw, cost)
-        leaves, leaf_cycles = leaf_matches(
+        cycles += level.write(raw, self.cost)
+        if block is not None and level.length == raw.size:
+            offsets = block.filtered_offsets
+            return (
+                block.filtered[offsets[slot] : offsets[slot + 1]],
+                cycles + block.filter_cycles[slot],
+            )
+        filtered, filter_cycles = filter_candidates(
             self.graph,
             self.plan,
             st.path,
+            pos,
             level.values(),
-            cost,
+            self.cost,
             self.config.stmatch_removal,
         )
-        warp.charge(cycles + leaf_cycles)
-        self._emit_leaves(warp, st, leaves, pos)
-        st.inflight = None
+        return filtered, cycles + filter_cycles
 
     def _leaf_block(
         self, warp: Warp, st: RunState, pos: int, f: np.ndarray, i: int
@@ -675,7 +774,7 @@ class MatchJob:
         plan = self.plan
         graph = self.graph
         mask = None
-        if plan.is_labeled and graph.is_labeled:
+        if self._labeled:
             mask = graph.labels[result] == plan.labels[pos]
         if plan.degrees[pos] > 1:
             deg_mask = graph.degrees[result] >= plan.degrees[pos]
@@ -741,7 +840,12 @@ class MatchJob:
         return result, cycles
 
     def _fill(
-        self, warp: Warp, st: RunState, pos: int
+        self,
+        warp: Warp,
+        st: RunState,
+        pos: int,
+        block: Optional[PrefixBlock] = None,
+        slot: int = 0,
     ) -> Generator[int, None, bool]:
         """Extend ``stack[pos]`` (Algorithm 2 line 6 / Algorithm 4 line 11).
 
@@ -753,24 +857,9 @@ class MatchJob:
             # STMatch: the warp locks its own stack on every access.
             cycles += cost.lock_acquire
         # Until filtered/iters take ownership below, the subtree rooted at
-        # path[:pos] is only reachable through the inflight marker — a stack
-        # page allocation inside level.write may abort right here.
-        st.inflight = pos
-        raw, raw_cycles = self._raw(st, pos)
-        if self.tracer.enabled:
-            self._span(warp, "intersect", warp.now, warp.now + raw_cycles)
-        level = st.stack.level(pos)
-        cycles += raw_cycles + level.write(raw, cost)
-        filtered, filter_cycles = filter_candidates(
-            self.graph,
-            self.plan,
-            st.path,
-            pos,
-            level.values(),
-            cost,
-            self.config.stmatch_removal,
-        )
-        warp.charge(cycles + filter_cycles)
+        # path[:pos] is only reachable through the inflight marker.
+        filtered, fill_cycles = self._fill_level(warp, st, pos, block, slot)
+        warp.charge(cycles + fill_cycles)
         st.filtered[pos] = filtered
         st.iters[pos] = 0
         st.inflight = None

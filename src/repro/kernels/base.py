@@ -11,8 +11,10 @@ Two implementations ship:
 
 * :class:`~repro.kernels.scalar.ScalarBackend` — the reference per-candidate
   path (the matcher's original code path, unchanged).
-* :class:`~repro.kernels.vectorized.VectorizedBackend` — block-level leaf
-  expansion: one NumPy pass per sync window over CSR segment slices.
+* :class:`~repro.kernels.vectorized.VectorizedBackend` — block-level
+  expansion: one NumPy pass per sync window of leaf candidates
+  (:class:`LeafBlock`) and per window of initial rows (:class:`PrefixBlock`)
+  over CSR segment slices.
 
 Both optionally carry an :class:`~repro.kernels.cache.IntersectionCache`
 shared across runs (``repro.serve`` shares one per service so timeout-steal
@@ -67,12 +69,49 @@ class LeafBlock:
     """Reuse-plan seed reads each candidate performed (0 or 1)."""
 
 
+@dataclass
+class PrefixBlock:
+    """Level-2 results for a window of consecutive width-2 work rows.
+
+    Produced by :meth:`KernelBackend.prefix_block`: everything about a
+    row's first stack level that is a pure function of (graph, plan, row,
+    config flags).  The matcher replays it row by row — real stack writes,
+    real charges on the warp that fetched the row — so simulated time is
+    what the scalar path produces.  Rows that fail the edge filter own no
+    slot; the survivors are numbered in row order, and per-slot offsets and
+    cycles are plain lists (the replay indexes them once per row).
+    """
+
+    count: int
+    """Window rows covered (a prefix of the rows offered)."""
+    kept_before: list
+    """``kept_before[i]``: edge-filter survivors among window rows ``[0, i)``
+    — the slot of row ``i`` if it survived; ``count + 1`` entries."""
+    rows: np.ndarray
+    """The surviving rows, in order (slot ``s`` is ``rows[s]``)."""
+    raw: np.ndarray
+    """Concatenated raw sets at order position 2 (``_raw`` results)."""
+    raw_offsets: list
+    """Slot ``s`` owns ``raw[raw_offsets[s]:raw_offsets[s + 1]]``."""
+    raw_cycles: list
+    """Per-slot intersection + static-filter cycles (``_raw`` charge)."""
+    filtered: np.ndarray
+    """Concatenated ``filter_candidates(position=2)`` results."""
+    filtered_offsets: list
+    """Slot ``s`` owns ``filtered[filtered_offsets[s]:filtered_offsets[s + 1]]``."""
+    filter_cycles: list
+    """Per-slot ``filter_candidates`` charge."""
+    intersections: int
+    """Pairwise set intersections each slot performed (0 or 1)."""
+
+
 class KernelBackend(abc.ABC):
     """Pluggable candidate-computation kernel for the warp matcher."""
 
     #: Registry/config name (``"scalar"``, ``"vectorized"``).
     name: str = "base"
-    #: Whether the matcher should offer sync-window leaf batches.
+    #: Whether the matcher should offer batches at all (sync-window leaf
+    #: candidates, windows of initial rows).
     batched: bool = False
 
     def __init__(self, cache: Optional[IntersectionCache] = None) -> None:
@@ -136,5 +175,19 @@ class KernelBackend(abc.ABC):
         Return ``None`` to decline (unsupported list shape, empty batch) —
         the matcher then falls back to the per-candidate scalar path, which
         is always charge-identical.
+        """
+        return None
+
+    def prefix_block(
+        self, job: "MatchJob", rows: np.ndarray
+    ) -> Optional[PrefixBlock]:
+        """Level-2 expansion of a leading window of width-2 work ``rows``.
+
+        ``rows`` is the unclaimed remainder of the current work group; the
+        backend picks how many of them it covers (at least one chunk).
+        Return ``None`` to decline (an attached intersection cache,
+        label-pruned adjacency, too few rows) — the chunk then takes the
+        scalar path and the next one asks again.  Must not keep state on
+        the backend: instances are shared across concurrently running jobs.
         """
         return None

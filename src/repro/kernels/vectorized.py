@@ -22,6 +22,11 @@ list/seed), or all-fixed lists (the result is shared by every candidate and
 computed once through the exact scalar routine).  Anything else — three or
 more lists including a varying one, or label-pruned adjacency (EGSM's
 CT-index) — declines the batch and falls back to the scalar path.
+
+The same machinery serves the *other* end of an item: :meth:`VectorizedBackend.
+prefix_block` resolves the edge filter, the position-2 raw set and its
+selection filter for a window of consecutive initial rows in one pass, so
+the per-row work left in the matcher is a stack write and a charge.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.edge_filter import edge_mask
 from repro.core.intersect import intersect_sorted
 from repro.gpusim.costmodel import CostModel, WARP_SIZE
-from repro.kernels.base import KernelBackend, LeafBlock
+from repro.kernels.base import KernelBackend, LeafBlock, PrefixBlock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.warp_matcher import MatchJob, RunState
@@ -90,9 +96,87 @@ def _in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sorted_arr[pos] == values
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Segment bounds of a concatenation with per-segment ``counts``."""
+    offs = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offs[1:])
+    return offs
+
+
+def _gather_adjacency(graph, vertices: np.ndarray):
+    """Adjacency lists of ``vertices`` (int64) as one concatenated array.
+
+    Returns ``(cat, seg, degs)``: the CSR slices back to back, the index
+    into ``vertices`` each element belongs to, and the per-vertex lengths
+    (``np.repeat`` over ``row_ptr`` spans — no per-vertex calls).
+    """
+    row_ptr, col_idx = graph.row_ptr, graph.col_idx
+    n = int(vertices.size)
+    starts = row_ptr[vertices]
+    degs = row_ptr[vertices + 1] - starts
+    offs = _offsets(degs)
+    total = int(offs[-1])
+    if not total:
+        return (
+            np.empty(0, dtype=col_idx.dtype),
+            np.empty(0, dtype=np.int64),
+            degs,
+        )
+    gather = np.arange(total, dtype=np.int64) + np.repeat(
+        starts - offs[:-1], degs
+    )
+    return col_idx[gather], np.repeat(np.arange(n, dtype=np.int64), degs), degs
+
+
+def _static_filter_segments(
+    job: "MatchJob",
+    position: int,
+    vals: np.ndarray,
+    seg: np.ndarray,
+    counts: np.ndarray,
+    cycles: np.ndarray,
+):
+    """Segmented ``MatchJob._static_filter``: label / minimum-degree masks
+    over concatenated sets, charged only where a mask applies to a
+    non-empty set.  Returns the filtered ``(vals, seg, counts, cycles)``."""
+    plan, graph = job.plan, job.graph
+    labeled = plan.is_labeled and graph.is_labeled
+    need_degree = plan.degrees[position] > 1
+    if not (labeled or need_degree):
+        return vals, seg, counts, cycles
+    mask = None
+    if labeled:
+        mask = graph.labels[vals] == plan.labels[position]
+    if need_degree:
+        dmask = graph.degrees[vals] >= plan.degrees[position]
+        mask = dmask if mask is None else mask & dmask
+    seg = seg[mask]
+    cycles = cycles + np.where(
+        counts > 0, filter_cost_vec(job.cost, counts), 0
+    )
+    return vals[mask], seg, np.bincount(seg, minlength=counts.size), cycles
+
+
 # --------------------------------------------------------------------------- #
 # The backend
 # --------------------------------------------------------------------------- #
+
+#: Adjacency elements one prefix block gathers: the window is cut where the
+#: streamed (smaller) lists of its surviving rows add up to this, so a
+#: block stays a few hundred KB whatever the degrees are.  (The replay
+#: hands out views, so a block lives until the last warp that read a row
+#: of it overwrites its level 2 — at most one old block per warp.)
+PREFIX_VOLUME = 1 << 14
+
+#: Rows examined when sizing a window — bounds the sizing pass itself on
+#: low-degree graphs, where the volume cap alone would admit a whole group.
+PREFIX_MAX_ROWS = 4096
+
+#: Fewest offered rows worth a block: its few dozen NumPy calls cost what
+#: the scalar path spends on about ten rows (measured on dblp/P1), so
+#: smaller groups and group tails decline, like leaf batches under
+#: ``MIN_BATCH``.
+PREFIX_MIN_ROWS = 12
 
 
 class VectorizedBackend(KernelBackend):
@@ -195,6 +279,99 @@ class VectorizedBackend(KernelBackend):
                 fixed.append(job.adjacency(path[j], position))
         return self._varying_block(
             job, st, position, candidates, fixed, reuse_per_cand
+        )
+
+    # ------------------------------------------------------------------ #
+    # Level 2 of a window of initial rows
+    # ------------------------------------------------------------------ #
+
+    def prefix_block(
+        self, job: "MatchJob", rows: np.ndarray
+    ) -> Optional[PrefixBlock]:
+        if (
+            self.cache is not None
+            or not job.plain_adjacency
+            or len(rows) < PREFIX_MIN_ROWS
+        ):
+            # Cache hits change virtual time and depend on arrival order;
+            # label-pruned adjacency (EGSM) is not a CSR slice; a handful
+            # of rows is cheaper one by one.
+            return None
+        plan, graph, cost = job.plan, job.graph, job.cost
+        degrees = graph.degrees
+        backs = plan.backward[2]
+
+        # (1) Edge filter, then the window: as many leading rows as fit the
+        # gather budget, never less than one chunk.
+        head = rows[: max(PREFIX_MAX_ROWS, job.config.chunk_size)]
+        keep = edge_mask(graph, plan, head, job.config.enable_edge_filter)
+        streamed = degrees[head[:, backs[0]]]
+        if len(backs) == 2:
+            streamed = np.minimum(streamed, degrees[head[:, backs[1]]])
+        volume = np.cumsum(np.where(keep, streamed, 0))
+        count = int(np.searchsorted(volume, PREFIX_VOLUME, side="right"))
+        count = min(max(count, job.config.chunk_size), len(head))
+        keep = keep[:count]
+        kept = head[:count][keep]
+        m = len(kept)
+
+        # (2) Raw sets, as ``_intersect`` + ``_static_filter`` produce them.
+        first = kept[:, backs[0]].astype(np.int64)
+        if len(backs) == 1:
+            cat, seg, counts = _gather_adjacency(graph, first)
+            cycles = copy_cost_vec(cost, counts)
+        else:
+            second = kept[:, backs[1]].astype(np.int64)
+            d1, d2 = degrees[first], degrees[second]
+            swap = d1 > d2  # stream the smaller list; ties keep the first
+            cat, seg, d_small = _gather_adjacency(
+                graph, np.where(swap, second, first)
+            )
+            # ``x in N(big)`` is "(big, x) is a directed edge": one
+            # searchsorted against the graph's globally sorted edge keys.
+            if job.edge_keys is None:
+                edges = graph.directed_edge_array()
+                job.edge_keys = (
+                    edges[:, 0].astype(np.int64) * graph.num_vertices
+                    + edges[:, 1]
+                )
+            keys = job.edge_keys
+            probe = (
+                np.repeat(np.where(swap, first, second), d_small)
+                * graph.num_vertices
+                + cat
+            )
+            hit = keys.take(np.searchsorted(keys, probe), mode="clip") == probe
+            cat, seg = cat[hit], seg[hit]
+            counts = np.bincount(seg, minlength=m)
+            cycles = intersect_cost_vec(cost, d_small, np.maximum(d1, d2))
+        raw, seg, raw_counts, raw_cycles = _static_filter_segments(
+            job, 2, cat, seg, counts, cycles
+        )
+
+        # (3) ``filter_candidates(position=2)`` on those raw sets.  No
+        # label/degree re-check: ``raw`` passed the static filter, and
+        # adjacency members have degree >= 1 when the plan asks no more.
+        mask = (raw != np.repeat(kept[:, 0], raw_counts)) & (
+            raw != np.repeat(kept[:, 1], raw_counts)
+        )
+        cons = plan.constraints[2]
+        if cons:
+            bound = kept[:, cons[0]] if len(cons) == 1 else kept.max(axis=1)
+            mask &= raw > np.repeat(bound, raw_counts)
+        return PrefixBlock(
+            count=count,
+            kept_before=_offsets(keep).tolist(),
+            rows=kept,
+            raw=raw,
+            raw_offsets=_offsets(raw_counts).tolist(),
+            raw_cycles=raw_cycles.tolist(),
+            filtered=raw[mask],
+            filtered_offsets=_offsets(
+                np.bincount(seg[mask], minlength=m)
+            ).tolist(),
+            filter_cycles=self._leaf_cycle_base(job, 2, raw_counts).tolist(),
+            intersections=len(backs) - 1,
         )
 
     # ------------------------------------------------------------------ #
@@ -313,32 +490,18 @@ class VectorizedBackend(KernelBackend):
         reuse_per_cand: int,
     ) -> LeafBlock:
         cost = job.cost
-        plan, graph = job.plan, job.graph
+        plan = job.plan
         n = int(candidates.size)
-        row_ptr, col_idx = graph.row_ptr, graph.col_idx
 
         cand64 = candidates.astype(np.int64)
-        starts = row_ptr[cand64]
-        degs = row_ptr[cand64 + 1] - starts
-        offs = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degs, out=offs[1:])
-        total = int(offs[-1])
-        if total:
-            gather = np.arange(total, dtype=np.int64) + np.repeat(
-                starts - offs[:-1], degs
-            )
-            cat = col_idx[gather]
-            seg = np.repeat(np.arange(n, dtype=np.int64), degs)
-        else:
-            cat = np.empty(0, dtype=col_idx.dtype)
-            seg = np.empty(0, dtype=np.int64)
+        cat, seg, degs = _gather_adjacency(job.graph, cand64)
 
         intersections_per_cand = 0
         if fixed:
             base = fixed[0]
             intersections_per_cand = 1
             bs = int(base.size)
-            if bs and total:
+            if bs and cat.size:
                 hit = base.take(
                     np.searchsorted(base, cat), mode="clip"
                 ) == cat
@@ -376,30 +539,10 @@ class VectorizedBackend(KernelBackend):
             inter_counts = degs
             pre_cycles = copy_cost_vec(cost, degs)
 
-        # Static filters (label / minimum degree), charged only when a mask
-        # applies to a non-empty set — mirroring ``_static_filter``.
-        labeled = plan.is_labeled and graph.is_labeled
-        need_degree = plan.degrees[position] > 1
-        if labeled or need_degree:
-            smask = None
-            if labeled:
-                smask = graph.labels[kept] == plan.labels[position]
-            if need_degree:
-                dmask = graph.degrees[kept] >= plan.degrees[position]
-                smask = dmask if smask is None else smask & dmask
-            raw_cat = kept[smask]
-            raw_seg = kseg[smask]
-            raw_counts = np.bincount(raw_seg, minlength=n)
-            pre_cycles = pre_cycles + np.where(
-                inter_counts > 0, filter_cost_vec(cost, inter_counts), 0
-            )
-        else:
-            raw_cat = kept
-            raw_seg = kseg
-            raw_counts = inter_counts
-
-        raw_offs = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(raw_counts, out=raw_offs[1:])
+        raw_cat, raw_seg, raw_counts, pre_cycles = _static_filter_segments(
+            job, position, kept, kseg, inter_counts, pre_cycles
+        )
+        raw_offs = _offsets(raw_counts)
 
         # Leaf selection filters over the concatenated raw sets.  No
         # label/degree re-check: ``raw_cat`` already passed the static

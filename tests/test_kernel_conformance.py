@@ -15,6 +15,11 @@ stacks, the non-T-DFS engines, and empty/degenerate frontiers.  White-box
 tests force block engagement with ``VectorizedBackend(min_batch=1)`` so
 tiny graphs still cover the batched path, and pin the
 ``intersect_sorted`` out-of-range clamp.
+
+The prefix-block suites at the end cover the other end of an item
+(``VectorizedBackend.prefix_block``): row by row against ``edge_mask`` /
+``_raw`` / ``filter_candidates``, end to end with windows that chunks
+straddle, and one test per documented decline.
 """
 
 from __future__ import annotations
@@ -22,24 +27,38 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import TDFSConfig, from_edges, match
+from repro import FaultPlan, RetryPolicy, TDFSConfig, from_edges, get_pattern, match
+from repro.alloc.stack import WarpStack, array_level_factory
+from repro.core.candidates import filter_candidates
 from repro.core.config import StackMode, Strategy
+from repro.core.edge_filter import edge_mask
+from repro.core.engine import TDFSEngine
 from repro.core.intersect import intersect_sorted
+from repro.core.warp_matcher import MatchJob, RunState
 from repro.errors import ReproError
+from repro.faults.recovery import snapshot_pending_work
+from repro.gpusim.device import VirtualGPU
 from repro.graph.builder import relabel_random
 from repro.kernels import (
     BACKEND_NAMES,
+    IntersectionCache,
     ScalarBackend,
     VectorizedBackend,
     available_backends,
     make_backend,
     resolve_backend,
 )
+from repro.kernels.vectorized import PREFIX_MIN_ROWS
+from repro.obs import Observability
+from repro.query.pattern import QueryGraph
+from repro.query.plan import compile_plan
+from repro.taskqueue.tasks import PLACEHOLDER
 from tests.fuzz import (  # shared case space (see tests/fuzz.py)
     FAST,
     SEED_BASE,
     STEAL,
     case_graph,
+    case_labeled_graph,
     case_query,
 )
 
@@ -305,3 +324,370 @@ class TestBackendRegistry:
         backend = ScalarBackend()
         assert backend.batched is False
         assert backend.block_threshold(None, None, 3) == 0
+
+
+# --------------------------------------------------------------------------- #
+# Level-2 prefix blocks (VectorizedBackend.prefix_block)
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture()
+def small_windows(monkeypatch):
+    """Prefix-block windows of 13 rows: smaller than any group here and a
+    multiple of no chunk size the tests use, so chunks straddle windows."""
+    from repro.kernels import vectorized
+
+    monkeypatch.setattr(vectorized, "PREFIX_MAX_ROWS", 13)
+
+
+#: A wedge reads one adjacency list at position 2 (the copy path), a
+#: triangle two — and both make position 2 the leaf.
+WEDGE = QueryGraph(3, [(0, 1), (1, 2)], name="wedge")
+TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
+PREFIX_QUERIES = [get_pattern(p) for p in ("P1", "P2", "P3", "P5", "P7")] + [
+    WEDGE,
+    TRIANGLE,
+]
+
+
+def _direct_job(graph, query, config, backend):
+    """A bare :class:`MatchJob` over every directed edge (no engine)."""
+    plan = compile_plan(query)
+    return MatchJob(
+        graph=graph,
+        plan=plan,
+        config=config,
+        gpu=VirtualGPU(num_warps=1, memory_bytes=1 << 24),
+        groups=[(graph.directed_edge_array(), 2)],
+        queue=None,
+        level_factory=array_level_factory(max(graph.max_degree, 1)),
+        backend=backend,
+    )
+
+
+class TestPrefixBlockRows:
+    """Row by row, a block holds exactly what the scalar functions return."""
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("case", range(2))
+    def test_block_equals_scalar_per_row(self, case, labeled, monkeypatch):
+        from repro.kernels import vectorized
+
+        # Several windows per graph, cut by volume at uneven row counts.
+        monkeypatch.setattr(vectorized, "PREFIX_VOLUME", 97)
+        seed = SEED_BASE + 1200 + case
+        graph = case_labeled_graph(seed, 3) if labeled else case_graph(seed)
+        checked = 0
+        for query in PREFIX_QUERIES:
+            if labeled:
+                query = query.with_labels(
+                    [(seed + u) % 3 for u in range(query.num_vertices)]
+                )
+            for removal in (False, True):
+                for prune in (False, True):
+                    cfg = FAST.replace(
+                        stmatch_removal=removal, enable_edge_filter=prune
+                    )
+                    checked += self._check_rows(graph, query, cfg)
+        assert checked, "no row survived the edge filter anywhere in the case"
+
+    @staticmethod
+    def _check_rows(graph, query, cfg) -> int:
+        job = _direct_job(graph, query, cfg, VectorizedBackend())
+        plan, cost = job.plan, job.cost
+        k = plan.num_levels
+        st = RunState(k, WarpStack(k, job.level_factory))
+        st.valid_from = 2
+        rows = graph.directed_edge_array()
+        lo = kept_rows = 0
+        while lo < len(rows):
+            block = job.backend.prefix_block(job, rows[lo:])
+            if block is None:  # a tail too short to be worth a block
+                assert len(rows) - lo < PREFIX_MIN_ROWS
+                break
+            assert cfg.chunk_size <= block.count or lo + block.count == len(rows)
+            window = rows[lo : lo + block.count]
+            keep = edge_mask(graph, plan, window, cfg.enable_edge_filter)
+            assert np.diff(block.kept_before).tolist() == keep.astype(int).tolist()
+            assert np.array_equal(block.rows, window[keep])
+            for slot, row in enumerate(window[keep]):
+                st.path[0], st.path[1] = int(row[0]), int(row[1])
+                before = job.intersections
+                raw, raw_cycles = job._raw(st, 2)
+                got = block.raw[block.raw_offsets[slot] : block.raw_offsets[slot + 1]]
+                assert got.dtype == raw.dtype and np.array_equal(got, raw)
+                assert block.raw_cycles[slot] == raw_cycles
+                assert block.intersections == job.intersections - before
+                want, filter_cycles = filter_candidates(
+                    graph, plan, st.path, 2, raw, cost, cfg.stmatch_removal
+                )
+                offs = block.filtered_offsets
+                assert np.array_equal(
+                    block.filtered[offs[slot] : offs[slot + 1]], want
+                )
+                assert block.filter_cycles[slot] == filter_cycles
+                assert type(block.raw_cycles[slot]) is int
+                assert type(block.filter_cycles[slot]) is int
+            kept_rows += int(keep.sum())
+            lo += block.count
+        return kept_rows
+
+
+class TestPrefixBlockEndToEnd:
+    """Whole runs with chunks straddling 13-row windows."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 3, 8, 16])  # 16 > the window
+    @pytest.mark.parametrize(
+        "strategy",
+        [Strategy.TIMEOUT, Strategy.HALF_STEAL, Strategy.NEW_KERNEL, Strategy.NONE],
+    )
+    def test_strategies_and_stack_modes(self, strategy, chunk_size, small_windows):
+        seed = SEED_BASE + 1300 + chunk_size
+        graph, query = case_graph(seed), case_query(seed)
+        for mode in StackMode:
+            cfg = TDFSConfig(
+                num_warps=8,
+                strategy=strategy,
+                chunk_size=chunk_size,
+                tau_cycles=600,
+                stack_mode=mode,
+                new_kernel_fanout=4,
+            )
+            assert_conformant(graph, query, cfg, label=f"{strategy.value}/{mode.value}")
+
+    @pytest.mark.parametrize("query", ["P2", "P3", TRIANGLE], ids=str)
+    def test_truncation_at_level_two(self, query, small_plc, small_windows):
+        # Capacity 2 cuts most position-2 sets: the replay must rescan what
+        # was stored (k > 3) or count it (k == 3), exactly as scalar does.
+        cfg = FAST.replace(
+            stack_mode=StackMode.ARRAY_FIXED,
+            fixed_capacity=2,
+            truncate_on_overflow=True,
+            chunk_size=3,
+        )
+        scalar, vec = assert_conformant(small_plc, query, cfg, label="trunc-l2")
+        assert scalar.overflowed and vec.overflowed
+        exact = match(small_plc, query, engine="cpu").count
+        assert scalar.count != exact  # the truncation really bit
+
+    def test_overflow_raises_on_the_same_row(self, small_plc, small_windows):
+        cfg = FAST.replace(
+            stack_mode=StackMode.ARRAY_FIXED,
+            fixed_capacity=2,
+            truncate_on_overflow=False,
+            chunk_size=3,
+        )
+        scalar, vec = assert_conformant(small_plc, "P2", cfg, label="raise-l2")
+        assert scalar.error is not None
+        assert str(scalar.error) == str(vec.error)
+        assert scalar.chunks_fetched == vec.chunks_fetched
+
+    @pytest.mark.parametrize("query", ["P3", TRIANGLE], ids=str)
+    def test_spans_identical_with_tracing_on(self, query, small_plc, small_windows):
+        spans = {}
+        for name in ("scalar", "vectorized"):
+            obs = Observability(tracing=True)
+            cfg = STEAL.replace(chunk_size=3, kernel_backend=name, obs=obs)
+            match(small_plc, query, config=cfg)
+            spans[name] = obs.tracer.spans()
+        assert spans["scalar"] == spans["vectorized"]
+        assert any(s["name"] == "intersect" for s in spans["scalar"])
+
+    @pytest.mark.parametrize("fault_seed", range(3))
+    def test_fault_plan_with_retry(self, fault_seed, small_plc, small_windows):
+        cfg = TDFSConfig(
+            num_warps=8,
+            chunk_size=3,
+            fault_plan=FaultPlan.seeded(SEED_BASE + fault_seed),
+            retry=RetryPolicy(max_attempts=4),
+        )
+        scalar, vec = assert_conformant(small_plc, "P2", cfg, label="faults")
+        assert scalar.recovery.to_dict() == vec.recovery.to_dict()
+        assert scalar.recovery.faults_injected > 0
+
+    def test_checkpoint_cuts_through_a_window(self, small_plc, small_windows):
+        """A snapshot taken while the cursor is inside a window resumes to
+        the uninterrupted count, and the resumed runs conform too."""
+        full = match(small_plc, "P2", config=FAST).count
+        snaps = {}
+        for name in ("scalar", "vectorized"):
+            taken = []
+
+            def hook(job, now, taken=taken):
+                inside = job._block is None or job._cursor > job._block_lo
+                if not taken and job._cursor and inside:
+                    mid_window = (
+                        job._block is not None
+                        and job._cursor < job._block_lo + job._block.count
+                    )
+                    taken.append(
+                        (snapshot_pending_work(job), job.count, now, mid_window)
+                    )
+
+            cfg = FAST.replace(
+                chunk_size=3,
+                kernel_backend=name,
+                checkpoint_every_events=40,
+                checkpoint_hook=hook,
+            )
+            assert match(small_plc, "P2", config=cfg).count == full
+            snaps[name] = taken[0]
+        groups, base, now, _ = snaps["scalar"]
+        vgroups, vbase, vnow, mid_window = snaps["vectorized"]
+        assert mid_window, "the checkpoint did not land inside a window"
+        assert (base, now) == (vbase, vnow)
+        assert [(r.tolist(), w) for r, w in groups] == [
+            (r.tolist(), w) for r, w in vgroups
+        ]
+        resumed = {}
+        for name in ("scalar", "vectorized"):
+            engine = TDFSEngine(FAST.replace(chunk_size=3, kernel_backend=name))
+            resumed[name] = engine.run_resume(
+                small_plc, get_pattern("P2"), groups, base_count=base
+            )
+            assert resumed[name].count == full
+        for f in CONFORMANCE_FIELDS:
+            assert getattr(resumed["scalar"], f) == getattr(resumed["vectorized"], f)
+
+    def test_shared_backend_two_threads(self, small_plc, small_er):
+        """The serve configuration: one backend instance, two concurrent
+        jobs — block state lives on the job, so neither sees the other's."""
+        import sys
+        import threading
+
+        backend = VectorizedBackend()
+        cells = [(small_plc, "P2"), (small_er, "P1")]
+        want = [
+            match(g, p, config=FAST.replace(kernel_backend="scalar")) for g, p in cells
+        ]
+        got: list = [None, None]
+
+        def work(i):
+            for _ in range(3):
+                g, p = cells[i]
+                got[i] = match(g, p, config=FAST.replace(kernel_backend=backend))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for w, g in zip(want, got):
+            for f in CONFORMANCE_FIELDS:
+                assert getattr(w, f) == getattr(g, f)
+
+
+class _SpyBackend(VectorizedBackend):
+    """Records every prefix-block offer and what came back."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.offers = []
+
+    def prefix_block(self, job, rows):
+        block = super().prefix_block(job, rows)
+        self.offers.append(block)
+        return block
+
+
+class TestPrefixBlockDeclines:
+    """Each documented decline takes the scalar path and still conforms."""
+
+    def _run(self, graph, query, config, backend, engine="tdfs"):
+        scalar = match(
+            graph, query, engine=engine, config=config.replace(kernel_backend="scalar")
+        )
+        vec = match(
+            graph, query, engine=engine, config=config.replace(kernel_backend=backend)
+        )
+        for f in CONFORMANCE_FIELDS:
+            assert getattr(scalar, f) == getattr(vec, f), f
+        return vec
+
+    def test_engaged_by_default(self, small_plc):
+        spy = _SpyBackend()
+        self._run(small_plc, "P2", FAST, spy)
+        assert spy.offers and all(b is not None for b in spy.offers)
+        assert sum(b.count for b in spy.offers) >= small_plc.num_directed_edges
+
+    def test_small_groups_decline(self, small_plc):
+        # A handful of rows (a dynamic anchor run, a small recovery
+        # snapshot) is cheaper row by row than through a block.
+        rows = small_plc.directed_edge_array()[:9]
+        results = {}
+        for name, backend in (("scalar", "scalar"), ("vec", _SpyBackend())):
+            engine = TDFSEngine(FAST.replace(kernel_backend=backend))
+            results[name] = engine.run_resume(
+                small_plc, get_pattern("P2"), [(rows, 2)]
+            )
+        for f in CONFORMANCE_FIELDS:
+            assert getattr(results["scalar"], f) == getattr(results["vec"], f), f
+        assert backend.offers and all(b is None for b in backend.offers)
+
+    def test_attached_cache_declines(self, small_plc):
+        # Scalar runs with its own cold cache of the same size, so hits and
+        # their copy charges line up.
+        spy = _SpyBackend(cache=IntersectionCache(256))
+        scalar = match(
+            small_plc, "P2",
+            config=FAST.replace(kernel_backend="scalar", kernel_cache_entries=256),
+        )
+        vec = match(small_plc, "P2", config=FAST.replace(kernel_backend=spy))
+        for f in CONFORMANCE_FIELDS:
+            assert getattr(scalar, f) == getattr(vec, f), f
+        assert spy.offers and all(b is None for b in spy.offers)
+
+    def test_egsm_labeled_declines(self, small_plc):
+        graph = relabel_random(small_plc, 3, seed=5)
+        query = get_pattern("P2").with_labels([0, 1, 2, 0])
+        spy = _SpyBackend()
+        self._run(graph, query, FAST, spy, engine="egsm")
+        assert spy.offers and all(b is None for b in spy.offers)
+
+    def test_wider_groups_are_never_offered(self, small_plc):
+        spy = _SpyBackend()
+        vec = self._run(small_plc, "P7", FAST, spy, engine="hybrid")
+        assert vec.count == match(small_plc, "P7", engine="cpu").count
+        assert spy.offers == []
+
+    def test_host_prefiltered_rows_are_never_offered(self, small_plc):
+        spy = _SpyBackend()
+        self._run(small_plc, "P2", FAST, spy, engine="stmatch")
+        assert spy.offers == []
+
+    def test_two_vertex_query_is_never_offered(self, small_plc):
+        spy = _SpyBackend()
+        self._run(small_plc, QueryGraph(2, [(0, 1)], name="edge"), FAST, spy)
+        assert spy.offers == []
+
+    def test_queue_tasks_take_the_scalar_path(self, straggler_graph, monkeypatch):
+        seen = {"edge_tasks": 0, "scalar_level2": 0, "block_level2": 0}
+        process_task, fill_level = MatchJob._process_task, MatchJob._fill_level
+
+        def spy_task(self, warp, st, task):
+            seen["edge_tasks"] += task.v3 == PLACEHOLDER
+            return process_task(self, warp, st, task)
+
+        def spy_fill(self, warp, st, pos, block, slot):
+            if pos == 2:
+                seen["block_level2" if block is not None else "scalar_level2"] += 1
+            return fill_level(self, warp, st, pos, block, slot)
+
+        cfg = TDFSConfig(num_warps=8, tau_cycles=300, chunk_size=8)
+        scalar = match(
+            straggler_graph, "P2", config=cfg.replace(kernel_backend="scalar")
+        )
+        monkeypatch.setattr(MatchJob, "_process_task", spy_task)
+        monkeypatch.setattr(MatchJob, "_fill_level", spy_fill)
+        vec = match(straggler_graph, "P2", config=cfg)
+        for f in CONFORMANCE_FIELDS:
+            assert getattr(scalar, f) == getattr(vec, f), f
+        assert seen["edge_tasks"] > 0
+        assert seen["scalar_level2"] == seen["edge_tasks"]
+        assert seen["block_level2"] > 0
