@@ -392,11 +392,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         delta = [(0, graph.num_vertices - 1 - i) for i in range(3)]
         service.apply_edges(args.dataset, add=delta)
         updated = service.graph(args.dataset)
+        followups = [
+            service.query(args.dataset, p, engine=args.engine) for p in patterns
+        ]
         update_ok = all(
-            service.query(args.dataset, p, engine=args.engine).count
+            r.count
             == match(updated, p, engine=args.engine, config=match_config).count
-            for p in patterns
+            for p, r in zip(patterns, followups)
         )
+        # No planner, so no plan depends on the graph: none is recompiled.
+        plans_kept = all(r.plan_cache_hit for r in followups)
+        plan_cache = service.cache_stats()["plan_cache"]
 
         snap = service.snapshot()
         completed = snap["counters"]["completed"]
@@ -417,12 +423,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"({completed - compiles}/{completed} requests reused a plan)"
     )
     print(
+        f"plans kept across apply_edges : {'yes' if plans_kept else 'NO'} (plan "
+        f"cache: {plan_cache['hits']} hits, {plan_cache['misses']} misses)"
+    )
+    print(
         f"mean latency                  : {cached_mean:.3f} ms cached vs "
         f"{uncached_mean:.3f} ms uncached"
     )
     ok = (
         counts_ok
         and update_ok
+        and plans_kept
         and plan_hit_rate > 0.9
         and cached_mean < uncached_mean
     )

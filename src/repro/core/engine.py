@@ -579,12 +579,18 @@ class TDFSEngine:
         gpu.launch(job.warp_body, at=start_time)
         gpu.scheduler.run(max_events=cfg.max_events)
 
-        # ----- fold the run into the result ----------------------------- #
         result.count = job.count
         if collect_matches:
             result.matches = self._reindex_matches(plan, job.collected)
         result.elapsed_cycles = gpu.finish_time
         result.num_gpus = 1
+        self._account(result, job, gpu, queue, allocator, backend, obs)
+
+    def _account(self, result, job, gpu, queue, allocator, backend, obs) -> None:
+        """Hook: fold the finished run's statistics — everything but the
+        count, the matches and the elapsed cycles — into ``result`` and
+        publish them into the obs registry.  A caller that reads none of
+        them (the incremental matcher's anchored runs) overrides this."""
         result.overflowed = job.overflowed()
         agg = gpu.total_stats()
         result.busy_cycles = agg.busy_cycles
@@ -613,7 +619,6 @@ class TDFSEngine:
         if allocator is not None:
             mem.pages_allocated = allocator.peak_in_use
 
-        # ----- publish into the obs registry ----------------------------- #
         reg = obs.registry
         reg.counter("engine.matches").inc(job.count)
         reg.counter("engine.intersections").inc(job.intersections)
@@ -703,19 +708,21 @@ def make_engine(name: str, config: Optional[TDFSConfig] = None):
     return engines[name](config)
 
 
-def _engine_registry():
-    """Engine name → constructor map (lazy imports avoid cycles)."""
-    from repro.baselines.cpu import CPUEngine
-    from repro.baselines.egsm import EGSMEngine
-    from repro.baselines.pbe import PBEEngine
-    from repro.baselines.stmatch import STMatchEngine
-    from repro.core.hybrid import HybridEngine
+#: Engine name → class, filled on first use (the baseline modules import
+#: this one, so they cannot be imported when it loads).
+_ENGINES: dict[str, type] = {}
 
-    return {
-        "tdfs": lambda cfg: TDFSEngine(cfg),
-        "stmatch": lambda cfg: STMatchEngine(cfg),
-        "egsm": lambda cfg: EGSMEngine(cfg),
-        "pbe": lambda cfg: PBEEngine(cfg),
-        "cpu": lambda cfg: CPUEngine(cfg),
-        "hybrid": lambda cfg: HybridEngine(cfg),
-    }
+
+def _engine_registry() -> dict[str, type]:
+    if not _ENGINES:
+        from repro.baselines.cpu import CPUEngine
+        from repro.baselines.egsm import EGSMEngine
+        from repro.baselines.pbe import PBEEngine
+        from repro.baselines.stmatch import STMatchEngine
+        from repro.core.hybrid import HybridEngine
+
+        _ENGINES.update(
+            tdfs=TDFSEngine, stmatch=STMatchEngine, egsm=EGSMEngine,
+            pbe=PBEEngine, cpu=CPUEngine, hybrid=HybridEngine,
+        )
+    return _ENGINES

@@ -54,7 +54,9 @@ from repro.graph.csr import CSRGraph
 from repro.obs.ops import ops_tracer
 from repro.query.ordering import anchored_matching_order
 from repro.query.pattern import QueryGraph
+from repro.query.patterns import get_pattern
 from repro.query.plan import MatchingPlan, compile_plan
+from repro.query.symmetry import automorphism_group_size
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,34 @@ class _AnchorFallback(Exception):
         super().__init__(reason)
 
 
+class _AnchorEngine(TDFSEngine):
+    """The unmodified engine, minus the per-run statistics: an anchored run
+    is read for its count, matches and elapsed cycles only."""
+
+    def _account(self, *run) -> None:
+        pass
+
+
+def _anchored_plan(query: QueryGraph, a: int, b: int, reuse: bool) -> MatchingPlan:
+    """The plan of the anchored runs for query edge ``(a, b)``: matching
+    order starting ``[a, b, ...]``, symmetry breaking off.  A constant of
+    the (immutable) query, so compiled once and kept on it — a delta
+    compiles nothing."""
+    try:
+        plans = query._anchored_plans
+    except AttributeError:
+        plans = query._anchored_plans = {}
+    key = (a, b, reuse)
+    if key not in plans:
+        plans[key] = compile_plan(
+            query,
+            order=anchored_matching_order(query, a, b),
+            enable_symmetry=False,
+            enable_reuse=reuse,
+        )
+    return plans[key]
+
+
 class IncrementalMatcher:
     """Counts ``count(G')`` from ``count(G)`` plus delta-anchored runs.
 
@@ -149,8 +179,6 @@ class IncrementalMatcher:
         """
         t0 = time.perf_counter()
         if isinstance(query, str):
-            from repro.query.patterns import get_pattern
-
             query = get_pattern(query)
         if isinstance(query, MatchingPlan):
             query = query.query
@@ -163,13 +191,14 @@ class IncrementalMatcher:
         if net.size > self.inc.max_delta_edges:
             return self._fallback(new_graph, query, out, "delta-too-large", t0)
         ctx = self.config.trace_context
+        engine = self._anchor_engine()
         with ops_tracer(ctx).span("delta.count", parent=ctx) as span:
             try:
                 lost_emb, lost_tasks, lost_cycles = self._affected(
-                    old_graph, net.removed, query, ctx, side="removed"
+                    engine, old_graph, net.removed, query, ctx, side="removed"
                 )
                 gained_emb, gained_tasks, gained_cycles = self._affected(
-                    new_graph, net.added, query, ctx, side="added"
+                    engine, new_graph, net.added, query, ctx, side="added"
                 )
             except _AnchorFallback as exc:
                 span.tags["fallback"] = exc.reason
@@ -190,26 +219,30 @@ class IncrementalMatcher:
 
     # ------------------------------------------------------------------ #
 
-    def _anchor_config(self, ctx=None) -> TDFSConfig:
-        """Engine config for anchored runs: single-device, no recovery
-        machinery, symmetry handled at plan level.  ``ctx`` (an ops
-        :class:`~repro.obs.TraceContext` child) replaces the caller's trace
-        identity so anchored sub-runs parent to the delta span."""
-        return self.config.replace(
-            shards=1,
-            num_gpus=1,
-            planner=None,
-            retry=None,
-            fault_plan=None,
-            obs=None,
-            checkpoint_every_events=0,
-            checkpoint_hook=None,
-            enable_symmetry=False,
-            trace_context=ctx,
+    def _anchor_engine(self) -> _AnchorEngine:
+        """The engine every anchored run of one delta goes through:
+        single-device, no recovery machinery, no trace identity (nothing
+        below a single in-process device reads one), symmetry handled at
+        plan level.  An engine keeps no state between runs, so each run
+        still starts a fresh device at virtual time 0."""
+        return _AnchorEngine(
+            self.config.replace(
+                shards=1,
+                num_gpus=1,
+                planner=None,
+                retry=None,
+                fault_plan=None,
+                obs=None,
+                checkpoint_every_events=0,
+                checkpoint_hook=None,
+                enable_symmetry=False,
+                trace_context=None,
+            )
         )
 
     def _affected(
         self,
+        engine: _AnchorEngine,
         graph: CSRGraph,
         pairs: np.ndarray,
         query: QueryGraph,
@@ -224,9 +257,8 @@ class IncrementalMatcher:
         """
         if len(pairs) == 0:
             return set(), 0, 0
-        run_cfg = self._anchor_config()
         cap = self.inc.max_anchor_matches
-        rows = np.concatenate([pairs, pairs[:, ::-1]]).astype(np.int64)
+        groups = [(np.concatenate([pairs, pairs[:, ::-1]]).astype(np.int64), 2)]
         embeddings: set = set()
         tasks = 0
         cycles = 0
@@ -234,19 +266,9 @@ class IncrementalMatcher:
             "delta.affected", parent=ctx, side=side, edges=len(pairs)
         ) as span:
             for a, b in query.edges():
-                order = anchored_matching_order(query, a, b)
-                plan = compile_plan(
-                    query,
-                    order=order,
-                    enable_symmetry=False,
-                    enable_reuse=run_cfg.enable_reuse,
-                )
-                cfg = run_cfg
-                if ctx is not None:
-                    cfg = self._anchor_config(ctx.child(anchor=f"{a}-{b}", side=side))
-                engine = TDFSEngine(cfg)
+                plan = _anchored_plan(query, a, b, engine.config.enable_reuse)
                 result = engine._run_single(
-                    graph, plan, [(rows, 2)], "gpu0", collect_matches=cap
+                    graph, plan, groups, "gpu0", collect_matches=cap
                 )
                 if result.error is not None:
                     raise _AnchorFallback(f"anchor-error ({result.error})")
@@ -254,7 +276,7 @@ class IncrementalMatcher:
                 if result.count > len(found):
                     raise _AnchorFallback("anchor-overflow")
                 embeddings.update(found)
-                tasks += len(rows)
+                tasks += 2 * len(pairs)
                 cycles += result.elapsed_cycles
             span.tags.update(embeddings=len(embeddings), tasks=tasks)
         return embeddings, tasks, cycles
@@ -263,8 +285,6 @@ class IncrementalMatcher:
         """Raw affected embeddings → counts in the caller's semantics."""
         if not self.config.enable_symmetry:
             return num_embeddings
-        from repro.query.symmetry import automorphism_group_size
-
         aut = automorphism_group_size(query)
         if num_embeddings % aut:
             # The affected set is Aut-closed, so this cannot happen unless
@@ -311,8 +331,6 @@ class IncrementalMatcher:
         cycle figure is the anchored runs' total — the work actually done —
         not what a from-scratch run would have cost.
         """
-        from repro.query.symmetry import automorphism_group_size
-
         result = MatchResult(
             engine="tdfs",
             graph_name=new_graph.name,

@@ -25,6 +25,7 @@ evaluates nothing else.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -40,8 +41,20 @@ __all__ = [
 ]
 
 
+def _seed_ids() -> None:
+    """Ids count up from a per-process random origin — unique like random
+    ones, without a ``urandom`` read per id.  A forked child re-seeds, or
+    it would continue its parent's sequence."""
+    global _next_id
+    _next_id = itertools.count(int.from_bytes(os.urandom(8), "big")).__next__
+
+
+_seed_ids()
+os.register_at_fork(after_in_child=_seed_ids)
+
+
 def _hex_id(nbytes: int) -> str:
-    return os.urandom(nbytes).hex()
+    return f"{_next_id() & ((1 << 8 * nbytes) - 1):0{2 * nbytes}x}"
 
 
 @dataclass(frozen=True)
@@ -152,9 +165,10 @@ class _OpenSpan:
         self.tags = tags
 
     def to_span(self, **tags) -> dict:
+        if self.tags:
+            tags = {**self.tags, **tags}
         return make_span(
-            self.name, self.ctx, self.start_ms, time.time() * 1000.0,
-            **{**self.tags, **tags},
+            self.name, self.ctx, self.start_ms, time.time() * 1000.0, **tags
         )
 
     def finish(self, **tags) -> Optional[dict]:

@@ -28,7 +28,12 @@ class QueryGraph:
         Pattern name (``"P4"`` etc.) used in reports.
     """
 
-    __slots__ = ("num_vertices", "adj", "labels", "name", "_edges")
+    # The last three are constants of the (immutable) structure, unset until
+    # first computed: serve's fingerprint, |Aut|, dynamic's anchored plans.
+    __slots__ = (
+        "num_vertices", "adj", "labels", "name", "_edges",
+        "_fingerprint", "_aut_size", "_anchored_plans",
+    )
 
     def __init__(
         self,

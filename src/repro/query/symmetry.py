@@ -75,8 +75,13 @@ def automorphisms(query: QueryGraph) -> list[tuple[int, ...]]:
 
 
 def automorphism_group_size(query: QueryGraph) -> int:
-    """``|Aut(G_Q)|`` — the redundancy factor without symmetry breaking."""
-    return len(automorphisms(query))
+    """``|Aut(G_Q)|`` — the redundancy factor without symmetry breaking.
+    A constant of the (immutable) query: enumerated once, kept on it."""
+    try:
+        return query._aut_size
+    except AttributeError:
+        query._aut_size = len(automorphisms(query))
+        return query._aut_size
 
 
 def symmetry_breaking_constraints(

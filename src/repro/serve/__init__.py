@@ -6,7 +6,8 @@ A long-lived serving layer for repeated queries against evolving graphs:
   blocking ``query()`` convenience wrapper;
 * plan + result caches keyed by ``(graph_id, graph_version,
   plan_fingerprint, engine, config_fingerprint)`` with version-based lazy
-  invalidation (:mod:`repro.serve.cache`);
+  invalidation — graph and version only where the entry depends on them
+  (:mod:`repro.serve.cache`);
 * bounded admission queue with priority shedding and micro-batching
   (:mod:`repro.serve.batcher`);
 * a worker pool with per-thread engine ownership and deadline enforcement

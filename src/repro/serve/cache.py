@@ -11,13 +11,15 @@ MatchService` bumps a graph's version on every ``update_graph`` /
 addressable and age out of the LRU — batch-dynamic edge updates can never
 serve a stale count, and no eager scan of the cache is required.
 :meth:`LRUCache.invalidate_graph` is available for eager eviction when
-memory pressure matters more than update latency.
+memory pressure matters more than update latency.  A plan compiled
+without a planner depends on no graph, so its key names none
+(:func:`plan_key`) and it survives every update.
 
 Fingerprints are content hashes (SHA-256, truncated): two structurally
 identical queries hit the same plan-cache entry regardless of object
 identity or pattern name, and two configs that differ only in fields that
 cannot change a result (cost model, tracing, fault plan, event budget) map
-to the same fingerprint.
+to the same fingerprint.  Each is computed once per object.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ class CacheStats:
 class LRUCache:
     """A thread-safe LRU map with hit/miss/eviction counters.
 
-    Keys are tuples whose first element is the ``graph_id`` (see
-    :func:`plan_key` / :func:`result_key`), which is what makes
-    :meth:`invalidate_graph` possible without a reverse index.
+    Keys are tuples whose first element is the ``graph_id`` they depend on
+    or ``None`` (see :func:`plan_key` / :func:`result_key`), which is what
+    makes :meth:`invalidate_graph` possible without a reverse index.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -167,6 +169,19 @@ def _digest(payload: tuple) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
 
 
+def _fingerprint_once(obj, payload) -> str:
+    """``_digest(payload(obj))``, computed on first use and kept on ``obj``:
+    configs are frozen and queries / plans immutable after construction, so
+    a request pays an attribute read, not a field walk and a SHA-256.
+    ``replace()`` yields a new object; the memo dies with its object."""
+    try:
+        return obj._fingerprint
+    except AttributeError:
+        fp = _digest(payload(obj))
+        object.__setattr__(obj, "_fingerprint", fp)
+        return fp
+
+
 def plan_fingerprint(query: Union[QueryGraph, MatchingPlan]) -> str:
     """Content fingerprint of a query pattern (or precompiled plan).
 
@@ -176,9 +191,13 @@ def plan_fingerprint(query: Union[QueryGraph, MatchingPlan]) -> str:
     matching order and optimization flags, since those are fixed in the
     plan rather than derived from the engine config.
     """
+    return _fingerprint_once(query, _plan_payload)
+
+
+def _plan_payload(query: Union[QueryGraph, MatchingPlan]) -> tuple:
     if isinstance(query, MatchingPlan):
         q = query.query
-        payload = (
+        return (
             "plan",
             q.num_vertices,
             tuple(q.edges()),
@@ -187,9 +206,7 @@ def plan_fingerprint(query: Union[QueryGraph, MatchingPlan]) -> str:
             query.symmetry_enabled,
             query.reuse_enabled,
         )
-    else:
-        payload = ("query", query.num_vertices, tuple(query.edges()), query.labels)
-    return _digest(payload)
+    return ("query", query.num_vertices, tuple(query.edges()), query.labels)
 
 
 #: Config fields excluded from the fingerprint: they cannot change what a
@@ -221,6 +238,10 @@ _CONFIG_FP_SKIP = frozenset(
 
 def config_fingerprint(config: TDFSConfig) -> str:
     """Stable fingerprint over the result-relevant fields of a config."""
+    return _fingerprint_once(config, _config_payload)
+
+
+def _config_payload(config: TDFSConfig) -> tuple:
     parts = []
     for f in fields(config):
         if f.name in _CONFIG_FP_SKIP:
@@ -236,7 +257,7 @@ def config_fingerprint(config: TDFSConfig) -> str:
             # backend that actually produced them.
             value = getattr(value, "name", value)
         parts.append((f.name, value))
-    return _digest(tuple(parts))
+    return tuple(parts)
 
 
 def plan_key(
@@ -245,9 +266,20 @@ def plan_key(
     plan_fp: str,
     engine: str,
     config_fp: str,
+    planned: bool = True,
 ) -> tuple:
-    """Key of one plan-cache entry."""
-    return (graph_id, graph_version, plan_fp, engine, config_fp)
+    """Key of one plan-cache (or portfolio-cache) entry.
+
+    Graph identity and version are in the key iff a planner produced the
+    plan (``planned``): a cost-ranked order depends on the graph's
+    statistics, so it lives at one version and the ``invalidate_*`` scans
+    find it by its graph.  Without a planner ``engine.compile`` ignores the
+    graph, so one entry serves every graph at every version and no graph's
+    invalidation matches it.
+    """
+    if planned:
+        return (graph_id, graph_version, plan_fp, engine, config_fp)
+    return (None, None, plan_fp, engine, config_fp)
 
 
 def result_key(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.obs import LineProtocolSink, OutcomeWindow, Registry
+from repro.obs import Counter, LineProtocolSink, OutcomeWindow, Registry
 
 #: Fixed bucket boundaries for latency histograms (milliseconds).
 LATENCY_BUCKETS_MS = (
@@ -136,11 +136,15 @@ class ServeMetrics:
         burn rates against, kept here so gauges and counts reconcile
         exactly (same clock, same stream)."""
         self._started = time.monotonic()
+        self._counters: dict[str, Counter] = {}  # by unprefixed name, resolved once
 
     # ------------------------------------------------------------------ #
 
     def incr(self, name: str, n: int = 1) -> None:
-        self.registry.counter(_PREFIX + name).inc(n)
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.registry.counter(_PREFIX + name)
+        counter.inc(n)
 
     def get(self, name: str) -> int:
         counter = self.registry.get(_PREFIX + name)

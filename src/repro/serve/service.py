@@ -22,6 +22,7 @@ performance layers, never semantic ones.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -43,6 +44,7 @@ from repro.obs.ops import (
 )
 from repro.obs.slo import SLO, SLOTracker
 from repro.query.pattern import QueryGraph
+from repro.query.patterns import get_pattern
 from repro.query.plan import MatchingPlan
 from repro.serve.batcher import AdmissionQueue, AdmissionRejected, QueueEntry
 from repro.serve.cache import (
@@ -166,23 +168,36 @@ class MatchTicket:
 
     ``result()`` blocks until the response arrives; it raises
     :class:`AdmissionRejected` if the request was shed after admission and
-    :class:`ResultTimeout` when ``timeout`` expires first.
+    :class:`ResultTimeout` when ``timeout`` expires first.  A ticket may be
+    born settled (a result-cache hit); only a ``result()`` call that finds
+    it unsettled allocates an event to wait on.
     """
 
-    def __init__(self, request_id: int) -> None:
+    #: Shared by all tickets; orders "unsettled, so wait on an event" against
+    #: "settled, so wake the event".  Never held while waiting.
+    _lock = threading.Lock()
+
+    def __init__(
+        self, request_id: int, response: Optional[MatchResponse] = None
+    ) -> None:
         self.request_id = request_id
-        self._event = threading.Event()
-        self._response: Optional[MatchResponse] = None
+        self._response = response
         self._error: Optional[BaseException] = None
+        self._event: Optional[threading.Event] = None
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._response is not None or self._error is not None
 
     def result(self, timeout: Optional[float] = None) -> MatchResponse:
-        if not self._event.wait(timeout):
-            raise ResultTimeout(
-                f"no response for request {self.request_id} within {timeout}s"
-            )
+        if not self.done():
+            with self._lock:
+                if self._event is None and not self.done():
+                    self._event = threading.Event()
+                event = self._event
+            if event is not None and not event.wait(timeout):
+                raise ResultTimeout(
+                    f"no response for request {self.request_id} within {timeout}s"
+                )
         if self._error is not None:
             raise self._error
         assert self._response is not None
@@ -190,12 +205,17 @@ class MatchTicket:
 
     # internal — called by the service/workers
     def _complete(self, response: MatchResponse) -> None:
-        self._response = response
-        self._event.set()
+        self._settle(response, None)
 
     def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
+        self._settle(None, error)
+
+    def _settle(self, response, error) -> None:
+        with self._lock:
+            self._response, self._error = response, error
+            event = self._event
+        if event is not None:
+            event.set()
 
 
 @dataclass
@@ -365,8 +385,7 @@ class MatchService:
         self._lifecycle = threading.Lock()
         self._pool = None
         self.supervisor: Optional[Supervisor] = None
-        self._next_id = 0
-        self._id_lock = threading.Lock()
+        self._ids = itertools.count(1)  # request ids; next() is atomic
         self._stopped = False
         self._draining = False
 
@@ -464,14 +483,13 @@ class MatchService:
                 f"{', '.join(available_engines())}"
             )
         if isinstance(query, str):
-            from repro.query.patterns import get_pattern
-
             query = get_pattern(query)
         cfg = config or self.config.match_config
-        if cfg.trace_context is None:
-            cfg = cfg.replace(trace_context=trace)
+        # Fingerprint the caller's (memoising) object, not the traced copy.
         plan_fp = plan_fingerprint(query)
         config_fp = config_fingerprint(cfg)
+        if cfg.trace_context is None:
+            cfg = cfg.replace(trace_context=trace)
         batch = DeltaBatch.make(add=add, remove=remove)
 
         with self._graphs_lock:
@@ -585,12 +603,14 @@ class MatchService:
         self, graph_id: str, old_graph: Optional[CSRGraph] = None
     ) -> None:
         self.metrics.incr("graph_updates")
-        # Plans, portfolios and feedback are *always* eagerly invalidated on
-        # a version bump: a matching order chosen for the old graph's
-        # statistics (or promoted by runs against it) must never be served
-        # against the new graph.  Version keying already makes old entries
-        # unreachable; the eager drop also stops the feedback store from
-        # resurrecting stale observations under a recycled key.
+        # Planner-produced plans, their portfolios and feedback are *always*
+        # eagerly invalidated on a version bump: a matching order chosen for
+        # the old graph's statistics (or promoted by runs against it) must
+        # never be served against the new graph.  Version keying already
+        # makes old entries unreachable; the eager drop also stops the
+        # feedback store from resurrecting stale observations under a
+        # recycled key.  Plans compiled without a planner depend on no
+        # graph, are keyed on none (``plan_key``) and so stay.
         self.plan_cache.invalidate_graph(graph_id)
         self.portfolio_cache.invalidate_graph(graph_id)
         self.feedback.invalidate_graph(graph_id)
@@ -727,17 +747,8 @@ class MatchService:
         """
         t_submit = time.monotonic()
         prepared = self._prepare(request)
-        with self._id_lock:
-            self._next_id += 1
-            rid = self._next_id
+        rid = next(self._ids)
         self.metrics.incr("submitted")
-        ticket = MatchTicket(rid)
-        trace = TraceContext.mint(
-            request_id=rid,
-            graph=request.graph_id,
-            engine=request.engine,
-            query=prepared.query_name,
-        )
 
         graph, version = self.resolve_graph(request.graph_id)
 
@@ -776,21 +787,24 @@ class MatchService:
             )
             cached = self.result_cache.get(key)
             if cached is not None:
+                trace = TraceContext.mint()  # no baggage: it ends with this span
                 with self.tracer.span(
                     "serve.request", ctx=trace, request_id=rid, cache="hit"
                 ):
                     total_ms = (time.monotonic() - t_submit) * 1000.0
-                    response = MatchResponse(
-                        request_id=rid,
-                        graph_id=request.graph_id,
-                        graph_version=version,
-                        engine=request.engine,
-                        query_name=prepared.query_name,
-                        result=cached,
-                        result_cache_hit=True,
-                        total_ms=total_ms,
+                    ticket = MatchTicket(
+                        rid,
+                        MatchResponse(
+                            request_id=rid,
+                            graph_id=request.graph_id,
+                            graph_version=version,
+                            engine=request.engine,
+                            query_name=prepared.query_name,
+                            result=cached,
+                            result_cache_hit=True,
+                            total_ms=total_ms,
+                        ),
                     )
-                    ticket._complete(response)
                     self.metrics.incr("completed")
                     self.metrics.incr("result_cache_hits")
                     self.metrics.observe_latency(total_ms)
@@ -801,6 +815,13 @@ class MatchService:
                         self.supervisor.breaker.record_success(breaker_sig)
                 return ticket
 
+        ticket = MatchTicket(rid)
+        trace = TraceContext.mint(
+            request_id=rid,
+            graph=request.graph_id,
+            engine=request.engine,
+            query=prepared.query_name,
+        )
         if self.config.autostart:
             self.start()
         deadline_at = None
@@ -856,8 +877,6 @@ class MatchService:
             )
         query = request.query
         if isinstance(query, str):
-            from repro.query.patterns import get_pattern
-
             query = get_pattern(query)
         config = request.config or self.config.match_config
         return _PreparedRequest(

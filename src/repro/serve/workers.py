@@ -407,21 +407,24 @@ class Worker(threading.Thread):
             )
             engine = self._engine(request.engine, config)
 
+        planned = (
+            getattr(engine.config, "planner", None) is not None
+            and hasattr(engine, "plan_portfolio")
+        )
         pkey = plan_key(
             request.graph_id,
             version,
             prepared.plan_fp,
             request.engine,
             prepared.config_fp,
+            planned,
         )
-        plan, compile_ms, plan_hit = self._resolve_plan(engine, prepared, pkey, graph)
+        plan, compile_ms, plan_hit = self._resolve_plan(
+            engine, prepared, pkey, graph, planned
+        )
         base.compile_ms = compile_ms
         base.plan_cache_hit = plan_hit
-        planner_active = (
-            getattr(engine.config, "planner", None) is not None
-            and hasattr(engine, "plan_portfolio")
-            and not isinstance(prepared.query, MatchingPlan)
-        )
+        planner_active = planned and not isinstance(prepared.query, MatchingPlan)
 
         def record_feedback(result) -> None:
             if not planner_active or result is None:
@@ -504,15 +507,16 @@ class Worker(threading.Thread):
 
     # ------------------------------------------------------------------ #
 
-    def _resolve_plan(self, engine, prepared, key: tuple, graph):
+    def _resolve_plan(self, engine, prepared, key: tuple, graph, planned: bool):
         """Plan for the request: precompiled > cached > freshly compiled.
 
         Compilation goes through ``engine.compile`` so engines that pin
         their own plan flags (EGSM disables symmetry breaking, STMatch
         disables reuse) cache exactly the plan they would have built.
 
-        With ``config.planner`` set (and a planner-capable engine), a
-        compile miss resolves a cost-ranked portfolio instead, caches it,
+        When ``planned`` (``config.planner`` set and a planner-capable
+        engine; ``key`` was built with it), a compile miss resolves a
+        cost-ranked portfolio instead, caches it,
         and picks the member the feedback store currently prefers — so a
         re-rank (which drops the plan-cache entry) promotes the observed
         winner on the very next request.
@@ -525,10 +529,7 @@ class Worker(threading.Thread):
             if plan is not None:
                 return plan, 0.0, True
         t0 = time.monotonic()
-        if (
-            getattr(engine.config, "planner", None) is not None
-            and hasattr(engine, "plan_portfolio")
-        ):
+        if planned:
             portfolio = service.portfolio_cache.get(key)
             if portfolio is None:
                 portfolio = engine.plan_portfolio(graph, prepared.query)

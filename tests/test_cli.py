@@ -107,6 +107,7 @@ class TestCommands:
         assert "verdict" in out and "OK" in out
         assert "counts match one-shot match() : yes" in out
         assert "counts match after apply_edges: yes" in out
+        assert "plans kept across apply_edges : yes" in out
 
     def test_serve_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
@@ -124,6 +125,19 @@ class TestCommands:
                  "--engine", engine]
             )
             assert args.engine == engine
+
+    def test_engine_registry_is_built_once(self):
+        from repro import available_engines
+        from repro.core import engine
+        from repro.core.engine import make_engine
+
+        assert available_engines() == (
+            "tdfs", "stmatch", "egsm", "pbe", "cpu", "hybrid"
+        )
+        table = engine._engine_registry()
+        make_engine("cpu")
+        assert engine._engine_registry() is table
+        assert [make_engine(n).name for n in available_engines()] == list(table)
 
     def test_run_failure_exit_code(self, capsys):
         # EGSM on friendster at |L|=4 OOMs (Table IV) → exit code 1.

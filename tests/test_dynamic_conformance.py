@@ -153,3 +153,59 @@ class TestFallbacks:
             IncrementalConfig(max_anchor_matches=0)
         with pytest.raises(ReproError):
             FAST.replace(incremental="not-a-config")
+
+
+class TestPerQueryConstants:
+    """What a delta does not pay for: anchored plans and ``|Aut|`` are
+    constants of the query, and an anchored run skips only bookkeeping."""
+
+    def test_second_delta_compiles_and_enumerates_nothing(self, monkeypatch):
+        from repro.dynamic import incremental
+        from repro.query import symmetry
+
+        compiles, enumerations = [], []
+        real_compile, real_aut = incremental.compile_plan, symmetry.automorphisms
+        monkeypatch.setattr(
+            incremental,
+            "compile_plan",
+            lambda *a, **kw: compiles.append(kw["order"]) or real_compile(*a, **kw),
+        )
+        monkeypatch.setattr(
+            symmetry,
+            "automorphisms",
+            lambda q: enumerations.append(q) or real_aut(q),
+        )
+        seed, graph, query, stream = next(
+            iter(delta_stream_cases(1, base=2000, batches=3))
+        )
+        query = query.relabeled_by(range(query.num_vertices))  # a fresh object
+        matcher = IncrementalMatcher(FAST)
+        current, count = graph, TDFSEngine(FAST).run(graph, query).count
+        del enumerations[:]  # the base run's compile sized the group already
+        for batch, successor in stream:
+            out = matcher.count_delta(current, successor, batch, query, count)
+            assert out.incremental
+            current, count = successor, out.count
+        assert len(compiles) <= 2 * query.num_edges  # one per (anchor, flags)
+        assert len(set(map(tuple, compiles))) == len(compiles)
+        assert enumerations == []
+
+    def test_anchored_run_equals_the_plain_engine(self):
+        import numpy as np
+
+        from repro.dynamic.incremental import _anchored_plan
+
+        seed, graph, query, stream = next(iter(delta_stream_cases(1, base=2010)))
+        anchored = IncrementalMatcher(FAST)._anchor_engine()
+        plain = TDFSEngine(anchored.config)
+        groups = [(graph.directed_edge_array()[:12].astype(np.int64), 2)]
+        for a, b in query.edges():
+            plan = _anchored_plan(query, a, b, anchored.config.enable_reuse)
+            assert plan is _anchored_plan(query, a, b, anchored.config.enable_reuse)
+            assert plan.order[:2] == (a, b) and not plan.symmetry_enabled
+            got = anchored._run_single(graph, plan, groups, "gpu0", 10_000)
+            ref = plain._run_single(graph, plan, groups, "gpu0", 10_000)
+            assert (got.count, got.matches, got.elapsed_cycles, got.error) == (
+                ref.count, ref.matches, ref.elapsed_cycles, ref.error
+            )
+            assert ref.metrics and not got.metrics  # the only work skipped

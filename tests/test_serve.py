@@ -9,11 +9,18 @@ import pytest
 from repro import TDFSConfig, match
 from repro.dynamic import DeltaError
 from repro.errors import ReproError, UnsupportedError
+from repro.obs.ops import ops_tracer
 from repro.serve import (
     AdmissionRejected,
+    BreakerState,
+    CircuitOpenError,
     MatchRequest,
     MatchService,
+    PoisonedRequestError,
     ServeConfig,
+    SupervisorConfig,
+    config_fingerprint,
+    plan_fingerprint,
 )
 from tests.fuzz import delta_stream_cases
 
@@ -133,6 +140,27 @@ class TestQueryPath:
         assert second.hits == 1
         assert svc.metrics.get("plan_compiles") == 1
 
+    def test_plans_survive_a_version_bump_without_a_planner(self, small_plc):
+        # New rule (it used to be "a version bump empties the plan cache"):
+        # without a planner a plan depends on no graph, so neither an edge
+        # delta nor a wholesale replacement recompiles it — and one plan
+        # serves a second graph too.
+        with make_service() as svc:
+            svc.register_graph("g", small_plc)
+            assert not svc.query("g", "P1").plan_cache_hit
+            svc.apply_edges("g", add=[(0, small_plc.num_vertices)])
+            after_delta = svc.query("g", "P1")
+            svc.update_graph("g", small_plc)
+            after_update = svc.query("g", "P1")
+            svc.register_graph("h", small_plc)
+            other_graph = svc.query("h", "P1")
+            for resp in (after_delta, after_update, other_graph):
+                assert resp.plan_cache_hit and not resp.result_cache_hit
+                assert resp.compile_ms == 0.0
+            assert after_update.count == other_graph.count
+            assert svc.metrics.get("plan_compiles") == 1
+            assert svc.plan_cache.stats().invalidations == 0
+
     def test_unsupported_engine_combo_is_typed(self, labeled_plc):
         # PBE cannot run labeled queries -> "N/A" response, not a crash.
         with make_service() as svc:
@@ -150,6 +178,161 @@ class TestQueryPath:
             ticket.result(timeout=5.0)
         with pytest.raises(AdmissionRejected):
             svc.submit(MatchRequest(graph_id="g", query="P1"))
+
+
+class TestHitPath:
+    """A result-cache hit skips the queue, not the contract: the same
+    admission checks, span, counters and ticket behaviour as a miss."""
+
+    @staticmethod
+    def warm_supervised(graph):
+        svc = make_service(supervisor=SupervisorConfig(breaker_jitter=0.0))
+        svc.register_graph("g", graph)
+        assert not svc.query("g", "P1").result_cache_hit
+        return svc, MatchRequest(graph_id="g", query="P1")
+
+    @staticmethod
+    def signature(svc, request):
+        from repro.query.patterns import get_pattern
+
+        return ("g", plan_fingerprint(get_pattern(request.query)))
+
+    def test_hit_is_rejected_like_a_miss(self, small_plc):
+        svc, hit = self.warm_supervised(small_plc)
+        miss = MatchRequest(graph_id="g", query="P1", use_result_cache=False)
+        with svc:
+            sig = self.signature(svc, hit)
+            poisoned = (*sig, "tdfs", config_fingerprint(svc.config.match_config))
+            svc.supervisor.quarantine.poison(poisoned, "boom", request_id=1)
+            for n, request in enumerate((hit, miss), start=1):
+                with pytest.raises(PoisonedRequestError):
+                    svc.submit(request)
+                assert svc.metrics.get("poisoned_rejected") == n
+            svc.supervisor.quarantine.release(poisoned)
+
+            for _ in range(svc.supervisor.config.breaker_threshold):
+                svc.supervisor.breaker.record_failure(sig)
+            for n, request in enumerate((hit, miss), start=1):
+                with pytest.raises(CircuitOpenError):
+                    svc.submit(request)
+                assert svc.metrics.get("breaker_rejected") == n
+            assert svc.metrics.get("rejected") == 4
+            assert svc.metrics.get("result_cache_hits") == 0
+
+    def test_hit_closes_a_half_open_breaker(self, small_plc):
+        svc, request = self.warm_supervised(small_plc)
+        with svc:
+            breaker = svc.supervisor.breaker
+            now = [0.0]
+            breaker.clock = lambda: now[0]
+            sig = self.signature(svc, request)
+            for _ in range(breaker.threshold):
+                breaker.record_failure(sig)
+            assert breaker.state(sig) is BreakerState.OPEN
+            now[0] += breaker.open_s + 0.001  # backoff over: next is the probe
+            assert svc.submit(request).result(timeout=0).result_cache_hit
+            assert breaker.state(sig) is BreakerState.CLOSED
+
+    def test_hit_span_counters_and_ticket(self, small_plc):
+        with make_service() as svc:
+            svc.register_graph("g", small_plc)
+            request = MatchRequest(graph_id="g", query="P1")
+            cold = svc.submit(request).result(timeout=30.0)
+            svc.submit(request)  # an earlier hit, to tell trace ids apart
+            tracer = ops_tracer()
+            tracer.clear()
+            m = svc.metrics
+            watched = ("submitted", "completed", "result_cache_hits")
+            before = {name: m.get(name) for name in watched}
+            latencies, outcomes = m.latency_ms.count, len(m.outcomes)
+
+            ticket = svc.submit(request)
+
+            # (e) settled on return: nothing to wait for.
+            assert ticket.done()
+            response = ticket.result(timeout=0)
+            assert response.result_cache_hit and response.count == cold.count
+            assert response.graph_version == 1
+            # (d) each instrument moved by exactly one.
+            assert {n: m.get(n) - before[n] for n in watched} == dict.fromkeys(
+                watched, 1
+            )
+            assert m.latency_ms.count == latencies + 1
+            assert len(m.outcomes) == outcomes + 1
+            # (c) one closed serve.request span, tagged, under a fresh trace.
+            svc.submit(request)
+            spans = [s for s in tracer.spans() if s["name"] == "serve.request"]
+            assert [s["tags"]["cache"] for s in spans] == ["hit", "hit"]
+            assert spans[0]["tags"]["request_id"] == response.request_id
+            assert spans[0]["trace_id"] != spans[1]["trace_id"]
+            assert not [
+                s for s in tracer.active_spans() if s["name"] == "serve.request"
+            ]
+
+    def test_ticket_wakeup_is_never_lost(self):
+        # The event a waiter sleeps on is allocated lazily, racing the
+        # settle that must wake it: more threads than cores, a tiny switch
+        # interval, and every waiter must still come back with its response.
+        import sys
+        import time
+
+        from repro.serve import MatchResponse, MatchTicket, ResultTimeout
+
+        tickets = [MatchTicket(i) for i in range(600)]
+        entering = [False] * len(tickets)
+        got: list = []
+        lost: list = []
+        give_up = time.monotonic() + 30.0
+
+        def wait(chunk):
+            for t in chunk:
+                entering[t.request_id] = True
+                try:
+                    got.append(t.result(timeout=2.0).request_id)
+                except ResultTimeout:
+                    lost.append(t.request_id)
+
+        def settle(chunk):
+            for t in chunk:
+                # Settle just as the waiter starts to wait.
+                while not entering[t.request_id] and time.monotonic() < give_up:
+                    pass
+                t._complete(MatchResponse(t.request_id, "g", 1, "tdfs", "q"))
+
+        threads = [
+            threading.Thread(target=fn, args=(tickets[i::4],))
+            for i in range(4)
+            for fn in (wait, settle)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert lost == []
+        assert sorted(got) == list(range(600))
+
+    def test_unsettled_ticket_waits_and_times_out(self, k4):
+        from repro.serve import ResultTimeout
+
+        svc = make_service(autostart=False)  # nobody drains the queue
+        svc.register_graph("g", k4)
+        ticket = svc.submit(MatchRequest(graph_id="g", query="P1"))
+        assert not ticket.done()
+        with pytest.raises(ResultTimeout):
+            ticket.result(timeout=0.01)
+        waiter = threading.Thread(target=ticket.result, kwargs={"timeout": 30.0})
+        waiter.start()
+        svc.start()
+        waiter.join(timeout=30.0)
+        assert not waiter.is_alive() and ticket.done()
+        assert ticket.result(timeout=0).count == match(k4, "P1").count
+        svc.stop()
 
 
 class TestDynamicDeltas:
@@ -181,6 +364,24 @@ class TestDynamicDeltas:
         assert resp.count == resp.base_count + resp.gained - resp.lost
         assert svc.metrics.get("delta_requests") == 1
         assert svc.metrics.get("delta_incremental") == 1
+
+    def test_match_delta_fingerprints_the_callers_config(self, k4, monkeypatch):
+        from repro.serve import cache
+
+        digests = []
+        real = cache._digest
+        monkeypatch.setattr(
+            cache, "_digest", lambda p: digests.append(p) or real(p)
+        )
+        with make_service() as svc:
+            svc.register_graph("g", k4)
+            svc.query("g", "P1")
+            del digests[:]
+            # Each call mints its own traced copy of the config; the memo
+            # sits on the caller's object, so nothing is digested again.
+            assert svc.match_delta("g", "P1", add=[(0, 4)]).incremental
+            assert svc.match_delta("g", "P1", add=[(1, 4)]).incremental
+            assert digests == []
 
     def test_match_delta_cold_cache_falls_back(self, k4, fast_config):
         with make_service() as svc:

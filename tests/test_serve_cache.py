@@ -94,12 +94,95 @@ class TestFingerprints:
         )
 
     def test_keys_include_version_and_collect(self):
+        # Rewritten for the plan-key rule: graph identity and version are
+        # in a plan key iff a planner produced the plan (it used to pin the
+        # version in every plan key).
         assert plan_key("g", 1, "fp", "tdfs", "cfg") != plan_key(
             "g", 2, "fp", "tdfs", "cfg"
+        )
+        assert plan_key("g", 1, "fp", "tdfs", "cfg", planned=True) == plan_key(
+            "g", 1, "fp", "tdfs", "cfg"
+        )
+        unplanned = plan_key("g", 1, "fp", "tdfs", "cfg", planned=False)
+        assert unplanned == plan_key("h", 2, "fp", "tdfs", "cfg", planned=False)
+        assert unplanned != plan_key("g", 1, "fp", "tdfs", "cfg2", planned=False)
+        assert unplanned != plan_key("g", 1, "fp2", "tdfs", "cfg", planned=False)
+        assert unplanned != plan_key("g", 1, "fp", "egsm", "cfg", planned=False)
+        assert result_key("g", 1, "fp", "tdfs", "cfg", 0) != result_key(
+            "g", 2, "fp", "tdfs", "cfg", 0
         )
         assert result_key("g", 1, "fp", "tdfs", "cfg", 0) != result_key(
             "g", 1, "fp", "tdfs", "cfg", 10
         )
+
+    def test_graph_invalidation_follows_the_key_shape(self):
+        c = LRUCache(8)
+        c.put(plan_key("g", 1, "fp", "tdfs", "cfg"), "planned")
+        c.put(plan_key("g", 1, "fp", "tdfs", "cfg", planned=False), "greedy")
+        assert c.invalidate_graph("g") == 1
+        assert c.invalidate_matching("g", "fp") == 0
+        assert [v for _, v in c.items()] == ["greedy"]
+
+
+class TestFingerprintMemo:
+    """A fingerprint is computed once per (immutable) object."""
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        from repro.serve import cache
+
+        calls = []
+        real = cache._digest
+
+        def counting(payload):
+            calls.append(payload)
+            return real(payload)
+
+        monkeypatch.setattr(cache, "_digest", counting)
+        return calls
+
+    def test_same_object_is_digested_once(self, digests):
+        cfg = TDFSConfig(num_warps=5)
+        query = QueryGraph(3, [(0, 1), (1, 2), (2, 0)])
+        plan = compile_plan(query)
+        for obj, fingerprint in (
+            (cfg, config_fingerprint),
+            (query, plan_fingerprint),
+            (plan, plan_fingerprint),
+        ):
+            del digests[:]
+            first = fingerprint(obj)
+            assert [fingerprint(obj) for _ in range(3)] == [first] * 3
+            assert len(digests) == 1
+
+    def test_replace_yields_a_fresh_fingerprint(self, digests):
+        from repro.obs.ops import TraceContext
+
+        base = TDFSConfig(num_warps=5)
+        fp = config_fingerprint(base)
+        assert config_fingerprint(base.replace(num_warps=6)) != fp
+        # Fingerprint-skipped wiring: a new object, digested again, same string.
+        traced = base.replace(trace_context=TraceContext.mint())
+        observed = base.replace(obs=Observability())
+        assert config_fingerprint(traced) == fp == config_fingerprint(observed)
+        assert len(digests) == 4
+
+    def test_equal_configs_fingerprint_equal(self, digests):
+        assert config_fingerprint(TDFSConfig(num_warps=5)) == config_fingerprint(
+            TDFSConfig(num_warps=5)
+        )
+        assert len(digests) == 2
+
+    def test_memo_dies_with_its_object(self, digests):
+        # The memo is a slot on the object, so a collected config's entry
+        # cannot be served to a new object that recycles its ``id``.
+        seen = {}
+        for warps in range(2, 40):
+            cfg = TDFSConfig(num_warps=warps)
+            seen[config_fingerprint(cfg)] = warps
+            del cfg
+        assert len(seen) == len(digests) == 38
+        assert not hasattr(TDFSConfig(num_warps=2), "_fingerprint")
 
 
 class TestMetrics:
