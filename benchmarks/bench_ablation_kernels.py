@@ -1,15 +1,13 @@
-"""Ablation: kernel backends (scalar vs vectorized vs vectorized+cache).
+"""Ablation: kernel backends (scalar vs vectorized).
 
 The kernel backend (:mod:`repro.kernels`) only changes *host* execution —
 scalar walks candidates one at a time, vectorized expands a whole sync
 window per NumPy pass — so scalar and vectorized must agree on counts AND
-simulated cycles exactly (the conformance suite asserts the same).  The
-cache variant additionally short-circuits repeated prefix intersections,
-which legitimately *improves* virtual time (hits charge ``copy_cost``).
+simulated cycles exactly (the conformance suite asserts the same).
 
-Reported here: per-pattern host wall-clock for each backend, the
-vectorized speedup, and the cache's virtual-time effect.  The bench
-asserts count and cycle equality of scalar vs vectorized on every cell.
+Reported here: per-pattern host wall-clock for each backend and the
+vectorized speedup.  The bench asserts count and cycle equality of scalar
+vs vectorized on every cell.
 
 Cells are the kernel-bound slice of the fig-9 smoke workload: P3 on the
 high-degree datasets (pokec, youtube, web-google), where leaf frontiers
@@ -44,7 +42,7 @@ def run_ablation(dataset: str) -> Table:
         f"Ablation: kernel backends on {dataset}",
         ["pattern", "instances"]
         + [f"{label} (host)" for label, _ in KERNEL_VARIANTS]
-        + ["vec speedup", "cache Δcycles"],
+        + ["vec speedup"],
     )
     speedups = []
     for pname in patterns:
@@ -72,24 +70,17 @@ def run_ablation(dataset: str) -> Table:
         )
         speedup = host_s["scalar"] / host_s["vectorized"]
         speedups.append(speedup)
-        cached = results["vectorized+cache"]
-        delta = cached.elapsed_cycles - vec.elapsed_cycles
         table.add_row(
             pname,
             vec.count,
             *[f"{host_s[label] * 1000:.1f} ms" for label, _ in KERNEL_VARIANTS],
             f"{speedup:.2f}x",
-            f"{delta:+d}",
         )
     table.add_note(
         f"geo-mean vectorized host speedup: {geo_mean(speedups):.2f}x"
     )
     table.add_note(
-        "scalar and vectorized: identical counts and virtual cycles "
-        "(asserted); cache Δcycles: hits replace intersections with copies "
-        "— usually negative, occasionally slightly positive when a hit's "
-        "copy charge beats a skewed (tiny-list) intersection or shifts "
-        "steal timing"
+        "scalar and vectorized: identical counts and virtual cycles (asserted)"
     )
     return table
 

@@ -1,22 +1,21 @@
-"""Observability overhead: tracing off must be free, tracing on bounded.
+"""Observability overhead: what tracing off and tracing on cost.
 
 The ops-tracing path (PR: ``repro.obs.ops``) is armed per-request by
 setting ``TDFSConfig.trace_context``; when it is ``None`` the only added
 work is a handful of constant-count ``is not None`` guards per dispatch.
-This bench turns that claim into a regression gate:
+This bench measures both sides; the host-clock record is the benchmark
+spine's ``trace.overhead_ratio`` row (``benchmarks/spine``), so nothing
+here asserts on a timing:
 
-* **tracing off < 2 %** — for each cell, two independent min-of-N series
-  with tracing disabled (one labeled *baseline*, one *off*) are timed in
-  interleaved rounds; the *off* series must stay within ``1.02x`` of
-  baseline plus a small noise epsilon.  Any unconditional cost added to
-  the disabled path later (span minting, clock reads, lock traffic)
-  shows up here as a systematic, not random, gap.
-* **tracing on is measured, not asserted** — the per-cell overhead of a
-  minted :class:`TraceContext` (spans recorded inside shard worker
-  processes, pickled back, adopted by the tracer) is recorded to the
-  session metrics TSV (``results/bench-metrics.tsv``) as
-  ``obs.on_overhead_pct`` so the fig-9 grid documents the price of a
-  fully traced request.
+* **tracing off** — for each cell, two independent min-of-N series with
+  tracing disabled (one labeled *baseline*, one *off*) are timed in
+  interleaved rounds; their gap is the noise floor the *on* column is
+  read against.
+* **tracing on** — the per-cell overhead of a minted
+  :class:`TraceContext` (spans recorded inside shard worker processes,
+  pickled back, adopted by the tracer) is recorded to the session metrics
+  TSV (``results/bench-metrics.tsv``) as ``obs.on_overhead_pct`` so the
+  fig-9 grid documents the price of a fully traced request.
 
 Cells run with ``shards=2`` — the configuration where tracing-on does
 real cross-process work; with one shard both modes are near-identical
@@ -37,10 +36,6 @@ from repro.graph.datasets import DATASETS, load_dataset
 from repro.obs import TraceContext
 
 ROUNDS = 3
-#: Allowed systematic slowdown of the disabled-tracing path (the 2 % SLO)
-#: plus a timer-noise allowance for sub-100 ms host-simulated cells.
-MAX_OFF_RATIO = 1.02
-NOISE_EPS = 0.10
 
 CELLS = [("dblp", None), ("web-google", None)]
 
@@ -82,11 +77,6 @@ def run_overhead(dataset: str) -> Table:
         )
         base, off, on = min(t_base), min(t_off), min(t_on)
         off_ratio = off / base if base > 0 else 1.0
-        assert off_ratio <= MAX_OFF_RATIO + NOISE_EPS, (
-            f"{dataset}/{pname}: tracing-off path is {off_ratio:.3f}x "
-            f"baseline (limit {MAX_OFF_RATIO} + {NOISE_EPS} noise) — the "
-            "disabled instrumentation path must stay free"
-        )
         assert spans > 0, (
             f"{dataset}/{pname}: tracing-on run recorded no spans; the "
             "overhead column would be measuring nothing"
@@ -108,12 +98,12 @@ def run_overhead(dataset: str) -> Table:
             "obs.spans": spans,
         }))
     table.add_note(
-        f"min of {ROUNDS} interleaved rounds per series; gate: tracing-off "
-        f"<= {MAX_OFF_RATIO}x baseline (+{NOISE_EPS} noise allowance)"
+        f"min of {ROUNDS} interleaved rounds per series; counts and span "
+        "presence asserted, timings recorded only"
     )
     table.add_note(
         "tracing-on overhead is recorded per cell in bench-metrics.tsv "
-        "(obs.on_overhead_pct), not gated"
+        "(obs.on_overhead_pct)"
     )
     return table
 

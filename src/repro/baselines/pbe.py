@@ -40,7 +40,6 @@ from repro.errors import UnsupportedError
 from repro.gpusim.costmodel import WARP_SIZE
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DEFAULT_DEVICE_MEMORY
-from repro.kernels import resolve_backend
 from repro.query.pattern import QueryGraph
 from repro.query.plan import MatchingPlan, compile_plan
 
@@ -79,13 +78,6 @@ class PBEEngine:
         budget = cfg.device_memory or DEFAULT_DEVICE_MEMORY
         free = budget - graph.memory_bytes()
         k = plan.num_levels
-        # Kernel backend: BFS expansion shares the intersection-cache path
-        # with the DFS engines (hits across sibling partials charge only
-        # copy_cost); scalar/vectorized selection does not change BFS math.
-        self._backend = resolve_backend(
-            cfg.kernel_backend, cfg.kernel_cache_entries
-        )
-        self._backend.begin_run(graph)
 
         result = MatchResult(
             engine=self.name,
@@ -121,7 +113,7 @@ class PBEEngine:
             serial += batch_overhead + cost.level_sync
             double_pass = n_batches > 1
 
-            level_work, next_partials, found = self._expand_level(
+            level_work, next_partials, found = bfs_expand_level(
                 graph, plan, partials, pos, cost, double_pass
             )
             total_work += level_work
@@ -168,21 +160,6 @@ class PBEEngine:
         overhead = (n_batches - 1) * 2 * cost.alloc_cost(max(free_bytes, 4096))
         return n_batches, overhead
 
-    def _expand_level(
-        self,
-        graph: CSRGraph,
-        plan: MatchingPlan,
-        partials: np.ndarray,
-        pos: int,
-        cost,
-        double_pass: bool,
-    ) -> tuple[int, np.ndarray, int]:
-        """Extend every partial by one level; returns (work, next, matches)."""
-        return bfs_expand_level(
-            graph, plan, partials, pos, cost, double_pass,
-            backend=getattr(self, "_backend", None),
-        )
-
 
 def bfs_expand_level(
     graph: CSRGraph,
@@ -191,7 +168,6 @@ def bfs_expand_level(
     pos: int,
     cost,
     double_pass: bool = False,
-    backend=None,
 ) -> tuple[int, np.ndarray, int]:
     """BFS-extend every partial match by one order position.
 
@@ -206,9 +182,7 @@ def bfs_expand_level(
     path_load = ((pos + WARP_SIZE - 1) // WARP_SIZE + 1) * cost.load_batch
     for row in partials:
         path = row.tolist()
-        raw, cycles = raw_candidates(
-            graph, plan, path, pos, None, cost, backend=backend
-        )
+        raw, cycles = raw_candidates(graph, plan, path, pos, None, cost)
         # BFS re-reads the partial match from global memory ...
         work += cycles + path_load
         if is_leaf:

@@ -206,14 +206,11 @@ def run_cell(
 
 
 #: Kernel-backend ablation variants (see ``benchmarks/bench_ablation_kernels``):
-#: label → ``TDFSConfig.kernel_backend`` value.  All three are conformance-
-#: tested to identical counts; scalar vs vectorized also charge identical
-#: virtual cycles, while the cache variant *improves* simulated time (hits
-#: charge ``copy_cost``).
+#: label → ``TDFSConfig.kernel_backend`` value.  Both are conformance-
+#: tested to identical counts and identical virtual cycles.
 KERNEL_VARIANTS: tuple[tuple[str, str], ...] = (
     ("scalar", "scalar"),
     ("vectorized", "vectorized"),
-    ("vectorized+cache", "vectorized+cache"),
 )
 
 

@@ -170,7 +170,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         enable_reuse=not args.no_reuse,
         enable_edge_filter=not args.no_edge_filter,
         kernel_backend=args.kernel_backend,
-        kernel_cache_entries=args.kernel_cache,
     )
     if args.tau_us is not None:
         config = config.replace(tau_cycles=max(1, int(args.tau_us * 1000)))
@@ -904,10 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(available_backends()),
         help="candidate-computation kernel (conformance-tested: identical "
              "counts and virtual cycles, different host wall-clock)",
-    )
-    run_p.add_argument(
-        "--kernel-cache", type=int, default=0, metavar="N",
-        help="intersection-cache entries (0 = backend default)",
     )
     run_p.add_argument("-v", "--verbose", action="store_true")
     run_p.set_defaults(func=_cmd_run)

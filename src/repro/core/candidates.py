@@ -19,7 +19,7 @@ The *filtered* view then applies, vectorized:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,9 +27,6 @@ from repro.core.intersect import intersect_many
 from repro.gpusim.costmodel import CostModel
 from repro.graph.csr import CSRGraph
 from repro.query.plan import MatchingPlan
-
-if TYPE_CHECKING:
-    from repro.kernels import KernelBackend
 
 
 def raw_candidates(
@@ -39,33 +36,20 @@ def raw_candidates(
     position: int,
     reuse_source: Optional[np.ndarray],
     cost: CostModel,
-    backend: Optional["KernelBackend"] = None,
 ) -> tuple[np.ndarray, int]:
     """Eq. (1): raw intersection for ``position``; returns ``(set, cycles)``.
 
     ``reuse_source`` is the stored raw set of the reuse plan's source level
     when available on the current path (pass ``None`` to compute from
-    scratch).  A ``backend`` carrying an intersection cache short-circuits
-    repeated 2–3-way intersections over the same vertex set (cache hits
-    charge only ``copy_cost``); without one, behaviour is unchanged.
+    scratch).
     """
-    entry = plan.reuse[position]
     if reuse_source is not None:
         lists = [reuse_source] + [
-            graph.neighbors(path[j]) for j in entry.remaining
+            graph.neighbors(path[j]) for j in plan.reuse[position].remaining
         ]
-        return intersect_many(lists, cost)
-    backs = plan.backward[position]
-    key = None
-    if backend is not None and backend.cache is not None and 2 <= len(backs) <= 3:
-        key = tuple(sorted(path[j] for j in backs))
-        hit = backend.cache_get(graph, key)
-        if hit is not None:
-            return hit, cost.copy_cost(hit.size)
-    lists = [graph.neighbors(path[j]) for j in backs]
-    result, cycles = intersect_many(lists, cost)
-    if key is not None:
-        backend.cache_put(graph, key, result)
+    else:
+        lists = [graph.neighbors(path[j]) for j in plan.backward[position]]
+    result, cycles, _ = intersect_many(lists, cost)
     return result, cycles
 
 

@@ -99,13 +99,9 @@ class TDFSConfig:
 
     kernel_backend: Union[str, "KernelBackend"] = "vectorized"
     """Candidate-computation kernel (see :mod:`repro.kernels`): a backend
-    name (``"scalar"``, ``"vectorized"``, ``"vectorized+cache"``) or a
-    constructed :class:`~repro.kernels.KernelBackend` instance — pass an
-    instance to share its intersection cache across runs.  All backends are
-    conformance-tested to identical counts and cycle charges."""
-    kernel_cache_entries: int = 0
-    """Bounded LRU intersection-cache size in entries (0 disables; the
-    ``"vectorized+cache"`` backend name enables a default-sized one)."""
+    name (``"scalar"``, ``"vectorized"``) or a constructed
+    :class:`~repro.kernels.KernelBackend` instance.  Backends are stateless
+    and conformance-tested to identical counts and cycle charges."""
 
     device_memory: Optional[int] = None
     """Device memory budget in bytes; ``None`` = dataset default."""
@@ -194,8 +190,6 @@ class TDFSConfig:
             raise ReproError("num_gpus must be >= 1")
         if self.tau_cycles <= 0:
             raise ReproError("tau_cycles must be positive; use no_timeout()")
-        if self.kernel_cache_entries < 0:
-            raise ReproError("kernel_cache_entries must be >= 0")
         if self.checkpoint_every_events < 0:
             raise ReproError("checkpoint_every_events must be >= 0")
         if self.shards < 1:
@@ -212,13 +206,9 @@ class TDFSConfig:
                 "available: hash, degree"
             )
         if isinstance(self.kernel_backend, str):
-            from repro.kernels import BACKEND_NAMES
+            from repro.kernels import make_backend
 
-            if self.kernel_backend not in BACKEND_NAMES:
-                raise ReproError(
-                    f"unknown kernel backend {self.kernel_backend!r}; "
-                    f"available: {', '.join(BACKEND_NAMES)}"
-                )
+            make_backend(self.kernel_backend)  # ReproError on an unknown name
         if self.planner is not None:
             from repro.planner.search import PlannerConfig
 

@@ -82,16 +82,16 @@ def filter_chunk(
 def host_prefilter(
     graph: CSRGraph,
     plan: MatchingPlan,
+    rows: np.ndarray,
     cost: CostModel,
     prune_degree: bool = True,
 ) -> tuple[np.ndarray, int]:
-    """STMatch-style serial host prefilter over *all* directed edges.
+    """STMatch-style serial host prefilter of a device's width-2 ``rows``.
 
-    Returns the filtered edge array and the host CPU cycles spent — charged
-    as a serial delay before any warp starts (single core, paper
-    Section IV-B).
+    Returns the filtered rows and the host CPU cycles spent — charged as a
+    serial delay before any warp starts (single core, paper Section IV-B).
+    On one device ``rows`` is every directed edge; with several, each
+    filters only the share it was dealt.
     """
-    edges = graph.directed_edge_array()
-    cycles = len(edges) * cost.cpu_edge_filter
-    kept = edges[edge_mask(graph, plan, edges, prune_degree)]
-    return kept, cycles
+    cycles = len(rows) * cost.cpu_edge_filter
+    return rows[edge_mask(graph, plan, rows, prune_degree)], cycles

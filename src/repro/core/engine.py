@@ -32,7 +32,6 @@ from repro.errors import (
 from repro.gpusim.device import VirtualGPU
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DEFAULT_DEVICE_MEMORY
-from repro.kernels import resolve_backend
 from repro.obs import Observability
 from repro.query.pattern import QueryGraph
 from repro.query.plan import MatchingPlan, compile_plan
@@ -486,10 +485,15 @@ class TDFSEngine:
         prefiltered = self.host_filter and not recovered
         if prefiltered:
             # STMatch-style serial host preprocessing before kernel launch.
-            rows, host_cycles = host_prefilter(
-                graph, plan, cfg.cost, prune_degree=cfg.enable_edge_filter
-            )
-            groups = [(rows, 2)]
+            # Initial (not recovered) groups are all width-2 edge rows.
+            filtered = []
+            for rows, width in groups:
+                rows, cycles = host_prefilter(
+                    graph, plan, rows, cfg.cost, cfg.enable_edge_filter
+                )
+                host_cycles += cycles
+                filtered.append((rows, width))
+            groups = filtered
         result.host_preprocess_cycles = host_cycles
         pre_cycles, job_extra = self._pre_kernel(gpu, graph, plan, result)
         phase_cycles = 0
@@ -545,10 +549,6 @@ class TDFSEngine:
             factory = array_level_factory(capacity, policy)
             child_stack_bytes = per_warp
 
-        # One backend per attempt when configured by name; a constructed
-        # KernelBackend instance in the config passes through, sharing its
-        # intersection cache across runs (and with the serve layer).
-        backend = resolve_backend(cfg.kernel_backend, cfg.kernel_cache_entries)
         job = self._make_job(
             graph=graph,
             plan=plan,
@@ -557,7 +557,6 @@ class TDFSEngine:
             groups=groups,
             queue=queue,
             level_factory=factory,
-            backend=backend,
             prefiltered=prefiltered,
             child_stack_bytes=child_stack_bytes,
             collect_limit=collect_matches,
@@ -584,9 +583,9 @@ class TDFSEngine:
             result.matches = self._reindex_matches(plan, job.collected)
         result.elapsed_cycles = gpu.finish_time
         result.num_gpus = 1
-        self._account(result, job, gpu, queue, allocator, backend, obs)
+        self._account(result, job, gpu, queue, allocator, obs)
 
-    def _account(self, result, job, gpu, queue, allocator, backend, obs) -> None:
+    def _account(self, result, job, gpu, queue, allocator, obs) -> None:
         """Hook: fold the finished run's statistics — everything but the
         count, the matches and the elapsed cycles — into ``result`` and
         publish them into the obs registry.  A caller that reads none of
@@ -623,9 +622,6 @@ class TDFSEngine:
         reg.counter("engine.matches").inc(job.count)
         reg.counter("engine.intersections").inc(job.intersections)
         reg.counter("engine.reuse_hits").inc(job.reuse_hits)
-        if backend.cache is not None:
-            reg.counter("kernel.cache_hits").inc(job.cache_hits)
-            reg.counter("kernel.cache_misses").inc(job.cache_misses)
         reg.counter("engine.kernel_launches").inc(gpu.kernel_launches)
         reg.counter("warp.timeouts").inc(agg.timeouts)
         reg.counter("warp.steals").inc(agg.steals)

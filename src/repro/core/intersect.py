@@ -34,26 +34,38 @@ def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def intersect_many(
     lists: Sequence[np.ndarray], cost: CostModel
-) -> tuple[np.ndarray, int]:
-    """Intersect several sorted lists; returns ``(result, cycles)``.
+) -> tuple[np.ndarray, int, int]:
+    """Intersect several sorted lists; returns ``(result, cycles, steps)``.
 
     Charges one warp intersection per pairwise step, streaming the current
-    (smaller) partial result against the next list — the order the stack
-    machine uses.  A single list costs one copy (it must still be written to
-    the stack level by the caller, charged separately).
+    (smaller) partial result against the next list, smallest list first —
+    the order the stack machine uses; ``steps`` counts the pairwise
+    intersections performed (the loop stops at an empty result).  A single
+    list costs one copy (it must still be written to the stack level by the
+    caller, charged separately).  This is the only multi-list intersect
+    loop: the scalar matcher, the vectorized backend's shared-set case and
+    the BFS engines all charge through it.
     """
-    if not lists:
-        return np.empty(0, dtype=np.int32), cost.step
-    if len(lists) == 1:
+    n = len(lists)
+    if n == 2:
+        # The common case, without the sort: a stable smallest-first order
+        # of two lists is one comparison.
+        a, b = lists
+        if a.size > b.size:
+            a, b = b, a
+        return intersect_sorted(a, b), cost.intersect_cost(a.size, b.size), 1
+    if n == 1:
         arr = lists[0]
-        return arr.astype(np.int32, copy=False), cost.copy_cost(arr.size)
-    # Start from the smallest list: standard GPU practice, fewer batches.
+        return arr, cost.copy_cost(arr.size), 0
+    if n == 0:
+        return np.empty(0, dtype=np.int32), cost.step, 0
     ordered = sorted(lists, key=lambda x: x.size)
     result = ordered[0]
-    cycles = 0
+    cycles = steps = 0
     for other in ordered[1:]:
+        steps += 1
         cycles += cost.intersect_cost(result.size, other.size)
         result = intersect_sorted(result, other)
         if result.size == 0:
             break
-    return result.astype(np.int32, copy=False), cycles
+    return result, cycles, steps

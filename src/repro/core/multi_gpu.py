@@ -189,6 +189,7 @@ def merge_results(per_gpu: list[MatchResult], num_gpus: int) -> MatchResult:
         # Aggregate every device's failure, not just the first one.
         merged.error = " | ".join(f"gpu{g}: {e}" for g, e in errors)
     merged.overflowed = any(r.overflowed for r in per_gpu)
+    merged.host_preprocess_cycles = sum(r.host_preprocess_cycles for r in per_gpu)
     merged.busy_cycles = sum(r.busy_cycles for r in per_gpu)
     merged.idle_cycles = sum(r.idle_cycles for r in per_gpu)
     merged.timeouts = sum(r.timeouts for r in per_gpu)

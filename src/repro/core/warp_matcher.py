@@ -32,15 +32,14 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from repro.core.candidates import filter_candidates, leaf_matches
+from repro.core.candidates import filter_candidates
 from repro.core.config import Strategy, TDFSConfig
 from repro.core.edge_filter import filter_chunk, filter_chunk_cycles
-from repro.core.intersect import intersect_sorted
+from repro.core.intersect import intersect_many
 from repro.errors import IllegalAccessError
 from repro.gpusim.device import VirtualGPU, Warp
 from repro.graph.csr import CSRGraph
-from repro.kernels import KernelBackend, resolve_backend
-from repro.kernels.base import PrefixBlock
+from repro.kernels import Block, KernelBackend, resolve_backend
 from repro.obs.tracer import NULL_TRACER, Tracer, make_span
 from repro.query.plan import MatchingPlan
 from repro.alloc.stack import WarpStack, LevelFactory
@@ -147,12 +146,13 @@ class MatchJob:
         self._cursor = 0
         #: Width-2 rows already passed the edge filter on the host (STMatch).
         self.prefiltered = prefiltered
-        #: Look-ahead :class:`~repro.kernels.base.PrefixBlock` over the rows
-        #: of the current group from ``_block_lo`` on.  The cursor only moves
-        #: forward and every warp claims through :meth:`_next_chunk`, so this
-        #: is a plain memo; it lives here, not on the backend, because serve
-        #: shares backend instances across worker threads.
-        self._block: Optional[PrefixBlock] = None
+        #: Look-ahead prefix :class:`~repro.kernels.base.Block` over the
+        #: ``_block.window`` rows of the current group from ``_block_lo`` on.
+        #: The cursor only moves forward and every warp claims through
+        #: :meth:`_next_chunk`, so this is a plain memo; it lives here, not
+        #: on the backend, because backends are stateless and shared across
+        #: worker threads.
+        self._block: Optional[Block] = None
         self._block_lo = 0
         #: ``u * n + v`` per directed edge, built by the vectorized backend's
         #: first prefix block (graph-wide, so kept for the job, not a window).
@@ -176,28 +176,21 @@ class MatchJob:
         self.intersections = 0
         self.reuse_hits = 0
         #: Kernel backend (see :mod:`repro.kernels`): computes candidate
-        #: sets, optionally batched per sync window and/or cached.
+        #: sets, optionally batched per window of slots.
         self.backend = (
             backend
             if backend is not None
-            else resolve_backend(
-                config.kernel_backend, config.kernel_cache_entries
-            )
+            else resolve_backend(config.kernel_backend)
         )
-        self.backend.begin_run(graph)
         #: Whether width-2 groups are offered to ``backend.prefix_block``.
         self._offer_blocks = (
             self.backend.batched and not prefiltered and self._k >= 3
         )
         #: Whether :meth:`adjacency` returns plain CSR slices.  EGSM's
         #: label-pruned CT-index reads clear this, which disables the
-        #: vectorized varying-list path and intersection caching (their
-        #: results would depend on the target position's label).
+        #: vectorized varying-list path (its results would depend on the
+        #: target position's label).
         self.plain_adjacency = True
-        #: Intersection-cache accounting for this run (delta counters; the
-        #: cache object itself keeps cumulative stats across runs).
-        self.cache_hits = 0
-        self.cache_misses = 0
         #: Host-side multiset of in-flight ``Q_task`` triples.  Armed only
         #: when the config carries a fault plan, retry policy, or periodic
         #: checkpointing: it lets the dequeue path *detect* corrupted ring
@@ -242,8 +235,8 @@ class MatchJob:
         """Claim the next ``chunk_size`` rows (warp fetch protocol).
 
         Returns ``(rows, width, block, first)``: when ``block`` is not
-        ``None`` it covers the whole chunk, whose first row is the block's
-        window row ``first``.  A chunk the current block does not fully
+        ``None`` it covers the whole chunk, whose first row is row ``first``
+        of the block's window.  A chunk the current block does not fully
         cover opens a new block at the chunk's first row, which drops the
         old one.
         """
@@ -255,7 +248,7 @@ class MatchJob:
         block = None
         if width == 2 and self._offer_blocks:
             block = self._block
-            if block is None or hi > self._block_lo + block.count:
+            if block is None or hi > self._block_lo + block.window:
                 block = self._block = self.backend.prefix_block(self, rows[lo:])
                 self._block_lo = lo
         first = lo - self._block_lo
@@ -393,7 +386,7 @@ class MatchJob:
         warp: Warp,
         st: RunState,
         edges: np.ndarray,
-        block: Optional[PrefixBlock] = None,
+        block: Optional[Block] = None,
         slot: int = 0,
     ) -> Generator[int, None, None]:
         """Process a chunk of initial work rows (Algorithm 4 lines 4–6).
@@ -475,7 +468,7 @@ class MatchJob:
         warp: Warp,
         st: RunState,
         prefix_len: int,
-        block: Optional[PrefixBlock] = None,
+        block: Optional[Block] = None,
         slot: int = 0,
     ) -> Generator[int, None, None]:
         """DFS below ``st.path[:prefix_len]``; ``block``/``slot`` carry the
@@ -572,13 +565,18 @@ class MatchJob:
         st: RunState,
         pos: int,
         cycles: int,
-        block: Optional[PrefixBlock] = None,
+        block: Optional[Block] = None,
         slot: int = 0,
     ) -> None:
         """Fill the leaf level ``pos`` and count its matches in bulk."""
         leaves, fill_cycles = self._fill_level(warp, st, pos, block, slot)
-        warp.charge(cycles + fill_cycles + len(leaves) * self.cost.emit_match)
-        self._emit_leaves(warp, st, leaves, pos)
+        if leaves is None:  # a leaf window only counted its survivors
+            n = int(block.survivors[slot])
+            warp.charge(cycles + fill_cycles + n * self.cost.emit_match)
+            self._emit(warp, n)
+        else:
+            warp.charge(cycles + fill_cycles + len(leaves) * self.cost.emit_match)
+            self._emit_leaves(warp, st, leaves, pos)
         st.inflight = None
 
     def _fill_level(
@@ -586,17 +584,19 @@ class MatchJob:
         warp: Warp,
         st: RunState,
         pos: int,
-        block: Optional[PrefixBlock],
+        block: Optional[Block],
         slot: int,
-    ) -> tuple[np.ndarray, int]:
+    ) -> tuple[Optional[np.ndarray], int]:
         """Raw set → stack level → selection filter for position ``pos``.
 
         Returns ``(filtered, cycles)`` and leaves ``st.inflight == pos`` (a
         stack page allocation inside ``level.write`` may abort right here;
         the caller clears the marker once it owns the result).  With a
         ``block`` the two pure steps — ``_raw`` and ``filter_candidates`` —
-        are read from its ``slot``; the write, the span and the accounting
-        stay real.  A fixed-capacity level that truncated is rescanned by
+        are read from its ``slot`` (``filtered`` is ``None`` when the block
+        kept only ``survivors`` counts); the write, the span and the
+        accounting stay real.  This is the only place a block slot is
+        replayed.  A fixed-capacity level that truncated is rescanned by
         the scalar filter (the block's result covers the full set), which
         keeps STMatch's wrong counts identically wrong.
         """
@@ -604,19 +604,20 @@ class MatchJob:
         if block is None:
             raw, cycles = self._raw(st, pos)
         else:
-            raw = block.raw[block.raw_offsets[slot] : block.raw_offsets[slot + 1]]
-            cycles = block.raw_cycles[slot]
+            raw = block.raw_set(slot)
+            cycles = int(block.raw_cycles[slot])
             self.intersections += block.intersections
+            self.reuse_hits += block.reuse
         if self.tracer.enabled:
             self._span(warp, "intersect", warp.now, warp.now + cycles)
         level = st.stack.level(pos)
         cycles += level.write(raw, self.cost)
         if block is not None and level.length == raw.size:
+            cycles += int(block.filter_cycles[slot])
+            if block.filtered is None:
+                return None, cycles
             offsets = block.filtered_offsets
-            return (
-                block.filtered[offsets[slot] : offsets[slot + 1]],
-                cycles + block.filter_cycles[slot],
-            )
+            return block.filtered[offsets[slot] : offsets[slot + 1]], cycles
         filtered, filter_cycles = filter_candidates(
             self.graph,
             self.plan,
@@ -635,49 +636,46 @@ class MatchJob:
 
         Phase 1 (the backend) computes raw sets, filters, leaf counts and
         cycle charges for up to ``SYNC_INTERVAL - st.nodes`` candidates in
-        one NumPy pass; phase 2 (this loop) replays them one candidate at a
-        time — real stack writes (so paged-allocator state and truncation
-        stay exact), real timeout checks against ``warp.now``, scalar-order
-        charges — which keeps simulated time bit-identical to the scalar
-        backend.  The window never crosses a sync point, so thieves and the
-        DES scheduler observe the same states they would under scalar.
+        one NumPy pass; phase 2 replays them one candidate at a time through
+        :meth:`_expand_leaf` — real stack writes (so paged-allocator state
+        and truncation stay exact), real timeout checks against
+        ``warp.now``, scalar-order charges — which keeps simulated time
+        bit-identical to the scalar backend.  The window never crosses a
+        sync point, so thieves and the DES scheduler observe the same states
+        they would under scalar.
 
         Returns False (caller falls back to the per-candidate path) when
         the backend declines the batch shape.
         """
         nxt = pos + 1
         limit = min(len(f) - i, SYNC_INTERVAL - st.nodes)
-        block = self.backend.leaf_block(self, st, nxt, f[i : i + limit])
+        cands = f[i : i + limit]
+        block = self.backend.leaf_block(self, st, nxt, cands)
         if block is None:
             return False
         cost = self.cost
-        level = st.stack.level(nxt)
         timeout_live = (
             self.strategy is Strategy.TIMEOUT
             and self.queue is not None
             and pos == 2
             and st.item_prefix == 2
         )
-        cands = block.candidates
-        offsets = block.offsets
-        if (
-            block.sizes is not None
-            and not self.tracer.enabled
-            and self.config.fault_plan is None
-        ):
+        if not self.tracer.enabled and self.config.fault_plan is None:
             # Bulk phase 2: when nothing can interrupt the window — no
             # tracer spans to record, no injected faults, and the level can
             # plan the whole write sequence without overflow/OOM — the
             # per-candidate replay collapses to array sums.  The timeout
             # break index falls out of the charge prefix-sums: candidate j
             # is processed iff the cycles accrued before it fit the slack.
-            write_cycles = level.plan_writes(block.sizes, cost)
+            level = st.stack.level(nxt)
+            write_cycles = level.plan_writes(block.raw_sizes, cost)
             if write_cycles is not None:
                 totals = (
                     cost.step
-                    + block.pre_cycles
+                    + block.raw_cycles
                     + write_cycles
-                    + block.leaf_cycles
+                    + block.filter_cycles
+                    + block.survivors * cost.emit_match
                 )
                 k = block.count
                 if timeout_live:
@@ -691,18 +689,14 @@ class MatchJob:
                     charge = int(totals.sum())
                 st.iters[pos] = i + k
                 st.path[pos] = int(cands[k - 1])
-                if block.fixed_raw is not None:
-                    last = block.fixed_raw
-                else:
-                    last = block.values[offsets[k - 1] : offsets[k]]
-                level.commit_writes(k, block.sizes, last)
+                level.commit_writes(k, block.raw_sizes, block.raw_set(k - 1))
                 warp.charge(charge)
-                self._emit(warp, int(block.leaf_counts[:k].sum()))
+                self._emit(warp, int(block.survivors[:k].sum()))
                 # k - 1 node ticks: the first candidate's tick was taken by
                 # the caller, and a timeout break gives its tick back.
                 st.nodes += k - 1
-                self.intersections += block.intersections_per_cand * k
-                self.reuse_hits += block.reuse_per_cand * k
+                self.intersections += block.intersections * k
+                self.reuse_hits += block.reuse * k
                 return True
         for j in range(block.count):
             if j:
@@ -716,36 +710,7 @@ class MatchJob:
                     break
             st.iters[pos] = i + j + 1
             st.path[pos] = int(cands[j])
-            st.inflight = nxt  # level.write may abort mid-expansion
-            if block.fixed_raw is not None:
-                raw = block.fixed_raw
-            else:
-                raw = block.values[offsets[j] : offsets[j + 1]]
-            cycles = int(block.pre_cycles[j])
-            if self.tracer.enabled:
-                self._span(warp, "intersect", warp.now, warp.now + cycles)
-            cycles += level.write(raw, cost)
-            if level.length != raw.size:
-                # A fixed-capacity level truncated: the precomputed counts
-                # cover the full set, so rescan what was actually stored
-                # (this is how STMatch's wrong counts arise — keep them
-                # identically wrong).
-                leaves, leaf_cycles = leaf_matches(
-                    self.graph,
-                    self.plan,
-                    st.path,
-                    level.values(),
-                    cost,
-                    self.config.stmatch_removal,
-                )
-                warp.charge(cost.step + cycles + leaf_cycles)
-                self._emit(warp, int(leaves.size))
-            else:
-                warp.charge(cost.step + cycles + int(block.leaf_cycles[j]))
-                self._emit(warp, int(block.leaf_counts[j]))
-            self.intersections += block.intersections_per_cand
-            self.reuse_hits += block.reuse_per_cand
-            st.inflight = None
+            self._expand_leaf(warp, st, nxt, cost.step, block, j)
         return True
 
     def adjacency(self, v: int, pos: int) -> np.ndarray:
@@ -785,10 +750,8 @@ class MatchJob:
 
     def _intersect(self, st: RunState, pos: int) -> tuple[np.ndarray, int]:
         plan = self.plan
-        cost = self.cost
         path = st.path
         entry = plan.reuse[pos]
-        key = None
         if (
             self.config.enable_reuse
             and entry.reuses
@@ -799,44 +762,9 @@ class MatchJob:
             for j in entry.remaining:
                 lists.append(self.adjacency(path[j], pos))
         else:
-            backs = plan.backward[pos]
-            if (
-                self.backend.cache is not None
-                and self.plain_adjacency
-                and 2 <= len(backs) <= 3
-            ):
-                # The vertex *set* determines the intersection, so tasks
-                # enumerating a shared ≤3-vertex prefix in any order hit
-                # one entry.  A hit charges copy_cost, like a reuse read.
-                key = tuple(sorted(path[j] for j in backs))
-                hit = self.backend.cache_get(self.graph, key)
-                if hit is not None:
-                    self.cache_hits += 1
-                    return hit, cost.copy_cost(hit.size)
-            lists = [self.adjacency(path[j], pos) for j in backs]
-        if len(lists) == 1:
-            arr = lists[0]
-            return arr, cost.copy_cost(arr.size)
-        if len(lists) == 2:
-            self.intersections += 1
-            a, b = lists
-            if a.size > b.size:
-                a, b = b, a
-            result = intersect_sorted(a, b)
-            cycles = cost.intersect_cost(a.size, b.size)
-        else:
-            lists.sort(key=lambda x: x.size)
-            result = lists[0]
-            cycles = 0
-            for b in lists[1:]:
-                self.intersections += 1
-                cycles += cost.intersect_cost(result.size, b.size)
-                result = intersect_sorted(result, b)
-                if result.size == 0:
-                    break
-        if key is not None:
-            self.cache_misses += 1
-            self.backend.cache_put(self.graph, key, result)
+            lists = [self.adjacency(path[j], pos) for j in plan.backward[pos]]
+        result, cycles, steps = intersect_many(lists, self.cost)
+        self.intersections += steps
         return result, cycles
 
     def _fill(
@@ -844,7 +772,7 @@ class MatchJob:
         warp: Warp,
         st: RunState,
         pos: int,
-        block: Optional[PrefixBlock] = None,
+        block: Optional[Block] = None,
         slot: int = 0,
     ) -> Generator[int, None, bool]:
         """Extend ``stack[pos]`` (Algorithm 2 line 6 / Algorithm 4 line 11).

@@ -1,34 +1,31 @@
 """Pluggable kernel backends for candidate computation (``repro.kernels``).
 
 The warp matcher delegates its data-parallel work — intersections, filters,
-cycle accounting — to a :class:`KernelBackend`.  Backends are conformance-
-tested to produce identical candidate sets, match counts and simulated
-cycle charges; they differ only in host wall-clock:
+cycle accounting — to a :class:`KernelBackend`.  Backends are stateless and
+conformance-tested to produce identical candidate sets, match counts and
+simulated cycle charges; they differ only in host wall-clock:
 
 * ``"scalar"`` — the per-candidate reference path.
-* ``"vectorized"`` — block-level leaf expansion, one NumPy pass per sync
-  window (the default).
-* ``"vectorized+cache"`` — vectorized plus a bounded LRU intersection
-  cache shared across timeout-steal sub-tasks (cache hits charge
-  ``copy_cost``, so simulated time *improves*; see
-  :mod:`repro.kernels.cache`).
+* ``"vectorized"`` — one NumPy pass per window of leaf candidates or
+  initial rows (the default).
 
 Select one via ``TDFSConfig(kernel_backend=...)`` (a name or a constructed
-backend instance — pass an instance to share its cache across runs) or
-``repro run --kernel-backend``.
+backend instance) or ``repro run --kernel-backend``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from repro.kernels.base import KernelBackend, LeafBlock
-from repro.kernels.cache import DEFAULT_CACHE_ENTRIES, IntersectionCache
+from repro.errors import ReproError
+from repro.kernels.base import Block, KernelBackend
 from repro.kernels.scalar import ScalarBackend
 from repro.kernels.vectorized import VectorizedBackend
 
+_BACKENDS = {"scalar": ScalarBackend, "vectorized": VectorizedBackend}
+
 #: Names accepted by :func:`make_backend` / ``TDFSConfig.kernel_backend``.
-BACKEND_NAMES = ("scalar", "vectorized", "vectorized+cache")
+BACKEND_NAMES = tuple(_BACKENDS)
 
 
 def available_backends() -> tuple[str, ...]:
@@ -36,45 +33,32 @@ def available_backends() -> tuple[str, ...]:
     return BACKEND_NAMES
 
 
-def make_backend(name: str, cache_entries: int = 0) -> KernelBackend:
-    """Construct a backend by name.
-
-    ``cache_entries > 0`` attaches an :class:`IntersectionCache` of that
-    size to any backend; the ``"vectorized+cache"`` alias attaches one of
-    :data:`DEFAULT_CACHE_ENTRIES` even when ``cache_entries`` is 0.
-    """
-    if name == "vectorized+cache" and cache_entries <= 0:
-        cache_entries = DEFAULT_CACHE_ENTRIES
-    cache = IntersectionCache(cache_entries) if cache_entries > 0 else None
-    if name == "scalar":
-        return ScalarBackend(cache=cache)
-    if name in ("vectorized", "vectorized+cache"):
-        return VectorizedBackend(cache=cache)
-    raise ValueError(
-        f"unknown kernel backend {name!r}; available: "
-        f"{', '.join(BACKEND_NAMES)}"
-    )
+def make_backend(name: str) -> KernelBackend:
+    """Construct a backend by name (:class:`ReproError` on an unknown one)."""
+    cls = _BACKENDS.get(name)
+    if cls is None:
+        raise ReproError(
+            f"unknown kernel backend {name!r}; available: "
+            f"{', '.join(BACKEND_NAMES)}"
+        )
+    return cls()
 
 
-def resolve_backend(
-    spec: Union[str, KernelBackend, None], cache_entries: int = 0
-) -> KernelBackend:
+def resolve_backend(spec: Union[str, KernelBackend, None]) -> KernelBackend:
     """Backend from a config value: a name, an instance, or ``None``."""
     if spec is None:
         spec = "vectorized"
     if isinstance(spec, KernelBackend):
         return spec
-    return make_backend(spec, cache_entries)
+    return make_backend(spec)
 
 
 __all__ = [
     "KernelBackend",
-    "LeafBlock",
-    "IntersectionCache",
+    "Block",
     "ScalarBackend",
     "VectorizedBackend",
     "BACKEND_NAMES",
-    "DEFAULT_CACHE_ENTRIES",
     "available_backends",
     "make_backend",
     "resolve_backend",

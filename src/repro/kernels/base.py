@@ -5,104 +5,88 @@ expansion — intersections, filters and their cycle accounting — while the
 warp matcher keeps the *scheduling* part (syncs, timeouts, stealing, stack
 writes).  The split is what makes backends swappable without touching the
 simulator: every backend must produce bit-identical candidate sets and
-cycle charges; they may only differ in host wall-clock.
+cycle charges; they may only differ in host wall-clock.  Backends keep no
+state between calls, so one instance can serve any number of jobs.
 
 Two implementations ship:
 
 * :class:`~repro.kernels.scalar.ScalarBackend` — the reference per-candidate
   path (the matcher's original code path, unchanged).
-* :class:`~repro.kernels.vectorized.VectorizedBackend` — block-level
-  expansion: one NumPy pass per sync window of leaf candidates
-  (:class:`LeafBlock`) and per window of initial rows (:class:`PrefixBlock`)
-  over CSR segment slices.
-
-Both optionally carry an :class:`~repro.kernels.cache.IntersectionCache`
-shared across runs (``repro.serve`` shares one per service so timeout-steal
-sub-tasks reuse intersections across requests).
+* :class:`~repro.kernels.vectorized.VectorizedBackend` — one NumPy pass
+  over CSR segment slices per window of leaf candidates or initial rows;
+  either way the result is one :class:`Block`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Hashable, Optional, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
-
-from repro.kernels.cache import IntersectionCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.warp_matcher import MatchJob, RunState
 
 
 @dataclass
-class LeafBlock:
-    """One vectorized leaf expansion: per-candidate results of a batch.
+class Block:
+    """One order position resolved for a window of sibling slots.
 
-    Produced by :meth:`KernelBackend.leaf_block` for the candidates of one
-    sync window at the pre-leaf position; consumed by the matcher's thin
-    per-candidate loop, which replays stack writes, timeout checks and
-    cycle charges in exactly the scalar order.
-    """
-
-    candidates: np.ndarray
-    """The batch (a slice of the pre-leaf ``filtered`` array)."""
-    count: int
-    """Number of candidates covered (== ``candidates.size``)."""
-    pre_cycles: np.ndarray
-    """Per-candidate intersection + static-filter cycles (``_raw`` charge)."""
-    leaf_counts: np.ndarray
-    """Per-candidate surviving leaf matches."""
-    leaf_cycles: np.ndarray
-    """Per-candidate leaf filter + emit cycles (``leaf_matches`` charge)."""
-    sizes: Optional[np.ndarray] = None
-    """Per-candidate raw set sizes (drives bulk stack-write planning)."""
-    values: Optional[np.ndarray] = None
-    """Concatenated raw leaf candidate sets (``None`` when fixed)."""
-    offsets: Optional[np.ndarray] = None
-    """``values`` segment bounds: candidate ``j`` owns ``values[o[j]:o[j+1]]``."""
-    fixed_raw: Optional[np.ndarray] = None
-    """The one raw set shared by every candidate (fixed-list case)."""
-    intersections_per_cand: int = 0
-    """Pairwise set intersections each candidate performed."""
-    reuse_per_cand: int = 0
-    """Reuse-plan seed reads each candidate performed (0 or 1)."""
-
-
-@dataclass
-class PrefixBlock:
-    """Level-2 results for a window of consecutive width-2 work rows.
-
-    Produced by :meth:`KernelBackend.prefix_block`: everything about a
-    row's first stack level that is a pure function of (graph, plan, row,
-    config flags).  The matcher replays it row by row — real stack writes,
-    real charges on the warp that fetched the row — so simulated time is
-    what the scalar path produces.  Rows that fail the edge filter own no
-    slot; the survivors are numbered in row order, and per-slot offsets and
-    cycles are plain lists (the replay indexes them once per row).
+    A slot is one partial match about to fill the position: a surviving
+    width-2 row (:meth:`KernelBackend.prefix_block`, position 2) or one
+    pre-leaf candidate (:meth:`KernelBackend.leaf_block`, position
+    ``k - 1``).  The block holds, per slot, everything about the fill that
+    is a pure function of (graph, plan, path, config flags) — what the
+    scalar ``_raw`` and ``filter_candidates`` return.  The matcher replays
+    it slot by slot through ``MatchJob._fill_level`` — real stack writes,
+    real charges on the warp that owns the slot — so simulated time is what
+    the scalar path produces.  Per-slot sequences are arrays or plain lists,
+    whichever the producer's consumer reads faster.
     """
 
     count: int
-    """Window rows covered (a prefix of the rows offered)."""
-    kept_before: list
-    """``kept_before[i]``: edge-filter survivors among window rows ``[0, i)``
-    — the slot of row ``i`` if it survived; ``count + 1`` entries."""
-    rows: np.ndarray
-    """The surviving rows, in order (slot ``s`` is ``rows[s]``)."""
+    """Slots covered."""
     raw: np.ndarray
-    """Concatenated raw sets at order position 2 (``_raw`` results)."""
-    raw_offsets: list
+    """The raw sets (``_raw`` results) back to back — or, when
+    ``raw_offsets`` is ``None``, the one set every slot shares."""
+    raw_offsets: Optional[Sequence[int]]
     """Slot ``s`` owns ``raw[raw_offsets[s]:raw_offsets[s + 1]]``."""
-    raw_cycles: list
+    raw_sizes: np.ndarray
+    """Per-slot raw set sizes (drives bulk stack-write planning)."""
+    raw_cycles: Sequence[int]
     """Per-slot intersection + static-filter cycles (``_raw`` charge)."""
-    filtered: np.ndarray
-    """Concatenated ``filter_candidates(position=2)`` results."""
-    filtered_offsets: list
-    """Slot ``s`` owns ``filtered[filtered_offsets[s]:filtered_offsets[s + 1]]``."""
-    filter_cycles: list
+    filter_cycles: Sequence[int]
     """Per-slot ``filter_candidates`` charge."""
-    intersections: int
-    """Pairwise set intersections each slot performed (0 or 1)."""
+    survivors: Sequence[int]
+    """Per-slot ``filter_candidates`` result sizes."""
+    filtered: Optional[np.ndarray] = None
+    """The ``filter_candidates`` results back to back; ``None`` when the
+    consumer only counts them (leaf windows)."""
+    filtered_offsets: Optional[Sequence[int]] = None
+    """Slot ``s`` owns ``filtered[filtered_offsets[s]:filtered_offsets[s + 1]]``."""
+    intersections: int = 0
+    """Pairwise set intersections each slot performed."""
+    reuse: int = 0
+    """Reuse-plan seed reads each slot performed (0 or 1)."""
+    rows: Optional[np.ndarray] = None
+    """Prefix windows: the rows that passed the edge filter, in order (slot
+    ``s`` is ``rows[s]``)."""
+    kept_before: Optional[Sequence[int]] = None
+    """Prefix windows: ``kept_before[i]`` counts the edge-filter survivors
+    among offered rows ``[0, i)`` — the slot of row ``i`` if it survived."""
+
+    @property
+    def window(self) -> int:
+        """Prefix windows: leading rows of the offer this block covers."""
+        return len(self.kept_before) - 1
+
+    def raw_set(self, slot: int) -> np.ndarray:
+        """The raw set of ``slot`` (a view, or the shared set itself)."""
+        offsets = self.raw_offsets
+        if offsets is None:
+            return self.raw
+        return self.raw[offsets[slot] : offsets[slot + 1]]
 
 
 class KernelBackend(abc.ABC):
@@ -110,43 +94,9 @@ class KernelBackend(abc.ABC):
 
     #: Registry/config name (``"scalar"``, ``"vectorized"``).
     name: str = "base"
-    #: Whether the matcher should offer batches at all (sync-window leaf
-    #: candidates, windows of initial rows).
+    #: Whether the matcher should offer windows at all (sync-window leaf
+    #: candidates, initial rows).
     batched: bool = False
-
-    def __init__(self, cache: Optional[IntersectionCache] = None) -> None:
-        self.cache = cache
-        self._epoch: Optional[int] = None
-        self._graph_id: Optional[int] = None
-
-    # ------------------------------------------------------------------ #
-    # Cache plumbing
-    # ------------------------------------------------------------------ #
-
-    def begin_run(self, graph) -> None:
-        """Bind the cache to ``graph`` for the coming run (idempotent)."""
-        if self.cache is not None:
-            self._epoch = self.cache.bind(graph)
-            self._graph_id = id(graph)
-
-    def cache_get(self, graph, key: Hashable) -> Optional[np.ndarray]:
-        """Cached intersection for ``key`` on ``graph``, else ``None``."""
-        if self.cache is None:
-            return None
-        if self._graph_id != id(graph):
-            self.begin_run(graph)
-        return self.cache.get(self._epoch, key)
-
-    def cache_put(self, graph, key: Hashable, value: np.ndarray) -> None:
-        if self.cache is None:
-            return
-        if self._graph_id != id(graph):
-            self.begin_run(graph)
-        self.cache.put(self._epoch, key, value)
-
-    # ------------------------------------------------------------------ #
-    # Batched expansion
-    # ------------------------------------------------------------------ #
 
     def block_threshold(
         self, job: "MatchJob", st: "RunState", position: int
@@ -167,27 +117,25 @@ class KernelBackend(abc.ABC):
         st: "RunState",
         position: int,
         candidates: np.ndarray,
-    ) -> Optional[LeafBlock]:
-        """Vectorized leaf expansion of ``candidates`` at the pre-leaf level.
+    ) -> Optional[Block]:
+        """Leaf position ``position`` (``k - 1``) for a window of pre-leaf
+        ``candidates``: slot ``s`` is the path with ``st.path[position - 1]``
+        set to ``candidates[s]``.
 
-        ``position`` is the leaf order position (``k - 1``); the varying
-        vertex is ``st.path[position - 1]``, swept over ``candidates``.
-        Return ``None`` to decline (unsupported list shape, empty batch) —
-        the matcher then falls back to the per-candidate scalar path, which
-        is always charge-identical.
+        Return ``None`` to decline (unsupported list shape, batch below
+        :meth:`block_threshold`) — the matcher then falls back to the
+        per-candidate scalar path, which is always charge-identical.
         """
         return None
 
     def prefix_block(
         self, job: "MatchJob", rows: np.ndarray
-    ) -> Optional[PrefixBlock]:
-        """Level-2 expansion of a leading window of width-2 work ``rows``.
+    ) -> Optional[Block]:
+        """Position 2 for a leading window of width-2 work ``rows``.
 
         ``rows`` is the unclaimed remainder of the current work group; the
         backend picks how many of them it covers (at least one chunk).
-        Return ``None`` to decline (an attached intersection cache,
-        label-pruned adjacency, too few rows) — the chunk then takes the
-        scalar path and the next one asks again.  Must not keep state on
-        the backend: instances are shared across concurrently running jobs.
+        Return ``None`` to decline (label-pruned adjacency, too few rows) —
+        the chunk then takes the scalar path and the next one asks again.
         """
         return None

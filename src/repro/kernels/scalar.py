@@ -1,9 +1,8 @@
 """The reference backend: per-candidate extension, unchanged.
 
 ``ScalarBackend`` declines every batch offer, so the warp matcher runs its
-original one-candidate-at-a-time loop.  It exists (a) as the conformance
-baseline the vectorized backend is differential-tested against, and (b) so
-an intersection cache can be used without batching.
+original one-candidate-at-a-time loop.  It exists as the conformance
+baseline the vectorized backend is differential-tested against.
 """
 
 from __future__ import annotations

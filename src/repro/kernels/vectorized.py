@@ -1,4 +1,4 @@
-"""Block-level frontier expansion: one NumPy pass per sync window.
+"""Block-level frontier expansion: one NumPy pass per window of slots.
 
 The matcher's hot path is the pre-leaf loop: for each candidate ``v`` it
 intersects a *fixed* part (a reuse seed or the adjacency lists of already
@@ -23,10 +23,12 @@ computed once through the exact scalar routine).  Anything else — three or
 more lists including a varying one, or label-pruned adjacency (EGSM's
 CT-index) — declines the batch and falls back to the scalar path.
 
-The same machinery serves the *other* end of an item: :meth:`VectorizedBackend.
-prefix_block` resolves the edge filter, the position-2 raw set and its
-selection filter for a window of consecutive initial rows in one pass, so
-the per-row work left in the matcher is a stack write and a charge.
+The same pass (:meth:`VectorizedBackend._segmented_block`) serves the
+*other* end of an item: :meth:`VectorizedBackend.prefix_block` resolves the
+edge filter, the position-2 raw set and its selection filter for a window
+of consecutive initial rows, so the per-row work left in the matcher is a
+stack write and a charge.  Both ends hand the matcher one
+:class:`~repro.kernels.base.Block`.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from typing import Optional, TYPE_CHECKING
 import numpy as np
 
 from repro.core.edge_filter import edge_mask
-from repro.core.intersect import intersect_sorted
+from repro.core.intersect import intersect_many
 from repro.gpusim.costmodel import CostModel, WARP_SIZE
-from repro.kernels.base import KernelBackend, LeafBlock, PrefixBlock
+from repro.kernels.base import Block, KernelBackend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.warp_matcher import MatchJob, RunState
@@ -54,14 +56,18 @@ def _bit_length(values: np.ndarray) -> np.ndarray:
     return np.frexp(np.maximum(values, 1).astype(np.float64))[1]
 
 
-def intersect_cost_vec(
-    cost: CostModel, size_a: np.ndarray, size_b: np.ndarray
-) -> np.ndarray:
-    """Element-wise :meth:`CostModel.intersect_cost` over size arrays."""
+def intersect_cost_vec(cost: CostModel, size_a: np.ndarray, size_b) -> np.ndarray:
+    """Element-wise :meth:`CostModel.intersect_cost` over size arrays.
+
+    ``size_b`` may be one ``int`` shared by every element: the binary-search
+    log term is then a scalar — same float expression, fewer array ops.
+    """
     size_a = np.asarray(size_a, dtype=np.int64)
-    size_b = np.asarray(size_b, dtype=np.int64)
     batches = (size_a + WARP_SIZE - 1) // WARP_SIZE
-    log_b = np.maximum(_bit_length(size_b), 1)
+    if isinstance(size_b, int):
+        log_b = max(1, size_b.bit_length())
+    else:
+        log_b = np.maximum(_bit_length(np.asarray(size_b, dtype=np.int64)), 1)
     per_batch = (
         cost.load_batch * cost.memory_multiplier
         + cost.probe * log_b
@@ -87,13 +93,31 @@ def filter_cost_vec(cost: CostModel, sizes: np.ndarray) -> np.ndarray:
     return batches * (cost.load_batch + cost.compact_batch)
 
 
-def _in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Boolean membership of ``values`` in a sorted unique array."""
+def filter_cycles_vec(job: "MatchJob", position: int, raw_sizes) -> np.ndarray:
+    """Element-wise ``filter_candidates`` charge for raw sets of
+    ``raw_sizes`` at ``position`` (STMatch's separate removal pass is
+    charged only on non-empty sets, like the scalar early return)."""
+    cost = job.cost
+    cycles = filter_cost_vec(cost, raw_sizes)
+    if job.config.stmatch_removal:
+        cycles = cycles + np.where(
+            np.asarray(raw_sizes) > 0,
+            intersect_cost_vec(cost, raw_sizes, max(1, position)),
+            0,
+        )
+    return cycles
+
+
+def _in_sorted(sorted_arr: np.ndarray, values) -> np.ndarray:
+    """Boolean membership of ``values`` (array or scalar) in a sorted
+    unique array; probes past its end clamp onto the last slot, which the
+    equality then rejects."""
     if sorted_arr.size == 0:
         return np.zeros(np.shape(values), dtype=bool)
-    pos = np.searchsorted(sorted_arr, values)
-    pos = np.minimum(pos, sorted_arr.size - 1)
-    return sorted_arr[pos] == values
+    return (
+        sorted_arr.take(np.searchsorted(sorted_arr, values), mode="clip")
+        == values
+    )
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -157,6 +181,36 @@ def _static_filter_segments(
     return vals[mask], seg, np.bincount(seg, minlength=counts.size), cycles
 
 
+def _slot_bounds(matched: list, cons, n: int) -> Optional[np.ndarray]:
+    """Per-slot symmetry lower bound of a window of ``n`` slots.
+
+    ``matched[t]`` is the vertex at order position ``t`` — an ``int`` when
+    every slot shares it, an ``(n,)`` array when it varies — and ``cons``
+    the positions the filled one must exceed (``plan.constraints``); the
+    bound is their element-wise maximum, ``None`` when unconstrained.
+    """
+    if not cons:
+        return None
+    bound = matched[cons[0]]
+    for t in cons[1:]:
+        bound = np.maximum(bound, matched[t])
+    if isinstance(bound, np.ndarray):
+        return bound
+    return np.full(n, bound, dtype=np.int64)
+
+
+def _edge_keys(job: "MatchJob") -> np.ndarray:
+    """``u * n + v`` per directed edge, globally sorted (built once per
+    job): ``x in N(u)`` is one ``searchsorted`` against it."""
+    if job.edge_keys is None:
+        graph = job.graph
+        edges = graph.directed_edge_array()
+        job.edge_keys = (
+            edges[:, 0].astype(np.int64) * graph.num_vertices + edges[:, 1]
+        )
+    return job.edge_keys
+
+
 # --------------------------------------------------------------------------- #
 # The backend
 # --------------------------------------------------------------------------- #
@@ -180,7 +234,7 @@ PREFIX_MIN_ROWS = 12
 
 
 class VectorizedBackend(KernelBackend):
-    """Segment-batched leaf expansion over CSR slices."""
+    """Segment-batched expansion over CSR slices."""
 
     name = "vectorized"
     batched = True
@@ -191,40 +245,54 @@ class VectorizedBackend(KernelBackend):
     #: is charge-identical by construction — is strictly faster.
     MIN_BATCH = 4
 
-    def __init__(self, cache=None, min_batch: Optional[int] = None) -> None:
-        super().__init__(cache)
+    def __init__(self, min_batch: Optional[int] = None) -> None:
         self.min_batch = self.MIN_BATCH if min_batch is None else int(min_batch)
+
+    # ------------------------------------------------------------------ #
+    # Leaf windows
+    # ------------------------------------------------------------------ #
+
+    def _leaf_shape(self, job: "MatchJob", st: "RunState", position: int):
+        """The one shape decision for leaf windows at ``position``.
+
+        Returns ``(threshold, varying, reuse, positions)``: the smallest
+        batch accepted (0 = unsupported shape), whether the swept vertex's
+        own adjacency list is among the intersected lists, whether the
+        reuse seed is (0 or 1), and the order positions whose lists are.
+        """
+        plan = job.plan
+        pos = position - 1  # the varying (pre-leaf) order position
+        entry = plan.reuse[position]
+        reuse = int(
+            job.config.enable_reuse
+            and entry.reuses
+            and entry.source >= st.valid_from
+        )
+        positions = entry.remaining if reuse else plan.backward[position]
+        varying = positions.count(pos)
+        if not varying:
+            # All-fixed: one shared intersection amortizes faster than the
+            # varying pipeline, but the per-block fixed cost still wants a
+            # few candidates to pay for itself.
+            threshold = max(2, self.min_batch - 1)
+        elif (
+            varying > 1
+            # Label-pruned adjacency (EGSM CT-index) varies per target
+            # label and cannot be read as raw CSR slices.
+            or not job.plain_adjacency
+            # ≥ 3 lists including the varying one: the scalar path sorts
+            # them by size per candidate — decline rather than emulate.
+            or len(positions) - 1 + reuse > 1
+        ):
+            threshold = 0
+        else:
+            threshold = self.min_batch
+        return threshold, varying, reuse, positions
 
     def block_threshold(
         self, job: "MatchJob", st: "RunState", position: int
     ) -> int:
-        """Shape check mirroring :meth:`leaf_block`'s declines, sans data."""
-        plan = job.plan
-        pos = position - 1
-        entry = plan.reuse[position]
-        if (
-            job.config.enable_reuse
-            and entry.reuses
-            and entry.source >= st.valid_from
-        ):
-            positions = entry.remaining
-            extra_fixed = 1  # the reuse seed
-        else:
-            positions = plan.backward[position]
-            extra_fixed = 0
-        var_count = positions.count(pos)
-        if var_count > 1:
-            return 0
-        if var_count == 0:
-            # One shared intersection amortizes faster than the varying
-            # pipeline, but the per-block fixed cost still wants a few
-            # candidates to pay for itself.
-            return max(2, self.min_batch - 1)
-        if not job.plain_adjacency:
-            return 0
-        if len(positions) - 1 + extra_fixed > 1:
-            return 0
-        return self.min_batch
+        return self._leaf_shape(job, st, position)[0]
 
     def leaf_block(
         self,
@@ -232,53 +300,27 @@ class VectorizedBackend(KernelBackend):
         st: "RunState",
         position: int,
         candidates: np.ndarray,
-    ) -> Optional[LeafBlock]:
-        n = int(candidates.size)
-        if n == 0:
+    ) -> Optional[Block]:
+        threshold, varying, reuse, positions = self._leaf_shape(job, st, position)
+        if not threshold or candidates.size < threshold:
             return None
-        plan = job.plan
-        cfg = job.config
         path = st.path
-        pos = position - 1  # the varying (pre-leaf) order position
-        entry = plan.reuse[position]
-        reuse_active = (
-            cfg.enable_reuse and entry.reuses and entry.source >= st.valid_from
-        )
-        if reuse_active:
-            positions = entry.remaining
-            fixed = [st.stack.level(entry.source).raw]
-            reuse_per_cand = 1
-        else:
-            positions = plan.backward[position]
-            fixed = []
-            reuse_per_cand = 0
-        var_count = positions.count(pos)
-        if var_count > 1:
-            return None
-        if var_count == 0:
-            # All-fixed: one shared intersection amortizes over the batch.
-            if n < max(2, self.min_batch - 1):
-                return None
-            for j in positions:
-                fixed.append(job.adjacency(path[j], position))
-            return self._fixed_block(
-                job, st, position, candidates, fixed, reuse_per_cand
-            )
-        if not job.plain_adjacency:
-            # Label-pruned adjacency (EGSM CT-index) varies per target
-            # label and cannot be read as raw CSR slices.
-            return None
-        if n < self.min_batch:
-            return None
-        if len(fixed) + len(positions) - 1 > 1:
-            # ≥ 3 lists including the varying one: the scalar path sorts
-            # them by size per candidate — decline rather than emulate.
-            return None
+        lists = []
+        if reuse:
+            lists.append(st.stack.level(job.plan.reuse[position].source).raw)
         for j in positions:
-            if j != pos:
-                fixed.append(job.adjacency(path[j], position))
-        return self._varying_block(
-            job, st, position, candidates, fixed, reuse_per_cand
+            if j != position - 1:
+                lists.append(job.adjacency(path[j], position))
+        matched = path[: position - 1] + [candidates]
+        if not varying:
+            return self._shared_block(job, position, matched, lists, reuse)
+        return self._segmented_block(
+            job,
+            position,
+            matched,
+            stream=candidates.astype(np.int64),
+            shared=lists[0] if lists else None,
+            reuse=reuse,
         )
 
     # ------------------------------------------------------------------ #
@@ -287,21 +329,16 @@ class VectorizedBackend(KernelBackend):
 
     def prefix_block(
         self, job: "MatchJob", rows: np.ndarray
-    ) -> Optional[PrefixBlock]:
-        if (
-            self.cache is not None
-            or not job.plain_adjacency
-            or len(rows) < PREFIX_MIN_ROWS
-        ):
-            # Cache hits change virtual time and depend on arrival order;
-            # label-pruned adjacency (EGSM) is not a CSR slice; a handful
+    ) -> Optional[Block]:
+        if not job.plain_adjacency or len(rows) < PREFIX_MIN_ROWS:
+            # Label-pruned adjacency (EGSM) is not a CSR slice; a handful
             # of rows is cheaper one by one.
             return None
-        plan, graph, cost = job.plan, job.graph, job.cost
+        plan, graph = job.plan, job.graph
         degrees = graph.degrees
         backs = plan.backward[2]
 
-        # (1) Edge filter, then the window: as many leading rows as fit the
+        # Edge filter, then the window: as many leading rows as fit the
         # gather budget, never less than one chunk.
         head = rows[: max(PREFIX_MAX_ROWS, job.config.chunk_size)]
         keep = edge_mask(graph, plan, head, job.config.enable_edge_filter)
@@ -313,297 +350,159 @@ class VectorizedBackend(KernelBackend):
         count = min(max(count, job.config.chunk_size), len(head))
         keep = keep[:count]
         kept = head[:count][keep]
-        m = len(kept)
 
-        # (2) Raw sets, as ``_intersect`` + ``_static_filter`` produce them.
-        first = kept[:, backs[0]].astype(np.int64)
-        if len(backs) == 1:
-            cat, seg, counts = _gather_adjacency(graph, first)
-            cycles = copy_cost_vec(cost, counts)
+        stream = kept[:, backs[0]].astype(np.int64)
+        partner = None
+        if len(backs) == 2:
+            # Stream the smaller list of each row; ties keep the first.
+            partner = kept[:, backs[1]].astype(np.int64)
+            swap = degrees[stream] > degrees[partner]
+            stream, partner = (
+                np.where(swap, partner, stream),
+                np.where(swap, stream, partner),
+            )
+        block = self._segmented_block(
+            job,
+            2,
+            [kept[:, 0], kept[:, 1]],
+            stream=stream,
+            partner=partner,
+            keep_filtered=True,
+        )
+        block.rows = kept
+        block.kept_before = _offsets(keep).tolist()
+        # The row replay indexes these once per row: plain lists read faster.
+        block.raw_offsets = block.raw_offsets.tolist()
+        block.raw_cycles = block.raw_cycles.tolist()
+        block.filtered_offsets = block.filtered_offsets.tolist()
+        block.filter_cycles = block.filter_cycles.tolist()
+        return block
+
+    # ------------------------------------------------------------------ #
+    # The segmented pass: one streamed adjacency list per slot
+    # ------------------------------------------------------------------ #
+
+    def _segmented_block(
+        self,
+        job: "MatchJob",
+        position: int,
+        matched: list,
+        stream: np.ndarray,
+        partner: Optional[np.ndarray] = None,
+        shared: Optional[np.ndarray] = None,
+        reuse: int = 0,
+        keep_filtered: bool = False,
+    ) -> Block:
+        """``_raw`` + ``filter_candidates`` at ``position`` for every slot.
+
+        Slot ``s`` streams ``N(stream[s])`` (int64 vertices) against at most
+        one other list — ``N(partner[s])``, which the caller makes the
+        longer of the two, or the one ``shared`` sorted set — and filters
+        the result against ``matched`` (see :func:`_slot_bounds`).
+        """
+        graph, cost = job.graph, job.cost
+        n = int(stream.size)
+        cat, seg, degs = _gather_adjacency(graph, stream)
+        if partner is None and shared is None:
+            counts, cycles = degs, copy_cost_vec(cost, degs)
         else:
-            second = kept[:, backs[1]].astype(np.int64)
-            d1, d2 = degrees[first], degrees[second]
-            swap = d1 > d2  # stream the smaller list; ties keep the first
-            cat, seg, d_small = _gather_adjacency(
-                graph, np.where(swap, second, first)
-            )
-            # ``x in N(big)`` is "(big, x) is a directed edge": one
-            # searchsorted against the graph's globally sorted edge keys.
-            if job.edge_keys is None:
-                edges = graph.directed_edge_array()
-                job.edge_keys = (
-                    edges[:, 0].astype(np.int64) * graph.num_vertices
-                    + edges[:, 1]
+            if partner is not None:
+                # ``x in N(partner)`` is "(partner, x) is a directed edge".
+                hit = _in_sorted(
+                    _edge_keys(job),
+                    np.repeat(partner, degs) * graph.num_vertices + cat,
                 )
-            keys = job.edge_keys
-            probe = (
-                np.repeat(np.where(swap, first, second), d_small)
-                * graph.num_vertices
-                + cat
-            )
-            hit = keys.take(np.searchsorted(keys, probe), mode="clip") == probe
+                small, big = degs, graph.degrees[partner]
+            else:
+                hit = _in_sorted(shared, cat)
+                small, big = degs, int(shared.size)
+                if big < degs.max():
+                    # The scalar path streams whichever list is smaller.
+                    small, big = np.minimum(degs, big), np.maximum(degs, big)
             cat, seg = cat[hit], seg[hit]
-            counts = np.bincount(seg, minlength=m)
-            cycles = intersect_cost_vec(cost, d_small, np.maximum(d1, d2))
-        raw, seg, raw_counts, raw_cycles = _static_filter_segments(
-            job, 2, cat, seg, counts, cycles
+            counts = np.bincount(seg, minlength=n)
+            cycles = intersect_cost_vec(cost, small, big)
+        raw, seg, raw_sizes, raw_cycles = _static_filter_segments(
+            job, position, cat, seg, counts, cycles
         )
 
-        # (3) ``filter_candidates(position=2)`` on those raw sets.  No
+        # ``filter_candidates`` over the concatenated raw sets.  No
         # label/degree re-check: ``raw`` passed the static filter, and
         # adjacency members have degree >= 1 when the plan asks no more.
-        mask = (raw != np.repeat(kept[:, 0], raw_counts)) & (
-            raw != np.repeat(kept[:, 1], raw_counts)
-        )
-        cons = plan.constraints[2]
-        if cons:
-            bound = kept[:, cons[0]] if len(cons) == 1 else kept.max(axis=1)
-            mask &= raw > np.repeat(bound, raw_counts)
-        return PrefixBlock(
-            count=count,
-            kept_before=_offsets(keep).tolist(),
-            rows=kept,
+        bounds = _slot_bounds(matched, job.plan.constraints[position], n)
+        mask = None if bounds is None else raw > np.repeat(bounds, raw_sizes)
+        for u in matched:  # injectivity
+            if isinstance(u, np.ndarray):
+                u = np.repeat(u, raw_sizes)
+            if mask is None:
+                mask = raw != u
+            else:
+                mask &= raw != u
+        survivors = np.bincount(seg[mask], minlength=n)
+        block = Block(
+            count=n,
             raw=raw,
-            raw_offsets=_offsets(raw_counts).tolist(),
-            raw_cycles=raw_cycles.tolist(),
-            filtered=raw[mask],
-            filtered_offsets=_offsets(
-                np.bincount(seg[mask], minlength=m)
-            ).tolist(),
-            filter_cycles=self._leaf_cycle_base(job, 2, raw_counts).tolist(),
-            intersections=len(backs) - 1,
+            raw_offsets=_offsets(raw_sizes),
+            raw_sizes=raw_sizes,
+            raw_cycles=raw_cycles,
+            filter_cycles=filter_cycles_vec(job, position, raw_sizes),
+            survivors=survivors,
+            intersections=int(partner is not None or shared is not None),
+            reuse=reuse,
         )
+        if keep_filtered:
+            block.filtered = raw[mask]
+            block.filtered_offsets = _offsets(survivors)
+        return block
 
     # ------------------------------------------------------------------ #
     # All-fixed lists: one raw set shared by the whole window
     # ------------------------------------------------------------------ #
 
-    def _fixed_block(
+    def _shared_block(
         self,
         job: "MatchJob",
-        st: "RunState",
         position: int,
-        candidates: np.ndarray,
+        matched: list,
         lists: list,
-        reuse_per_cand: int,
-    ) -> LeafBlock:
-        cost = job.cost
+        reuse: int,
+    ) -> Block:
+        candidates = matched[-1]
         n = int(candidates.size)
-        # Replicate the scalar ``_intersect`` exactly, once.
-        intersections = 0
-        if len(lists) == 1:
-            raw = lists[0]
-            cycles = cost.copy_cost(raw.size)
-        elif len(lists) == 2:
-            intersections = 1
-            a, b = lists
-            if a.size > b.size:
-                a, b = b, a
-            cycles = cost.intersect_cost(a.size, b.size)
-            raw = intersect_sorted(a, b)
-        else:
-            lists.sort(key=lambda x: x.size)
-            raw = lists[0]
-            cycles = 0
-            for other in lists[1:]:
-                intersections += 1
-                cycles += cost.intersect_cost(raw.size, other.size)
-                raw = intersect_sorted(raw, other)
-                if raw.size == 0:
-                    break
+        raw, cycles, intersections = intersect_many(lists, job.cost)
         raw, cycles = job._static_filter(raw, position, cycles)
-        pre_cycles = np.full(n, cycles, dtype=np.int64)
 
-        # Leaf filter: the raw set is shared, so per-candidate variation
-        # comes only from the symmetry bound and the varying vertex itself —
-        # countable with searchsorted, no per-candidate materialization.
-        # The scalar path's label/degree re-check is vacuous here: the raw
-        # set already passed ``_static_filter`` and every member of an
-        # adjacency list (or an intersection of them) has degree >= 1.
-        plan, graph = job.plan, job.graph
-        survivors = raw
-
-        path = st.path
-        pos = position - 1
-        cons = plan.constraints[position]
-        bounds: Optional[np.ndarray] = None
-        if cons:
-            fixed_bound = None
-            for t in cons:
-                if t != pos and (fixed_bound is None or path[t] > fixed_bound):
-                    fixed_bound = path[t]
-            if pos in cons:
-                bounds = candidates.astype(np.int64)
-                if fixed_bound is not None:
-                    np.maximum(bounds, fixed_bound, out=bounds)
-            else:
-                bounds = np.full(n, fixed_bound, dtype=np.int64)
-            counts = (
-                survivors.size
-                - np.searchsorted(survivors, bounds, side="right")
-            ).astype(np.int64)
-        else:
-            counts = np.full(n, survivors.size, dtype=np.int64)
-        # Injectivity: drop already-matched vertices that would otherwise
-        # count — the fixed prefix, then the varying vertex per candidate.
-        for t in range(position):
-            if t == pos:
-                continue
-            u = path[t]
-            if _in_sorted(survivors, np.int64(u)):
-                if bounds is None:
-                    counts -= 1
-                else:
-                    counts -= u > bounds
-        var_member = _in_sorted(survivors, candidates)
+        # The raw set is shared, so per-slot variation comes only from the
+        # symmetry bound and the varying vertex itself — countable with
+        # searchsorted, no per-slot materialization.  The scalar path's
+        # label/degree re-check is vacuous here: the raw set already passed
+        # ``_static_filter`` and every member of an adjacency list (or an
+        # intersection of them) has degree >= 1.
+        bounds = _slot_bounds(matched, job.plan.constraints[position], n)
         if bounds is None:
-            counts -= var_member
+            counts = np.full(n, raw.size, dtype=np.int64)
         else:
-            counts -= var_member & (candidates > bounds)
+            counts = (
+                raw.size - np.searchsorted(raw, bounds, side="right")
+            ).astype(np.int64)
+        # Injectivity: drop already-matched vertices that would otherwise
+        # count — the fixed prefix, then the varying vertex per slot.
+        for u in matched[:-1]:
+            if _in_sorted(raw, u):
+                counts -= 1 if bounds is None else u > bounds
+        member = _in_sorted(raw, candidates)
+        counts -= member if bounds is None else member & (candidates > bounds)
 
-        leaf_cycles = self._leaf_cycle_base(job, position, np.int64(raw.size))
-        leaf_cycles = np.full(n, leaf_cycles, dtype=np.int64)
-        leaf_cycles += counts * cost.emit_match
-        return LeafBlock(
-            candidates=candidates,
+        return Block(
             count=n,
-            pre_cycles=pre_cycles,
-            leaf_counts=counts,
-            leaf_cycles=leaf_cycles,
-            sizes=np.full(n, raw.size, dtype=np.int64),
-            fixed_raw=raw,
-            intersections_per_cand=intersections,
-            reuse_per_cand=reuse_per_cand,
+            raw=raw,
+            raw_offsets=None,
+            raw_sizes=np.full(n, raw.size, dtype=np.int64),
+            raw_cycles=np.full(n, cycles, dtype=np.int64),
+            filter_cycles=np.full(
+                n, filter_cycles_vec(job, position, raw.size), dtype=np.int64
+            ),
+            survivors=counts,
+            intersections=intersections,
+            reuse=reuse,
         )
-
-    # ------------------------------------------------------------------ #
-    # One varying list (optionally against one fixed list/seed)
-    # ------------------------------------------------------------------ #
-
-    def _varying_block(
-        self,
-        job: "MatchJob",
-        st: "RunState",
-        position: int,
-        candidates: np.ndarray,
-        fixed: list,
-        reuse_per_cand: int,
-    ) -> LeafBlock:
-        cost = job.cost
-        plan = job.plan
-        n = int(candidates.size)
-
-        cand64 = candidates.astype(np.int64)
-        cat, seg, degs = _gather_adjacency(job.graph, cand64)
-
-        intersections_per_cand = 0
-        if fixed:
-            base = fixed[0]
-            intersections_per_cand = 1
-            bs = int(base.size)
-            if bs and cat.size:
-                hit = base.take(
-                    np.searchsorted(base, cat), mode="clip"
-                ) == cat
-                kept = cat[hit]
-                kseg = seg[hit]
-            else:
-                kept = cat[:0]
-                kseg = seg[:0]
-            inter_counts = np.bincount(kseg, minlength=n)
-            dmax = int(degs.max()) if n else 0
-            if bs >= dmax:
-                # The fixed list is the larger side for every candidate, so
-                # the binary-search log term is one scalar — same float
-                # expression as ``CostModel.intersect_cost``, fewer array
-                # ops than the elementwise port.
-                batches = (degs + WARP_SIZE - 1) // WARP_SIZE
-                per_batch = (
-                    cost.load_batch * cost.memory_multiplier
-                    + cost.probe * max(1, bs.bit_length())
-                    + cost.compact_batch
-                    + cost.write_batch
-                )
-                pre_cycles = np.where(
-                    degs <= 0,
-                    cost.step,
-                    (batches.astype(np.float64) * per_batch).astype(np.int64),
-                )
-            else:
-                pre_cycles = intersect_cost_vec(
-                    cost, np.minimum(degs, bs), np.maximum(degs, bs)
-                )
-        else:
-            kept = cat
-            kseg = seg
-            inter_counts = degs
-            pre_cycles = copy_cost_vec(cost, degs)
-
-        raw_cat, raw_seg, raw_counts, pre_cycles = _static_filter_segments(
-            job, position, kept, kseg, inter_counts, pre_cycles
-        )
-        raw_offs = _offsets(raw_counts)
-
-        # Leaf selection filters over the concatenated raw sets.  No
-        # label/degree re-check: ``raw_cat`` already passed the static
-        # filter, and adjacency members always have degree >= 1 when the
-        # plan requires no more.
-        path = st.path
-        pos = position - 1
-        cons = plan.constraints[position]
-        if cons:
-            fixed_bound = None
-            for t in cons:
-                if t != pos and (fixed_bound is None or path[t] > fixed_bound):
-                    fixed_bound = path[t]
-            if pos in cons:
-                bounds = cand64
-                if fixed_bound is not None:
-                    bounds = np.maximum(bounds, fixed_bound)
-            else:
-                bounds = np.full(n, fixed_bound, dtype=np.int64)
-            lmask = raw_cat > np.repeat(bounds, raw_counts)
-        else:
-            lmask = np.ones(raw_cat.size, dtype=bool)
-        for t in range(position):
-            if t == pos:
-                continue
-            lmask &= raw_cat != path[t]
-        lmask &= raw_cat != np.repeat(
-            candidates.astype(raw_cat.dtype), raw_counts
-        )
-        leaf_counts = np.bincount(raw_seg[lmask], minlength=n)
-
-        leaf_cycles = self._leaf_cycle_base(job, position, raw_counts)
-        leaf_cycles = leaf_cycles + leaf_counts * cost.emit_match
-        return LeafBlock(
-            candidates=candidates,
-            count=n,
-            pre_cycles=pre_cycles,
-            leaf_counts=leaf_counts,
-            leaf_cycles=leaf_cycles,
-            sizes=raw_counts,
-            values=raw_cat,
-            offsets=raw_offs,
-            intersections_per_cand=intersections_per_cand,
-            reuse_per_cand=reuse_per_cand,
-        )
-
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _leaf_cycle_base(job: "MatchJob", position: int, raw_sizes):
-        """``filter_candidates`` charge(s) minus the per-match emit term."""
-        cost = job.cost
-        base = filter_cost_vec(cost, raw_sizes)
-        if job.config.stmatch_removal:
-            base = base + np.where(
-                np.asarray(raw_sizes) > 0,
-                intersect_cost_vec(
-                    cost,
-                    raw_sizes,
-                    np.full_like(np.asarray(raw_sizes), max(1, position)),
-                ),
-                0,
-            )
-        return base

@@ -407,11 +407,10 @@ class MatchService:
         """Replace a registered graph wholesale; bumps its version."""
         with self._graphs_lock:
             slot = self._slot(graph_id)
-            old_graph = slot.graph
             slot.graph = graph
             slot.version += 1
             version = slot.version
-        self._after_update(graph_id, old_graph)
+        self._after_update(graph_id)
         return version
 
     def apply_edges(
@@ -434,11 +433,10 @@ class MatchService:
         batch = DeltaBatch.make(add=add, remove=remove)
         with self._graphs_lock:
             slot = self._slot(graph_id)
-            old = slot.graph
-            slot.graph = old.apply_delta(batch)
+            slot.graph = slot.graph.apply_delta(batch)
             slot.version += 1
             version = slot.version
-        self._after_update(graph_id, old)
+        self._after_update(graph_id)
         return version
 
     def match_delta(
@@ -499,7 +497,7 @@ class MatchService:
             slot.graph = new_graph
             slot.version += 1
             version = slot.version
-        self._after_update(graph_id, old_graph)
+        self._after_update(graph_id)
 
         base: Optional[MatchResult] = None
         if self.config.enable_result_cache:
@@ -599,9 +597,7 @@ class MatchService:
             slot = self._slot(graph_id)
             return slot.graph, slot.version
 
-    def _after_update(
-        self, graph_id: str, old_graph: Optional[CSRGraph] = None
-    ) -> None:
+    def _after_update(self, graph_id: str) -> None:
         self.metrics.incr("graph_updates")
         # Planner-produced plans, their portfolios and feedback are *always*
         # eagerly invalidated on a version bump: a matching order chosen for
@@ -616,14 +612,6 @@ class MatchService:
         self.feedback.invalidate_graph(graph_id)
         if self.config.eager_invalidation:
             self.result_cache.invalidate_graph(graph_id)
-        # A shared kernel backend (a KernelBackend instance in the service's
-        # match_config) may hold intersections of the replaced graph.  Its
-        # epoch keying already prevents cross-version hits, but dropping the
-        # dead epoch eagerly returns the memory and keeps the stats honest.
-        backend = getattr(self.config.match_config, "kernel_backend", None)
-        cache = getattr(backend, "cache", None)
-        if cache is not None and old_graph is not None:
-            cache.invalidate(old_graph)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

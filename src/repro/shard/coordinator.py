@@ -56,8 +56,7 @@ def _child_config(config):
     coordinator-owned concerns (the obs bundle, checkpoint hooks, the
     planner — the plan is already resolved and pinned by the coordinator)
     are dropped; a constructed kernel-backend instance degrades to its
-    registry name, since an intersection cache cannot be shared across
-    process boundaries anyway.
+    registry name (backends are stateless, so nothing is lost).
     """
     backend = config.kernel_backend
     if not isinstance(backend, str):

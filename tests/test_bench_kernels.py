@@ -30,7 +30,7 @@ def session_metrics(monkeypatch):
 class TestKernelVariants:
     def test_variant_labels_cover_all_backends(self):
         labels = [label for label, _ in KERNEL_VARIANTS]
-        assert labels == ["scalar", "vectorized", "vectorized+cache"]
+        assert labels == ["scalar", "vectorized"]
 
     def test_variant_config_sets_backend(self):
         cfg = kernel_variant_config("scalar")
@@ -52,7 +52,6 @@ class TestAblationEndToEnd:
         assert not scalar.failed and not vec.failed
         assert scalar.count == vec.count > 0
         assert scalar.elapsed_cycles == vec.elapsed_cycles
-        assert results["vectorized+cache"].count == scalar.count
 
         path = tmp_path / "bench-metrics.tsv"
         assert dump_session_metrics(str(path)) == str(path)
@@ -75,5 +74,3 @@ class TestAblationEndToEnd:
         assert by_engine_metric[("tdfs[scalar]", "engine.matches")] == (
             by_engine_metric[("tdfs[vectorized]", "engine.matches")]
         )
-        # The cache variant records its hit/miss counters in the same dump.
-        assert ("tdfs[vectorized+cache]", "kernel.cache_hits") in by_engine_metric

@@ -48,22 +48,33 @@ class TestIntersectSorted:
 
 class TestIntersectMany:
     def test_single_list_is_copy(self):
-        out, cycles = intersect_many([arr(1, 2, 3)], COST)
+        out, cycles, steps = intersect_many([arr(1, 2, 3)], COST)
         assert list(out) == [1, 2, 3]
-        assert cycles > 0
+        assert cycles == COST.copy_cost(3) and steps == 0
+
+    def test_two_lists_stream_the_smaller(self):
+        small, big = arr(2, 9), arr(1, 2, 3, 4)
+        for lists in ([small, big], [big, small]):
+            out, cycles, steps = intersect_many(lists, COST)
+            assert list(out) == [2] and steps == 1
+            assert cycles == COST.intersect_cost(2, 4)
 
     def test_three_way(self):
-        out, _ = intersect_many([arr(1, 2, 3, 4), arr(2, 3, 4), arr(3, 4, 9)], COST)
-        assert list(out) == [3, 4]
+        out, cycles, steps = intersect_many(
+            [arr(1, 2, 3, 4), arr(2, 3, 4), arr(3, 4, 9)], COST
+        )
+        assert list(out) == [3, 4] and steps == 2
+        # Smallest first, then the partial result against the next list.
+        assert cycles == COST.intersect_cost(3, 3) + COST.intersect_cost(2, 4)
 
     def test_short_circuit_on_empty(self):
-        out, _ = intersect_many([arr(1), arr(2), arr(1)], COST)
-        assert out.size == 0
+        out, _, steps = intersect_many([arr(1), arr(2), arr(1)], COST)
+        assert out.size == 0 and steps == 1
 
     def test_empty_input(self):
-        out, cycles = intersect_many([], COST)
+        out, cycles, steps = intersect_many([], COST)
         assert out.size == 0
-        assert cycles == COST.step
+        assert (cycles, steps) == (COST.step, 0)
 
 
 class TestCandidates:
@@ -175,9 +186,9 @@ class TestEdgeFilter:
         assert len(kept) <= len(edges)
 
     def test_host_prefilter_serial_cost(self):
-        kept, cycles = host_prefilter(self.graph, self.plan, COST)
+        edges = self.graph.directed_edge_array()
+        kept, cycles = host_prefilter(self.graph, self.plan, edges, COST)
         assert cycles == self.graph.num_directed_edges * COST.cpu_edge_filter
         # Same survivors as the device-side mask.
-        edges = self.graph.directed_edge_array()
         mask = edge_mask(self.graph, self.plan, edges, prune_degree=True)
         assert np.array_equal(kept, edges[mask])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import TDFSConfig
+from repro import TDFSConfig, match
 from repro.baselines.cpu import cpu_count
 from repro.core.engine import TDFSEngine
 from repro.core.multi_gpu import merge_results
@@ -40,6 +40,38 @@ class TestMultiGPU:
         plan = compile_plan(get_pattern("P12"))
         expect = cpu_count(labeled_plc, plan)
         assert TDFSEngine(cfg).run(labeled_plc, plan).count == expect
+
+
+class TestHostPrefilteredMultiGPU:
+    """Regression: STMatch's host prefilter must filter the rows a device
+    was dealt — it used to filter every directed edge on every device, so
+    ``num_gpus=n`` counted n times."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unlabeled_matches_cpu(self, small_plc, n):
+        want = match(small_plc, "P2", engine="cpu").count
+        cfg = TDFSConfig(num_warps=8, num_gpus=n)
+        got = match(small_plc, "P2", engine="stmatch", config=cfg)
+        assert want > 0 and got.count == want
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_labeled_matches_cpu(self, labeled_plc, n):
+        want = match(labeled_plc, "P12", engine="cpu").count
+        cfg = TDFSConfig(num_warps=8, num_gpus=n)
+        got = match(labeled_plc, "P12", engine="stmatch", config=cfg)
+        assert want > 0 and got.count == want
+
+    def test_host_work_is_split_not_repeated(self, small_plc):
+        one, two = (
+            match(
+                small_plc, "P2", engine="stmatch",
+                config=TDFSConfig(num_warps=8, num_gpus=n),
+            )
+            for n in (1, 2)
+        )
+        per_edge = TDFSConfig().cost.cpu_edge_filter
+        assert one.host_preprocess_cycles == small_plc.num_directed_edges * per_edge
+        assert two.host_preprocess_cycles == one.host_preprocess_cycles
 
 
 class TestMergeResults:

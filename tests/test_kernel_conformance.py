@@ -16,10 +16,12 @@ tests force block engagement with ``VectorizedBackend(min_batch=1)`` so
 tiny graphs still cover the batched path, and pin the
 ``intersect_sorted`` out-of-range clamp.
 
-The prefix-block suites at the end cover the other end of an item
-(``VectorizedBackend.prefix_block``): row by row against ``edge_mask`` /
-``_raw`` / ``filter_candidates``, end to end with windows that chunks
-straddle, and one test per documented decline.
+The block suites at the end check both producers of a
+:class:`~repro.kernels.base.Block` (``prefix_block`` windows of initial
+rows, ``leaf_block`` windows of pre-leaf candidates) slot by slot against
+``_raw`` / ``filter_candidates``, then prefix windows end to end with
+chunks that straddle them, the interruptible (non-bulk) leaf replay through
+a truncating level, and one test per documented decline.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from repro.gpusim.device import VirtualGPU
 from repro.graph.builder import relabel_random
 from repro.kernels import (
     BACKEND_NAMES,
-    IntersectionCache,
     ScalarBackend,
     VectorizedBackend,
     available_backends,
@@ -294,22 +295,16 @@ class TestBackendRegistry:
     """Construction-surface checks for the backend plumbing."""
 
     def test_available_names(self):
-        assert available_backends() == BACKEND_NAMES
-        assert "scalar" in BACKEND_NAMES and "vectorized" in BACKEND_NAMES
+        assert available_backends() == BACKEND_NAMES == ("scalar", "vectorized")
+        for name, cls in zip(BACKEND_NAMES, (ScalarBackend, VectorizedBackend)):
+            assert type(make_backend(name)) is cls
 
     def test_make_backend_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            make_backend("simd")
-
-    def test_cache_alias_attaches_default_cache(self):
-        backend = make_backend("vectorized+cache")
-        assert isinstance(backend, VectorizedBackend)
-        assert backend.cache is not None and backend.cache.capacity > 0
-
-    def test_cache_entries_attach_to_any_backend(self):
-        backend = make_backend("scalar", cache_entries=7)
-        assert isinstance(backend, ScalarBackend)
-        assert backend.cache is not None and backend.cache.capacity == 7
+        # One typed error, the same one the config raises, listing the names.
+        for name in ("simd", "vectorized+cache"):
+            with pytest.raises(ReproError, match="unknown kernel backend") as err:
+                make_backend(name)
+            assert all(known in str(err.value) for known in BACKEND_NAMES)
 
     def test_resolve_passes_instances_through(self):
         inst = VectorizedBackend()
@@ -317,8 +312,9 @@ class TestBackendRegistry:
         assert isinstance(resolve_backend(None), VectorizedBackend)
 
     def test_config_rejects_unknown_backend_name(self):
-        with pytest.raises(ReproError, match="unknown kernel backend"):
-            TDFSConfig(kernel_backend="simd")
+        for name in ("simd", "vectorized+cache"):
+            with pytest.raises(ReproError, match="unknown kernel backend"):
+                TDFSConfig(kernel_backend=name)
 
     def test_scalar_backend_never_offers_blocks(self):
         backend = ScalarBackend()
@@ -365,6 +361,31 @@ def _direct_job(graph, query, config, backend):
     )
 
 
+def assert_slot_equals_scalar(job, st, position, block, slot):
+    """``block``'s ``slot`` holds exactly what the scalar functions return
+    for the partial match ``st.path[:position]`` — whichever producer made
+    the block."""
+    cfg = job.config
+    before = (job.intersections, job.reuse_hits)
+    raw, raw_cycles = job._raw(st, position)
+    got = block.raw_set(slot)
+    assert got.dtype == raw.dtype and np.array_equal(got, raw)
+    assert block.raw_sizes[slot] == raw.size
+    assert block.raw_cycles[slot] == raw_cycles
+    assert (block.intersections, block.reuse) == (
+        job.intersections - before[0],
+        job.reuse_hits - before[1],
+    )
+    want, filter_cycles = filter_candidates(
+        job.graph, job.plan, st.path, position, raw, job.cost, cfg.stmatch_removal
+    )
+    assert block.survivors[slot] == want.size
+    assert block.filter_cycles[slot] == filter_cycles
+    if block.filtered is not None:
+        offs = block.filtered_offsets
+        assert np.array_equal(block.filtered[offs[slot] : offs[slot + 1]], want)
+
+
 class TestPrefixBlockRows:
     """Row by row, a block holds exactly what the scalar functions return."""
 
@@ -394,7 +415,7 @@ class TestPrefixBlockRows:
     @staticmethod
     def _check_rows(graph, query, cfg) -> int:
         job = _direct_job(graph, query, cfg, VectorizedBackend())
-        plan, cost = job.plan, job.cost
+        plan = job.plan
         k = plan.num_levels
         st = RunState(k, WarpStack(k, job.level_factory))
         st.valid_from = 2
@@ -405,32 +426,164 @@ class TestPrefixBlockRows:
             if block is None:  # a tail too short to be worth a block
                 assert len(rows) - lo < PREFIX_MIN_ROWS
                 break
-            assert cfg.chunk_size <= block.count or lo + block.count == len(rows)
-            window = rows[lo : lo + block.count]
+            covered = block.window
+            assert cfg.chunk_size <= covered or lo + covered == len(rows)
+            window = rows[lo : lo + covered]
             keep = edge_mask(graph, plan, window, cfg.enable_edge_filter)
             assert np.diff(block.kept_before).tolist() == keep.astype(int).tolist()
             assert np.array_equal(block.rows, window[keep])
+            assert block.count == len(block.rows) and block.filtered is not None
             for slot, row in enumerate(window[keep]):
                 st.path[0], st.path[1] = int(row[0]), int(row[1])
-                before = job.intersections
-                raw, raw_cycles = job._raw(st, 2)
-                got = block.raw[block.raw_offsets[slot] : block.raw_offsets[slot + 1]]
-                assert got.dtype == raw.dtype and np.array_equal(got, raw)
-                assert block.raw_cycles[slot] == raw_cycles
-                assert block.intersections == job.intersections - before
-                want, filter_cycles = filter_candidates(
-                    graph, plan, st.path, 2, raw, cost, cfg.stmatch_removal
-                )
-                offs = block.filtered_offsets
-                assert np.array_equal(
-                    block.filtered[offs[slot] : offs[slot + 1]], want
-                )
-                assert block.filter_cycles[slot] == filter_cycles
+                assert_slot_equals_scalar(job, st, 2, block, slot)
+                # The row replay indexes plain lists of plain ints.
                 assert type(block.raw_cycles[slot]) is int
                 assert type(block.filter_cycles[slot]) is int
             kept_rows += int(keep.sum())
-            lo += block.count
+            lo += covered
         return kept_rows
+
+
+#: Leaf shapes by pattern (reuse on / off): P1 one shared seed / two shared
+#: lists; P2 varying + seed / three lists with the varying one (declined);
+#: P3, P8, P11 varying + one fixed list; P4 two shared lists; P5, P7 varying
+#: + seed / declined; P6 the pre-leaf level's own raw set as the seed.
+LEAF_PATTERNS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P11")
+
+
+class TestLeafBlockSlots:
+    """The same slot-by-slot check for the leaf producer: a scalar DFS walks
+    to the pre-leaf level, offers its candidates as one window, and every
+    slot must equal ``_raw`` / ``filter_candidates`` at the leaf."""
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("case", range(2))
+    def test_block_equals_scalar_per_slot(self, case, labeled):
+        seed = SEED_BASE + 1250 + case
+        graph = case_labeled_graph(seed, 2) if labeled else case_graph(seed)
+        shapes = set()
+        for name in LEAF_PATTERNS:
+            query = get_pattern(name)
+            if labeled:
+                query = query.with_labels(
+                    [(seed + u) % 2 for u in range(query.num_vertices)]
+                )
+            for removal in (False, True):
+                for reuse in (False, True):
+                    cfg = FAST.replace(stmatch_removal=removal, enable_reuse=reuse)
+                    shapes |= self._check_windows(graph, query, cfg)
+        # Both kinds of block were produced, and some shape declined.
+        assert shapes >= {"shared", "segmented", "declined"}, shapes
+
+    @staticmethod
+    def _check_windows(graph, query, cfg, limit=12) -> set:
+        job = _direct_job(graph, query, cfg, VectorizedBackend(min_batch=1))
+        plan = job.plan
+        k = plan.num_levels
+        st = RunState(k, WarpStack(k, job.level_factory))
+        st.valid_from = 2
+        shapes = set()
+
+        def windows(pos):
+            """Scalar DFS below ``st.path[:pos]``, stack levels written as
+            the matcher writes them; yields the pre-leaf candidate sets."""
+            raw, _ = job._raw(st, pos)
+            st.stack.level(pos).write(raw, job.cost)
+            filtered, _ = filter_candidates(
+                graph, plan, st.path, pos, raw, job.cost, cfg.stmatch_removal
+            )
+            if pos == k - 2:
+                if len(filtered):
+                    yield filtered
+                return
+            for v in filtered[:2]:
+                st.path[pos] = int(v)
+                yield from windows(pos + 1)
+
+        rows = graph.directed_edge_array()
+        rows = rows[edge_mask(graph, plan, rows, cfg.enable_edge_filter)]
+        checked = 0
+        for row in rows:
+            st.path[0], st.path[1] = int(row[0]), int(row[1])
+            for candidates in windows(2):
+                block = job.backend.leaf_block(job, st, k - 1, candidates)
+                threshold = job.backend.block_threshold(job, st, k - 1)
+                if block is None:
+                    # The shared shape decision: a decline is a shape the
+                    # threshold refuses, or a window below it.
+                    assert not threshold or len(candidates) < threshold
+                    shapes.add("declined")
+                    continue
+                assert threshold and block.count == len(candidates) >= threshold
+                assert block.filtered is None and block.rows is None
+                shapes.add("shared" if block.raw_offsets is None else "segmented")
+                for slot, v in enumerate(candidates):
+                    st.path[k - 2] = int(v)
+                    assert_slot_equals_scalar(job, st, k - 1, block, slot)
+                checked += 1
+                if checked == limit:
+                    return shapes
+        return shapes
+
+
+class TestInterruptibleLeafReplay:
+    """Tracing or a fault plan turn the bulk array-sum replay off, so every
+    slot of a leaf window goes through ``_expand_leaf`` → ``_fill_level`` —
+    including slots whose fixed-capacity level truncates and is rescanned."""
+
+    TRUNCATING = FAST.replace(
+        stack_mode=StackMode.ARRAY_FIXED,
+        fixed_capacity=8,
+        truncate_on_overflow=True,
+    )
+    #: The leaf reads one whole adjacency list, so hubs overflow the level:
+    #: the swept vertex's list (a segmented block) or a fixed one's (shared).
+    LOLLIPOP = QueryGraph(
+        5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], name="lollipop"
+    )
+    STAR = QueryGraph(4, [(0, 1), (0, 2), (0, 3)], name="star")
+
+    @pytest.mark.parametrize("query", [LOLLIPOP, STAR], ids=lambda q: q.name)
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            lambda: {"obs": Observability(tracing=True)},
+            # Stragglers and CAS storms only: armed, but nothing fatal, so
+            # the one attempt reaches every window.
+            lambda: {
+                "fault_plan": FaultPlan(
+                    seed=SEED_BASE + 1, cas_storm_rate=0.05, stall_rate=0.25
+                )
+            },
+        ],
+        ids=["tracing", "fault-plan"],
+    )
+    def test_truncating_leaf_window(self, extra, query, small_plc, monkeypatch):
+        seen = {"slots": 0, "truncated": 0}
+        fill_level = MatchJob._fill_level
+
+        def spy(self, warp, st, pos, block, slot):
+            out = fill_level(self, warp, st, pos, block, slot)
+            if block is not None and block.rows is None:  # a leaf window
+                seen["slots"] += 1
+                seen["truncated"] += int(
+                    st.stack.level(pos).length != block.raw_sizes[slot]
+                )
+            return out
+
+        monkeypatch.setattr(MatchJob, "_fill_level", spy)
+        results = {
+            name: match(
+                small_plc,
+                query,
+                config=self.TRUNCATING.replace(kernel_backend=name, **extra()),
+            )
+            for name in ("scalar", "vectorized")
+        }
+        for f in CONFORMANCE_FIELDS:
+            assert getattr(results["scalar"], f) == getattr(results["vectorized"], f), f
+        assert results["scalar"].overflowed
+        assert seen["slots"] > seen["truncated"] > 0, seen
 
 
 class TestPrefixBlockEndToEnd:
@@ -518,7 +671,7 @@ class TestPrefixBlockEndToEnd:
                 if not taken and job._cursor and inside:
                     mid_window = (
                         job._block is not None
-                        and job._cursor < job._block_lo + job._block.count
+                        and job._cursor < job._block_lo + job._block.window
                     )
                     taken.append(
                         (snapshot_pending_work(job), job.count, now, mid_window)
@@ -586,8 +739,8 @@ class TestPrefixBlockEndToEnd:
 class _SpyBackend(VectorizedBackend):
     """Records every prefix-block offer and what came back."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self):
+        super().__init__()
         self.offers = []
 
     def prefix_block(self, job, rows):
@@ -614,7 +767,8 @@ class TestPrefixBlockDeclines:
         spy = _SpyBackend()
         self._run(small_plc, "P2", FAST, spy)
         assert spy.offers and all(b is not None for b in spy.offers)
-        assert sum(b.count for b in spy.offers) >= small_plc.num_directed_edges
+        covered = sum(b.window for b in spy.offers)
+        assert covered >= small_plc.num_directed_edges
 
     def test_small_groups_decline(self, small_plc):
         # A handful of rows (a dynamic anchor run, a small recovery
@@ -629,19 +783,6 @@ class TestPrefixBlockDeclines:
         for f in CONFORMANCE_FIELDS:
             assert getattr(results["scalar"], f) == getattr(results["vec"], f), f
         assert backend.offers and all(b is None for b in backend.offers)
-
-    def test_attached_cache_declines(self, small_plc):
-        # Scalar runs with its own cold cache of the same size, so hits and
-        # their copy charges line up.
-        spy = _SpyBackend(cache=IntersectionCache(256))
-        scalar = match(
-            small_plc, "P2",
-            config=FAST.replace(kernel_backend="scalar", kernel_cache_entries=256),
-        )
-        vec = match(small_plc, "P2", config=FAST.replace(kernel_backend=spy))
-        for f in CONFORMANCE_FIELDS:
-            assert getattr(scalar, f) == getattr(vec, f), f
-        assert spy.offers and all(b is None for b in spy.offers)
 
     def test_egsm_labeled_declines(self, small_plc):
         graph = relabel_random(small_plc, 3, seed=5)
