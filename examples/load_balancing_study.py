@@ -18,7 +18,15 @@ Run with::
     python examples/load_balancing_study.py
 """
 
-from repro import Observability, Strategy, TDFSConfig, from_edges, match, get_pattern
+from repro import (
+    Observability,
+    RunContext,
+    Strategy,
+    TDFSConfig,
+    from_edges,
+    match,
+    get_pattern,
+)
 from repro.bench.reporting import Table, format_ms
 from repro.obs import ascii_timeline, utilization
 
@@ -77,7 +85,12 @@ def main() -> None:
     # warp shares it.
     for strategy in (Strategy.NONE, Strategy.TIMEOUT):
         obs = Observability(tracing=True)
-        match(graph, query, config=TDFSConfig(strategy=strategy, num_warps=8, obs=obs))
+        match(
+            graph,
+            query,
+            config=TDFSConfig(strategy=strategy, num_warps=8),
+            ctx=RunContext(obs=obs),
+        )
         spans = obs.tracer.spans()
         print(f"\nwarp timeline — {strategy.value} "
               f"(utilization {utilization(spans, 8):.0%}):")

@@ -18,7 +18,7 @@ See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 regeneration of every table and figure in the paper's evaluation.
 """
 
-from repro.core.config import StackMode, Strategy, TDFSConfig
+from repro.core.config import RunContext, StackMode, Strategy, TDFSConfig
 from repro.core.engine import TDFSEngine, available_engines, match
 from repro.core.result import MatchResult, RecoveryStats
 from repro.dynamic import (
@@ -53,6 +53,7 @@ __all__ = [
     "MatchingPlan",
     "compile_plan",
     "TDFSConfig",
+    "RunContext",
     "Strategy",
     "StackMode",
     "TDFSEngine",

@@ -11,7 +11,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.config import TDFSConfig
+from repro.core.config import RunContext, TDFSConfig
 from repro.core.result import MatchResult
 from repro.errors import UnsupportedError
 from repro.graph.csr import CSRGraph
@@ -121,7 +121,10 @@ class CPUEngine:
 
     name = "cpu"
 
-    def __init__(self, config: Optional[TDFSConfig] = None) -> None:
+    def __init__(
+        self, config: Optional[TDFSConfig] = None, ctx: Optional[RunContext] = None
+    ) -> None:
+        # ``ctx`` is accepted for registry parity; this engine wires nothing.
         self.config = config or TDFSConfig()
 
     def compile(
@@ -142,13 +145,20 @@ class CPUEngine:
         )
 
     def run(
-        self, graph: CSRGraph, query: Union[QueryGraph, MatchingPlan]
+        self,
+        graph: CSRGraph,
+        query: Union[QueryGraph, MatchingPlan],
+        collect_matches: int = 0,
     ) -> MatchResult:
+        """Count (and, with ``collect_matches > 0``, enumerate up to that
+        many embeddings indexed by query vertex id, like the device
+        engines) by serial backtracking."""
         plan = self.compile(query)
         if plan.is_labeled and not graph.is_labeled:
             raise UnsupportedError("labeled query on an unlabeled data graph")
-        count = cpu_count(graph, plan)
-        return MatchResult(
+        sink: Optional[list] = [] if collect_matches else None
+        count = cpu_count(graph, plan, collect=sink, collect_limit=collect_matches)
+        result = MatchResult(
             engine=self.name,
             graph_name=graph.name,
             query_name=plan.query.name,
@@ -157,3 +167,6 @@ class CPUEngine:
             aut_size=plan.aut_size,
             symmetry_enabled=plan.symmetry_enabled,
         )
+        if sink is not None:
+            result.matches = plan.by_query_vertex(sink)
+        return result

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.baselines.ctindex import CuckooTrieIndex
-from repro.core.config import StackMode, Strategy, TDFSConfig
+from repro.core.config import RunContext, StackMode, Strategy, TDFSConfig
 from repro.core.engine import TDFSEngine
 from repro.core.result import MatchResult
 from repro.core.warp_matcher import MatchJob
@@ -56,7 +56,9 @@ class EGSMEngine(TDFSEngine):
     name = "egsm"
     host_filter = False
 
-    def __init__(self, config: Optional[TDFSConfig] = None) -> None:
+    def __init__(
+        self, config: Optional[TDFSConfig] = None, ctx: Optional[RunContext] = None
+    ) -> None:
         base = config or TDFSConfig()
         super().__init__(
             base.replace(
@@ -68,7 +70,8 @@ class EGSMEngine(TDFSEngine):
                 # hash-scattered rather than coalesced: 3 levels × ~2.5
                 # non-coalesced access penalty on every adjacency read.
                 cost=base.cost.with_memory_multiplier(7.5),
-            )
+            ),
+            ctx,
         )
 
     def _resolve_plan(self, query):

@@ -33,7 +33,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.candidates import filter_candidates, leaf_count, raw_candidates
-from repro.core.config import TDFSConfig
+from repro.core.config import RunContext, TDFSConfig
 from repro.core.edge_filter import edge_mask
 from repro.core.result import MatchResult
 from repro.errors import UnsupportedError
@@ -49,7 +49,10 @@ class PBEEngine:
 
     name = "pbe"
 
-    def __init__(self, config: Optional[TDFSConfig] = None) -> None:
+    def __init__(
+        self, config: Optional[TDFSConfig] = None, ctx: Optional[RunContext] = None
+    ) -> None:
+        # ``ctx`` is accepted for registry parity; this engine wires nothing.
         self.config = config or TDFSConfig()
 
     # ------------------------------------------------------------------ #
@@ -66,12 +69,20 @@ class PBEEngine:
         return compile_plan(query, enable_symmetry=True, enable_reuse=False)
 
     def run(
-        self, graph: CSRGraph, query: Union[QueryGraph, MatchingPlan]
+        self,
+        graph: CSRGraph,
+        query: Union[QueryGraph, MatchingPlan],
+        collect_matches: int = 0,
     ) -> MatchResult:
         plan = self.compile(query)
         if plan.is_labeled:
             raise UnsupportedError(
                 "PBE only supports unlabeled subgraph matching (paper IV-B)"
+            )
+        if collect_matches:
+            raise UnsupportedError(
+                "PBE counts level by level and keeps no embeddings; "
+                "it cannot enumerate matches"
             )
         cfg = self.config
         cost = cfg.cost

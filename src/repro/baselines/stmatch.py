@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.config import StackMode, Strategy, TDFSConfig
+from repro.core.config import RunContext, StackMode, Strategy, TDFSConfig
 from repro.core.engine import TDFSEngine
 
 
@@ -39,7 +39,9 @@ class STMatchEngine(TDFSEngine):
     name = "stmatch"
     host_filter = True
 
-    def __init__(self, config: Optional[TDFSConfig] = None) -> None:
+    def __init__(
+        self, config: Optional[TDFSConfig] = None, ctx: Optional[RunContext] = None
+    ) -> None:
         base = config or TDFSConfig()
         super().__init__(
             base.replace(
@@ -48,14 +50,14 @@ class STMatchEngine(TDFSEngine):
                 truncate_on_overflow=True,
                 stmatch_removal=True,
                 enable_reuse=False,
-            )
+            ),
+            ctx,
         )
 
     def with_dmax_stacks(self) -> "STMatchEngine":
         """Variant the paper benchmarks against: capacity raised to d_max
         ("we set the capacity to d_max instead unless otherwise stated"),
         restoring correctness at a large memory cost."""
-        fixed = self.config.replace(stack_mode=StackMode.ARRAY_DMAX)
-        engine = STMatchEngine.__new__(STMatchEngine)
-        TDFSEngine.__init__(engine, fixed)
+        engine = STMatchEngine(self.config, self.ctx)
+        engine.config = engine.config.replace(stack_mode=StackMode.ARRAY_DMAX)
         return engine

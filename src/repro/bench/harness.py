@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.config import TDFSConfig
+from repro.core.config import RunContext, TDFSConfig
 from repro.core.engine import match
 from repro.core.result import MatchResult
 from repro.errors import ReproError, UnsupportedError
@@ -170,17 +170,15 @@ def run_cell(
     if cfg.device_memory is None:
         cfg = cfg.replace(device_memory=spec.device_memory)
     seed = chaos_seed if chaos_seed is not None else fault_seed()
-    if seed is not None and cfg.fault_plan is None:
+    ctx = None
+    if seed is not None:
         from repro.faults import FaultPlan, RetryPolicy
 
-        cfg = cfg.replace(
-            fault_plan=FaultPlan.seeded(seed),
-            retry=cfg.retry or RetryPolicy(),
-        )
+        ctx = RunContext(fault_plan=FaultPlan.seeded(seed), retry=RetryPolicy())
     if isinstance(pattern, str):
         pattern = get_pattern(pattern)
     try:
-        result = match(graph, pattern, engine=engine, config=cfg)
+        result = match(graph, pattern, engine=engine, config=cfg, ctx=ctx)
         record_cell_metrics(dataset, pattern.name, record_as or engine, result)
         return result
     except UnsupportedError:

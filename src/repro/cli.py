@@ -69,7 +69,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from repro.core.config import StackMode, Strategy, TDFSConfig
+from repro.core.config import RunContext, StackMode, Strategy, TDFSConfig
 from repro.core.engine import available_engines, make_engine, match
 from repro.errors import ReproError
 from repro.kernels import available_backends
@@ -724,14 +724,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         strategy=Strategy(args.strategy),
         device_memory=DATASETS[args.dataset].device_memory,
-        obs=obs,
     )
     # Default to a small τ so the bundled example actually exercises the
     # timeout-steal path (the paper's τ is tuned for billion-edge graphs).
     tau_us = args.tau_us if args.tau_us is not None else 1.0
     config = config.replace(tau_cycles=max(1, int(tau_us * 1000)))
     graph = load_dataset(args.dataset, num_labels=args.labels)
-    engine = make_engine(args.engine, config)
+    engine = make_engine(args.engine, config, RunContext(obs=obs))
     result = engine.run(graph, get_pattern(args.pattern))
     print(result.summary())
     print()
@@ -784,11 +783,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         cas_storm_rate=args.cas_storm_rate,
         stall_rate=args.stall_rate,
     )
-    chaos_cfg = base.replace(
-        fault_plan=plan,
-        retry=RetryPolicy(max_attempts=args.attempts),
+    ctx = RunContext(
+        fault_plan=plan, retry=RetryPolicy(max_attempts=args.attempts)
     )
-    result = match(graph, args.pattern, engine="tdfs", config=chaos_cfg)
+    result = match(graph, args.pattern, engine="tdfs", config=base, ctx=ctx)
     report = format_survival_report(result, baseline=baseline, plan=plan)
     print(report, end="")
     survived = (not result.failed) and result.count == baseline.count

@@ -12,12 +12,13 @@ are implemented inside the same framework, mirroring the paper's Fig. 11
 methodology.
 """
 
-from repro.core.config import TDFSConfig, Strategy, StackMode
+from repro.core.config import RunContext, TDFSConfig, Strategy, StackMode
 from repro.core.engine import TDFSEngine, match
 from repro.core.result import MatchResult
 
 __all__ = [
     "TDFSConfig",
+    "RunContext",
     "Strategy",
     "StackMode",
     "TDFSEngine",

@@ -1,4 +1,5 @@
-"""Engine configuration.
+"""Engine configuration: :class:`TDFSConfig` says what a run computes,
+:class:`RunContext` says how it is run.
 
 Defaults follow the paper: chunk size 8, timeout τ = 10 ms (scaled to the
 stand-in datasets — see ``DEFAULT_TAU_CYCLES``), paged stacks, timeout-based
@@ -53,10 +54,15 @@ STMATCH_FIXED_CAPACITY = 96
 
 @dataclass(frozen=True)
 class TDFSConfig:
-    """Tunable parameters of a T-DFS run.
+    """What a T-DFS run computes: the paper's knobs, nothing else.
 
-    Attributes mirror the knobs the paper exposes; everything has a sane
-    default so ``TDFSEngine()`` works out of the box.
+    Every field can change a count, a virtual time or a reported statistic,
+    so every field is part of the cache fingerprint (``trace_context``, the
+    one declared exception, says so where it is defined) and the whole
+    object pickles whenever ``kernel_backend`` is a name.  How a run is
+    *executed* — observability, fault injection, retry, checkpoint hooks,
+    the event budget — travels beside it in a :class:`RunContext`.
+    Everything has a sane default so ``TDFSEngine()`` works out of the box.
     """
 
     num_warps: int = DEFAULT_NUM_WARPS
@@ -108,33 +114,6 @@ class TDFSConfig:
 
     num_gpus: int = 1
     cost: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
-    max_events: int = 50_000_000
-
-    fault_plan: Optional["FaultPlan"] = None
-    """Chaos harness: deterministic fault plan to arm on every device
-    attempt (see :mod:`repro.faults`).  ``None`` = no injection."""
-    retry: Optional["RetryPolicy"] = None
-    """Resilient execution: retry/degradation/failover policy.  ``None``
-    disables recovery — fatal device errors surface in ``MatchResult.error``
-    exactly as before."""
-
-    obs: Optional["Observability"] = None
-    """Observability bundle (metrics registry + span tracer, see
-    :mod:`repro.obs`).  ``None`` = a fresh per-run registry with tracing
-    disabled; pass your own to accumulate across runs or enable tracing."""
-
-    checkpoint_every_events: int = 0
-    """Take a consistent frontier checkpoint every N scheduler events
-    (0 = off).  At each boundary every warp is suspended at a yield point,
-    so :func:`repro.faults.recovery.snapshot_pending_work` reads an exact
-    resumable remainder; the serving layer's supervisor uses this for
-    checkpoint/resume of in-flight matches.  Arms the host-side task
-    journal (like ``retry``/``fault_plan``) so the snapshot never drains
-    the live ``Q_task`` ring."""
-    checkpoint_hook: Optional[object] = None
-    """Callable ``hook(job, now_cycles)`` invoked at each checkpoint
-    boundary (requires ``checkpoint_every_events > 0``).  May raise to
-    abort the run — the worker-kill chaos axis does exactly that."""
 
     shards: int = 1
     """Shard the initial-task space over N worker processes (see
@@ -161,21 +140,17 @@ class TDFSConfig:
     incremental matcher before it falls back to a full re-match.  Has no
     effect on ordinary (non-delta) runs."""
 
-    trace_context: Optional[object] = None
+    trace_context: Optional[object] = field(
+        default=None, metadata={"fingerprint": False}
+    )
     """Cross-process trace identity (a :class:`repro.obs.TraceContext`)
     for the *operational* tracing layer (see :mod:`repro.obs.ops`).  When
     set, the shard coordinator records dispatch/run spans under it —
     including inside shard worker processes, where the context arrives
     pickled inside this config — and the incremental matcher parents its
-    anchored runs to it.  Purely observational: fingerprint-skipped,
-    changes no simulated behaviour."""
-
-    shard_faults: tuple = ()
-    """Shard indices whose worker process dies on dispatch (the
-    shard-kill fault axis, exercising the coordinator's re-execution
-    path).  Deterministic and observational-path-only in the sense that
-    counts are recovered exactly; fingerprint-skipped like
-    ``fault_plan``."""
+    anchored runs to it.  Purely observational and per-request by
+    construction, so it is the one field the cache fingerprint leaves out
+    (a request must hit the same entry traced or not)."""
 
     # ------------------------------------------------------------------ #
 
@@ -190,8 +165,6 @@ class TDFSConfig:
             raise ReproError("num_gpus must be >= 1")
         if self.tau_cycles <= 0:
             raise ReproError("tau_cycles must be positive; use no_timeout()")
-        if self.checkpoint_every_events < 0:
-            raise ReproError("checkpoint_every_events must be >= 0")
         if self.shards < 1:
             raise ReproError("shards must be >= 1")
         if self.shards > 1 and self.num_gpus > 1:
@@ -231,12 +204,6 @@ class TDFSConfig:
                 raise ReproError(
                     "trace_context must be a repro.obs.TraceContext or None"
                 )
-        if not isinstance(self.shard_faults, tuple) or any(
-            not isinstance(s, int) or s < 0 for s in self.shard_faults
-        ):
-            raise ReproError(
-                "shard_faults must be a tuple of shard indices (ints >= 0)"
-            )
 
     @property
     def tau_ms(self) -> float:
@@ -253,12 +220,81 @@ class TDFSConfig:
         """Copy with the timeout disabled (τ = ∞ ⇒ Strategy.NONE)."""
         return replace(self, strategy=Strategy.NONE)
 
-    def with_strategy(self, strategy: Strategy) -> "TDFSConfig":
-        return replace(self, strategy=strategy)
-
-    def with_stack_mode(self, mode: StackMode) -> "TDFSConfig":
-        return replace(self, stack_mode=mode)
-
     def replace(self, **kwargs) -> "TDFSConfig":
         """General-purpose copy-with-overrides."""
         return replace(self, **kwargs)
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """How a run is executed: wiring that rides beside a :class:`TDFSConfig`.
+
+    Nothing here can change a fault-free count or virtual time, so none of
+    it is fingerprinted; engines read it as ``engine.ctx``.  Everything
+    defaults to "plain run": no injection, no recovery, a private registry.
+    """
+
+    obs: Optional["Observability"] = None
+    """Observability bundle (metrics registry + span tracer, see
+    :mod:`repro.obs`).  ``None`` = a fresh per-run registry with tracing
+    disabled; pass your own to accumulate across runs or enable tracing."""
+
+    fault_plan: Optional["FaultPlan"] = None
+    """Chaos harness: deterministic fault plan to arm on every device
+    attempt (see :mod:`repro.faults`).  ``None`` = no injection."""
+    retry: Optional["RetryPolicy"] = None
+    """Resilient execution: retry/degradation/failover policy.  ``None``
+    disables recovery — fatal device errors surface in ``MatchResult.error``."""
+
+    shard_faults: tuple = ()
+    """Shard indices whose worker process dies on dispatch (the shard-kill
+    fault axis, exercising the coordinator's re-execution path).  Counts
+    are recovered exactly."""
+
+    checkpoint_every_events: int = 0
+    """Take a consistent frontier checkpoint every N scheduler events
+    (0 = off).  At each boundary every warp is suspended at a yield point,
+    so :func:`repro.faults.recovery.snapshot_pending_work` reads an exact
+    resumable remainder; the serving layer's supervisor uses this for
+    checkpoint/resume of in-flight matches."""
+    checkpoint_hook: Optional[object] = None
+    """Callable ``hook(job, now_cycles)`` invoked at each checkpoint
+    boundary (requires ``checkpoint_every_events > 0``).  May raise to
+    abort the run — the worker-kill chaos axis does exactly that."""
+
+    max_events: int = 50_000_000
+    """Scheduler event budget of one device attempt (a runaway guard)."""
+
+    def __post_init__(self) -> None:
+        if self.checkpoint_every_events < 0:
+            raise ReproError("checkpoint_every_events must be >= 0")
+        if not isinstance(self.shard_faults, tuple) or any(
+            not isinstance(s, int) or s < 0 for s in self.shard_faults
+        ):
+            raise ReproError(
+                "shard_faults must be a tuple of shard indices (ints >= 0)"
+            )
+
+    @property
+    def recovery_armed(self) -> bool:
+        """Whether a run may be snapshotted mid-flight (fault plan, retry
+        policy or periodic checkpoints): arms the warp job's host-side task
+        journal so a snapshot never drains the live ``Q_task`` ring."""
+        return (
+            self.fault_plan is not None
+            or self.retry is not None
+            or self.checkpoint_every_events > 0
+        )
+
+    def for_child_process(self) -> "RunContext":
+        """The context a shard worker process runs under: the fault plan,
+        the retry policy and the event budget cross the boundary; the obs
+        bundle and checkpoint hook belong to this process (and need not
+        pickle), and shard deaths are the coordinator's to inject."""
+        return replace(
+            self,
+            obs=None,
+            shard_faults=(),
+            checkpoint_every_events=0,
+            checkpoint_hook=None,
+        )

@@ -19,7 +19,7 @@ from repro.alloc.stack import (
     array_level_factory,
     paged_level_factory,
 )
-from repro.core.config import StackMode, Strategy, TDFSConfig
+from repro.core.config import RunContext, StackMode, Strategy, TDFSConfig
 from repro.core.edge_filter import host_prefilter
 from repro.core.result import MatchResult, QueueStats, RecoveryStats
 from repro.core.warp_matcher import MatchJob
@@ -51,8 +51,11 @@ class TDFSEngine:
     #: baselines have their own run loops and do not support it.
     supports_resume = True
 
-    def __init__(self, config: Optional[TDFSConfig] = None) -> None:
+    def __init__(
+        self, config: Optional[TDFSConfig] = None, ctx: Optional[RunContext] = None
+    ) -> None:
         self.config = config or TDFSConfig()
+        self.ctx = ctx or RunContext()
 
     # ------------------------------------------------------------------ #
 
@@ -195,17 +198,16 @@ class TDFSEngine:
         ``recovered`` marks groups that come out of a recovery snapshot
         (resume, retry, failover) rather than the initial-task space: such
         rows already encode what host prefiltering and a hybrid BFS phase
-        would produce, so both are skipped.  With ``config.retry`` set,
+        would produce, so both are skipped.  With ``ctx.retry`` set,
         failed attempts are retried from their own snapshots under the
         policy's degradation ladder; without it, behaviour is exactly the
         classic single-attempt run.
         """
-        cfg = self.config
-        if cfg.retry is None:
+        if self.ctx.retry is None:
             result, job, _gpu, fatal = self._run_attempt(
                 graph, plan, groups, gpu_name, 1, collect_matches, recovered
             )
-            if fatal is not None and cfg.fault_plan is not None:
+            if fatal is not None and self.ctx.fault_plan is not None:
                 # No retry here, but the caller can still resume the
                 # remainder (run_resume) off the result.
                 result.pending_work = self._attempt_snapshot(job, groups)
@@ -250,8 +252,8 @@ class TDFSEngine:
             name=gpu_name,
         )
         injector = None
-        if cfg.fault_plan is not None:
-            injector = cfg.fault_plan.arm(gpu, gpu_name, attempt)
+        if self.ctx.fault_plan is not None:
+            injector = self.ctx.fault_plan.arm(gpu, gpu_name, attempt)
         result = self._blank_result(graph, plan)
         job_sink: list = []
         fatal: Optional[BaseException] = None
@@ -318,13 +320,6 @@ class TDFSEngine:
                 cfg = cfg.replace(stack_mode=StackMode.ARRAY_DMAX)
         return cfg
 
-    def _reindex_matches(self, plan: MatchingPlan, collected: list) -> list:
-        """Order-position tuples → query-vertex-id tuples."""
-        k = plan.num_levels
-        return [
-            tuple(m[plan.position_of(u)] for u in range(k)) for m in collected
-        ]
-
     def _run_resilient(
         self,
         graph: CSRGraph,
@@ -344,7 +339,7 @@ class TDFSEngine:
         from repro.faults.plan import RUNG_CPU_FALLBACK
         from repro.faults.recovery import pending_rows
 
-        policy = self.config.retry
+        policy = self.ctx.retry
         base_cfg = self.config
         recovery = RecoveryStats()
         total_count = 0
@@ -424,7 +419,7 @@ class TDFSEngine:
         result.count = total_count
         result.elapsed_cycles = total_elapsed
         if collect_matches and not result.failed:
-            result.matches = self._reindex_matches(plan, collected_pos)
+            result.matches = plan.by_query_vertex(collected_pos)
         result.recovery = recovery
         result.pending_work = pending
         return result
@@ -476,11 +471,11 @@ class TDFSEngine:
         injector=None,
         job_sink: Optional[list] = None,
     ) -> None:
-        cfg = self.config
+        cfg, ctx = self.config, self.ctx
         # Per-run observability: a caller-provided bundle accumulates across
         # runs (profile/serve); otherwise a fresh registry makes
         # ``result.metrics`` an exact snapshot of this run alone.
-        obs = cfg.obs if cfg.obs is not None else Observability()
+        obs = ctx.obs if ctx.obs is not None else Observability()
         host_cycles = 0
         prefiltered = self.host_filter and not recovered
         if prefiltered:
@@ -553,6 +548,7 @@ class TDFSEngine:
             graph=graph,
             plan=plan,
             config=cfg,
+            ctx=ctx,
             gpu=gpu,
             groups=groups,
             queue=queue,
@@ -566,21 +562,21 @@ class TDFSEngine:
         )
         if job_sink is not None:
             job_sink.append(job)
-        if cfg.checkpoint_every_events > 0 and cfg.checkpoint_hook is not None:
+        if ctx.checkpoint_every_events > 0 and ctx.checkpoint_hook is not None:
             # Periodic consistent checkpoints: every N events the scheduler
             # pauses with all warps at yield points and hands the live job
             # to the hook, which may snapshot the pending frontier (or
             # raise, simulating the executing worker's death mid-match).
-            hook = cfg.checkpoint_hook
-            gpu.scheduler.pause_every = cfg.checkpoint_every_events
+            hook = ctx.checkpoint_hook
+            gpu.scheduler.pause_every = ctx.checkpoint_every_events
             gpu.scheduler.pause_hook = lambda now: hook(job, now)
         gpu.note_work_done(start_time)
         gpu.launch(job.warp_body, at=start_time)
-        gpu.scheduler.run(max_events=cfg.max_events)
+        gpu.scheduler.run(max_events=ctx.max_events)
 
         result.count = job.count
         if collect_matches:
-            result.matches = self._reindex_matches(plan, job.collected)
+            result.matches = plan.by_query_vertex(job.collected)
         result.elapsed_cycles = gpu.finish_time
         result.num_gpus = 1
         self._account(result, job, gpu, queue, allocator, obs)
@@ -658,13 +654,15 @@ def match(
     query: Union[QueryGraph, MatchingPlan, str],
     engine: str = "tdfs",
     config: Optional[TDFSConfig] = None,
+    ctx: Optional[RunContext] = None,
 ) -> MatchResult:
     """One-call subgraph matching.
 
     ``query`` may be a :class:`QueryGraph`, a precompiled plan, or a pattern
     name like ``"P4"``.  ``engine`` selects the system: ``"tdfs"`` (this
     paper), ``"stmatch"``, ``"egsm"``, ``"pbe"`` or ``"cpu"`` (serial
-    reference).
+    reference).  ``config`` says what to compute, ``ctx`` how to run it
+    (observability, fault injection, retry — see :class:`RunContext`).
 
     >>> from repro.graph import from_edges
     >>> g = from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)])
@@ -675,7 +673,7 @@ def match(
         from repro.query.patterns import get_pattern
 
         query = get_pattern(query)
-    return make_engine(engine, config).run(graph, query)
+    return make_engine(engine, config, ctx).run(graph, query)
 
 
 def available_engines() -> tuple[str, ...]:
@@ -689,7 +687,9 @@ def available_engines() -> tuple[str, ...]:
     return tuple(_engine_registry())
 
 
-def make_engine(name: str, config: Optional[TDFSConfig] = None):
+def make_engine(
+    name: str, config: Optional[TDFSConfig] = None, ctx: Optional[RunContext] = None
+):
     """Construct a fresh engine instance by registry name.
 
     Engine objects are cheap to build but must not be shared across
@@ -701,7 +701,7 @@ def make_engine(name: str, config: Optional[TDFSConfig] = None):
             f"unknown engine {name!r}; available: "
             f"{', '.join(available_engines())}"
         )
-    return engines[name](config)
+    return engines[name](config, ctx)
 
 
 #: Engine name → class, filled on first use (the baseline modules import

@@ -47,8 +47,10 @@ class HybridEngine(TDFSEngine):
     name = "hybrid"
     host_filter = False
 
-    def __init__(self, config=None, bfs_fraction: float = DEFAULT_BFS_FRACTION):
-        super().__init__(config)
+    def __init__(
+        self, config=None, ctx=None, bfs_fraction: float = DEFAULT_BFS_FRACTION
+    ):
+        super().__init__(config, ctx)
         if not 0.0 < bfs_fraction < 1.0:
             raise ValueError("bfs_fraction must be in (0, 1)")
         self.bfs_fraction = bfs_fraction

@@ -67,13 +67,13 @@ def run_multi_gpu(
         run_part,
         collect_matches,
         num_gpus=num_gpus,
-        failover=engine.config.retry is not None,
+        failover=engine.ctx.retry is not None,
     )
-    if engine.config.obs is not None:
+    if engine.ctx.obs is not None:
         # A shared obs bundle already accumulated every device's publish;
         # its snapshot is authoritative (summing per-device snapshots of
         # the same registry would double-count).
-        merged.metrics = engine.config.obs.flat()
+        merged.metrics = engine.ctx.obs.flat()
     return merged
 
 

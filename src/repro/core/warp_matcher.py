@@ -33,7 +33,7 @@ from typing import Generator, Optional
 import numpy as np
 
 from repro.core.candidates import filter_candidates
-from repro.core.config import Strategy, TDFSConfig
+from repro.core.config import RunContext, Strategy, TDFSConfig
 from repro.core.edge_filter import filter_chunk, filter_chunk_cycles
 from repro.core.intersect import intersect_many
 from repro.errors import IllegalAccessError
@@ -124,10 +124,12 @@ class MatchJob:
         tracer: Optional[Tracer] = None,
         device: int = 0,
         backend: Optional[KernelBackend] = None,
+        ctx: Optional[RunContext] = None,
     ) -> None:
         self.graph = graph
         self.plan = plan
         self.config = config
+        self.ctx = ctx or RunContext()
         self.gpu = gpu
         self.cost = config.cost
         # Plan lookups the per-item loop would otherwise redo on every call.
@@ -192,20 +194,14 @@ class MatchJob:
         #: target position's label).
         self.plain_adjacency = True
         #: Host-side multiset of in-flight ``Q_task`` triples.  Armed only
-        #: when the config carries a fault plan, retry policy, or periodic
+        #: when the context carries a fault plan, retry policy, or periodic
         #: checkpointing: it lets the dequeue path *detect* corrupted ring
         #: slots (membership check) and lets recovery/checkpoint snapshots
         #: read the queued remainder non-destructively even when the ring
         #: itself was poisoned.  ``None`` keeps the fault-free fast path
         #: unchanged.
         self.journal: Optional[dict[Task, int]] = (
-            {}
-            if (
-                config.fault_plan is not None
-                or config.retry is not None
-                or config.checkpoint_every_events > 0
-            )
-            else None
+            {} if self.ctx.recovery_armed else None
         )
 
     # ------------------------------------------------------------------ #
@@ -660,7 +656,7 @@ class MatchJob:
             and pos == 2
             and st.item_prefix == 2
         )
-        if not self.tracer.enabled and self.config.fault_plan is None:
+        if not self.tracer.enabled and self.ctx.fault_plan is None:
             # Bulk phase 2: when nothing can interrupt the window — no
             # tracer spans to record, no injected faults, and the level can
             # plan the whole write sequence without overflow/OOM — the

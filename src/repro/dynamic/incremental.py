@@ -45,7 +45,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.config import TDFSConfig
+from repro.core.config import RunContext, TDFSConfig
 from repro.core.engine import TDFSEngine
 from repro.core.result import MatchResult
 from repro.dynamic.delta import DeltaBatch, NetDelta
@@ -145,17 +145,20 @@ class IncrementalMatcher:
     ``config`` fixes the count semantics being maintained (symmetry on →
     instance counts, off → raw embeddings) and supplies the engine knobs
     the anchored runs inherit (strategy, τ, stacks, kernel backend…).
-    Thresholds come from ``config.incremental`` when set, else from the
-    ``inc`` argument, else :class:`IncrementalConfig` defaults.
+    Thresholds come from ``config.incremental`` when set, else
+    :class:`IncrementalConfig` defaults.  ``ctx`` wires the full re-match
+    fallback and receives the ``dynamic.*`` counters; the anchored runs
+    themselves are plain runs.
     """
 
     def __init__(
         self,
         config: Optional[TDFSConfig] = None,
-        inc: Optional[IncrementalConfig] = None,
+        ctx: Optional[RunContext] = None,
     ) -> None:
         self.config = config or TDFSConfig()
-        self.inc = self.config.incremental or inc or IncrementalConfig()
+        self.ctx = ctx or RunContext()
+        self.inc = self.config.incremental or IncrementalConfig()
 
     # ------------------------------------------------------------------ #
 
@@ -190,15 +193,15 @@ class IncrementalMatcher:
         out = DeltaCount(count=int(base_count), base_count=int(base_count))
         if net.size > self.inc.max_delta_edges:
             return self._fallback(new_graph, query, out, "delta-too-large", t0)
-        ctx = self.config.trace_context
+        trace = self.config.trace_context
         engine = self._anchor_engine()
-        with ops_tracer(ctx).span("delta.count", parent=ctx) as span:
+        with ops_tracer(trace).span("delta.count", parent=trace) as span:
             try:
                 lost_emb, lost_tasks, lost_cycles = self._affected(
-                    engine, old_graph, net.removed, query, ctx, side="removed"
+                    engine, old_graph, net.removed, query, trace, side="removed"
                 )
                 gained_emb, gained_tasks, gained_cycles = self._affected(
-                    engine, new_graph, net.added, query, ctx, side="added"
+                    engine, new_graph, net.added, query, trace, side="added"
                 )
             except _AnchorFallback as exc:
                 span.tags["fallback"] = exc.reason
@@ -221,22 +224,13 @@ class IncrementalMatcher:
 
     def _anchor_engine(self) -> _AnchorEngine:
         """The engine every anchored run of one delta goes through:
-        single-device, no recovery machinery, no trace identity (nothing
-        below a single in-process device reads one), symmetry handled at
-        plan level.  An engine keeps no state between runs, so each run
-        still starts a fresh device at virtual time 0."""
+        single-device, symmetry handled at plan level, and a default
+        context — no recovery machinery, a private registry.  An engine
+        keeps no state between runs, so each run still starts a fresh
+        device at virtual time 0."""
         return _AnchorEngine(
             self.config.replace(
-                shards=1,
-                num_gpus=1,
-                planner=None,
-                retry=None,
-                fault_plan=None,
-                obs=None,
-                checkpoint_every_events=0,
-                checkpoint_hook=None,
-                enable_symmetry=False,
-                trace_context=None,
+                shards=1, num_gpus=1, planner=None, enable_symmetry=False
             )
         )
 
@@ -246,7 +240,7 @@ class IncrementalMatcher:
         graph: CSRGraph,
         pairs: np.ndarray,
         query: QueryGraph,
-        ctx=None,
+        trace=None,
         side: str = "",
     ) -> tuple[set, int, int]:
         """Embeddings of ``query`` in ``graph`` using ≥ 1 edge of ``pairs``.
@@ -262,8 +256,8 @@ class IncrementalMatcher:
         embeddings: set = set()
         tasks = 0
         cycles = 0
-        with ops_tracer(ctx).span(
-            "delta.affected", parent=ctx, side=side, edges=len(pairs)
+        with ops_tracer(trace).span(
+            "delta.affected", parent=trace, side=side, edges=len(pairs)
         ) as span:
             for a, b in query.edges():
                 plan = _anchored_plan(query, a, b, engine.config.enable_reuse)
@@ -304,9 +298,9 @@ class IncrementalMatcher:
         t0: float,
     ) -> DeltaCount:
         """Full re-match on the successor graph (exact, never wrong)."""
-        ctx = self.config.trace_context
-        with ops_tracer(ctx).span("delta.fallback", parent=ctx, reason=reason):
-            result = TDFSEngine(self.config).run(new_graph, query)
+        trace = self.config.trace_context
+        with ops_tracer(trace).span("delta.fallback", parent=trace, reason=reason):
+            result = TDFSEngine(self.config, self.ctx).run(new_graph, query)
         if result.error is not None:
             raise ReproError(
                 f"incremental fallback re-match failed: {result.error}"
@@ -350,7 +344,7 @@ class IncrementalMatcher:
 
     def _publish(self, out: DeltaCount) -> None:
         """Fold the outcome into the caller's obs registry (when given)."""
-        obs = self.config.obs
+        obs = self.ctx.obs
         if obs is None:
             return
         reg = obs.registry

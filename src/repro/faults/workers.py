@@ -12,7 +12,7 @@ replacement.
 
 Faults fire at **checkpoint boundaries**: the engine takes a consistent
 frontier snapshot every ``checkpoint_every_events`` scheduler events (see
-``TDFSConfig.checkpoint_every_events``), and the decision to kill/stall is a
+``RunContext.checkpoint_every_events``), and the decision to kill/stall is a
 pure function of ``(seed, request_id, delivery, checkpoint_index)`` — never
 of wall-clock time or worker identity — so a chaos run is reproducible
 regardless of how requests interleave across the pool.

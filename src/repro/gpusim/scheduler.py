@@ -45,7 +45,7 @@ class Scheduler:
             Callable[[object, int], Optional[BaseException]]
         ] = None
         self.charge_hook: Optional[Callable[[object, int], int]] = None
-        #: Checkpoint hook (see ``TDFSConfig.checkpoint_every_events``):
+        #: Checkpoint hook (see ``RunContext.checkpoint_every_events``):
         #: called with the current virtual time every ``pause_every``
         #: events, at a point where *every* warp is suspended at a yield —
         #: the same consistent state a fatal fault would freeze, so callers

@@ -9,8 +9,7 @@ The usual entry point is :class:`Observability`, a bundle of one
 :class:`Registry` and one :class:`Tracer` that travels through a run:
 
     obs = Observability(tracing=True, sample_every=10)
-    cfg = TDFSConfig(..., obs=obs)
-    result = engine.run(...)
+    result = match(graph, query, config=cfg, ctx=RunContext(obs=obs))
     print(obs.tracer.summary())
     json.dump(to_chrome(obs.tracer.spans()), open("trace.json", "w"))
 

@@ -75,6 +75,11 @@ class MatchingPlan:
         """Order position of a query vertex."""
         return self._pos_of[query_vertex]
 
+    def by_query_vertex(self, collected: list) -> list:
+        """Order-position match tuples → tuples indexed by query vertex id."""
+        pos = [self._pos_of[u] for u in range(self.num_levels)]
+        return [tuple(m[p] for p in pos) for m in collected]
+
     def describe(self) -> str:
         """Multi-line human-readable plan summary (for examples/docs)."""
         lines = [f"plan for {self.query.name}: order={list(self.order)}"]

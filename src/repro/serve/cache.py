@@ -17,9 +17,11 @@ without a planner depends on no graph, so its key names none
 
 Fingerprints are content hashes (SHA-256, truncated): two structurally
 identical queries hit the same plan-cache entry regardless of object
-identity or pattern name, and two configs that differ only in fields that
-cannot change a result (cost model, tracing, fault plan, event budget) map
-to the same fingerprint.  Each is computed once per object.
+identity or pattern name.  A config fingerprints every field it has —
+:class:`~repro.core.TDFSConfig` holds only what a run computes; how it is
+run (observability, fault plan, retry, event budget) lives in a
+:class:`~repro.core.RunContext`, which no cache key ever sees.  Each
+fingerprint is computed once per object.
 """
 
 from __future__ import annotations
@@ -209,42 +211,16 @@ def _plan_payload(query: Union[QueryGraph, MatchingPlan]) -> tuple:
     return ("query", query.num_vertices, tuple(query.edges()), query.labels)
 
 
-#: Config fields excluded from the fingerprint: they cannot change what a
-#: request returns (cost model / tracing / observability / event budget
-#: shift virtual timings only) or are serving-layer concerns injected per
-#: request (fault plan, retry policy).
-_CONFIG_FP_SKIP = frozenset(
-    {
-        "cost",
-        "fault_plan",
-        "retry",
-        "max_events",
-        "obs",
-        "checkpoint_every_events",
-        "checkpoint_hook",
-        # Incremental-delta thresholds gate a fast path whose counts are
-        # conformance-tested equal to a full re-match; they cannot change
-        # what a request returns.
-        "incremental",
-        # Operational trace identity is per-request by construction; a
-        # request must hit the same cache entry traced or not.
-        "trace_context",
-        # Shard-kill chaos is recovered exactly (the coordinator re-executes
-        # dead shards), so counts are invariant — like fault_plan.
-        "shard_faults",
-    }
-)
-
-
 def config_fingerprint(config: TDFSConfig) -> str:
-    """Stable fingerprint over the result-relevant fields of a config."""
+    """Stable fingerprint over every field of a config, except one that
+    opts out where it is defined (``metadata={"fingerprint": False}``)."""
     return _fingerprint_once(config, _config_payload)
 
 
 def _config_payload(config: TDFSConfig) -> tuple:
     parts = []
     for f in fields(config):
-        if f.name in _CONFIG_FP_SKIP:
+        if not f.metadata.get("fingerprint", True):
             continue
         value = getattr(config, f.name)
         if isinstance(value, enum.Enum):

@@ -17,7 +17,7 @@ zombie and its replacement.
 
 **Circuit breaker.**  Failures are charged to the request *signature*
 ``(graph_id, plan_fingerprint)`` — the thing that reliably reproduces a
-crash.  After ``breaker_threshold`` failures inside ``breaker_window_s``
+crash.  After ``breaker_threshold`` failures inside the breaker's window
 the breaker opens and sheds matching submissions with a typed
 :class:`CircuitOpenError`; after a seeded-jitter backoff it half-opens,
 admits exactly one probe, and closes on success or re-opens with doubled
@@ -371,6 +371,10 @@ class Quarantine:
 # --------------------------------------------------------------------------- #
 
 
+#: Latest-checkpoint store capacity (one entry per in-flight request id).
+CHECKPOINT_CAPACITY = 1024
+
+
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Knobs of one :class:`Supervisor`."""
@@ -388,14 +392,10 @@ class SupervisorConfig:
     """Checkpoint cadence in scheduler events (0 disables checkpointing —
     redelivered entries then restart from scratch)."""
     breaker_threshold: int = 3
-    breaker_window_s: float = 30.0
     breaker_open_s: float = 1.0
-    breaker_max_open_s: float = 30.0
     breaker_jitter: float = 0.2
     seed: int = 0
     """Seeds the breaker's backoff jitter (determinism under test)."""
-    quarantine_capacity: int = 256
-    checkpoint_capacity: int = 1024
 
     def __post_init__(self) -> None:
         if self.max_redeliveries < 0:
@@ -429,13 +429,11 @@ class Supervisor(threading.Thread):
         self.service = service
         self.config = config or SupervisorConfig()
         #: Latest :class:`MatchCheckpoint` per request id (bounded).
-        self.checkpoints = LRUCache(self.config.checkpoint_capacity)
-        self.quarantine = Quarantine(self.config.quarantine_capacity)
+        self.checkpoints = LRUCache(CHECKPOINT_CAPACITY)
+        self.quarantine = Quarantine()
         self.breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
-            window_s=self.config.breaker_window_s,
             open_s=self.config.breaker_open_s,
-            max_open_s=self.config.breaker_max_open_s,
             jitter=self.config.breaker_jitter,
             seed=self.config.seed,
             on_transition=self._on_breaker_transition,

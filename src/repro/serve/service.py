@@ -9,7 +9,7 @@ long-lived, embeddable service:
 * plan and result caches (:mod:`repro.serve.cache`);
 * a bounded admission queue with priority shedding and micro-batching
   (:mod:`repro.serve.batcher`);
-* a worker-thread pool, each worker owning its engines
+* a worker-thread pool, each worker building one engine per delivery
   (:mod:`repro.serve.workers`);
 * request deadlines wired into the fault-recovery ladder
   (:func:`repro.faults.deadline_policy`);
@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from repro.core.config import TDFSConfig
+from repro.core.config import RunContext, TDFSConfig
 from repro.core.engine import available_engines, make_engine
 from repro.core.result import MatchResult
 from repro.dynamic import DeltaBatch, IncrementalMatcher
@@ -60,6 +60,11 @@ from repro.serve.resilience import (
     Supervisor,
     SupervisorConfig,
 )
+
+
+#: LRU capacities of the plan (and portfolio) cache and the result cache.
+PLAN_CACHE_SIZE = 256
+RESULT_CACHE_SIZE = 1024
 
 
 class ResultTimeout(ReproError):
@@ -251,9 +256,6 @@ class ServeConfig:
     batch_window_ms: float = 1.0
     """How long a worker lingers after taking a request to let same-graph
     requests accumulate into its batch (0 disables the wait)."""
-    poll_interval_s: float = 0.05
-    plan_cache_size: int = 256
-    result_cache_size: int = 1024
     enable_plan_cache: bool = True
     enable_result_cache: bool = True
     eager_invalidation: bool = False
@@ -262,13 +264,10 @@ class ServeConfig:
     autostart: bool = True
     """Start the worker pool on first submit (otherwise call ``start()``)."""
     match_config: TDFSConfig = field(default_factory=TDFSConfig)
-    """Default engine config for requests without an override."""
-    shards: int = 1
-    """Shard each dispatched job over N worker processes (applied to
-    ``match_config``; see :mod:`repro.shard`).  Result-cache keys include
-    the shard settings via the config fingerprint, so sharded and
-    unsharded results never alias even though their counts agree."""
-    latency_window: int = 16384
+    """Default engine config for requests without an override.  Sharding
+    is set here (``match_config.shards``; see :mod:`repro.shard`) — cache
+    keys include it via the config fingerprint, so sharded and unsharded
+    results never alias even though their counts agree."""
     supervisor: Optional[SupervisorConfig] = None
     """Enable supervised serving (watchdog + breakers + quarantine +
     checkpoint/resume; see :mod:`repro.serve.resilience`)."""
@@ -287,37 +286,24 @@ class ServeConfig:
     event fires: a directory (bundles get timestamped names) or an
     explicit ``*.json`` path.  ``None`` disables auto-dump;
     :meth:`MatchService.dump_incident` always works."""
-    flight_events: int = 512
-    """Flight-recorder ring capacity (structured operational events)."""
-    metrics_window_s: Optional[float] = 300.0
-    """Latency-histogram rotation window: percentiles report the last
-    this-many seconds, not all-time.  ``None`` = count-bounded only."""
     shard_faults: tuple = ()
-    """Shard indices whose worker process is killed on dispatch (applied
-    to ``match_config``; see :attr:`repro.core.TDFSConfig.shard_faults`).
-    Chaos-only: counts are recovered exactly by re-execution."""
+    """Shard indices whose worker process is killed on dispatch (handed to
+    every run as :attr:`repro.core.RunContext.shard_faults`).  Chaos-only:
+    counts are recovered exactly by re-execution."""
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ReproError("serve: workers must be >= 1")
         if self.max_batch < 1:
             raise ReproError("serve: max_batch must be >= 1")
-        if self.shards < 1:
-            raise ReproError("serve: shards must be >= 1")
-        if self.shards > 1 and self.match_config.shards != self.shards:
-            self.match_config = self.match_config.replace(shards=self.shards)
         for slo in self.slos:
             if not isinstance(slo, SLO):
                 raise ReproError(
                     "serve: slos must be repro.obs.SLO objects, "
                     f"got {type(slo).__name__}"
                 )
-        if self.shard_faults:
-            faults = tuple(self.shard_faults)
-            if self.match_config.shard_faults != faults:
-                self.match_config = self.match_config.replace(
-                    shard_faults=faults
-                )
+        self.shard_faults = tuple(self.shard_faults)
+        RunContext(shard_faults=self.shard_faults)  # validate now, not per run
 
 
 @dataclass
@@ -349,12 +335,10 @@ class MatchService:
         from repro.planner.feedback import PlanFeedbackStore
 
         self.config = config or ServeConfig()
-        self.metrics = ServeMetrics(
-            self.config.latency_window, window_s=self.config.metrics_window_s
-        )
+        self.metrics = ServeMetrics()
         self.tracer = ops_tracer()
         """Process-wide operational span ring (see :mod:`repro.obs.ops`)."""
-        self.flight = FlightRecorder(capacity=self.config.flight_events)
+        self.flight = FlightRecorder()
         """Structured operational event ring; fault kinds trigger dumps."""
         self.slo_tracker: Optional[SLOTracker] = None
         if self.config.slos:
@@ -371,9 +355,9 @@ class MatchService:
         self._auto_dumped = False
         if self.config.dump_on_error:
             self.flight.on_fault(self._auto_dump)
-        self.plan_cache = LRUCache(self.config.plan_cache_size)
-        self.result_cache = LRUCache(self.config.result_cache_size)
-        self.portfolio_cache = LRUCache(self.config.plan_cache_size)
+        self.plan_cache = LRUCache(PLAN_CACHE_SIZE)
+        self.result_cache = LRUCache(RESULT_CACHE_SIZE)
+        self.portfolio_cache = LRUCache(PLAN_CACHE_SIZE)
         """Planner portfolios keyed like plan-cache entries (planner only)."""
         self.feedback = PlanFeedbackStore()
         """Observed per-plan runtime; drives portfolio promote/demote."""
@@ -488,6 +472,7 @@ class MatchService:
         config_fp = config_fingerprint(cfg)
         if cfg.trace_context is None:
             cfg = cfg.replace(trace_context=trace)
+        ctx = RunContext(shard_faults=self.config.shard_faults)
         batch = DeltaBatch.make(add=add, remove=remove)
 
         with self._graphs_lock:
@@ -527,7 +512,7 @@ class MatchService:
         )
         if fallback_reason is None:
             assert base is not None
-            out = IncrementalMatcher(cfg).count_delta(
+            out = IncrementalMatcher(cfg, ctx).count_delta(
                 old_graph, new_graph, batch, query, base.count
             )
             response.count = out.count
@@ -538,7 +523,7 @@ class MatchService:
             response.anchored_tasks = out.anchored_tasks
             response.result = out.result
         else:
-            result = make_engine(engine, cfg).run(new_graph, query)
+            result = make_engine(engine, cfg, ctx).run(new_graph, query)
             if result.error is not None:
                 raise ReproError(
                     f"delta re-match on {graph_id!r} failed: {result.error}"

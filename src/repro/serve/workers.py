@@ -1,9 +1,12 @@
 """Worker pool: drains the admission queue in micro-batches.
 
-Each :class:`Worker` is a thread that owns its engine instances — engines
-are cheap to construct but carry per-run mutable state (the resilient
-retry driver swaps ``engine.config`` during degradation), so they are
-never shared across threads.  A worker takes one request, lingers for the
+Each :class:`Worker` is a thread that builds one engine per delivery —
+engines are cheap to construct but carry per-run mutable state (the
+resilient retry driver swaps ``engine.config`` during degradation), so
+they are never shared across threads — from the request's config and one
+:class:`~repro.core.RunContext` (the deadline-fitted retry policy, the
+supervisor's checkpoint cadence and hook, the service's shard faults).
+A worker takes one request, lingers for the
 batching window, then grabs every queued request with the same
 ``(graph_id, engine, config)`` batch key; the batch shares one graph
 resolution and one candidate build (the graph's memoized directed-edge
@@ -29,12 +32,12 @@ watchdog to recover — exactly like a real worker death would.
 
 from __future__ import annotations
 
-import inspect
 import logging
 import threading
 import time
 from typing import Optional
 
+from repro.core.config import RunContext
 from repro.core.engine import make_engine
 from repro.errors import ReproError, UnsupportedError
 from repro.faults.recovery import deadline_policy
@@ -45,6 +48,10 @@ from repro.serve.batcher import QueueEntry
 from repro.serve.cache import plan_key, result_key
 
 logger = logging.getLogger(__name__)
+
+#: How long an idle worker blocks on the admission queue before it
+#: heartbeats and checks for abandonment / a closed queue again.
+POLL_INTERVAL_S = 0.05
 
 
 class WorkerPool:
@@ -123,14 +130,12 @@ class WorkerPool:
 
 
 class Worker(threading.Thread):
-    """One serving thread; owns its engines, never shares them."""
+    """One serving thread; builds its engines, never shares them."""
 
     def __init__(self, service, index: int) -> None:
         super().__init__(name=f"repro-serve-worker-{index}", daemon=True)
         self.service = service
         self.index = index
-        self._engines: dict[str, object] = {}
-        self._run_accepts_collect: dict[str, bool] = {}
         # --- supervision state -------------------------------------- #
         self.heartbeat = time.monotonic()
         self.started = False
@@ -199,7 +204,7 @@ class Worker(threading.Thread):
             if self.abandoned:
                 return
             self.beat()
-            entry = queue.take(timeout=cfg.poll_interval_s)
+            entry = queue.take(timeout=POLL_INTERVAL_S)
             if entry is None:
                 if queue.closed:
                     return
@@ -370,42 +375,42 @@ class Worker(threading.Thread):
 
         config = prepared.config
         trace = entry.trace
-        if trace is not None and getattr(config, "trace_context", None) is None:
+        if trace is not None and config.trace_context is None:
             # Thread the request's identity into the engine config BEFORE
             # the engine is built: the shard coordinator (and, pickled
             # inside the config, shard worker processes) stamp their spans
             # with this child, so the whole fan-out stitches to the request.
             config = config.replace(trace_context=trace.child(stage="run"))
+        retry = None
         if entry.deadline_at is not None:
             remaining_ms = (entry.deadline_at - time.monotonic()) * 1000.0
-            policy, rungs = deadline_policy(
-                remaining_ms, request.deadline_ms, base=config.retry
-            )
+            retry, rungs = deadline_policy(remaining_ms, request.deadline_ms)
             if rungs:
-                config = config.replace(
-                    chunk_size=max(1, config.chunk_size // 2), retry=policy
-                )
+                config = config.replace(chunk_size=max(1, config.chunk_size // 2))
                 base.degraded = True
-
-        engine = self._engine(request.engine, config)
-        supports_resume = bool(getattr(engine, "supports_resume", False))
 
         # Supervised checkpointing: install the supervisor's hook so the
         # scheduler pauses every N events, snapshots the frontier, and (in
         # chaos runs) consults the worker-fault plan.  Collect-matches runs
         # are excluded — enumeration state is not part of the snapshot.
-        if (
+        checkpointing = (
             sup is not None
             and not sup.stopped
             and sup.checkpointing
-            and supports_resume
             and not request.collect_matches
-        ):
-            config = config.replace(
-                checkpoint_every_events=sup.config.checkpoint_every_events,
-                checkpoint_hook=sup.checkpoint_hook_for(entry, self),
-            )
-            engine = self._engine(request.engine, config)
+        )
+        ctx = RunContext(
+            retry=retry,
+            shard_faults=service.config.shard_faults,
+            checkpoint_every_events=(
+                sup.config.checkpoint_every_events if checkpointing else 0
+            ),
+            checkpoint_hook=(
+                sup.checkpoint_hook_for(entry, self) if checkpointing else None
+            ),
+        )
+        engine = make_engine(request.engine, config, ctx)
+        supports_resume = bool(getattr(engine, "supports_resume", False))
 
         planned = (
             getattr(engine.config, "planner", None) is not None
@@ -484,12 +489,10 @@ class Worker(threading.Thread):
                     result = engine.run_resume(
                         graph, plan, checkpoint.groups, base_count=checkpoint.count
                     )
-                elif request.collect_matches and self._accepts_collect(request.engine):
+                else:
                     result = engine.run(
                         graph, plan, collect_matches=request.collect_matches
                     )
-                else:
-                    result = engine.run(graph, plan)
             except UnsupportedError:
                 base.error = span.tags["error"] = "N/A"
                 return None
@@ -545,21 +548,6 @@ class Worker(threading.Thread):
         if service.config.enable_plan_cache:
             service.plan_cache.put(key, plan)
         return plan, compile_ms, False
-
-    def _engine(self, name: str, config):
-        """Worker-owned engine instance, rebuilt when the config changes."""
-        engine = self._engines.get(name)
-        if engine is None or engine.config is not config:
-            engine = make_engine(name, config)
-            self._engines[name] = engine
-        return engine
-
-    def _accepts_collect(self, name: str) -> bool:
-        if name not in self._run_accepts_collect:
-            engine = self._engines.get(name) or make_engine(name, None)
-            params = inspect.signature(engine.run).parameters
-            self._run_accepts_collect[name] = "collect_matches" in params
-        return self._run_accepts_collect[name]
 
     def _flight_shard_failures(self, entry: QueueEntry, result) -> None:
         """Record a shard-process death (recovered by re-execution) as a

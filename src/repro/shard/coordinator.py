@@ -20,8 +20,8 @@ pickle, an injected :class:`ShardProcessError`) hands nothing back, so
 :func:`repro.core.multi_gpu.fan_out` re-runs its whole shard in the
 coordinator process and does the recovery accounting (DESIGN.md "Work
 groups").  What lives here is only what is process-specific: the pool, the
-child config, the ``shard.dispatch`` / ``shard.run`` spans and the
-``shard.*`` metrics.
+child config and context, the ``shard.dispatch`` / ``shard.run`` spans and
+the ``shard.*`` metrics.
 """
 
 from __future__ import annotations
@@ -50,30 +50,22 @@ class ShardProcessError(ReproError):
 
 
 def _child_config(config):
-    """Strip a config down to what a shard worker process can execute.
-
-    ``shards=1`` prevents recursion; cross-process–unpicklable or
-    coordinator-owned concerns (the obs bundle, checkpoint hooks, the
-    planner — the plan is already resolved and pinned by the coordinator)
-    are dropped; a constructed kernel-backend instance degrades to its
-    registry name (backends are stateless, so nothing is lost).
+    """The config a shard worker process executes: ``shards=1`` prevents
+    recursion, the planner goes (the plan is already resolved and pinned by
+    the coordinator), and a constructed kernel-backend instance degrades to
+    its registry name (backends are stateless, so nothing is lost) — which
+    is all a :class:`~repro.core.TDFSConfig` needs to pickle.
     """
     backend = config.kernel_backend
     if not isinstance(backend, str):
         backend = getattr(backend, "name", "vectorized")
-    return config.replace(
-        shards=1,
-        obs=None,
-        planner=None,
-        checkpoint_every_events=0,
-        checkpoint_hook=None,
-        kernel_backend=backend,
-    )
+    return config.replace(shards=1, planner=None, kernel_backend=backend)
 
 
 def _run_shard(
     engine_name: str,
     config,
+    ctx,
     graph: CSRGraph,
     plan: MatchingPlan,
     groups: list[WorkGroup],
@@ -91,19 +83,19 @@ def _run_shard(
         raise ShardProcessError(f"injected shard-process death (shard {shard_index})")
     from repro.core.engine import make_engine
 
-    engine = make_engine(engine_name, config)
+    engine = make_engine(engine_name, config, ctx)
     # A shard is one share of the initial-task space: whatever groups the
     # planner's pre-split or a re-run's reshard delivered it in, its rows
     # (all width 2, see ShardPlanner.plan) are fetched as one edge array.
     rows = np.empty((0, 2), dtype=np.int64)
     if groups:
         rows = np.concatenate([r for r, _ in groups])
-    ctx = getattr(config, "trace_context", None)
+    trace = config.trace_context
     # Recorded here — inside the (possibly forked) worker process — so the
     # span's pid proves which process ran the shard.  It travels back to the
     # coordinator inside the pickled result, hence the throwaway collector.
-    tracer = Tracer(enabled=ctx is not None, max_spans=1)
-    with tracer.span("shard.run", ctx=ctx, shard=shard_index, rows=len(rows)) as span:
+    tracer = Tracer(enabled=trace is not None, max_spans=1)
+    with tracer.span("shard.run", ctx=trace, shard=shard_index, rows=len(rows)) as span:
         result = engine._run_single(
             graph, plan, [(rows, 2)], f"shard{shard_index}", collect_matches
         )
@@ -118,11 +110,8 @@ class ShardCoordinator:
     def __init__(
         self,
         engine: "TDFSEngine",
-        num_shards: Optional[int] = None,
-        strategy: Optional[str] = None,
         mode: str = "process",
         max_workers: Optional[int] = None,
-        fault_shards: frozenset[int] = frozenset(),
     ) -> None:
         cfg = engine.config
         if getattr(engine, "host_filter", False):
@@ -134,17 +123,12 @@ class ShardCoordinator:
         if mode not in ("process", "inline"):
             raise ReproError(f"shard mode must be 'process' or 'inline', got {mode!r}")
         self.engine = engine
-        self.num_shards = int(num_shards if num_shards is not None else cfg.shards)
-        self.strategy = strategy if strategy is not None else cfg.shard_strategy
+        self.num_shards = cfg.shards
         self.mode = mode
         self.max_workers = max_workers
-        if not fault_shards:
-            # The config-level fault axis (ServeConfig/CLI wiring) applies
-            # when the caller did not inject shard deaths directly.
-            fault_shards = frozenset(getattr(cfg, "shard_faults", ()) or ())
-        self.fault_shards = frozenset(fault_shards)
-        self.planner = ShardPlanner(self.num_shards, self.strategy)
+        self.planner = ShardPlanner(cfg.shards, cfg.shard_strategy)
         self.child_config = _child_config(cfg)
+        self.child_ctx = engine.ctx.for_child_process()
 
     # ------------------------------------------------------------------ #
 
@@ -165,8 +149,8 @@ class ShardCoordinator:
         plan = self.engine.compile(query, graph)
         shard_plan = self.planner.plan(graph)
         parts = shard_plan.shards
-        ctx = getattr(self.engine.config, "trace_context", None)
-        with ops_tracer(ctx).span("shard.dispatch", parent=ctx) as dispatch:
+        trace = self.engine.config.trace_context
+        with ops_tracer(trace).span("shard.dispatch", parent=trace) as dispatch:
             dispatch_ctx = dispatch.ctx  # None when the run is untraced
 
             def job(s: int, groups: list, collect: int, rescue_of=None) -> tuple:
@@ -180,8 +164,11 @@ class ShardCoordinator:
                     # carries the identity into the worker process, where
                     # _run_shard stamps the shard.run span with it.
                     config = config.replace(trace_context=dispatch_ctx.child(**extra))
-                fail = rescue_of is None and s in self.fault_shards
-                return (self.engine.name, config, graph, plan, groups, s, collect, fail)
+                fail = rescue_of is None and s in self.engine.ctx.shard_faults
+                return (
+                    self.engine.name, config, self.child_ctx,
+                    graph, plan, groups, s, collect, fail,
+                )
 
             def run_part(*args) -> Optional[MatchResult]:
                 try:
@@ -279,7 +266,7 @@ class ShardCoordinator:
         }
         merged.metrics = dict(merged.metrics or {})
         merged.metrics.update(extra)
-        obs = self.engine.config.obs
+        obs = self.engine.ctx.obs
         if obs is not None:
             reg = obs.registry
             reg.counter("shard.jobs").inc(1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import StackMode, Strategy, TDFSConfig, match
+from repro import RunContext, StackMode, Strategy, TDFSConfig, match
 from repro.baselines.cpu import cpu_count
 from repro.core.engine import TDFSEngine
 from repro.errors import ReproError, UnsupportedError
@@ -161,6 +161,14 @@ class TestConfigValidation:
     def test_rejects_zero_chunk(self):
         with pytest.raises(ReproError):
             TDFSConfig(chunk_size=0)
+
+    def test_run_context_validates_its_fields(self):
+        with pytest.raises(ReproError, match="shard_faults"):
+            RunContext(shard_faults=[-1])
+        with pytest.raises(ReproError, match="checkpoint_every_events"):
+            RunContext(checkpoint_every_events=-1)
+        assert not RunContext().recovery_armed
+        assert RunContext(checkpoint_every_events=1).recovery_armed
 
     def test_tau_ms_roundtrip(self):
         cfg = TDFSConfig().with_tau_ms(0.5)

@@ -17,6 +17,7 @@ from repro import (
     FaultPlan,
     FaultSpec,
     RetryPolicy,
+    RunContext,
     StackMode,
     Strategy,
     TDFSConfig,
@@ -106,8 +107,8 @@ def test_injected_fault_surfaces_in_result_error(
     graph, kind, trigger, marker, num_gpus
 ):
     plan = FaultPlan(schedule=(FaultSpec(kind, attempt=None, **trigger),))
-    cfg = TDFSConfig(num_gpus=num_gpus, fault_plan=plan)
-    result = match(graph, "P1", config=cfg)
+    cfg = TDFSConfig(num_gpus=num_gpus)
+    result = match(graph, "P1", config=cfg, ctx=RunContext(fault_plan=plan))
     assert result.failed
     assert marker in result.error
     assert result.recovery.faults_by_kind.get(kind.value, 0) >= 1
@@ -115,8 +116,8 @@ def test_injected_fault_surfaces_in_result_error(
 
 def test_queue_corruption_detected_as_illegal_access(graph):
     plan = FaultPlan(schedule=(FaultSpec(FaultKind.QUEUE_CORRUPTION, at_op=0),))
-    cfg = TDFSConfig(chunk_size=2, tau_cycles=50, fault_plan=plan)
-    result = match(graph, "P1", config=cfg)
+    cfg = TDFSConfig(chunk_size=2, tau_cycles=50)
+    result = match(graph, "P1", config=cfg, ctx=RunContext(fault_plan=plan))
     assert result.failed
     assert "corrupted Q_task slot" in result.error
     assert result.recovery.faults_by_kind.get("queue-corruption") == 1
@@ -136,8 +137,8 @@ def test_oom_then_illegal_access_recovers_exact_count(graph, baseline):
             FaultSpec(FaultKind.ILLEGAL_ACCESS, attempt=2, at_op=400),
         )
     )
-    cfg = TDFSConfig(fault_plan=plan, retry=RetryPolicy())
-    result = match(graph, "P1", config=cfg)
+    ctx = RunContext(fault_plan=plan, retry=RetryPolicy())
+    result = match(graph, "P1", ctx=ctx)
     assert not result.failed
     assert result.count == baseline.count
     assert result.recovery.attempts == 3
@@ -150,8 +151,8 @@ def test_oom_then_illegal_access_recovers_exact_count(graph, baseline):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_seeded_chaos_preserves_count(graph, baseline, seed):
-    cfg = TDFSConfig(fault_plan=FaultPlan.seeded(seed), retry=RetryPolicy())
-    result = match(graph, "P1", config=cfg)
+    ctx = RunContext(fault_plan=FaultPlan.seeded(seed), retry=RetryPolicy())
+    result = match(graph, "P1", ctx=ctx)
     assert not result.failed
     assert result.count == baseline.count
 
@@ -163,8 +164,8 @@ def test_seeded_chaos_preserves_count(graph, baseline, seed):
 def test_chaos_recovery_under_other_strategies(graph, strategy):
     base = TDFSConfig(strategy=strategy)
     fault_free = match(graph, "P1", config=base)
-    cfg = base.replace(fault_plan=FaultPlan.seeded(1), retry=RetryPolicy())
-    result = match(graph, "P1", config=cfg)
+    ctx = RunContext(fault_plan=FaultPlan.seeded(1), retry=RetryPolicy())
+    result = match(graph, "P1", config=base, ctx=ctx)
     assert not result.failed
     assert result.count == fault_free.count
 
@@ -173,8 +174,8 @@ def test_queue_corruption_recovered_via_journal(graph):
     base = TDFSConfig(chunk_size=2, tau_cycles=50)
     fault_free = match(graph, "P1", config=base)
     plan = FaultPlan(seed=7, queue_corruption_rate=0.3)
-    cfg = base.replace(fault_plan=plan, retry=RetryPolicy())
-    result = match(graph, "P1", config=cfg)
+    ctx = RunContext(fault_plan=plan, retry=RetryPolicy())
+    result = match(graph, "P1", config=base, ctx=ctx)
     assert not result.failed
     assert result.count == fault_free.count
     assert result.recovery.faults_by_kind.get("queue-corruption", 0) >= 1
@@ -188,8 +189,8 @@ def test_cpu_fallback_rung_finishes_the_job(graph, baseline):
             FaultSpec(FaultKind.OOM, attempt=a, at_op=2) for a in range(1, 4)
         )
     )
-    cfg = TDFSConfig(fault_plan=plan, retry=RetryPolicy(max_attempts=4))
-    result = match(graph, "P1", config=cfg)
+    ctx = RunContext(fault_plan=plan, retry=RetryPolicy(max_attempts=4))
+    result = match(graph, "P1", ctx=ctx)
     assert not result.failed
     assert result.count == baseline.count
     assert "cpu-fallback" in result.recovery.degradations
@@ -201,7 +202,7 @@ def test_recovery_preserves_collected_matches(graph):
     plan_q = engine._resolve_plan(get_pattern("P1"))
     clean = engine.run(graph, plan_q, collect_matches=10**9)
     chaotic = TDFSEngine(
-        base.replace(fault_plan=FaultPlan.seeded(3), retry=RetryPolicy())
+        base, RunContext(fault_plan=FaultPlan.seeded(3), retry=RetryPolicy())
     ).run(graph, plan_q, collect_matches=10**9)
     assert not chaotic.failed
     assert chaotic.count == clean.count
@@ -210,8 +211,8 @@ def test_recovery_preserves_collected_matches(graph):
 
 def test_nonfatal_faults_survive_in_place(graph, baseline):
     plan = FaultPlan(seed=5, stall_rate=0.5, cas_storm_rate=0.2)
-    cfg = TDFSConfig(chunk_size=2, tau_cycles=50, fault_plan=plan)
-    result = match(graph, "P1", config=cfg)
+    cfg = TDFSConfig(chunk_size=2, tau_cycles=50)
+    result = match(graph, "P1", config=cfg, ctx=RunContext(fault_plan=plan))
     assert not result.failed
     assert result.count == baseline.count
     assert result.recovery.attempts == 1
@@ -223,7 +224,7 @@ def test_stall_stretches_virtual_time(graph):
     base = TDFSConfig()
     fault_free = match(graph, "P1", config=base)
     plan = FaultPlan(schedule=(FaultSpec(FaultKind.STALL, warp=0, factor=8.0),))
-    result = match(graph, "P1", config=base.replace(fault_plan=plan))
+    result = match(graph, "P1", config=base, ctx=RunContext(fault_plan=plan))
     assert not result.failed
     assert result.count == fault_free.count
     assert result.elapsed_cycles > fault_free.elapsed_cycles
@@ -237,10 +238,10 @@ def test_stall_stretches_virtual_time(graph):
 @pytest.mark.parametrize("seed", [0, 11])
 def test_identical_seeds_identical_reports(graph, baseline, seed):
     plan = FaultPlan.seeded(seed)
-    cfg = TDFSConfig(fault_plan=plan, retry=RetryPolicy())
+    ctx = RunContext(fault_plan=plan, retry=RetryPolicy())
     reports = []
     for _ in range(2):
-        result = match(graph, "P1", config=cfg)
+        result = match(graph, "P1", ctx=ctx)
         reports.append(
             format_survival_report(result, baseline=baseline, plan=plan)
         )
@@ -252,8 +253,8 @@ def test_different_seeds_differ_somewhere(graph, baseline):
     outcomes = set()
     for seed in range(6):
         plan = FaultPlan.seeded(seed)
-        cfg = TDFSConfig(fault_plan=plan, retry=RetryPolicy())
-        result = match(graph, "P1", config=cfg)
+        ctx = RunContext(fault_plan=plan, retry=RetryPolicy())
+        result = match(graph, "P1", ctx=ctx)
         outcomes.add(
             (result.recovery.attempts, result.recovery.faults_injected)
         )
@@ -275,11 +276,11 @@ def test_device_failover_preserves_count(graph):
             for a in range(1, 3)
         )
     )
-    cfg = base.replace(
+    ctx = RunContext(
         fault_plan=plan,
         retry=RetryPolicy(max_attempts=2, ladder=("shrink-chunk",)),
     )
-    result = match(graph, "P1", config=cfg)
+    result = match(graph, "P1", config=base, ctx=ctx)
     assert not result.failed
     assert result.count == fault_free.count
     assert result.recovery.devices_failed_over == 1
@@ -290,8 +291,8 @@ def test_failover_disabled_without_retry_policy(graph):
     plan = FaultPlan(
         schedule=(FaultSpec(FaultKind.OOM, gpu="gpu0", attempt=None, at_op=2),)
     )
-    cfg = TDFSConfig(num_gpus=2, fault_plan=plan)
-    result = match(graph, "P1", config=cfg)
+    cfg = TDFSConfig(num_gpus=2)
+    result = match(graph, "P1", config=cfg, ctx=RunContext(fault_plan=plan))
     assert result.failed
     assert "OOM" in result.error
 
@@ -350,7 +351,7 @@ def test_resuming_every_initial_task_is_the_run_itself(graph):
     seen = []
     for resume in (False, True):
         obs = Observability(tracing=True)
-        engine = TDFSEngine(TDFSConfig(obs=obs))
+        engine = TDFSEngine(ctx=RunContext(obs=obs))
         if resume:
             r = engine.run_resume(graph, query, [(graph.directed_edge_array(), 2)])
         else:
@@ -445,8 +446,8 @@ def test_cli_chaos_smoke(capsys):
 
 
 def test_recovery_stats_in_to_dict(graph, baseline):
-    cfg = TDFSConfig(fault_plan=FaultPlan.seeded(0), retry=RetryPolicy())
-    result = match(graph, "P1", config=cfg)
+    ctx = RunContext(fault_plan=FaultPlan.seeded(0), retry=RetryPolicy())
+    result = match(graph, "P1", ctx=ctx)
     d = result.to_dict()
     assert d["recovery"]["attempts"] == result.recovery.attempts
     assert d["recovery"]["faults_injected"] == result.recovery.faults_injected

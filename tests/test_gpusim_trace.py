@@ -3,7 +3,15 @@ diagnostics, computed from the tracer's ``match`` spans."""
 
 import pytest
 
-from repro import Observability, StackMode, Strategy, TDFSConfig, match, get_pattern
+from repro import (
+    Observability,
+    RunContext,
+    StackMode,
+    Strategy,
+    TDFSConfig,
+    match,
+    get_pattern,
+)
 from repro.core.engine import TDFSEngine
 from repro.obs import ascii_timeline, make_span, straggler_tail, utilization
 from repro.query.plan import compile_plan
@@ -15,7 +23,9 @@ def work(warp, start, end, device=0, name="match"):
 
 def traced(graph, pattern, **config):
     obs = Observability(tracing=True)
-    result = match(graph, get_pattern(pattern), config=TDFSConfig(obs=obs, **config))
+    result = match(
+        graph, get_pattern(pattern), config=TDFSConfig(**config), ctx=RunContext(obs=obs)
+    )
     return result, obs.tracer
 
 
@@ -64,8 +74,13 @@ class TestRecorder:
 class TestEngineTracing:
     def test_off_by_default(self, small_plc):
         obs = Observability()
-        match(small_plc, get_pattern("P1"), config=TDFSConfig(num_warps=4, obs=obs))
-        assert TDFSConfig().obs is None
+        match(
+            small_plc,
+            get_pattern("P1"),
+            config=TDFSConfig(num_warps=4),
+            ctx=RunContext(obs=obs),
+        )
+        assert RunContext().obs is None
         assert not obs.tracing
         assert obs.tracer.spans() == [] and obs.tracer.counts == {}
 
@@ -81,7 +96,7 @@ class TestEngineTracing:
         plan = compile_plan(get_pattern("P3"))
         plain = TDFSEngine(TDFSConfig(num_warps=4)).run(small_plc, plan)
         with_spans = TDFSEngine(
-            TDFSConfig(num_warps=4, obs=Observability(tracing=True))
+            TDFSConfig(num_warps=4), RunContext(obs=Observability(tracing=True))
         ).run(small_plc, plan)
         assert plain.count == with_spans.count
         assert plain.elapsed_cycles == with_spans.elapsed_cycles

@@ -29,7 +29,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FaultPlan, RetryPolicy, TDFSConfig, from_edges, get_pattern, match
+from repro import (
+    FaultPlan,
+    RetryPolicy,
+    RunContext,
+    TDFSConfig,
+    from_edges,
+    get_pattern,
+    match,
+)
 from repro.alloc.stack import WarpStack, array_level_factory
 from repro.core.candidates import filter_candidates
 from repro.core.config import StackMode, Strategy
@@ -80,15 +88,15 @@ CONFORMANCE_FIELDS = (
 )
 
 
-def assert_conformant(graph, query, config, engine="tdfs", label=""):
+def assert_conformant(graph, query, config, engine="tdfs", label="", ctx=None):
     """Run both backends and assert the full conformance field set."""
     scalar = match(
         graph, query, engine=engine,
-        config=config.replace(kernel_backend="scalar"),
+        config=config.replace(kernel_backend="scalar"), ctx=ctx,
     )
     vec = match(
         graph, query, engine=engine,
-        config=config.replace(kernel_backend="vectorized"),
+        config=config.replace(kernel_backend="vectorized"), ctx=ctx,
     )
     for f in CONFORMANCE_FIELDS:
         assert getattr(scalar, f) == getattr(vec, f), (
@@ -545,7 +553,7 @@ class TestInterruptibleLeafReplay:
 
     @pytest.mark.parametrize("query", [LOLLIPOP, STAR], ids=lambda q: q.name)
     @pytest.mark.parametrize(
-        "extra",
+        "ctx",
         [
             lambda: {"obs": Observability(tracing=True)},
             # Stragglers and CAS storms only: armed, but nothing fatal, so
@@ -558,7 +566,7 @@ class TestInterruptibleLeafReplay:
         ],
         ids=["tracing", "fault-plan"],
     )
-    def test_truncating_leaf_window(self, extra, query, small_plc, monkeypatch):
+    def test_truncating_leaf_window(self, ctx, query, small_plc, monkeypatch):
         seen = {"slots": 0, "truncated": 0}
         fill_level = MatchJob._fill_level
 
@@ -576,7 +584,8 @@ class TestInterruptibleLeafReplay:
             name: match(
                 small_plc,
                 query,
-                config=self.TRUNCATING.replace(kernel_backend=name, **extra()),
+                config=self.TRUNCATING.replace(kernel_backend=name),
+                ctx=RunContext(**ctx()),
             )
             for name in ("scalar", "vectorized")
         }
@@ -640,21 +649,22 @@ class TestPrefixBlockEndToEnd:
         spans = {}
         for name in ("scalar", "vectorized"):
             obs = Observability(tracing=True)
-            cfg = STEAL.replace(chunk_size=3, kernel_backend=name, obs=obs)
-            match(small_plc, query, config=cfg)
+            cfg = STEAL.replace(chunk_size=3, kernel_backend=name)
+            match(small_plc, query, config=cfg, ctx=RunContext(obs=obs))
             spans[name] = obs.tracer.spans()
         assert spans["scalar"] == spans["vectorized"]
         assert any(s["name"] == "intersect" for s in spans["scalar"])
 
     @pytest.mark.parametrize("fault_seed", range(3))
     def test_fault_plan_with_retry(self, fault_seed, small_plc, small_windows):
-        cfg = TDFSConfig(
-            num_warps=8,
-            chunk_size=3,
+        cfg = TDFSConfig(num_warps=8, chunk_size=3)
+        ctx = RunContext(
             fault_plan=FaultPlan.seeded(SEED_BASE + fault_seed),
             retry=RetryPolicy(max_attempts=4),
         )
-        scalar, vec = assert_conformant(small_plc, "P2", cfg, label="faults")
+        scalar, vec = assert_conformant(
+            small_plc, "P2", cfg, label="faults", ctx=ctx
+        )
         assert scalar.recovery.to_dict() == vec.recovery.to_dict()
         assert scalar.recovery.faults_injected > 0
 
@@ -677,13 +687,9 @@ class TestPrefixBlockEndToEnd:
                         (snapshot_pending_work(job), job.count, now, mid_window)
                     )
 
-            cfg = FAST.replace(
-                chunk_size=3,
-                kernel_backend=name,
-                checkpoint_every_events=40,
-                checkpoint_hook=hook,
-            )
-            assert match(small_plc, "P2", config=cfg).count == full
+            cfg = FAST.replace(chunk_size=3, kernel_backend=name)
+            ctx = RunContext(checkpoint_every_events=40, checkpoint_hook=hook)
+            assert match(small_plc, "P2", config=cfg, ctx=ctx).count == full
             snaps[name] = taken[0]
         groups, base, now, _ = snaps["scalar"]
         vgroups, vbase, vnow, mid_window = snaps["vectorized"]

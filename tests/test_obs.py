@@ -21,7 +21,7 @@ import threading
 
 import pytest
 
-from repro import Observability, Registry, TDFSConfig, Tracer, match
+from repro import Observability, Registry, RunContext, TDFSConfig, Tracer, match
 from repro.core.engine import TDFSEngine
 from repro.obs import (
     LineProtocolSink,
@@ -296,7 +296,9 @@ class TestTracer:
 
 def _virtual_spans(graph):
     obs = Observability(tracing=True)
-    TDFSEngine(TDFSConfig(num_warps=4, obs=obs)).run(graph, get_pattern("P3"))
+    TDFSEngine(TDFSConfig(num_warps=4), RunContext(obs=obs)).run(
+        graph, get_pattern("P3")
+    )
     return obs.tracer.spans()
 
 
@@ -411,9 +413,9 @@ class TestEngineMetrics:
 
     def test_caller_obs_accumulates_across_runs(self, small_plc):
         obs = Observability()
-        cfg = TDFSConfig(num_warps=8, obs=obs)
-        r1 = TDFSEngine(cfg).run(small_plc, get_pattern("P1"))
-        r2 = TDFSEngine(cfg).run(small_plc, get_pattern("P1"))
+        cfg, ctx = TDFSConfig(num_warps=8), RunContext(obs=obs)
+        r1 = TDFSEngine(cfg, ctx).run(small_plc, get_pattern("P1"))
+        r2 = TDFSEngine(cfg, ctx).run(small_plc, get_pattern("P1"))
         assert obs.flat()["engine.matches"] == r1.count + r2.count
 
     def test_tracing_off_changes_nothing(self, straggler_graph):
@@ -422,7 +424,7 @@ class TestEngineMetrics:
         as the default path, and records no spans."""
         plain = TDFSEngine(STEAL_CFG).run(straggler_graph, get_pattern("P3"))
         obs = Observability(tracing=False)
-        instrumented = TDFSEngine(STEAL_CFG.replace(obs=obs)).run(
+        instrumented = TDFSEngine(STEAL_CFG, RunContext(obs=obs)).run(
             straggler_graph, get_pattern("P3")
         )
         assert instrumented.count == plain.count
@@ -436,7 +438,7 @@ class TestEngineMetrics:
     def test_tracing_on_does_not_perturb_the_simulation(self, straggler_graph):
         plain = TDFSEngine(STEAL_CFG).run(straggler_graph, get_pattern("P3"))
         obs = Observability(tracing=True)
-        traced = TDFSEngine(STEAL_CFG.replace(obs=obs)).run(
+        traced = TDFSEngine(STEAL_CFG, RunContext(obs=obs)).run(
             straggler_graph, get_pattern("P3")
         )
         assert traced.count == plain.count
@@ -446,7 +448,7 @@ class TestEngineMetrics:
     def test_traced_run_has_per_warp_spans(self, straggler_graph, tmp_path):
         """The `repro profile --trace` acceptance shape, driven directly."""
         obs = Observability(tracing=True)
-        result = TDFSEngine(STEAL_CFG.replace(obs=obs)).run(
+        result = TDFSEngine(STEAL_CFG, RunContext(obs=obs)).run(
             straggler_graph, get_pattern("P3")
         )
         names = set(obs.tracer.counts)
@@ -473,18 +475,22 @@ class TestEngineMetrics:
         assert result.metrics["engine.reuse_hits"] == result.reuse_hits
 
     def test_metrics_excluded_from_cache_fingerprint(self):
-        from repro.serve.cache import config_fingerprint
+        """The obs bundle is run wiring: it lives on ``RunContext``, which no
+        fingerprint ever sees, and no config field shadows a context field."""
+        from dataclasses import fields
 
-        base = TDFSConfig(num_warps=8)
-        with_obs = base.replace(obs=Observability())
-        assert config_fingerprint(base) == config_fingerprint(with_obs)
+        assert "obs" in {f.name for f in fields(RunContext)}
+        assert not {f.name for f in fields(TDFSConfig)} & {
+            f.name for f in fields(RunContext)
+        }
 
     def test_match_api_passes_obs_through(self, small_plc):
         obs = Observability()
         result = match(
             small_plc,
             get_pattern("P1"),
-            config=TDFSConfig(num_warps=8, obs=obs),
+            config=TDFSConfig(num_warps=8),
+            ctx=RunContext(obs=obs),
         )
         assert result.metrics == obs.flat()
 

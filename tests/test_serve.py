@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
 
-from repro import TDFSConfig, match
+from repro import TDFSConfig, available_engines, get_pattern, match
 from repro.dynamic import DeltaError
 from repro.errors import ReproError, UnsupportedError
+from repro.gpusim.costmodel import DEFAULT_COST_MODEL
 from repro.obs.ops import ops_tracer
 from repro.serve import (
     AdmissionRejected,
@@ -128,6 +130,76 @@ class TestQueryPath:
         # Different config fingerprint: not a cache hit, same count.
         assert not other.result_cache_hit
         assert other.count == base.count
+
+    def test_cost_models_never_alias_in_the_result_cache(self, small_plc):
+        """The cost model sets virtual time, so it is part of the result
+        key: a request under a 50x ``chunk_fetch`` model must not be served
+        the default model's ``elapsed_cycles`` (it used to be)."""
+        slow_cost = dataclasses.replace(
+            DEFAULT_COST_MODEL, chunk_fetch=DEFAULT_COST_MODEL.chunk_fetch * 50
+        )
+        configs = [TDFSConfig(num_warps=8), TDFSConfig(num_warps=8, cost=slow_cost)]
+        with make_service() as svc:
+            svc.register_graph("g", small_plc)
+            served = [
+                svc.submit(MatchRequest("g", "P1", config=c)).result(60)
+                for c in configs
+            ]
+        bare = [match(small_plc, "P1", config=c) for c in configs]
+        assert [r.result_cache_hit for r in served] == [False, False]
+        assert [r.result.elapsed_cycles for r in served] == [
+            b.elapsed_cycles for b in bare
+        ]
+        assert bare[0].elapsed_cycles != bare[1].elapsed_cycles
+        assert {r.count for r in served} == {bare[0].count}
+
+    def test_run_context_never_reaches_a_cache_key(self, small_plc):
+        """How a delivery runs (kill list, checkpoint cadence and hook) is
+        context, not config: the same request lands on the same plan and
+        result keys whatever context the worker built for it."""
+        config = TDFSConfig(num_warps=8, shards=2)
+        wiring = dict(
+            shard_faults=(0,),
+            supervisor=SupervisorConfig(checkpoint_every_events=50),
+        )
+        keys = []
+        for extra in ({}, wiring):
+            with make_service(match_config=config, **extra) as svc:
+                svc.register_graph("g", small_plc)
+                assert svc.query("g", "P1", timeout=120.0).ok
+                keys.append(
+                    [k for cache in (svc.plan_cache, svc.result_cache)
+                     for k, _ in cache.items()]
+                )
+        assert keys[0] == keys[1] and len(keys[0]) == 2
+
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_collect_matches_on_every_engine(self, engine, small_plc):
+        """``collect_matches`` is honoured — or refused with the typed
+        ``"N/A"`` — by every registry engine; never silently dropped."""
+        want = match(small_plc, "P1").count_embeddings
+        reference = TDFSConfig(num_warps=8, enable_symmetry=False)
+        with make_service(match_config=reference) as svc:
+            svc.register_graph("g", small_plc)
+            few = svc.submit(
+                MatchRequest("g", "P1", engine=engine, collect_matches=3)
+            ).result(60)
+            every = svc.submit(
+                MatchRequest("g", "P1", engine=engine, collect_matches=want)
+            ).result(60)
+            tdfs = svc.submit(
+                MatchRequest("g", "P1", collect_matches=want)
+            ).result(60)
+        if engine == "pbe":
+            assert few.error == every.error == "N/A"
+            assert few.result is None
+            return
+        assert few.error is None and len(few.result.matches) == 3
+        query = get_pattern("P1")
+        for emb in few.result.matches:
+            assert len(set(emb)) == query.num_vertices
+            assert all(small_plc.has_edge(emb[a], emb[b]) for a, b in query.edges())
+        assert sorted(every.result.matches) == sorted(tdfs.result.matches)
 
     def test_plan_cache_shared_across_patterns(self, small_plc):
         with make_service(enable_result_cache=False) as svc:

@@ -3,9 +3,21 @@ deadline-fitted retry policy."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro import Observability, TDFSConfig, compile_plan, get_pattern
+from repro import (
+    IncrementalConfig,
+    StackMode,
+    Strategy,
+    TDFSConfig,
+    compile_plan,
+    get_pattern,
+)
+from repro.gpusim.costmodel import DEFAULT_COST_MODEL
+from repro.obs.ops import TraceContext
+from repro.planner import PlannerConfig
 from repro.faults import (
     RUNG_CPU_FALLBACK,
     RetryPolicy,
@@ -66,6 +78,41 @@ class TestLRUCache:
             LRUCache(0)
 
 
+#: One non-default value per ``TDFSConfig`` field.  A field added without an
+#: entry here fails the parametrised test below with a ``KeyError`` — it
+#: cannot be silently left out of the fingerprint.
+CHANGED = dict(
+    num_warps=7,
+    chunk_size=3,
+    strategy=Strategy.NONE,
+    tau_cycles=77,
+    queue_capacity_tasks=99,
+    stack_mode=StackMode.ARRAY_DMAX,
+    page_bytes=128,
+    page_table_size=8,
+    arena_pages=1024,
+    release_pages=True,
+    fixed_capacity=7,
+    truncate_on_overflow=False,
+    enable_symmetry=False,
+    enable_reuse=False,
+    enable_edge_filter=False,
+    stmatch_removal=True,
+    new_kernel_fanout=5,
+    kernel_backend="scalar",
+    device_memory=1 << 20,
+    num_gpus=2,
+    cost=dataclasses.replace(
+        DEFAULT_COST_MODEL, chunk_fetch=DEFAULT_COST_MODEL.chunk_fetch * 50
+    ),
+    shards=2,
+    shard_strategy="degree",
+    planner=PlannerConfig(),
+    incremental=IncrementalConfig(max_delta_edges=3),
+    trace_context=TraceContext.mint(),
+)
+
+
 class TestFingerprints:
     def test_plan_fp_ignores_name(self):
         a = QueryGraph(3, [(0, 1), (1, 2), (2, 0)], name="tri")
@@ -84,14 +131,15 @@ class TestFingerprints:
         assert plan_fingerprint(on) != plan_fingerprint(off)
         assert plan_fingerprint(on) != plan_fingerprint(q)
 
-    def test_config_fp_skips_result_irrelevant_fields(self):
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(TDFSConfig)]
+    )
+    def test_config_fp_covers_every_field_but_trace_context(self, name):
         base = TDFSConfig()
-        assert config_fingerprint(base) == config_fingerprint(
-            base.replace(max_events=123, obs=Observability(tracing=True))
-        )
-        assert config_fingerprint(base) != config_fingerprint(
-            base.replace(num_warps=7)
-        )
+        changed = base.replace(**{name: CHANGED[name]})
+        assert getattr(changed, name) != getattr(base, name)
+        same = config_fingerprint(changed) == config_fingerprint(base)
+        assert same == (name == "trace_context")
 
     def test_keys_include_version_and_collect(self):
         # Rewritten for the plan-key rule: graph identity and version are
@@ -156,16 +204,14 @@ class TestFingerprintMemo:
             assert len(digests) == 1
 
     def test_replace_yields_a_fresh_fingerprint(self, digests):
-        from repro.obs.ops import TraceContext
-
         base = TDFSConfig(num_warps=5)
         fp = config_fingerprint(base)
         assert config_fingerprint(base.replace(num_warps=6)) != fp
-        # Fingerprint-skipped wiring: a new object, digested again, same string.
+        # The one non-fingerprinted field: a new object, digested again,
+        # same string.
         traced = base.replace(trace_context=TraceContext.mint())
-        observed = base.replace(obs=Observability())
-        assert config_fingerprint(traced) == fp == config_fingerprint(observed)
-        assert len(digests) == 4
+        assert config_fingerprint(traced) == fp
+        assert len(digests) == 3
 
     def test_equal_configs_fingerprint_equal(self, digests):
         assert config_fingerprint(TDFSConfig(num_warps=5)) == config_fingerprint(

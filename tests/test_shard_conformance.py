@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import TDFSConfig, match
+from repro import Observability, RunContext, TDFSConfig, match
 from repro.core.engine import make_engine
 from repro.errors import ReproError, UnsupportedError
 from repro.shard import (
@@ -53,8 +53,22 @@ CONFORMANCE_FIELDS = (
 SHARD_COUNTS = (1, 2, 3, 7)
 
 
-def coordinator(config: TDFSConfig, **kwargs) -> ShardCoordinator:
-    return ShardCoordinator(make_engine("tdfs", config), **kwargs)
+def coordinator(
+    config: TDFSConfig,
+    num_shards=None,
+    strategy=None,
+    fault_shards=(),
+    ctx=None,
+    **kwargs,
+) -> ShardCoordinator:
+    """A coordinator over ``config`` with the shard count / strategy mapped
+    onto the config and the killed shards onto the context (their homes)."""
+    if num_shards is not None:
+        config = config.replace(shards=num_shards)
+    if strategy is not None:
+        config = config.replace(shard_strategy=strategy)
+    ctx = ctx or RunContext(shard_faults=tuple(sorted(fault_shards)))
+    return ShardCoordinator(make_engine("tdfs", config, ctx), **kwargs)
 
 
 def assert_bit_equal(a, b, label: str) -> None:
@@ -202,6 +216,34 @@ class TestShardFaultRecovery:
         assert r.recovery.tasks_reexecuted > 0
         assert r.metrics["shard.process_failures"] == 1
 
+    def test_context_crosses_the_process_boundary_in_one_place(self):
+        """A context full of things that cannot (a registry with locks, a
+        lambda hook) or must not (the kill list) reach a shard child: the
+        process run returns the inline count and the shard-level story
+        lands in the caller's registry."""
+        seed, graph, query = next(iter(fuzz_cases(1, base=1400)))
+        config = CONFIG_VARIANTS["fast"]
+        runs = {}
+        for mode in ("inline", "process"):
+            obs = Observability()
+            ctx = RunContext(
+                obs=obs,
+                checkpoint_every_events=10,
+                checkpoint_hook=lambda job, now: None,
+                shard_faults=(0,),
+            )
+            r = coordinator(config, num_shards=2, mode=mode, ctx=ctx).run(
+                graph, query
+            )
+            runs[mode] = (r, obs.flat())
+        (inline, _), (process, published) = runs["inline"], runs["process"]
+        assert_bit_equal(inline, process, "ctx-boundary")
+        assert process.count == match(graph, query, config=config).count
+        assert published["shard.jobs"] == 1
+        assert published["shard.dispatched"] == 2
+        assert published["shard.process_failures"] == 1
+        assert published["shard.rows_reexecuted"] > 0
+
     def test_all_shards_killed_still_exact(self):
         seed, graph, query = next(iter(fuzz_cases(1, base=1450)))
         base = match(graph, query, config=CONFIG_VARIANTS["fast"])
@@ -313,12 +355,16 @@ class TestServeSharding:
         )
 
     def test_serve_config_applies_shards(self):
+        """``match_config.shards`` is the one home: no second knob on
+        ``ServeConfig`` can contradict it."""
         from repro.serve import ServeConfig
 
         cfg = ServeConfig(
-            workers=1, shards=2, match_config=TDFSConfig(num_warps=8)
+            workers=1, match_config=TDFSConfig(num_warps=8, shards=2)
         )
         assert cfg.match_config.shards == 2
+        with pytest.raises(TypeError):
+            ServeConfig(shards=2)
 
     def test_sharded_service_counts_and_cache(self, small_plc):
         from repro.serve import MatchRequest, MatchService, ServeConfig
@@ -328,7 +374,7 @@ class TestServeSharding:
         ).count
         with MatchService(
             ServeConfig(
-                workers=1, shards=2, match_config=TDFSConfig(num_warps=8)
+                workers=1, match_config=TDFSConfig(num_warps=8, shards=2)
             )
         ) as svc:
             svc.register_graph("g", small_plc)

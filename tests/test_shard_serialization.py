@@ -20,7 +20,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro import TDFSConfig, compile_plan, get_pattern
+from repro import IncrementalConfig, RunContext, TDFSConfig, compile_plan, get_pattern
 from repro.core.config import StackMode, Strategy
 from repro.serve import config_fingerprint, plan_fingerprint
 from tests.fuzz import case_graph, case_labeled_graph, case_query
@@ -96,19 +96,48 @@ class TestConfigPickle:
         assert again == cfg
         assert config_fingerprint(again) == config_fingerprint(cfg)
 
+    def test_any_named_backend_config_roundtrips(self):
+        """A config holds only what a run computes, so it pickles whole —
+        planner, incremental thresholds and trace identity included."""
+        from repro.obs.ops import TraceContext
+        from repro.planner import PlannerConfig
+
+        cfg = TDFSConfig(
+            num_warps=8,
+            kernel_backend="scalar",
+            planner=PlannerConfig(),
+            incremental=IncrementalConfig(max_delta_edges=3),
+            trace_context=TraceContext.mint(bench="pickle"),
+        )
+        again = roundtrip(cfg)
+        assert again == cfg
+        assert config_fingerprint(again) == config_fingerprint(cfg)
+
     def test_shard_child_config_is_picklable(self):
-        """The exact stripped config the coordinator ships to workers."""
+        """The exact config and context the coordinator ships to workers."""
+        from repro.faults import FaultPlan, RetryPolicy
+        from repro.kernels import make_backend
         from repro.obs import Observability
         from repro.shard.coordinator import _child_config
 
         cfg = TDFSConfig(
-            num_warps=8, shards=4, obs=Observability(),
-            checkpoint_every_events=10, checkpoint_hook=lambda job, now: None,
+            num_warps=8, shards=4, kernel_backend=make_backend("scalar")
         )
-        child = _child_config(cfg)
-        again = roundtrip(child)  # the original cfg would fail: obs holds locks
-        assert again.shards == 1 and again.obs is None
-        assert again.checkpoint_hook is None
+        ctx = RunContext(
+            obs=Observability(),  # holds locks: would not pickle
+            fault_plan=FaultPlan.seeded(1),
+            retry=RetryPolicy(),
+            shard_faults=(0,),
+            checkpoint_every_events=10,
+            checkpoint_hook=lambda job, now: None,
+            max_events=12345,
+        )
+        child = roundtrip(_child_config(cfg))
+        assert child.shards == 1 and child.kernel_backend == "scalar"
+        sent = roundtrip(ctx.for_child_process())
+        assert sent == RunContext(
+            fault_plan=ctx.fault_plan, retry=ctx.retry, max_events=12345
+        )
 
 
 class TestCrossProcessFingerprints:
