@@ -46,7 +46,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.config import RunContext, TDFSConfig
-from repro.core.engine import TDFSEngine
+from repro.core.engine import TDFSEngine, make_engine
 from repro.core.result import MatchResult
 from repro.dynamic.delta import DeltaBatch, NetDelta
 from repro.errors import ReproError, UnsupportedError
@@ -86,12 +86,15 @@ class DeltaCount:
 
     count: int
     """Exact match count on the successor graph ``G'``."""
-    base_count: int
+    base_count: Optional[int]
+    """Count on the previous graph (``None`` = the caller had none)."""
     gained: int = 0
     lost: int = 0
     incremental: bool = True
     """False when the full-re-match fallback produced ``count``."""
     fallback_reason: Optional[str] = None
+    """Why the full re-match ran: ``engine-not-tdfs``, ``no-cached-base``,
+    ``delta-too-large``, ``anchor-error (...)`` or ``anchor-overflow``."""
     anchored_tasks: int = 0
     """Initial-task rows fed across all anchored runs."""
     anchor_runs: int = 0
@@ -168,7 +171,8 @@ class IncrementalMatcher:
         new_graph: CSRGraph,
         delta: Union[DeltaBatch, NetDelta],
         query: Union[QueryGraph, MatchingPlan, str],
-        base_count: int,
+        base_count: Optional[int],
+        engine: str = "tdfs",
     ) -> DeltaCount:
         """Exact match count on ``new_graph`` given ``base_count`` on
         ``old_graph`` and the delta between them.
@@ -176,47 +180,74 @@ class IncrementalMatcher:
         ``delta`` may be the applied :class:`DeltaBatch` (normalized here
         against ``old_graph``) or an already-normalized :class:`NetDelta`;
         ``query`` may be a pattern name like ``"P1"``.  Falls back to a
-        full re-match — still returning the exact count — when the delta
-        or the affected-match set is too large, or when an anchored run
-        fails; ``fallback_reason`` says why.
+        full re-match by ``engine`` of what the caller passed (a
+        precompiled plan keeps its order) — still returning the exact
+        count — when there is no ``base_count``, when ``engine`` is not
+        ``"tdfs"``, when the delta or the affected-match set is too large,
+        or when an anchored run fails; ``fallback_reason`` says why.
         """
         t0 = time.perf_counter()
         if isinstance(query, str):
             query = get_pattern(query)
+        target = query
         if isinstance(query, MatchingPlan):
             query = query.query
         if query.is_labeled and not new_graph.is_labeled:
             raise UnsupportedError(
                 "labeled query on an unlabeled data graph; attach labels first"
             )
-        net = delta if isinstance(delta, NetDelta) else delta.normalize(old_graph)
-        out = DeltaCount(count=int(base_count), base_count=int(base_count))
-        if net.size > self.inc.max_delta_edges:
-            return self._fallback(new_graph, query, out, "delta-too-large", t0)
+        out = DeltaCount(count=0, base_count=base_count)
+        reason = None
+        if engine != "tdfs":
+            # Baseline engines seed initial tasks differently (STMatch
+            # re-filters them on the host, Hybrid re-plans the split), so
+            # anchored seeding only matches tdfs semantics.
+            reason = "engine-not-tdfs"
+        elif base_count is None:
+            reason = "no-cached-base"
+        else:
+            net = delta if isinstance(delta, NetDelta) else delta.normalize(old_graph)
+            if net.size > self.inc.max_delta_edges:
+                reason = "delta-too-large"
         trace = self.config.trace_context
-        engine = self._anchor_engine()
-        with ops_tracer(trace).span("delta.count", parent=trace) as span:
-            try:
-                lost_emb, lost_tasks, lost_cycles = self._affected(
-                    engine, old_graph, net.removed, query, trace, side="removed"
+        if reason is None:
+            anchored = self._anchor_engine()
+            with ops_tracer(trace).span("delta.count", parent=trace) as span:
+                try:
+                    lost_emb, lost_tasks, lost_cycles = self._affected(
+                        anchored, old_graph, net.removed, query, trace, side="removed"
+                    )
+                    gained_emb, gained_tasks, gained_cycles = self._affected(
+                        anchored, new_graph, net.added, query, trace, side="added"
+                    )
+                except _AnchorFallback as exc:
+                    reason = span.tags["fallback"] = exc.reason
+                else:
+                    out.lost = self._to_instances(query, len(lost_emb))
+                    out.gained = self._to_instances(query, len(gained_emb))
+                    out.count = int(base_count) + out.gained - out.lost
+                    out.anchored_tasks = lost_tasks + gained_tasks
+                    out.anchor_runs = 2 * query.num_edges if net.size else 0
+                    out.elapsed_cycles = lost_cycles + gained_cycles
+                    out.result = self._synthesize(new_graph, query, out)
+                    span.tags.update(
+                        gained=out.gained, lost=out.lost, anchor_runs=out.anchor_runs
+                    )
+        if reason is not None:
+            # The one full re-match: exact, never wrong.
+            rematch = make_engine(engine, self.config, self.ctx)
+            with ops_tracer(trace).span("delta.fallback", parent=trace, reason=reason):
+                result = rematch.run(new_graph, target)
+            if result.error is not None:
+                raise ReproError(
+                    f"incremental fallback re-match failed: {result.error}"
                 )
-                gained_emb, gained_tasks, gained_cycles = self._affected(
-                    engine, new_graph, net.added, query, trace, side="added"
-                )
-            except _AnchorFallback as exc:
-                span.tags["fallback"] = exc.reason
-                return self._fallback(new_graph, query, out, exc.reason, t0)
-            out.lost = self._to_instances(query, len(lost_emb))
-            out.gained = self._to_instances(query, len(gained_emb))
-            out.count = int(base_count) + out.gained - out.lost
-            out.anchored_tasks = lost_tasks + gained_tasks
-            out.anchor_runs = 2 * query.num_edges if net.size else 0
-            out.elapsed_cycles = lost_cycles + gained_cycles
-            out.host_ms = (time.perf_counter() - t0) * 1000.0
-            out.result = self._synthesize(new_graph, query, out)
-            span.tags.update(
-                gained=out.gained, lost=out.lost, anchor_runs=out.anchor_runs
-            )
+            out.count = result.count
+            out.incremental = False
+            out.fallback_reason = reason
+            out.elapsed_cycles = result.elapsed_cycles
+            out.result = result
+        out.host_ms = (time.perf_counter() - t0) * 1000.0
         self._publish(out)
         return out
 
@@ -288,33 +319,6 @@ class IncrementalMatcher:
                 f"divisible by |Aut| = {aut} for query {query.name!r}"
             )
         return num_embeddings // aut
-
-    def _fallback(
-        self,
-        new_graph: CSRGraph,
-        query: QueryGraph,
-        out: DeltaCount,
-        reason: str,
-        t0: float,
-    ) -> DeltaCount:
-        """Full re-match on the successor graph (exact, never wrong)."""
-        trace = self.config.trace_context
-        with ops_tracer(trace).span("delta.fallback", parent=trace, reason=reason):
-            result = TDFSEngine(self.config, self.ctx).run(new_graph, query)
-        if result.error is not None:
-            raise ReproError(
-                f"incremental fallback re-match failed: {result.error}"
-            )
-        out.count = result.count
-        out.gained = 0
-        out.lost = 0
-        out.incremental = False
-        out.fallback_reason = reason
-        out.elapsed_cycles = result.elapsed_cycles
-        out.host_ms = (time.perf_counter() - t0) * 1000.0
-        out.result = result
-        self._publish(out)
-        return out
 
     def _synthesize(
         self, new_graph: CSRGraph, query: QueryGraph, out: DeltaCount

@@ -34,8 +34,7 @@ class QueueEntry:
     """One admitted request waiting for a worker.
 
     An entry settles (its ticket completes or fails) **exactly once**:
-    every path that responds — worker success/error, shedding, shutdown,
-    supervisor quarantine, a stranded-worker sweep — must first win
+    ``MatchService._settle``, the one ending of every request, first wins
     :meth:`claim_settle`.  That makes crashed-worker redelivery safe: a
     wedged "zombie" worker and its replacement can both finish the same
     entry, but only the first response is delivered and counted.

@@ -9,11 +9,11 @@ Both caches are LRU maps keyed by
 MatchService` bumps a graph's version on every ``update_graph`` /
 ``apply_edges``, so entries built against the old version simply stop being
 addressable and age out of the LRU — batch-dynamic edge updates can never
-serve a stale count, and no eager scan of the cache is required.
-:meth:`LRUCache.invalidate_graph` is available for eager eviction when
-memory pressure matters more than update latency.  A plan compiled
-without a planner depends on no graph, so its key names none
-(:func:`plan_key`) and it survives every update.
+serve a stale count, and no eager scan of the result cache is required
+(:meth:`LRUCache.invalidate_graph` drops a planner's plans, portfolios and
+feedback, which must not outlive the statistics they were ranked on).  A
+plan compiled without a planner depends on no graph, so its key names
+none (:func:`plan_key`) and it survives every update.
 
 Fingerprints are content hashes (SHA-256, truncated): two structurally
 identical queries hit the same plan-cache entry regardless of object

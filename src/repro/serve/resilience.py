@@ -404,23 +404,6 @@ class SupervisorConfig:
             raise ReproError("supervisor: checkpoint_every_events must be >= 0")
 
 
-def request_signature(entry: QueueEntry) -> tuple:
-    """Breaker signature: what reproducibly identifies a killer query."""
-    prepared = entry.request
-    return (prepared.request.graph_id, prepared.plan_fp)
-
-
-def request_fingerprint(entry: QueueEntry) -> tuple:
-    """Quarantine fingerprint: the full repeat-identity of a request."""
-    prepared = entry.request
-    return (
-        prepared.request.graph_id,
-        prepared.plan_fp,
-        prepared.request.engine,
-        prepared.config_fp,
-    )
-
-
 class Supervisor(threading.Thread):
     """Watchdog thread supervising one service's worker pool."""
 
@@ -520,11 +503,10 @@ class Supervisor(threading.Thread):
         """Re-enqueue a lost entry, or quarantine it past its budget."""
         metrics = self.service.metrics
         flight = self.service.flight
-        self.breaker.record_failure(request_signature(entry))
+        self.breaker.record_failure(entry.request.signature)
         entry.redeliveries += 1
         if entry.redeliveries > self.config.max_redeliveries:
-            fingerprint = request_fingerprint(entry)
-            self.quarantine.poison(fingerprint, reason, entry.request_id)
+            self.quarantine.poison(entry.request.fingerprint, reason, entry.request_id)
             self.checkpoints.pop(entry.request_id)
             metrics.incr("quarantined")
             flight.record(
@@ -534,10 +516,7 @@ class Supervisor(threading.Thread):
                 redeliveries=entry.redeliveries,
                 trace_id=getattr(entry.trace, "trace_id", None),
             )
-            self.service._settle_error(
-                entry,
-                f"POISONED ({reason} x{entry.redeliveries})",
-            )
+            self.service._settle(f"POISONED ({reason} x{entry.redeliveries})", entry)
             return
         entry.checkpoint = self.checkpoints.get(entry.request_id)
         # Counter and flight event first, for the reason given in _recover.
@@ -558,7 +537,7 @@ class Supervisor(threading.Thread):
             # drain seal (but never a full close).
             self.service._queue.offer(entry, force=True)
         except AdmissionRejected:
-            self.service._settle_error(entry, "SHUTDOWN")
+            self.service._settle("SHUTDOWN", entry)
 
     # -- checkpoint hook (installed into the per-request engine config) - #
 

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from repro.core.config import RunContext, TDFSConfig
-from repro.core.engine import available_engines, make_engine
+from repro.core.engine import available_engines
 from repro.core.result import MatchResult
-from repro.dynamic import DeltaBatch, IncrementalMatcher
+from repro.dynamic import DeltaBatch, DeltaCount, IncrementalMatcher
 from repro.errors import ReproError, UnsupportedError
 from repro.graph.csr import CSRGraph
 from repro.obs.ops import (
@@ -51,6 +51,7 @@ from repro.serve.cache import (
     LRUCache,
     config_fingerprint,
     plan_fingerprint,
+    plan_key,
     result_key,
 )
 from repro.serve.metrics import ServeMetrics
@@ -65,6 +66,12 @@ from repro.serve.resilience import (
 #: LRU capacities of the plan (and portfolio) cache and the result cache.
 PLAN_CACHE_SIZE = 256
 RESULT_CACHE_SIZE = 1024
+
+
+#: First words of the error markers the breaker neither charges nor
+#: credits: the engine cannot run the query, the graph or the service is
+#: going away, or redelivery already charged the failure (``POISONED``).
+_BREAKER_NEUTRAL = ("N/A", "UNKNOWN_GRAPH", "SHUTDOWN", "STRANDED", "POISONED")
 
 
 class ResultTimeout(ReproError):
@@ -144,28 +151,17 @@ class MatchResponse:
         return self.result.count if self.result is not None else None
 
 
-@dataclass
-class DeltaResponse:
-    """Outcome of one :meth:`MatchService.match_delta` call."""
+@dataclass(kw_only=True)
+class DeltaResponse(DeltaCount):
+    """Outcome of one :meth:`MatchService.match_delta` call: the
+    :class:`~repro.dynamic.DeltaCount` plus the serving envelope."""
 
     graph_id: str
     graph_version: int
     """Version of the successor graph the count is for."""
     query_name: str
     engine: str
-    count: int
-    """Exact match count on the successor graph."""
-    base_count: Optional[int] = None
-    """Cached count on the previous version (``None`` = no cached base)."""
-    gained: int = 0
-    lost: int = 0
-    incremental: bool = False
-    """True when the delta fast path produced the count; False when a full
-    re-match ran (see ``fallback_reason``)."""
-    fallback_reason: Optional[str] = None
-    anchored_tasks: int = 0
     total_ms: float = 0.0
-    result: Optional[MatchResult] = None
 
 
 class MatchTicket:
@@ -225,18 +221,58 @@ class MatchTicket:
 
 @dataclass
 class _PreparedRequest:
-    """A request after submit-time normalization (internal)."""
+    """A request after submit-time normalization (internal) — and the one
+    place its keys are derived."""
 
     request: MatchRequest
     query: Union[QueryGraph, MatchingPlan]
     config: TDFSConfig
     plan_fp: str
     config_fp: str
+    cache_results: bool
+    """The service and the request both allow the result cache."""
 
     @property
     def query_name(self) -> str:
         q = self.query.query if isinstance(self.query, MatchingPlan) else self.query
         return q.name
+
+    @property
+    def signature(self) -> tuple:
+        """Breaker and planner-feedback key: what reproducibly identifies
+        a killer query (and what a planner's order was ranked for)."""
+        return (self.request.graph_id, self.plan_fp)
+
+    @property
+    def fingerprint(self) -> tuple:
+        """Quarantine key: the full repeat-identity of a request."""
+        return (*self.signature, self.request.engine, self.config_fp)
+
+    @property
+    def batch_key(self) -> tuple:
+        """Requests sharing it share one graph resolution in a worker."""
+        return (self.request.graph_id, self.request.engine, self.config_fp)
+
+    def _key(self, make, version: Optional[int], last) -> tuple:
+        r = self.request
+        return make(r.graph_id, version, self.plan_fp, r.engine, self.config_fp, last)
+
+    def result_key(self, version: int) -> Optional[tuple]:
+        """``None`` = neither look nor store: the service or the request
+        has result caching off."""
+        if not self.cache_results:
+            return None
+        return self._key(result_key, version, self.request.collect_matches)
+
+    def plan_key(self, version: int, planned: bool) -> tuple:
+        return self._key(plan_key, version, planned)
+
+    def response(self, request_id: int, version: Optional[int], **telemetry):
+        """A :class:`MatchResponse` with this request's identity fields."""
+        r = self.request
+        return MatchResponse(
+            request_id, r.graph_id, version, r.engine, self.query_name, **telemetry
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -258,9 +294,6 @@ class ServeConfig:
     requests accumulate into its batch (0 disables the wait)."""
     enable_plan_cache: bool = True
     enable_result_cache: bool = True
-    eager_invalidation: bool = False
-    """Scan-and-drop cache entries on a graph update instead of relying on
-    version-keyed lazy invalidation alone."""
     autostart: bool = True
     """Start the worker pool on first submit (otherwise call ``start()``)."""
     match_config: TDFSConfig = field(default_factory=TDFSConfig)
@@ -389,13 +422,7 @@ class MatchService:
 
     def update_graph(self, graph_id: str, graph: CSRGraph) -> int:
         """Replace a registered graph wholesale; bumps its version."""
-        with self._graphs_lock:
-            slot = self._slot(graph_id)
-            slot.graph = graph
-            slot.version += 1
-            version = slot.version
-        self._after_update(graph_id)
-        return version
+        return self._advance(graph_id, lambda _old: graph)[3]
 
     def apply_edges(
         self,
@@ -415,13 +442,7 @@ class MatchService:
         becomes unreachable, so no request observes a stale count.
         """
         batch = DeltaBatch.make(add=add, remove=remove)
-        with self._graphs_lock:
-            slot = self._slot(graph_id)
-            slot.graph = slot.graph.apply_delta(batch)
-            slot.version += 1
-            version = slot.version
-        self._after_update(graph_id)
-        return version
+        return self._advance(graph_id, lambda old: old.apply_delta(batch))[3]
 
     def match_delta(
         self,
@@ -459,99 +480,52 @@ class MatchService:
     ) -> DeltaResponse:
         t0 = time.monotonic()
         self.metrics.incr("delta_requests")
-        if engine not in available_engines():
-            raise UnsupportedError(
-                f"unknown engine {engine!r}; available: "
-                f"{', '.join(available_engines())}"
-            )
-        if isinstance(query, str):
-            query = get_pattern(query)
-        cfg = config or self.config.match_config
-        # Fingerprint the caller's (memoising) object, not the traced copy.
-        plan_fp = plan_fingerprint(query)
-        config_fp = config_fingerprint(cfg)
+        prepared = self._prepare(
+            MatchRequest(graph_id, query, engine=engine, config=config)
+        )
+        # Fingerprinted: the caller's (memoising) object, not the traced copy.
+        cfg = prepared.config
         if cfg.trace_context is None:
             cfg = cfg.replace(trace_context=trace)
         ctx = RunContext(shard_faults=self.config.shard_faults)
         batch = DeltaBatch.make(add=add, remove=remove)
-
-        with self._graphs_lock:
-            slot = self._slot(graph_id)
-            old_graph, old_version = slot.graph, slot.version
-            new_graph = old_graph.apply_delta(batch)
-            slot.graph = new_graph
-            slot.version += 1
-            version = slot.version
-        self._after_update(graph_id)
-
-        base: Optional[MatchResult] = None
-        if self.config.enable_result_cache:
-            base = self.result_cache.get(
-                result_key(graph_id, old_version, plan_fp, engine, config_fp, 0)
-            )
-
-        fallback_reason: Optional[str] = None
-        if engine != "tdfs":
-            # Baseline engines seed initial tasks differently (STMatch
-            # re-filters them on the host, Hybrid re-plans the split), so
-            # anchored seeding only matches tdfs semantics.
-            fallback_reason = "engine-not-tdfs"
-        elif base is None:
-            fallback_reason = "no-cached-base"
-
-        q_name = (
-            query.query.name if isinstance(query, MatchingPlan) else query.name
+        old_graph, old_version, new_graph, version = self._advance(
+            graph_id, lambda old: old.apply_delta(batch)
         )
-        response = DeltaResponse(
-            graph_id=graph_id,
-            graph_version=version,
-            query_name=q_name,
+        old_key = prepared.result_key(old_version)
+        base = self.result_cache.get(old_key) if old_key is not None else None
+        out = IncrementalMatcher(cfg, ctx).count_delta(
+            old_graph,
+            new_graph,
+            batch,
+            prepared.query,
+            base.count if base is not None else None,
             engine=engine,
-            count=0,
-            base_count=base.count if base is not None else None,
         )
-        if fallback_reason is None:
-            assert base is not None
-            out = IncrementalMatcher(cfg, ctx).count_delta(
-                old_graph, new_graph, batch, query, base.count
-            )
-            response.count = out.count
-            response.gained = out.gained
-            response.lost = out.lost
-            response.incremental = out.incremental
-            response.fallback_reason = out.fallback_reason
-            response.anchored_tasks = out.anchored_tasks
-            response.result = out.result
-        else:
-            result = make_engine(engine, cfg, ctx).run(new_graph, query)
-            if result.error is not None:
-                raise ReproError(
-                    f"delta re-match on {graph_id!r} failed: {result.error}"
-                )
-            response.count = result.count
-            response.fallback_reason = fallback_reason
-            response.result = result
-
-        if response.incremental:
+        if out.incremental:
             self.metrics.incr("delta_incremental")
-            self.metrics.incr("delta_gained", response.gained)
-            self.metrics.incr("delta_lost", response.lost)
+            self.metrics.incr("delta_gained", out.gained)
+            self.metrics.incr("delta_lost", out.lost)
         else:
             self.metrics.incr("delta_fallbacks")
             self.flight.record(
                 "delta.fallback",
                 graph=graph_id,
-                query=q_name,
-                reason=response.fallback_reason,
+                query=prepared.query_name,
+                reason=out.fallback_reason,
                 trace_id=trace.trace_id,
             )
-        if self.config.enable_result_cache and response.result is not None:
-            self.result_cache.put(
-                result_key(graph_id, version, plan_fp, engine, config_fp, 0),
-                response.result,
-            )
-        response.total_ms = (time.monotonic() - t0) * 1000.0
-        return response
+        new_key = prepared.result_key(version)
+        if new_key is not None:
+            self.result_cache.put(new_key, out.result)
+        return DeltaResponse(
+            **vars(out),
+            graph_id=graph_id,
+            graph_version=version,
+            query_name=prepared.query_name,
+            engine=engine,
+            total_ms=(time.monotonic() - t0) * 1000.0,
+        )
 
     def graph(self, graph_id: str) -> CSRGraph:
         """The current graph registered under ``graph_id``."""
@@ -582,7 +556,15 @@ class MatchService:
             slot = self._slot(graph_id)
             return slot.graph, slot.version
 
-    def _after_update(self, graph_id: str) -> None:
+    def _advance(self, graph_id: str, successor) -> tuple:
+        """Replace a graph by ``successor(graph)`` and bump its version,
+        atomically; returns ``(old graph, old version, graph, version)``."""
+        with self._graphs_lock:
+            slot = self._slot(graph_id)
+            old = slot.graph, slot.version
+            slot.graph = successor(slot.graph)
+            slot.version += 1
+            new = slot.graph, slot.version
         self.metrics.incr("graph_updates")
         # Planner-produced plans, their portfolios and feedback are *always*
         # eagerly invalidated on a version bump: a matching order chosen for
@@ -595,8 +577,7 @@ class MatchService:
         self.plan_cache.invalidate_graph(graph_id)
         self.portfolio_cache.invalidate_graph(graph_id)
         self.feedback.invalidate_graph(graph_id)
-        if self.config.eager_invalidation:
-            self.result_cache.invalidate_graph(graph_id)
+        return (*old, *new)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -631,13 +612,12 @@ class MatchService:
                 # Stop the watchdog first so it cannot redeliver into the
                 # queue we are about to close.
                 self.supervisor.stop()
-            remaining = self._queue.close()
-            for entry in remaining:
-                self.metrics.incr("rejected")
-                if entry.claim_settle():
-                    entry.ticket._fail(
-                        AdmissionRejected("service stopped before the request ran")
-                    )
+            for entry in self._queue.close():
+                self._settle(
+                    AdmissionRejected("service stopped before the request ran"),
+                    entry,
+                    kind="rejected",
+                )
             if self._pool is not None:
                 self._pool.join()
                 # Workers that died mid-flight (and were not recovered
@@ -645,8 +625,7 @@ class MatchService:
                 # entries; a stop must never leave a ticket hanging.
                 for w in self._pool.workers:
                     for entry in w.take_inflight():
-                        if not entry.settled:
-                            self._settle_error(entry, "SHUTDOWN")
+                        self._settle("SHUTDOWN", entry)
                 self._pool = None
             if self.supervisor is not None:
                 self.supervisor.join(timeout=2.0)
@@ -725,68 +704,38 @@ class MatchService:
 
         graph, version = self.resolve_graph(request.graph_id)
 
-        breaker_sig = (request.graph_id, prepared.plan_fp)
         if self.supervisor is not None:
             try:
-                self.supervisor.quarantine.check(
-                    (
-                        request.graph_id,
-                        prepared.plan_fp,
-                        request.engine,
-                        prepared.config_fp,
-                    )
-                )
+                self.supervisor.quarantine.check(prepared.fingerprint)
             except PoisonedRequestError:
                 self.metrics.incr("poisoned_rejected")
                 self.metrics.incr("rejected")
                 raise
             try:
-                self.supervisor.breaker.check(breaker_sig)
+                self.supervisor.breaker.check(prepared.signature)
             except CircuitOpenError:
                 self.metrics.incr("breaker_rejected")
                 self.metrics.incr("rejected")
                 raise
 
         # Fast path: an exact repeat of a cached result answers immediately,
-        # without touching the admission queue.
-        if self.config.enable_result_cache and request.use_result_cache:
-            key = result_key(
-                request.graph_id,
-                version,
-                prepared.plan_fp,
-                request.engine,
-                prepared.config_fp,
-                request.collect_matches,
+        # without touching the admission queue (no entry, no per-entry lock).
+        key = prepared.result_key(version)
+        cached = self.result_cache.get(key) if key is not None else None
+        if cached is not None:
+            response = prepared.response(
+                rid, version, result=cached, result_cache_hit=True
             )
-            cached = self.result_cache.get(key)
-            if cached is not None:
-                trace = TraceContext.mint()  # no baggage: it ends with this span
-                with self.tracer.span(
-                    "serve.request", ctx=trace, request_id=rid, cache="hit"
-                ):
-                    total_ms = (time.monotonic() - t_submit) * 1000.0
-                    ticket = MatchTicket(
-                        rid,
-                        MatchResponse(
-                            request_id=rid,
-                            graph_id=request.graph_id,
-                            graph_version=version,
-                            engine=request.engine,
-                            query_name=prepared.query_name,
-                            result=cached,
-                            result_cache_hit=True,
-                            total_ms=total_ms,
-                        ),
-                    )
-                    self.metrics.incr("completed")
-                    self.metrics.incr("result_cache_hits")
-                    self.metrics.observe_latency(total_ms)
-                    self._record_outcome(total_ms, error=False)
-                    if self.supervisor is not None:
-                        # A cache hit is a healthy outcome: it closes a
-                        # half-open circuit's probe like any other success.
-                        self.supervisor.breaker.record_success(breaker_sig)
-                return ticket
+            with self.tracer.span(
+                "serve.request",
+                ctx=TraceContext.mint(),  # no baggage: it ends with this span
+                request_id=rid,
+                cache="hit",
+            ) as span:
+                self._settle(
+                    response, span=span, prepared=prepared, submitted_at=t_submit
+                )
+            return MatchTicket(rid, response)  # born settled: nobody to wake
 
         ticket = MatchTicket(rid)
         trace = TraceContext.mint(
@@ -805,7 +754,7 @@ class MatchService:
             ticket=ticket,
             request_id=rid,
             priority=request.priority,
-            batch_key=(request.graph_id, request.engine, prepared.config_fp),
+            batch_key=prepared.batch_key,
             submitted_at=t_submit,
             deadline_at=deadline_at,
             trace=trace,
@@ -858,72 +807,105 @@ class MatchService:
             config=config,
             plan_fp=plan_fingerprint(query),
             config_fp=config_fingerprint(config),
+            cache_results=(
+                self.config.enable_result_cache and request.use_result_cache
+            ),
         )
 
-    def _settle_error(self, entry: QueueEntry, marker: str) -> bool:
-        """Settle ``entry`` with a typed error response — exactly once.
+    def _settle(
+        self,
+        outcome: Union[MatchResponse, str, AdmissionRejected],
+        entry: Optional[QueueEntry] = None,
+        span=None,
+        kind: Optional[str] = None,
+        *,
+        prepared: Optional[_PreparedRequest] = None,
+        submitted_at: float = 0.0,
+    ) -> bool:
+        """The one ending of every request — exactly once, one set of books.
 
-        Shared by workers (batch-level failures), the supervisor
-        (quarantine / redelivery-into-closed-queue), and pool shutdown
-        (stranded entries).  Returns False when somebody else already
-        settled the entry (benign race with a zombie worker).
+        ``outcome`` is the response, the marker of an error response (built
+        here, ``graph_version=None``), or the typed rejection of an admitted
+        request, whose ``kind`` is ``"shed"`` or ``"rejected"``.  Only a
+        result-cache hit in :meth:`submit` has no ``entry``: it names
+        ``prepared`` / ``submitted_at`` itself and its ticket is born
+        settled.  ``span`` is the delivery's open ``serve.request`` span.
+        Returns False when somebody else already settled the entry (a
+        zombie worker racing its replacement); the loser's outcome is
+        dropped, uncounted.  The order below is fixed, and the ticket wakes
+        last: a caller woken by ``query()`` finds the books closed (and any
+        breach-triggered incident dump started).
         """
-        if not entry.claim_settle():
-            return False
-        prepared = entry.request
-        response = MatchResponse(
-            request_id=entry.request_id,
-            graph_id=prepared.request.graph_id,
-            graph_version=None,
-            engine=prepared.request.engine,
-            query_name=prepared.query_name,
-            error=marker,
-            redeliveries=entry.redeliveries,
-            total_ms=(time.monotonic() - entry.submitted_at) * 1000.0,
-        )
-        entry.ticket._complete(response)
-        self.metrics.incr("completed")
-        self.metrics.incr("errors")
-        self._record_outcome(response.total_ms, error=True)
-        self.flight.record(
-            "request.error",
-            request_id=entry.request_id,
-            marker=marker,
-            redeliveries=entry.redeliveries,
-            trace_id=getattr(entry.trace, "trace_id", None),
-        )
+        if entry is not None:
+            if not entry.claim_settle():
+                return False
+            prepared, submitted_at = entry.request, entry.submitted_at
+        total_ms = (time.monotonic() - submitted_at) * 1000.0
+        metrics = self.metrics
+        response = marker = None
+        if isinstance(outcome, str):
+            response = prepared.response(entry.request_id, None, error=outcome)
+        elif kind is None:
+            response = outcome
+        try:
+            if response is None:
+                metrics.incr(kind)
+            else:
+                response.total_ms = total_ms
+                if entry is not None:
+                    response.redeliveries = entry.redeliveries
+                marker = response.error
+                metrics.incr("completed")
+                if marker is not None:
+                    kind = "error"
+                    if marker != "DEADLINE":
+                        metrics.incr("errors")
+                if response.result_cache_hit:
+                    metrics.incr("result_cache_hits")
+                if response.degraded:
+                    metrics.incr("degraded")
+                metrics.observe_latency(total_ms)
+            metrics.record_outcome(total_ms, error=kind is not None)
+            if self.slo_tracker is not None:
+                self.slo_tracker.evaluate()  # burns; a breach may dump
+            if kind is not None:
+                self.flight.record(
+                    f"request.{kind}",
+                    request_id=entry.request_id,
+                    marker=marker,
+                    priority=entry.priority,
+                    redeliveries=entry.redeliveries,
+                    trace_id=getattr(entry.trace, "trace_id", None),
+                )
+            if span is not None:
+                span.finish(**({"error": marker} if marker is not None else {}))
+            sup = self.supervisor
+            if sup is not None and not sup.stopped and response is not None:
+                if marker is None and not response.deadline_missed:
+                    sup.breaker.record_success(prepared.signature)
+                elif marker is None or marker.split()[0] not in _BREAKER_NEUTRAL:
+                    sup.breaker.record_failure(prepared.signature)
+        finally:
+            if response is None:
+                entry.ticket._fail(outcome)
+            elif entry is not None:
+                entry.ticket._complete(response)
         return True
 
     def _shed(self, entry: QueueEntry) -> None:
         """Admission-queue callback: a queued request was displaced."""
-        if not entry.claim_settle():
-            return
-        self.metrics.incr("shed")
-        self.flight.record(
-            "request.shed",
-            request_id=entry.request_id,
-            priority=entry.priority,
-            trace_id=getattr(entry.trace, "trace_id", None),
-        )
-        self._record_outcome(
-            (time.monotonic() - entry.submitted_at) * 1000.0, error=True
-        )
-        entry.ticket._fail(
+        self._settle(
             AdmissionRejected(
                 f"request {entry.request_id} shed under overload "
                 f"(priority {entry.priority})"
-            )
+            ),
+            entry,
+            kind="shed",
         )
 
     # ------------------------------------------------------------------ #
     # Operational observability
     # ------------------------------------------------------------------ #
-
-    def _record_outcome(self, latency_ms: float, error: bool = False) -> None:
-        """Feed a settled request into the SLO stream; evaluate burns."""
-        self.metrics.record_outcome(latency_ms, error=error)
-        if self.slo_tracker is not None:
-            self.slo_tracker.evaluate()
 
     def _on_slo_breach(self, status) -> None:
         """SLOTracker rising-edge callback → a fault-kind flight event."""
@@ -1004,8 +986,7 @@ class MatchService:
 
     def record_plan_feedback(
         self,
-        graph_id: str,
-        plan_fp: str,
+        signature: tuple,
         portfolio_key: tuple,
         plan: MatchingPlan,
         result: MatchResult,
@@ -1015,22 +996,21 @@ class MatchService:
         Records the plan's observed virtual cycles (plus timeouts/steals
         from the engine metrics) against its order, publishes the
         estimator-vs-actual error, and — when the observation re-ranks the
-        portfolio — eagerly invalidates the cached plan for this
-        ``(graph_id, plan_fp)`` so the next request runs the promoted
-        member.
+        portfolio — eagerly invalidates the cached plan for this request
+        ``signature`` (``(graph_id, plan_fp)``) so the next request runs
+        the promoted member.
         """
         portfolio = self.portfolio_cache.get(portfolio_key)
-        key = (graph_id, plan_fp)
         choice = (
             portfolio.choice_for_order(plan.order) if portfolio is not None else None
         )
         before = (
-            self.feedback.preferred(key, portfolio)
+            self.feedback.preferred(signature, portfolio)
             if portfolio is not None
             else None
         )
         obs = self.feedback.record(
-            key,
+            signature,
             plan.order,
             cycles=result.elapsed_cycles,
             est_cycles=choice.est_cycles if choice is not None else 0.0,
@@ -1042,10 +1022,10 @@ class MatchService:
         if choice is not None and obs.rel_error is not None:
             self.metrics.observe_plan_error(obs.rel_error)
         if portfolio is not None and before is not None:
-            after = self.feedback.preferred(key, portfolio)
+            after = self.feedback.preferred(signature, portfolio)
             if after.order != before.order:
                 # Re-rank: the cached plan now points at a demoted order.
-                self.plan_cache.invalidate_matching(graph_id, plan_fp)
+                self.plan_cache.invalidate_matching(*signature)
                 self.metrics.incr("plan_reranks")
 
     # ------------------------------------------------------------------ #

@@ -45,7 +45,6 @@ from repro.faults.workers import WorkerCrash
 from repro.obs.ops import ops_tracer
 from repro.query.plan import MatchingPlan
 from repro.serve.batcher import QueueEntry
-from repro.serve.cache import plan_key, result_key
 
 logger = logging.getLogger(__name__)
 
@@ -82,10 +81,6 @@ class WorkerPool:
         replacement.start()
         self.workers[slot] = replacement
         return replacement
-
-    def idle(self) -> bool:
-        """True when no live worker holds in-flight entries."""
-        return not any(w.is_alive() and w.has_inflight for w in self.workers)
 
     def join(self, timeout: Optional[float] = 30.0) -> list:
         """Join every worker; returns the workers that did NOT stop in time.
@@ -124,7 +119,7 @@ class WorkerPool:
                 "y" if len(stranded) == 1 else "ies",
             )
             for entry in stranded:
-                if self.service._settle_error(entry, "STRANDED"):
+                if self.service._settle("STRANDED", entry):
                     self.service.metrics.incr("stranded")
         return unjoined
 
@@ -229,11 +224,8 @@ class Worker(threading.Thread):
                 raise
             except Exception as exc:  # the worker must survive anything
                 for e in batch:
-                    if not e.settled:
-                        self._respond_error(e, f"ERR ({type(exc).__name__})")
-                self.set_inflight([])
-            else:
-                self.set_inflight([])
+                    self.service._settle(f"ERR ({type(exc).__name__})", e)
+            self.set_inflight([])
             self.service.metrics.set_queue_depth(queue.depth)
 
     # ------------------------------------------------------------------ #
@@ -246,24 +238,13 @@ class Worker(threading.Thread):
             graph, version = service.resolve_graph(graph_id)
         except ReproError:
             for e in batch:
-                self._respond_error(e, "UNKNOWN_GRAPH")
+                service._settle("UNKNOWN_GRAPH", e)
             return
         # Shared candidate build: one directed-edge-array materialization
         # serves every request of the batch (memoized on the graph).
         graph.directed_edge_array()
-        # Per-entry isolation: one request blowing up (or being injected
-        # with a WorkerCrash mid-batch) must not leave a *sibling* entry
-        # unresolved — each entry settles inside its own try, and a crash
-        # leaves only the genuinely-unfinished entries in flight for the
-        # supervisor.
         for e in batch:
-            try:
-                self._process_one(e, graph, version, len(batch))
-            except WorkerCrash:
-                raise
-            except Exception as exc:
-                if not e.settled:
-                    self._respond_error(e, f"ERR ({type(exc).__name__})")
+            self._process_one(e, graph, version, len(batch))
             if e.settled:
                 self.remove_inflight(e)
 
@@ -273,9 +254,9 @@ class Worker(threading.Thread):
         # The worker's serve.request span uses the root context minted at
         # admission *as* its identity (so engine/shard children parent to
         # it); redelivery reuses the same root, stitching the crashed and
-        # resumed attempts into one trace.  A response that settles closes
-        # it with its outcome; a crashed delivery, an escaped exception or
-        # a lost settle race closes it here, tagged ``error=``.
+        # resumed attempts into one trace.  Settling closes it with the
+        # response's marker; a crashed delivery or a lost settle race
+        # closes it here, tagged ``error=``.
         with ops_tracer(entry.trace).span(
             "serve.request",
             ctx=entry.trace,
@@ -283,7 +264,17 @@ class Worker(threading.Thread):
             request_id=entry.request_id,
             delivery=entry.redeliveries,
         ) as span:
-            self._serve(entry, graph, version, batch_size, span)
+            # Per-entry isolation: one request blowing up (or being injected
+            # with a WorkerCrash mid-batch) must not leave a *sibling* entry
+            # unresolved — each entry settles inside its own try, and a
+            # crash leaves only the genuinely-unfinished entries in flight
+            # for the supervisor.
+            try:
+                self._serve(entry, graph, version, batch_size, span)
+            except WorkerCrash:
+                raise
+            except Exception as exc:
+                self.service._settle(f"ERR ({type(exc).__name__})", entry, span)
             span.finish(error="SETTLED_ELSEWHERE")
 
     def _serve(
@@ -299,53 +290,8 @@ class Worker(threading.Thread):
         queue_ms = (now - entry.submitted_at) * 1000.0
         metrics.observe_queue_wait(queue_ms)
 
-        breaker_sig = (request.graph_id, prepared.plan_fp)
-
-        def finish(response) -> None:
-            # Settle-once: a redelivered entry may be finished by both the
-            # zombie and the replacement; only the first response lands.
-            if not entry.claim_settle():
-                return
-            self.remove_inflight(entry)
-            response.queue_ms = queue_ms
-            response.batch_size = batch_size
-            response.redeliveries = entry.redeliveries
-            response.total_ms = (time.monotonic() - entry.submitted_at) * 1000.0
-            # Record telemetry BEFORE completing the ticket: a caller woken
-            # by query() must observe the outcome already folded into the
-            # SLO gauges (and any breach-triggered incident dump started).
-            try:
-                metrics.incr("completed")
-                metrics.observe_latency(response.total_ms)
-                tags = {"resumed": response.resumed}
-                if response.error is not None:
-                    tags["error"] = response.error
-                span.finish(**tags)
-                service._record_outcome(
-                    response.total_ms, error=response.error is not None
-                )
-            finally:
-                entry.ticket._complete(response)
-            if response.degraded:
-                metrics.incr("degraded")
-            if response.error is not None and response.error != "DEADLINE":
-                metrics.incr("errors")
-            if sup is not None and not sup.stopped:
-                if response.error is None and not response.deadline_missed:
-                    sup.breaker.record_success(breaker_sig)
-                elif response.error == "DEADLINE" or response.deadline_missed:
-                    sup.breaker.record_failure(breaker_sig)
-                elif response.error not in ("N/A", "UNKNOWN_GRAPH"):
-                    sup.breaker.record_failure(breaker_sig)
-
-        from repro.serve.service import MatchResponse
-
-        base = MatchResponse(
-            request_id=entry.request_id,
-            graph_id=request.graph_id,
-            graph_version=version,
-            engine=request.engine,
-            query_name=prepared.query_name,
+        base = prepared.response(
+            entry.request_id, version, queue_ms=queue_ms, batch_size=batch_size
         )
 
         # Deadline expired while queued: cancel cleanly, typed, no run.
@@ -353,25 +299,16 @@ class Worker(threading.Thread):
             metrics.incr("deadline_expired")
             base.error = "DEADLINE"
             base.degraded = True
-            finish(base)
+            service._settle(base, entry, span)
             return
 
-        rkey = result_key(
-            request.graph_id,
-            version,
-            prepared.plan_fp,
-            request.engine,
-            prepared.config_fp,
-            request.collect_matches,
-        )
-        if service.config.enable_result_cache and request.use_result_cache:
-            cached = service.result_cache.get(rkey)
-            if cached is not None:
-                metrics.incr("result_cache_hits")
-                base.result = cached
-                base.result_cache_hit = True
-                finish(base)
-                return
+        rkey = prepared.result_key(version)
+        cached = service.result_cache.get(rkey) if rkey is not None else None
+        if cached is not None:
+            base.result = cached
+            base.result_cache_hit = True
+            service._settle(base, entry, span)
+            return
 
         config = prepared.config
         trace = entry.trace
@@ -416,28 +353,12 @@ class Worker(threading.Thread):
             getattr(engine.config, "planner", None) is not None
             and hasattr(engine, "plan_portfolio")
         )
-        pkey = plan_key(
-            request.graph_id,
-            version,
-            prepared.plan_fp,
-            request.engine,
-            prepared.config_fp,
-            planned,
-        )
+        pkey = prepared.plan_key(version, planned)
         plan, compile_ms, plan_hit = self._resolve_plan(
             engine, prepared, pkey, graph, planned
         )
         base.compile_ms = compile_ms
         base.plan_cache_hit = plan_hit
-        planner_active = planned and not isinstance(prepared.query, MatchingPlan)
-
-        def record_feedback(result) -> None:
-            if not planner_active or result is None:
-                return
-            service.record_plan_feedback(
-                request.graph_id, prepared.plan_fp, pkey, plan, result
-            )
-
         # Checkpoint/resume: a redelivered entry carrying a checkpoint is
         # resumed from the saved frontier instead of restarted — the base
         # count plus the re-executed remainder equals the uninterrupted
@@ -447,7 +368,8 @@ class Worker(threading.Thread):
             checkpoint = None
         result = self._run_engine(entry, engine, graph, plan, checkpoint, base)
         if result is not None:
-            record_feedback(result)
+            if planned and not isinstance(prepared.query, MatchingPlan):
+                service.record_plan_feedback(prepared.signature, pkey, plan, result)
             if checkpoint is None:
                 if (
                     entry.deadline_at is not None
@@ -455,13 +377,10 @@ class Worker(threading.Thread):
                 ):
                     base.deadline_missed = True
                     metrics.incr("deadline_missed")
-                if (
-                    result.error is None
-                    and service.config.enable_result_cache
-                    and request.use_result_cache
-                ):
+                if result.error is None and rkey is not None:
                     service.result_cache.put(rkey, result)
-        finish(base)
+        span.tags["resumed"] = base.resumed
+        service._settle(base, entry, span)
 
     def _run_engine(self, entry: QueueEntry, engine, graph, plan, checkpoint, base):
         """Run (or, given a ``checkpoint``, resume) one request's match.
@@ -537,9 +456,7 @@ class Worker(threading.Thread):
             if portfolio is None:
                 portfolio = engine.plan_portfolio(graph, prepared.query)
                 service.portfolio_cache.put(key, portfolio)
-            choice = service.feedback.preferred(
-                (prepared.request.graph_id, prepared.plan_fp), portfolio
-            )
+            choice = service.feedback.preferred(prepared.signature, portfolio)
             plan = choice.plan
         else:
             plan = engine.compile(prepared.query, graph)
@@ -565,7 +482,3 @@ class Worker(threading.Thread):
                 ),
                 trace_id=getattr(entry.trace, "trace_id", None),
             )
-
-    def _respond_error(self, entry: QueueEntry, marker: str) -> None:
-        if self.service._settle_error(entry, marker):
-            self.remove_inflight(entry)

@@ -440,8 +440,7 @@ class TestServePlanner:
             assert len(svc.feedback) == 1
             svc.apply_edges("g", add=[(0, 1), (0, 2)])
             # Plans, portfolios and feedback for the old statistics are
-            # gone — regardless of eager_invalidation (which only governs
-            # the result cache).
+            # gone (the result cache relies on version keys alone).
             assert len(svc.feedback) == 0
             assert len(svc.portfolio_cache) == 0
             assert len(svc.plan_cache) == 0
@@ -468,9 +467,9 @@ class TestServePlanner:
 
         # A clean run of the best member does not re-rank, and neither
         # does a single failure (demotion needs errors to outnumber runs).
-        svc.record_plan_feedback("g", fp, key, portfolio.best.plan, result())
+        svc.record_plan_feedback(("g", fp), key, portfolio.best.plan, result())
         svc.record_plan_feedback(
-            "g", fp, key, portfolio.best.plan, result(error="OOM")
+            ("g", fp), key, portfolio.best.plan, result(error="OOM")
         )
         assert len(svc.plan_cache) == 1
         assert svc.metrics.get("plan_reranks") == 0
@@ -478,7 +477,7 @@ class TestServePlanner:
         # cached plan must be dropped so the next request resolves the
         # promoted member.
         svc.record_plan_feedback(
-            "g", fp, key, portfolio.best.plan, result(error="OOM")
+            ("g", fp), key, portfolio.best.plan, result(error="OOM")
         )
         assert len(svc.plan_cache) == 0
         assert svc.metrics.get("plan_reranks") == 1

@@ -111,15 +111,6 @@ class TestQueryPath:
             ).count
             assert got == expected
 
-    def test_eager_invalidation_drops_entries(self, k4):
-        with make_service(eager_invalidation=True) as svc:
-            svc.register_graph("g", k4)
-            svc.query("g", "P1")
-            assert len(svc.result_cache) == 1
-            svc.apply_edges("g", add=[(0, 4)])
-            assert len(svc.result_cache) == 0
-            assert svc.result_cache.stats().invalidations == 1
-
     def test_per_request_config_override(self, small_plc, fast_config):
         with make_service() as svc:
             svc.register_graph("g", small_plc)
@@ -250,6 +241,27 @@ class TestQueryPath:
             ticket.result(timeout=5.0)
         with pytest.raises(AdmissionRejected):
             svc.submit(MatchRequest(graph_id="g", query="P1"))
+
+    def test_stop_rejections_are_on_the_books(self, k4):
+        """Regression: ``stop()`` bumped ``rejected`` before winning the
+        settle claim and recorded neither an SLO outcome nor a flight
+        event, unlike a shed request with the same typed error."""
+        svc = make_service(autostart=False)
+        svc.register_graph("g", k4)
+        tickets = [
+            svc.submit(MatchRequest(graph_id="g", query="P1")) for _ in range(3)
+        ]
+        # A zombie's late response settles the first entry before the stop.
+        assert svc._queue._items[0].claim_settle()
+        svc.stop()
+        assert not tickets[0].done()
+        for ticket in tickets[1:]:
+            with pytest.raises(AdmissionRejected, match="service stopped"):
+                ticket.result(timeout=5.0)
+        assert svc.metrics.get("rejected") == 2
+        assert len(svc.metrics.outcomes) == 2
+        rejected = svc.flight.events(kind="request.rejected")
+        assert [e["request_id"] for e in rejected] == [2, 3]
 
 
 class TestHitPath:
@@ -463,6 +475,37 @@ class TestDynamicDeltas:
         assert resp.fallback_reason == "no-cached-base"
         assert resp.count == match(svc.graph("g"), "P1", config=fast_config).count
         assert svc.metrics.get("delta_fallbacks") == 1
+
+    def test_cold_fallback_runs_what_the_caller_passed(self, small_plc, fast_config):
+        # A precompiled plan keeps its order through the full re-match.
+        from repro.core.engine import make_engine
+        from repro.dynamic import DeltaBatch, IncrementalMatcher
+        from repro.query.ordering import anchored_matching_order
+        from repro.query.plan import compile_plan
+
+        query = get_pattern("P3")
+        plan = compile_plan(
+            query, order=anchored_matching_order(query, *query.edges()[-1])
+        )
+        batch = DeltaBatch.make(add=[(0, small_plc.num_vertices)])
+        successor = small_plc.apply_delta(batch)
+        planned = make_engine("tdfs", fast_config).run(successor, plan)
+        greedy = make_engine("tdfs", fast_config).run(successor, query)
+        assert planned.count == greedy.count
+        assert planned.elapsed_cycles != greedy.elapsed_cycles
+        with make_service() as svc:
+            svc.register_graph("g", small_plc)
+            resp = svc.match_delta("g", plan, add=batch.add)
+        assert resp.fallback_reason == "no-cached-base"
+        assert resp.base_count is None
+        assert resp.count == planned.count
+        assert resp.result.elapsed_cycles == planned.elapsed_cycles
+        # The matcher owns that decision: no base, no anchored runs.
+        out = IncrementalMatcher(fast_config).count_delta(
+            small_plc, successor, batch, query, base_count=None
+        )
+        assert not out.incremental and out.fallback_reason == "no-cached-base"
+        assert out.count == greedy.count
 
     def test_match_delta_non_tdfs_engine_falls_back(self, k4, fast_config):
         with make_service() as svc:

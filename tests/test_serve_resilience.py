@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro import TDFSConfig, match
+from repro import TDFSConfig, get_pattern, match
 from repro.errors import ReproError
 from repro.faults import WorkerFaultKind, WorkerFaultPlan, WorkerFaultSpec
 from repro.serve import (
@@ -32,6 +32,7 @@ from repro.serve import (
     QueueEntry,
     ServeConfig,
     SupervisorConfig,
+    plan_fingerprint,
 )
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
@@ -301,11 +302,7 @@ class TestRecoveryBookkeeping:
             )
 
         entry = QueueEntry(
-            request=SimpleNamespace(
-                request=SimpleNamespace(graph_id="g", engine="tdfs"),
-                plan_fp="p",
-                config_fp="c",
-            ),
+            request=SimpleNamespace(signature=("g", "p")),
             ticket=None, request_id=7, priority=0, batch_key="k",
             submitted_at=0.0,
         )
@@ -572,14 +569,14 @@ class TestMidBatchIsolation:
         strand its siblings — each settles exactly once."""
         from repro.serve.workers import Worker
 
-        original = Worker._process_one
+        original = Worker._serve
 
-        def exploding(self, entry, graph, version, batch_size):
+        def exploding(self, entry, *args):
             if entry.request_id == 1:
                 raise RuntimeError("boom mid-batch")
-            return original(self, entry, graph, version, batch_size)
+            return original(self, entry, *args)
 
-        monkeypatch.setattr(Worker, "_process_one", exploding)
+        monkeypatch.setattr(Worker, "_serve", exploding)
         baseline = match(small_plc, "P1", config=fast_config).count
         svc = MatchService(ServeConfig(
             workers=1, max_batch=4, batch_window_ms=50.0, autostart=False,
@@ -602,8 +599,8 @@ class TestMidBatchIsolation:
     def test_escaped_exception_closes_the_request_span(
         self, small_plc, fast_config, monkeypatch
     ):
-        """An exception escaping the request body settles the entry through
-        ``_respond_error``; its serve.request span must close too."""
+        """An exception escaping the request body settles the entry inside
+        its serve.request span, which closes with the response's marker."""
         from repro.serve.workers import Worker
 
         def exploding(self, *args):
@@ -622,4 +619,43 @@ class TestMidBatchIsolation:
             (span,) = [
                 s for s in svc.tracer.spans() if s["name"] == "serve.request"
             ]
-            assert span["tags"]["error"] == "RuntimeError"
+            assert span["tags"]["error"] == resp.error
+
+    @pytest.mark.parametrize("exc_type", [ReproError, ValueError])
+    def test_the_same_failure_keeps_one_set_of_books(
+        self, small_plc, fast_config, monkeypatch, exc_type
+    ):
+        """Regression: a ``ReproError`` out of ``engine.run`` (caught, a
+        typed response) and any other exception (escaping the request body)
+        used to end in two places that kept different books — breaker
+        charged or not, latency observed or not, a ``request.error`` flight
+        event or none, the span tagged with the marker or the bare type
+        name.  One ``_settle``: the same ending for the same outcome."""
+        from repro.core.engine import TDFSEngine
+
+        def boom(self, *args, **kwargs):
+            raise exc_type("boom")
+
+        monkeypatch.setattr(TDFSEngine, "run", boom)
+        with MatchService(ServeConfig(
+            workers=1, enable_result_cache=False, match_config=fast_config,
+            supervisor=SupervisorConfig(breaker_threshold=1, seed=SEED),
+        )) as svc:
+            svc.tracer.clear()  # the ring is process-wide
+            svc.register_graph("g", small_plc)
+            resp = svc.query("g", "P1", timeout=60.0)
+            assert resp.error == f"ERR ({exc_type.__name__})"
+            signature = ("g", plan_fingerprint(get_pattern("P1")))
+            assert svc.supervisor.breaker.state(signature) is BreakerState.OPEN
+            m = svc.metrics
+            assert m.get("completed") == m.get("errors") == 1
+            assert m.latency_ms.count == m.get("completed")
+            assert len(m.outcomes) == 1
+            (event,) = svc.flight.events(kind="request.error")
+            assert event["marker"] == resp.error
+            svc.drain()
+            assert svc.tracer.active_spans() == []
+            (span,) = [
+                s for s in svc.tracer.spans() if s["name"] == "serve.request"
+            ]
+            assert span["tags"]["error"] == resp.error

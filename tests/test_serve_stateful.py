@@ -5,7 +5,8 @@ A hypothesis ``RuleBasedStateMachine`` drives register / update /
 under the default config, a ``replace()`` of it and a planner config) and
 checks after every step what the serve path must never get wrong:
 
-* every ticket settles exactly once;
+* every ticket settles exactly once, and the counters, the latency
+  histogram and the SLO outcome stream each saw it exactly once;
 * a response carries the model's version of its graph and the CPU
   oracle's count on *that* graph — never one computed at another version;
 * a result-cache hit is served only for an identical ``(structure, engine,
@@ -249,6 +250,20 @@ class ServeMachine(RuleBasedStateMachine):
     def every_ticket_settled_exactly_once(self) -> None:
         for ticket in self.tickets:
             assert ticket.done() and self.settles[id(ticket)] == 1
+
+    @invariant()
+    def the_books_balance(self) -> None:
+        # The machine never stops its service mid-run, so no ticket is
+        # rejected after admission: every ending is a response or a shed.
+        done = [t for t in self.tickets if t.done()]
+        m = self.svc.metrics
+        assert m.get("completed") + m.get("shed") == len(done)
+        assert m.latency_ms.count == m.get("completed")
+        assert len(m.outcomes) == len(done)
+        assert m.get("errors") == sum(
+            t._error is None and t._response.error not in (None, "DEADLINE")
+            for t in done
+        )
 
     @invariant()
     def graph_keyed_plans_are_current(self) -> None:
