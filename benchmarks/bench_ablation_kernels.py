@@ -1,8 +1,9 @@
 """Ablation: kernel backends (scalar vs vectorized).
 
 The kernel backend (:mod:`repro.kernels`) only changes *host* execution —
-scalar walks candidates one at a time, vectorized expands a whole sync
-window per NumPy pass — so scalar and vectorized must agree on counts AND
+scalar fills one stack level for one partial match at a time, vectorized
+resolves a level for a whole window of partial matches per NumPy pass — so
+scalar and vectorized must agree on counts AND
 simulated cycles exactly (the conformance suite asserts the same).
 
 Reported here: per-pattern host wall-clock for each backend and the
@@ -13,9 +14,10 @@ Cells are the kernel-bound slice of the fig-9 smoke workload: P3 on the
 high-degree datasets (pokec, youtube, web-google), where leaf frontiers
 average dozens of candidates and one NumPy pass replaces dozens of scalar
 loop iterations.  On frontier-bound cells (P1/P2 everywhere — mean leaf
-batch below the vectorization threshold) the backend declines leaf blocks;
-what it saves there comes from level-2 prefix blocks (DESIGN.md §9), and
-the full (non-quick) run includes those cells to show both.
+batch below the vectorization threshold) sync-window leaf blocks decline;
+what the backend saves there comes from prefix windows and the child cells
+below them, which resolve every level of a row per window (DESIGN.md §9),
+and the full (non-quick) run includes those cells to show both.
 """
 
 import time

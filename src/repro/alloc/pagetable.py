@@ -26,13 +26,20 @@ NULL_PAGE = -1
 
 
 class PageTable:
-    """Fixed-size address array mapping page index → allocated page id."""
+    """Fixed-size address array mapping page index → allocated page id.
 
-    __slots__ = ("entries", "size")
+    The table counts its non-null entries as :meth:`set_page` changes them,
+    so :meth:`num_allocated` is a field read.  A :class:`PagedLevel` only
+    ever holds a *prefix* of the table (writes grow from index 0, releases
+    free from the top down), which makes that count the first free index.
+    """
+
+    __slots__ = ("entries", "size", "_allocated")
 
     def __init__(self, size: int = DEFAULT_PAGE_TABLE_SIZE) -> None:
         self.size = int(size)
         self.entries = [NULL_PAGE] * self.size
+        self._allocated = 0
 
     def page_at(self, idx: int) -> int:
         if idx >= self.size:
@@ -47,13 +54,14 @@ class PageTable:
             raise StackLevelOverflowError(
                 f"page table exhausted: index {idx} >= table size {self.size}"
             )
+        self._allocated += (page != NULL_PAGE) - (self.entries[idx] != NULL_PAGE)
         self.entries[idx] = page
 
     def allocated_pages(self) -> list[int]:
         return [p for p in self.entries if p != NULL_PAGE]
 
     def num_allocated(self) -> int:
-        return sum(1 for p in self.entries if p != NULL_PAGE)
+        return self._allocated
 
 
 class PagedLevel:
@@ -114,17 +122,23 @@ class PagedLevel:
         used = (n_elements + page_ints - 1) // page_ints
         if held < 4 or used > held // 4:
             return 0
-        to_free = held // 2
-        freed = 0
-        for idx in range(self.table.size - 1, -1, -1):
-            if freed == to_free:
-                break
-            page = self.table.page_at(idx)
-            if page != NULL_PAGE and idx >= used:
-                self.allocator.free_page(page)
-                self.table.set_page(idx, NULL_PAGE)
-                freed += 1
-        return freed * 40  # free-list push per page
+        to_free = held // 2  # the top ones: ``used <= held // 4`` stay
+        for idx in range(held - 1, held - to_free - 1, -1):
+            self.allocator.free_page(self.table.page_at(idx))
+            self.table.set_page(idx, NULL_PAGE)
+        return to_free * 40  # free-list push per page
+
+    def warm_batch_cycles(self, high: int, cost: CostModel):
+        """Cycles per 32-element batch of a ``write()`` of up to ``high``
+        elements that only replaces the contents — the pages exist and the
+        release rule is off — or ``None`` when such a write may do more."""
+        page_ints = self.allocator.page_ints
+        if (
+            self.release_pages
+            or (high + page_ints - 1) // page_ints > self.table.num_allocated()
+        ):
+            return None
+        return cost.write_batch + cost.page_check
 
     def plan_writes(self, sizes: np.ndarray, cost: CostModel):
         """Per-write cycles for a batch of ``write()`` calls, or ``None``.
@@ -146,27 +160,20 @@ class PagedLevel:
         if high > self.table.size or high - held > self.allocator.available:
             return None
         batches = (np.maximum(sizes, 1) + WARP_SIZE - 1) // WARP_SIZE
-        if high <= held:
-            # Warm level: the high-watermark pages already exist, no write
-            # in the sequence allocates.
-            return batches * (cost.write_batch + cost.page_check)
         run = np.maximum(np.maximum.accumulate(needed), held)
         new_pages = np.diff(np.concatenate(([held], run)))
         return new_pages * cost.page_alloc + batches * (
             cost.write_batch + cost.page_check
         )
 
-    def commit_writes(
-        self, k: int, sizes: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Apply the end state of the first ``k`` planned writes.
+    def commit_writes(self, high: int, values: np.ndarray) -> None:
+        """Apply the end state of a planned write sequence.
 
-        ``values`` is the contents of write ``k - 1``; pages grow to the
-        high-watermark of the committed prefix (exactly what the per-write
-        sequence would have allocated).
+        ``values`` is the contents of its last write and ``high`` the
+        largest size written; pages grow to cover it (exactly what the
+        per-write sequence would have allocated).
         """
         page_ints = self.allocator.page_ints
-        high = int(sizes[:k].max())
         needed = (high + page_ints - 1) // page_ints
         for idx in range(self.table.num_allocated(), needed):
             self.table.set_page(idx, self.allocator.malloc_page())
@@ -183,8 +190,13 @@ class PagedLevel:
         """Allocate pages to hold ``n_elements``; returns alloc charges."""
         page_ints = self.allocator.page_ints
         needed = (n_elements + page_ints - 1) // page_ints
+        held = self.table.num_allocated()
+        if needed <= held:  # warm: the prefix already covers the write
+            return 0
         cycles = 0
-        for idx in range(needed):
+        for idx in range(held, needed):
+            # ``page_at`` raises on the first index past the table, after
+            # the pages below it were allocated — as a walk from 0 does.
             if self.table.page_at(idx) == NULL_PAGE:
                 self.table.set_page(idx, self.allocator.malloc_page())
                 cycles += cost.page_alloc

@@ -34,12 +34,15 @@ class OverflowPolicy(enum.Enum):
 class Level(Protocol):
     """Interface shared by paged and array stack levels.
 
-    ``plan_writes``/``commit_writes`` support the vectorized kernel
-    backend's batched leaf expansion: planning returns the exact per-write
-    cycle charges a sequence of ``write()`` calls would produce (or ``None``
-    when the sequence has effects that must run write-by-write — overflow,
-    page release, arena exhaustion), and committing applies the end state
-    of the first ``k`` writes in one step."""
+    ``warm_batch_cycles``/``plan_writes``/``commit_writes`` support the
+    vectorized kernel backend's batched leaf expansion.  A ``write()`` of
+    ``n`` elements takes ``ceil(max(n, 1) / 32)`` batches;
+    ``warm_batch_cycles`` prices one batch when writes of up to ``high``
+    elements have no effect but replacing the contents.  Otherwise planning
+    returns the exact per-write cycle charges a sequence of ``write()``
+    calls would produce (or ``None`` when the sequence has effects that must
+    run write-by-write — overflow, page release, arena exhaustion).
+    Committing applies the end state of a sequence in one step."""
 
     length: int
     raw: np.ndarray
@@ -48,10 +51,9 @@ class Level(Protocol):
     def read_cost(self, n: int, cost: CostModel) -> int: ...
     def values(self) -> np.ndarray: ...
     def memory_bytes(self) -> int: ...
+    def warm_batch_cycles(self, high: int, cost: CostModel): ...
     def plan_writes(self, sizes: np.ndarray, cost: CostModel): ...
-    def commit_writes(
-        self, k: int, sizes: np.ndarray, values: np.ndarray
-    ) -> None: ...
+    def commit_writes(self, high: int, values: np.ndarray) -> None: ...
 
 
 class ArrayLevel:
@@ -92,22 +94,20 @@ class ArrayLevel:
         batches = (max(n, 1) + WARP_SIZE - 1) // WARP_SIZE
         return batches * cost.load_batch
 
+    def warm_batch_cycles(self, high: int, cost: CostModel):
+        """Cycles per 32-element write batch, or ``None`` when a write of
+        ``high`` elements would overflow."""
+        return None if high > self.capacity else cost.write_batch
+
     def plan_writes(self, sizes: np.ndarray, cost: CostModel):
-        """Per-write cycles for a batch of ``write()`` calls, or ``None``.
+        """Always ``None``: a sequence that is not warm overflows, and both
+        the raise and the silent-truncation policies have per-write effects
+        (exception / ``overflows`` bump + shortened data) that must run
+        write-by-write."""
+        return None
 
-        Declines whenever any write would overflow: both the raise and the
-        silent-truncation policies have per-write effects (exception /
-        ``overflows`` bump + shortened data) that must run write-by-write.
-        """
-        if sizes.size and int(sizes.max()) > self.capacity:
-            return None
-        batches = (np.maximum(sizes, 1) + WARP_SIZE - 1) // WARP_SIZE
-        return batches * cost.write_batch
-
-    def commit_writes(
-        self, k: int, sizes: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Apply the end state of the first ``k`` planned writes."""
+    def commit_writes(self, high: int, values: np.ndarray) -> None:
+        """Apply the end state of a planned write sequence."""
         self.data = values
         self.raw = values
         self.length = int(values.size)

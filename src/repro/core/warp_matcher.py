@@ -37,6 +37,7 @@ from repro.core.config import RunContext, Strategy, TDFSConfig
 from repro.core.edge_filter import filter_chunk, filter_chunk_cycles
 from repro.core.intersect import intersect_many
 from repro.errors import IllegalAccessError
+from repro.gpusim.costmodel import WARP_SIZE
 from repro.gpusim.device import VirtualGPU, Warp
 from repro.graph.csr import CSRGraph
 from repro.kernels import Block, KernelBackend, resolve_backend
@@ -159,6 +160,10 @@ class MatchJob:
         #: ``u * n + v`` per directed edge, built by the vectorized backend's
         #: first prefix block (graph-wide, so kept for the job, not a window).
         self.edge_keys: Optional[np.ndarray] = None
+        #: The backend's list-shape decisions, ``(position, valid_from)`` →
+        #: shape: made once per job, not once per item (see
+        #: :meth:`KernelBackend.block_threshold`).
+        self.shapes: dict = {}
         self.queue = queue
         self.level_factory = level_factory
         self.child_stack_bytes = child_stack_bytes
@@ -468,7 +473,9 @@ class MatchJob:
         slot: int = 0,
     ) -> Generator[int, None, None]:
         """DFS below ``st.path[:prefix_len]``; ``block``/``slot`` carry the
-        precomputed first level of a width-2 row (see :meth:`_fill_level`)."""
+        precomputed first level of a width-2 row (see :meth:`_fill_level`),
+        and every level filled from a block asks it for the child that
+        resolves the next one (see :meth:`_child`)."""
         cost = self.cost
         k = self._k
         st.item_prefix = prefix_len
@@ -490,13 +497,18 @@ class MatchJob:
             return
 
         pos = prefix_len
-        launched = yield from self._fill(warp, st, pos, block, slot)
-        if launched:
+        if self._fill(warp, st, pos, block, slot):
+            yield from self._spawn_child_kernel(warp, st, pos)
             return
+        # kids[p]: ``(child, base)`` — the block that resolves position
+        # ``p + 1`` for the survivors now in ``st.filtered[p]`` (candidate
+        # ``i`` is its slot ``base + i``), or ``(None, 0)``.
+        kids = [(None, 0)] * k
+        kids[pos] = self._child(st, pos, block, slot)
         # Smallest batch the backend would accept at the leaf for this
-        # item's shape (0 = never); gates the per-candidate block offers so
+        # item's shape (0 = never); gates the per-window block offers so
         # declined shapes/sizes cost nothing.  Computed lazily — only items
-        # that reach the pre-leaf level pay for it.
+        # that reach the pre-leaf level without a child pay for it.
         block_min = -1
         while True:
             st.nodes += 1
@@ -522,38 +534,64 @@ class MatchJob:
                         continue
                     f = st.filtered[pos]
                     i = st.iters[pos]
+                child, base = kids[pos]
                 if (
                     pos + 1 == k - 1
                     and self.backend.batched
                     and not self.collect_limit
                 ):
-                    if block_min < 0:
-                        block_min = self.backend.block_threshold(
-                            self, st, pos + 1
+                    if child is not None:
+                        # The sync window is a slice of the leaf-level child.
+                        if len(f) - i > 1 and SYNC_INTERVAL - st.nodes > 1:
+                            self._leaf_block(warp, st, pos, f, i, child, base + i)
+                            continue
+                    else:
+                        if block_min < 0:
+                            block_min = self.backend.block_threshold(
+                                self, st, pos + 1
+                            )
+                        limit = block_min and min(
+                            len(f) - i, SYNC_INTERVAL - st.nodes
                         )
-                    if (
-                        block_min
-                        and min(len(f) - i, SYNC_INTERVAL - st.nodes)
-                        >= block_min
-                        and self._leaf_block(warp, st, pos, f, i)
-                    ):
-                        continue
+                        if limit and limit >= block_min:
+                            window = self.backend.leaf_block(
+                                self, st, pos + 1, f[i : i + limit]
+                            )
+                            if window is not None:
+                                self._leaf_block(warp, st, pos, f, i, window, 0)
+                                continue
                 v = int(f[i])
                 st.iters[pos] = i + 1
                 st.path[pos] = v
                 nxt = pos + 1
                 if nxt == k - 1:
-                    self._expand_leaf(warp, st, nxt, cost.step)
+                    self._expand_leaf(warp, st, nxt, cost.step, child, base + i)
+                elif self._fill(warp, st, nxt, child, base + i):
+                    yield from self._spawn_child_kernel(warp, st, nxt)
                 else:
                     pos = nxt
-                    launched = yield from self._fill(warp, st, pos)
-                    if launched:
-                        pos -= 1
+                    kids[pos] = self._child(st, pos, child, base + i)
             else:
                 warp.charge(cost.step)
                 if pos == prefix_len:
                     return
                 pos -= 1
+
+    def _child(
+        self, st: RunState, pos: int, block: Optional[Block], slot: int
+    ) -> tuple[Optional[Block], int]:
+        """``(child, base)`` below the level ``pos`` just filled from
+        ``block``'s ``slot``: the block resolving ``pos + 1`` for its
+        survivors (see :meth:`KernelBackend.child_block`).  A level that
+        was filled without a block has none, and neither has one that
+        truncated — the descendants were computed from the full set."""
+        if (
+            block is None
+            or not len(st.filtered[pos])
+            or st.stack.level(pos).length != block.raw_sizes[slot]
+        ):
+            return None, 0
+        return block.child_at(slot) or self.backend.child_block(self, block, slot)
 
     def _expand_leaf(
         self,
@@ -626,29 +664,31 @@ class MatchJob:
         return filtered, cycles + filter_cycles
 
     def _leaf_block(
-        self, warp: Warp, st: RunState, pos: int, f: np.ndarray, i: int
-    ) -> bool:
-        """Vectorized leaf expansion of one sync window (backend batched).
+        self,
+        warp: Warp,
+        st: RunState,
+        pos: int,
+        f: np.ndarray,
+        i: int,
+        block: Block,
+        first: int,
+    ) -> None:
+        """Leaf expansion of one sync window from a leaf-level ``block``.
 
-        Phase 1 (the backend) computes raw sets, filters, leaf counts and
-        cycle charges for up to ``SYNC_INTERVAL - st.nodes`` candidates in
-        one NumPy pass; phase 2 replays them one candidate at a time through
-        :meth:`_expand_leaf` — real stack writes (so paged-allocator state
-        and truncation stay exact), real timeout checks against
-        ``warp.now``, scalar-order charges — which keeps simulated time
-        bit-identical to the scalar backend.  The window never crosses a
-        sync point, so thieves and the DES scheduler observe the same states
-        they would under scalar.
-
-        Returns False (caller falls back to the per-candidate path) when
-        the backend declines the batch shape.
+        Candidate ``f[i + j]`` is the block's slot ``first + j``; the window
+        is what is left of ``f`` and of the sync interval, so it never
+        crosses a sync point and thieves and the DES scheduler observe the
+        states they would under scalar.  The block is a sync window's own
+        (:meth:`KernelBackend.leaf_block`, ``first == 0``) or the child of
+        the level's block, of which the window is a slice.  Its slots are
+        replayed one at a time through :meth:`_expand_leaf` — real stack
+        writes (so paged-allocator state and truncation stay exact), real
+        timeout checks against ``warp.now``, scalar-order charges — which
+        keeps simulated time bit-identical to the scalar backend.
         """
         nxt = pos + 1
-        limit = min(len(f) - i, SYNC_INTERVAL - st.nodes)
-        cands = f[i : i + limit]
-        block = self.backend.leaf_block(self, st, nxt, cands)
-        if block is None:
-            return False
+        count = min(len(f) - i, SYNC_INTERVAL - st.nodes)
+        last = first + count
         cost = self.cost
         timeout_live = (
             self.strategy is Strategy.TIMEOUT
@@ -657,44 +697,70 @@ class MatchJob:
             and st.item_prefix == 2
         )
         if not self.tracer.enabled and self.ctx.fault_plan is None:
-            # Bulk phase 2: when nothing can interrupt the window — no
+            # Bulk replay: when nothing can interrupt the window — no
             # tracer spans to record, no injected faults, and the level can
             # plan the whole write sequence without overflow/OOM — the
             # per-candidate replay collapses to array sums.  The timeout
             # break index falls out of the charge prefix-sums: candidate j
             # is processed iff the cycles accrued before it fit the slack.
             level = st.stack.level(nxt)
-            write_cycles = level.plan_writes(block.raw_sizes, cost)
-            if write_cycles is not None:
-                totals = (
-                    cost.step
-                    + block.raw_cycles
-                    + write_cycles
-                    + block.filter_cycles
-                    + block.survivors * cost.emit_match
-                )
-                k = block.count
+            sizes = block.raw_sizes[first:last]
+            high = int(sizes.max())
+            per_batch = level.warm_batch_cycles(high, cost)
+            k = 0
+            if per_batch is not None:
+                # Warm level: the charge is a difference of running totals
+                # kept on the block.
+                totals, leaves = self._slot_sums(block, per_batch)
+                k = count
                 if timeout_live:
-                    cum = np.cumsum(totals)
                     slack = self.tau - (warp.now - st.t0)
                     k = min(
-                        k, int(np.searchsorted(cum, slack, side="right")) + 1
+                        k,
+                        int(
+                            np.searchsorted(
+                                totals[first + 1 : last + 1],
+                                slack + totals[first],
+                                side="right",
+                            )
+                        )
+                        + 1,
                     )
+                charge = int(totals[first + k] - totals[first])
+                matches = int(leaves[first + k] - leaves[first])
+            else:
+                write_cycles = level.plan_writes(sizes, cost)
+                if write_cycles is not None:
+                    survivors = block.survivors[first:last]
+                    cum = np.cumsum(
+                        cost.step
+                        + block.raw_cycles[first:last]
+                        + write_cycles
+                        + block.filter_cycles[first:last]
+                        + survivors * cost.emit_match
+                    )
+                    k = count
+                    if timeout_live:
+                        slack = self.tau - (warp.now - st.t0)
+                        k = min(
+                            k, int(np.searchsorted(cum, slack, side="right")) + 1
+                        )
+                        high = int(sizes[:k].max())
                     charge = int(cum[k - 1])
-                else:
-                    charge = int(totals.sum())
+                    matches = int(survivors[:k].sum())
+            if k:
                 st.iters[pos] = i + k
-                st.path[pos] = int(cands[k - 1])
-                level.commit_writes(k, block.raw_sizes, block.raw_set(k - 1))
+                st.path[pos] = int(f[i + k - 1])
+                level.commit_writes(high, block.raw_set(first + k - 1))
                 warp.charge(charge)
-                self._emit(warp, int(block.survivors[:k].sum()))
+                self._emit(warp, matches)
                 # k - 1 node ticks: the first candidate's tick was taken by
                 # the caller, and a timeout break gives its tick back.
                 st.nodes += k - 1
                 self.intersections += block.intersections * k
                 self.reuse_hits += block.reuse * k
-                return True
-        for j in range(block.count):
+                return
+        for j in range(count):
             if j:
                 st.nodes += 1
                 if timeout_live and warp.now - st.t0 > self.tau:
@@ -705,9 +771,33 @@ class MatchJob:
                     st.nodes -= 1
                     break
             st.iters[pos] = i + j + 1
-            st.path[pos] = int(cands[j])
-            self._expand_leaf(warp, st, nxt, cost.step, block, j)
-        return True
+            st.path[pos] = int(f[i + j])
+            self._expand_leaf(warp, st, nxt, cost.step, block, first + j)
+
+    def _slot_sums(
+        self, block: Block, per_batch: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Running totals over a leaf block's slots, kept on the block:
+        ``totals[s]`` is what slots ``[0, s)`` charge on a warm level — node
+        step + ``_raw`` + write batches at ``per_batch`` (one price per job:
+        its levels are all of one kind) + filter + emitting the survivors —
+        and ``leaves[s]`` their survivor count.  A window's charge is then
+        one subtraction."""
+        if block.sums is None:
+            cost = self.cost
+            batches = (np.maximum(block.raw_sizes, 1) + WARP_SIZE - 1) // WARP_SIZE
+            totals = (
+                cost.step
+                + block.raw_cycles
+                + batches * per_batch
+                + block.filter_cycles
+                + block.survivors * cost.emit_match
+            )
+            block.sums = (
+                np.concatenate(([0], np.cumsum(totals))),
+                np.concatenate(([0], np.cumsum(block.survivors))),
+            )
+        return block.sums
 
     def adjacency(self, v: int, pos: int) -> np.ndarray:
         """Adjacency-list read hook (EGSM routes this through its CT-index)."""
@@ -770,10 +860,11 @@ class MatchJob:
         pos: int,
         block: Optional[Block] = None,
         slot: int = 0,
-    ) -> Generator[int, None, bool]:
+    ) -> bool:
         """Extend ``stack[pos]`` (Algorithm 2 line 6 / Algorithm 4 line 11).
 
-        Returns True when a child kernel took over this level (NEW_KERNEL).
+        Returns True when the level's fanout hands it to a child kernel
+        (NEW_KERNEL): the caller launches it instead of descending.
         """
         cost = self.cost
         cycles = cost.step  # per-node bookkeeping (level move, iter reset)
@@ -787,13 +878,10 @@ class MatchJob:
         st.filtered[pos] = filtered
         st.iters[pos] = 0
         st.inflight = None
-        if (
+        return (
             self.strategy is Strategy.NEW_KERNEL
             and len(filtered) > self.config.new_kernel_fanout
-        ):
-            yield from self._spawn_child_kernel(warp, st, pos)
-            return True
-        return False
+        )
 
     def _emit(self, warp: Warp, n: int) -> None:
         if n:

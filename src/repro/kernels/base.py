@@ -13,15 +13,17 @@ Two implementations ship:
 * :class:`~repro.kernels.scalar.ScalarBackend` — the reference per-candidate
   path (the matcher's original code path, unchanged).
 * :class:`~repro.kernels.vectorized.VectorizedBackend` — one NumPy pass
-  over CSR segment slices per window of leaf candidates or initial rows;
-  either way the result is one :class:`Block`.
+  over CSR segment slices per window of initial rows, per cell of another
+  block's survivors, or per sync window of leaf candidates; whichever it
+  is, the result is one :class:`Block`.
 """
 
 from __future__ import annotations
 
 import abc
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -34,15 +36,26 @@ class Block:
     """One order position resolved for a window of sibling slots.
 
     A slot is one partial match about to fill the position: a surviving
-    width-2 row (:meth:`KernelBackend.prefix_block`, position 2) or one
-    pre-leaf candidate (:meth:`KernelBackend.leaf_block`, position
-    ``k - 1``).  The block holds, per slot, everything about the fill that
-    is a pure function of (graph, plan, path, config flags) — what the
-    scalar ``_raw`` and ``filter_candidates`` return.  The matcher replays
-    it slot by slot through ``MatchJob._fill_level`` — real stack writes,
-    real charges on the warp that owns the slot — so simulated time is what
-    the scalar path produces.  Per-slot sequences are arrays or plain lists,
-    whichever the producer's consumer reads faster.
+    width-2 row (:meth:`KernelBackend.prefix_block`, position 2), a
+    survivor of another block's slot (:meth:`KernelBackend.child_block`,
+    the position below it) or one pre-leaf candidate of a sync window
+    (:meth:`KernelBackend.leaf_block`, position ``k - 1``).  The block
+    holds, per slot, everything about the fill that is a pure function of
+    (graph, plan, path, config flags) — what the scalar ``_raw`` and
+    ``filter_candidates`` return.  The matcher replays it slot by slot
+    through ``MatchJob._fill_level`` — real stack writes, real charges on
+    the warp that owns the slot — so simulated time is what the scalar path
+    produces.  Per-slot sequences are arrays or plain lists, whichever the
+    block's consumer reads faster (lists where the survivors are kept: those
+    slots are replayed one at a time).
+
+    **Children.**  A block that kept its survivors can resolve the next
+    position for them: the child's slots are the parent's ``filtered``
+    entries in order, so the ``i``-th survivor of slot ``s`` is child slot
+    ``filtered_offsets[s] + i`` (minus the first entry of the child's
+    cell) and no lookup structure is needed.  The survivor slots are cut
+    once into *cells* of bounded gathered volume; a cell's child is built
+    on the first descent into it and kept here, on the parent.
     """
 
     count: int
@@ -75,11 +88,54 @@ class Block:
     kept_before: Optional[Sequence[int]] = None
     """Prefix windows: ``kept_before[i]`` counts the edge-filter survivors
     among offered rows ``[0, i)`` — the slot of row ``i`` if it survived."""
+    position: int = 0
+    """The order position the block resolves."""
+    matched: Optional[list] = None
+    """``matched[t]``: the vertex at order position ``t < position`` — one
+    array entry per slot, or one ``int`` every slot shares."""
+    parent: Optional[Callable[[], Optional["Block"]]] = None
+    """Child blocks above the leaf: a weak reference to the block whose
+    survivors the slots are (whoever descends holds the whole chain)."""
+    parent_slots: Optional[np.ndarray] = None
+    """Child blocks above the leaf: per slot, the ``parent`` slot it
+    survived from."""
+    cells: Optional[list] = None
+    """Slot bounds of the cells the survivors are cut into (cell ``c`` is
+    slots ``cells[c]:cells[c + 1]``); ``None`` until the first descent."""
+    children: Optional[dict] = None
+    """Cell index → its child block, or ``None`` for a cell that has none
+    (declined shape, over the volume budget, too few survivors); a cell not
+    built yet has no entry."""
+    sums: Optional[tuple] = None
+    """Leaf blocks: running totals of the per-slot charges, kept by the
+    matcher's bulk replay (see ``MatchJob._slot_sums``)."""
+    raw_keys: Optional[np.ndarray] = None
+    """``slot * n + value`` over ``raw`` (sorted: ``raw`` is slot-major and
+    every set is sorted), built when a descendant first probes the raw sets
+    as reuse seeds."""
 
     @property
     def window(self) -> int:
         """Prefix windows: leading rows of the offer this block covers."""
         return len(self.kept_before) - 1
+
+    def child_at(self, slot: int) -> Optional[tuple[Optional["Block"], int]]:
+        """``(child, base)`` for the survivors of ``slot`` — the ``i``-th is
+        the child's slot ``base + i`` — ``(None, 0)`` when their cell has no
+        child, or ``None`` while the cell is not built (the backend's
+        :meth:`KernelBackend.child_block` builds it)."""
+        cells = self.cells
+        if cells is None:
+            return None
+        cell = bisect_right(cells, slot) - 1
+        try:
+            child = self.children[cell]
+        except KeyError:
+            return None
+        if child is None:
+            return None, 0
+        offsets = self.filtered_offsets
+        return child, offsets[slot] - offsets[cells[cell]]
 
     def raw_set(self, slot: int) -> np.ndarray:
         """The raw set of ``slot`` (a view, or the shared set itself)."""
@@ -127,6 +183,22 @@ class KernelBackend(abc.ABC):
         per-candidate scalar path, which is always charge-identical.
         """
         return None
+
+    def child_block(
+        self, job: "MatchJob", block: Block, slot: int
+    ) -> tuple[Optional[Block], int]:
+        """Position ``block.position + 1`` for the survivors of ``slot``.
+
+        Builds the child for the whole *cell* of ``block``'s survivors that
+        holds ``slot``'s, keeps it on ``block`` and returns
+        ``block.child_at(slot)`` — so the matcher asks here once per cell
+        and reads every other slot of it, from any warp, off the block.
+        ``(None, 0)`` declines (unsupported list shape, a slot heavier than
+        the volume budget): the descent then takes the per-item path.  Only
+        asked for blocks under a prefix window, whose survivors were kept
+        and whose level did not truncate.
+        """
+        return None, 0
 
     def prefix_block(
         self, job: "MatchJob", rows: np.ndarray

@@ -1,38 +1,48 @@
 """Block-level frontier expansion: one NumPy pass per window of slots.
 
-The matcher's hot path is the pre-leaf loop: for each candidate ``v`` it
-intersects a *fixed* part (a reuse seed or the adjacency lists of already
-matched vertices — constant across the whole frontier) with the *varying*
-list ``N(v)``, filters, and counts leaves.  Per candidate that is four to
-six small NumPy calls; this module computes the same quantities for an
-entire sync window (≤ 64 candidates) in one segmented pass:
+Filling a stack level for one partial match is four to forty small NumPy
+calls — gather the adjacency lists (or a reuse seed), intersect, filter,
+count — and most of their cost is the calls, not the work.  This module
+computes the same quantities for a whole window of sibling partial matches
+(*slots*) in one segmented pass:
 
-* the varying lists are materialized as one concatenated array via CSR
-  slices (``np.repeat`` over ``row_ptr`` spans — no per-vertex calls),
-* the fixed part is intersected against all segments with a single
-  ``np.searchsorted``, and per-segment sizes come from ``np.bincount``,
+* each slot's streamed list is materialized into one concatenated array
+  (``np.repeat`` over ``row_ptr`` spans — no per-vertex calls),
+* the other list of every slot is probed with a single ``np.searchsorted``
+  against sorted ``owner * n + value`` keys, and per-segment sizes come
+  from ``np.bincount``,
 * filters (label, degree, symmetry bound, injectivity) are boolean masks
-  over the concatenation, with per-candidate bounds ``np.repeat``-ed in,
+  over the concatenation, with per-slot bounds ``np.repeat``-ed in,
 * cycle charges use vectorized ports of the :class:`CostModel` formulas
   that reproduce the scalar arithmetic bit-for-bit (same float expression,
   same truncation), so simulated time is *identical* to the scalar backend.
 
-Supported list shapes: one varying list (optionally plus one fixed
-list/seed), or all-fixed lists (the result is shared by every candidate and
-computed once through the exact scalar routine).  Anything else — three or
-more lists including a varying one, or label-pruned adjacency (EGSM's
-CT-index) — declines the batch and falls back to the scalar path.
+The pass (:meth:`VectorizedBackend._segmented_block`) has three producers,
+and all hand the matcher one :class:`~repro.kernels.base.Block`:
 
-The same pass (:meth:`VectorizedBackend._segmented_block`) serves the
-*other* end of an item: :meth:`VectorizedBackend.prefix_block` resolves the
-edge filter, the position-2 raw set and its selection filter for a window
-of consecutive initial rows, so the per-row work left in the matcher is a
-stack write and a charge.  Both ends hand the matcher one
-:class:`~repro.kernels.base.Block`.
+* :meth:`VectorizedBackend.prefix_block` — the edge filter, the position-2
+  raw set and its selection filter for a window of consecutive initial rows;
+* :meth:`VectorizedBackend.child_block` — the next position for a *cell* of
+  another block's survivors, so below a prefix window every level is
+  resolved once per window and the per-item work left in the matcher is a
+  stack write and a charge;
+* :meth:`VectorizedBackend.leaf_block` — the leaf for one sync window
+  (≤ 64 candidates) of an item that has no block above it (``Q_task``
+  tasks, unblocked rows, stolen halves).
+
+Supported list shapes, per slot: one streamed adjacency list, alone or
+against one other list — a partner vertex's adjacency list or a reuse
+seed — or the seed alone; and, for leaf windows only, all-fixed lists (the
+result is shared by every candidate and computed once through the exact
+scalar routine).  Anything else — three or more lists including a varying
+one, or label-pruned adjacency (EGSM's CT-index) — declines and falls back
+to the scalar path.
 """
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_right
 from typing import Optional, TYPE_CHECKING
 
 import numpy as np
@@ -127,29 +137,34 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return offs
 
 
-def _gather_adjacency(graph, vertices: np.ndarray):
-    """Adjacency lists of ``vertices`` (int64) as one concatenated array.
+def _gather_segments(values: np.ndarray, starts: np.ndarray, lens: np.ndarray):
+    """Segments ``values[starts[s]:starts[s] + lens[s]]`` back to back.
 
-    Returns ``(cat, seg, degs)``: the CSR slices back to back, the index
-    into ``vertices`` each element belongs to, and the per-vertex lengths
-    (``np.repeat`` over ``row_ptr`` spans — no per-vertex calls).
+    Returns ``(cat, seg, lens)``: the concatenation, the segment index each
+    element belongs to, and the lengths (``np.repeat`` over the spans — no
+    per-segment calls).
     """
-    row_ptr, col_idx = graph.row_ptr, graph.col_idx
-    n = int(vertices.size)
-    starts = row_ptr[vertices]
-    degs = row_ptr[vertices + 1] - starts
-    offs = _offsets(degs)
+    offs = _offsets(lens)
     total = int(offs[-1])
     if not total:
         return (
-            np.empty(0, dtype=col_idx.dtype),
+            np.empty(0, dtype=values.dtype),
             np.empty(0, dtype=np.int64),
-            degs,
+            lens,
         )
     gather = np.arange(total, dtype=np.int64) + np.repeat(
-        starts - offs[:-1], degs
+        starts - offs[:-1], lens
     )
-    return col_idx[gather], np.repeat(np.arange(n, dtype=np.int64), degs), degs
+    seg = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+    return values[gather], seg, lens
+
+
+def _gather_adjacency(graph, vertices: np.ndarray):
+    """Adjacency lists of ``vertices`` (int64) as CSR segments."""
+    starts = graph.row_ptr[vertices]
+    return _gather_segments(
+        graph.col_idx, starts, graph.row_ptr[vertices + 1] - starts
+    )
 
 
 def _static_filter_segments(
@@ -211,15 +226,35 @@ def _edge_keys(job: "MatchJob") -> np.ndarray:
     return job.edge_keys
 
 
+def _raw_keys(block: Block, n: int) -> np.ndarray:
+    """``slot * n + value`` over ``block.raw`` (built once per block):
+    ``x in raw set of slot s`` is one ``searchsorted`` against it."""
+    if block.raw_keys is None:
+        slots = np.repeat(
+            np.arange(block.count, dtype=np.int64), block.raw_sizes
+        )
+        block.raw_keys = slots * n + block.raw
+    return block.raw_keys
+
+
+def _ancestor(block: Block, slots: np.ndarray, position: int):
+    """``(ancestor, its slots)`` at ``position`` for ``slots`` of ``block``."""
+    while block.position > position:
+        slots = block.parent_slots[slots]
+        block = block.parent()
+    return block, slots
+
+
 # --------------------------------------------------------------------------- #
 # The backend
 # --------------------------------------------------------------------------- #
 
-#: Adjacency elements one prefix block gathers: the window is cut where the
-#: streamed (smaller) lists of its surviving rows add up to this, so a
-#: block stays a few hundred KB whatever the degrees are.  (The replay
-#: hands out views, so a block lives until the last warp that read a row
-#: of it overwrites its level 2 — at most one old block per warp.)
+#: Elements one block gathers: a prefix window is cut where the streamed
+#: (smaller) lists of its surviving rows add up to this, and so is a cell
+#: of a block's survivors, so a block stays a few hundred KB whatever the
+#: degrees are.  (The replay hands out views, so a block lives until the
+#: last warp that read a slot of it overwrites that level — at most one
+#: old window per warp — and a window keeps the cells its warps entered.)
 PREFIX_VOLUME = 1 << 14
 
 #: Rows examined when sizing a window — bounds the sizing pass itself on
@@ -229,7 +264,8 @@ PREFIX_MAX_ROWS = 4096
 #: Fewest offered rows worth a block: its few dozen NumPy calls cost what
 #: the scalar path spends on about ten rows (measured on dblp/P1), so
 #: smaller groups and group tails decline, like leaf batches under
-#: ``MIN_BATCH``.
+#: ``MIN_BATCH`` — and so does a block with fewer survivors than this
+#: asked for its children.
 PREFIX_MIN_ROWS = 12
 
 
@@ -249,50 +285,59 @@ class VectorizedBackend(KernelBackend):
         self.min_batch = self.MIN_BATCH if min_batch is None else int(min_batch)
 
     # ------------------------------------------------------------------ #
-    # Leaf windows
+    # The shape decision
     # ------------------------------------------------------------------ #
 
-    def _leaf_shape(self, job: "MatchJob", st: "RunState", position: int):
-        """The one shape decision for leaf windows at ``position``.
+    def _shape(self, job: "MatchJob", position: int, valid_from: int):
+        """The one shape decision for filling ``position`` below an item
+        whose stack is valid from ``valid_from`` — memoised on the job (it
+        depends on nothing else but the plan and two job flags).
 
-        Returns ``(threshold, varying, reuse, positions)``: the smallest
-        batch accepted (0 = unsupported shape), whether the swept vertex's
-        own adjacency list is among the intersected lists, whether the
-        reuse seed is (0 or 1), and the order positions whose lists are.
+        Returns ``(threshold, varying, reuse, positions, per_slot)``: the
+        smallest leaf window accepted (0 = unsupported shape), whether the
+        vertex at ``position - 1`` is among the intersected adjacency lists,
+        whether the reuse seed is (0 or 1), the order positions whose lists
+        are, and whether the shape is supported when *every* list varies per
+        slot (a child cell): at most two lists, read as plain CSR slices.
         """
+        key = (position, valid_from)
+        shape = job.shapes.get(key)
+        if shape is not None:
+            return shape
         plan = job.plan
         pos = position - 1  # the varying (pre-leaf) order position
         entry = plan.reuse[position]
         reuse = int(
             job.config.enable_reuse
             and entry.reuses
-            and entry.source >= st.valid_from
+            and entry.source >= valid_from
         )
         positions = entry.remaining if reuse else plan.backward[position]
         varying = positions.count(pos)
+        # Label-pruned adjacency (EGSM CT-index) varies per target label
+        # and cannot be read as raw CSR slices; with >= 3 lists the scalar
+        # path sorts them by size per slot — decline rather than emulate.
+        per_slot = job.plain_adjacency and len(positions) + reuse <= 2
         if not varying:
             # All-fixed: one shared intersection amortizes faster than the
             # varying pipeline, but the per-block fixed cost still wants a
             # few candidates to pay for itself.
             threshold = max(2, self.min_batch - 1)
-        elif (
-            varying > 1
-            # Label-pruned adjacency (EGSM CT-index) varies per target
-            # label and cannot be read as raw CSR slices.
-            or not job.plain_adjacency
-            # ≥ 3 lists including the varying one: the scalar path sorts
-            # them by size per candidate — decline rather than emulate.
-            or len(positions) - 1 + reuse > 1
-        ):
+        elif varying > 1 or not per_slot:
             threshold = 0
         else:
             threshold = self.min_batch
-        return threshold, varying, reuse, positions
+        shape = job.shapes[key] = (threshold, varying, reuse, positions, per_slot)
+        return shape
 
     def block_threshold(
         self, job: "MatchJob", st: "RunState", position: int
     ) -> int:
-        return self._leaf_shape(job, st, position)[0]
+        return self._shape(job, position, st.valid_from)[0]
+
+    # ------------------------------------------------------------------ #
+    # Leaf windows
+    # ------------------------------------------------------------------ #
 
     def leaf_block(
         self,
@@ -301,7 +346,9 @@ class VectorizedBackend(KernelBackend):
         position: int,
         candidates: np.ndarray,
     ) -> Optional[Block]:
-        threshold, varying, reuse, positions = self._leaf_shape(job, st, position)
+        threshold, varying, reuse, positions, _ = self._shape(
+            job, position, st.valid_from
+        )
         if not threshold or candidates.size < threshold:
             return None
         path = st.path
@@ -314,12 +361,13 @@ class VectorizedBackend(KernelBackend):
         matched = path[: position - 1] + [candidates]
         if not varying:
             return self._shared_block(job, position, matched, lists, reuse)
+        # The fixed list is a seed with one segment, which every slot probes.
         return self._segmented_block(
             job,
             position,
             matched,
-            stream=candidates.astype(np.int64),
-            shared=lists[0] if lists else None,
+            _gather_adjacency(job.graph, candidates.astype(np.int64)),
+            probe=(lists[0], None, int(lists[0].size)) if lists else None,
             reuse=reuse,
         )
 
@@ -351,35 +399,177 @@ class VectorizedBackend(KernelBackend):
         keep = keep[:count]
         kept = head[:count][keep]
 
-        stream = kept[:, backs[0]].astype(np.int64)
-        partner = None
-        if len(backs) == 2:
-            # Stream the smaller list of each row; ties keep the first.
-            partner = kept[:, backs[1]].astype(np.int64)
-            swap = degrees[stream] > degrees[partner]
-            stream, partner = (
-                np.where(swap, partner, stream),
-                np.where(swap, stream, partner),
-            )
+        matched = [kept[:, 0], kept[:, 1]]
+        stream, partner = self._adjacency_pair(graph, matched, backs)
         block = self._segmented_block(
             job,
             2,
-            [kept[:, 0], kept[:, 1]],
-            stream=stream,
-            partner=partner,
+            matched,
+            _gather_adjacency(graph, stream),
+            probe=self._partner_probe(job, partner),
             keep_filtered=True,
         )
         block.rows = kept
         block.kept_before = _offsets(keep).tolist()
-        # The row replay indexes these once per row: plain lists read faster.
-        block.raw_offsets = block.raw_offsets.tolist()
-        block.raw_cycles = block.raw_cycles.tolist()
-        block.filtered_offsets = block.filtered_offsets.tolist()
-        block.filter_cycles = block.filter_cycles.tolist()
         return block
 
+    @staticmethod
+    def _adjacency_pair(graph, matched: list, positions):
+        """Per-slot ``(stream, partner)`` vertices (int64) for the one or
+        two adjacency lists at ``positions``: the smaller list of each slot
+        is streamed, ties keep the first; ``partner`` is ``None`` for one."""
+        stream = matched[positions[0]].astype(np.int64)
+        if len(positions) == 1:
+            return stream, None
+        partner = matched[positions[1]].astype(np.int64)
+        degrees = graph.degrees
+        swap = degrees[stream] > degrees[partner]
+        return np.where(swap, partner, stream), np.where(swap, stream, partner)
+
+    @staticmethod
+    def _partner_probe(job: "MatchJob", partner: Optional[np.ndarray]):
+        """``x in N(partner)`` is "(partner, x) is a directed edge"."""
+        if partner is None:
+            return None
+        return _edge_keys(job), partner, job.graph.degrees[partner]
+
     # ------------------------------------------------------------------ #
-    # The segmented pass: one streamed adjacency list per slot
+    # The next level of a cell of a block's survivors
+    # ------------------------------------------------------------------ #
+
+    def child_block(
+        self, job: "MatchJob", block: Block, slot: int
+    ) -> tuple[Optional[Block], int]:
+        cells = block.cells
+        if cells is None:
+            cells = self._cut_cells(job, block)
+        cell = bisect_right(cells, slot) - 1
+        if cell not in block.children:
+            block.children[cell] = self._cell_block(
+                job, block, cells[cell], cells[cell + 1]
+            )
+        return block.child_at(slot)
+
+    def _survivors(self, job: "MatchJob", parent: Block, lo: int, hi: int):
+        """The survivors of ``parent``'s slots ``lo:hi`` as the slots of the
+        next position: ``(up, column, seed, seed_slots)`` — the parent slot
+        each survived from; ``column(t)``, their path vertex at order
+        position ``t``; and, when the reuse plan applies, the ancestor block
+        that resolved its source position on these paths with the slot of it
+        whose raw segment seeds each intersection (else ``None, None``).
+        """
+        position = parent.position + 1
+        offsets = parent.filtered_offsets
+        own = parent.filtered[offsets[lo] : offsets[hi]]
+        up = np.repeat(
+            np.arange(lo, hi, dtype=np.int64), parent.survivors[lo:hi]
+        )
+
+        def column(t: int) -> np.ndarray:
+            return own if t == position - 1 else parent.matched[t][up]
+
+        if not self._shape(job, position, 2)[2]:
+            return up, column, None, None
+        seed, seed_slots = _ancestor(parent, up, job.plan.reuse[position].source)
+        return up, column, seed, seed_slots
+
+    def _cut_cells(self, job: "MatchJob", parent: Block) -> list:
+        """Cut ``parent``'s slots, once, into cells whose survivors gather
+        at most ``PREFIX_VOLUME`` elements at the next position.
+
+        A slot heavier than the budget on its own is a cell without a child
+        (its subtree takes the per-item path, where sync-window leaf blocks
+        do well on large sets); so is a block with too few survivors to be
+        worth a pass, or a declined shape.
+        """
+        count = parent.count
+        positions, per_slot = self._shape(job, parent.position + 1, 2)[3:]
+        if not per_slot or len(parent.filtered) < PREFIX_MIN_ROWS:
+            parent.children = {0: None}
+            parent.cells = [0, count]
+            return parent.cells
+        # What each survivor streams: the smaller adjacency list, or the
+        # seed itself when nothing is left to intersect it with.
+        _, column, seed, seed_slots = self._survivors(job, parent, 0, count)
+        degrees = job.graph.degrees
+        if not positions:
+            lens = seed.raw_sizes[seed_slots]
+        else:
+            lens = degrees[column(positions[0])]
+            if len(positions) == 2:
+                lens = np.minimum(lens, degrees[column(positions[1])])
+        # Greedy cut at slot boundaries: ``volume[s]`` is what the slots
+        # before ``s`` gather.
+        volume = _offsets(lens)[np.asarray(parent.filtered_offsets)]
+        cells, children = [0], {}
+        while cells[-1] < count:
+            lo = cells[-1]
+            hi = int(
+                np.searchsorted(volume, volume[lo] + PREFIX_VOLUME, side="right")
+            ) - 1
+            if hi <= lo:  # one slot over the budget
+                hi = lo + 1
+                children[len(cells) - 1] = None
+            cells.append(hi)
+        parent.children = children
+        parent.cells = cells
+        return cells
+
+    def _cell_block(
+        self, job: "MatchJob", parent: Block, lo: int, hi: int
+    ) -> Block:
+        """The child of ``parent`` for the survivors of slots ``lo:hi``."""
+        position = parent.position + 1
+        positions = self._shape(job, position, 2)[3]
+        up, column, seed, seed_slots = self._survivors(job, parent, lo, hi)
+        matched = [column(t) for t in range(position)]
+        if seed is None:
+            stream, partner = self._adjacency_pair(job.graph, matched, positions)
+            gathered = _gather_adjacency(job.graph, stream)
+            probe = self._partner_probe(job, partner)
+        else:
+            sizes = seed.raw_sizes[seed_slots]
+            if positions:
+                gathered = _gather_adjacency(
+                    job.graph, matched[positions[0]].astype(np.int64)
+                )
+                probe = _raw_keys(seed, job.graph.num_vertices), seed_slots, sizes
+            else:
+                # Seed only: the raw set is a copy of the ancestor's segment.
+                gathered = _gather_segments(
+                    seed.raw, _offsets(seed.raw_sizes)[seed_slots], sizes
+                )
+                probe = None
+        leaf = position == job.plan.num_levels - 1
+        child = self._segmented_block(
+            job,
+            position,
+            matched,
+            gathered,
+            probe=probe,
+            reuse=int(seed is not None),
+            # The leaf's survivors are only counted, unless they are wanted.
+            keep_filtered=not leaf or bool(job.collect_limit),
+        )
+        if leaf:
+            child.matched = None  # nothing descends from a leaf block
+            if child.filtered is None:
+                # A window keeps the leaf cells of all its warps, and leaf
+                # slots outnumber all others: hold them in half the bytes.
+                child.raw_offsets = child.raw_offsets.astype(np.int32)
+                child.raw_sizes = child.raw_sizes.astype(np.int32)
+                child.raw_cycles = child.raw_cycles.astype(np.int32)
+                child.filter_cycles = child.filter_cycles.astype(np.int32)
+                child.survivors = child.survivors.astype(np.int32)
+        else:
+            # Weak: the parent owns its children, never the reverse (a cycle
+            # would keep whole windows alive until the collector runs).
+            child.parent = weakref.ref(parent)
+            child.parent_slots = up
+        return child
+
+    # ------------------------------------------------------------------ #
+    # The segmented pass: one streamed list per slot
     # ------------------------------------------------------------------ #
 
     def _segmented_block(
@@ -387,38 +577,44 @@ class VectorizedBackend(KernelBackend):
         job: "MatchJob",
         position: int,
         matched: list,
-        stream: np.ndarray,
-        partner: Optional[np.ndarray] = None,
-        shared: Optional[np.ndarray] = None,
+        gathered: tuple,
+        probe: Optional[tuple] = None,
         reuse: int = 0,
         keep_filtered: bool = False,
     ) -> Block:
         """``_raw`` + ``filter_candidates`` at ``position`` for every slot.
 
-        Slot ``s`` streams ``N(stream[s])`` (int64 vertices) against at most
-        one other list — ``N(partner[s])``, which the caller makes the
-        longer of the two, or the one ``shared`` sorted set — and filters
-        the result against ``matched`` (see :func:`_slot_bounds`).
+        ``gathered`` is each slot's streamed list as ``(cat, seg, lens)``
+        segments (see :func:`_gather_segments`) — an adjacency list, or the
+        reuse seed itself when nothing is left to intersect it with.  With a
+        ``probe = (keys, owners, sizes)`` the streamed list is intersected
+        with one other list per slot: element ``x`` of slot ``s`` survives
+        iff ``owners[s] * n + x`` is in the sorted ``keys`` — the graph's
+        edge keys with the partner vertex as owner, or an ancestor block's
+        raw keys with the seed's slot as owner; ``owners=None`` is the
+        one-segment case, every slot probing the one sorted set ``keys``.
+        ``sizes`` are the probed lists' lengths (an ``int`` when shared).
+        The result is filtered against ``matched`` (see
+        :func:`_slot_bounds`).
         """
         graph, cost = job.graph, job.cost
-        n = int(stream.size)
-        cat, seg, degs = _gather_adjacency(graph, stream)
-        if partner is None and shared is None:
-            counts, cycles = degs, copy_cost_vec(cost, degs)
+        cat, seg, lens = gathered
+        n = int(lens.size)
+        if probe is None:
+            counts, cycles = lens, copy_cost_vec(cost, lens)
         else:
-            if partner is not None:
-                # ``x in N(partner)`` is "(partner, x) is a directed edge".
+            keys, owners, sizes = probe
+            if owners is not None:
                 hit = _in_sorted(
-                    _edge_keys(job),
-                    np.repeat(partner, degs) * graph.num_vertices + cat,
+                    keys, np.repeat(owners, lens) * graph.num_vertices + cat
                 )
-                small, big = degs, graph.degrees[partner]
+                # The scalar path streams whichever list is smaller.
+                small, big = np.minimum(lens, sizes), np.maximum(lens, sizes)
             else:
-                hit = _in_sorted(shared, cat)
-                small, big = degs, int(shared.size)
-                if big < degs.max():
-                    # The scalar path streams whichever list is smaller.
-                    small, big = np.minimum(degs, big), np.maximum(degs, big)
+                hit = _in_sorted(keys, cat)
+                small, big = lens, sizes
+                if n and big < lens.max():
+                    small, big = np.minimum(lens, big), np.maximum(lens, big)
             cat, seg = cat[hit], seg[hit]
             counts = np.bincount(seg, minlength=n)
             cycles = intersect_cost_vec(cost, small, big)
@@ -447,12 +643,19 @@ class VectorizedBackend(KernelBackend):
             raw_cycles=raw_cycles,
             filter_cycles=filter_cycles_vec(job, position, raw_sizes),
             survivors=survivors,
-            intersections=int(partner is not None or shared is not None),
+            intersections=int(probe is not None),
             reuse=reuse,
+            position=position,
+            matched=matched,
         )
         if keep_filtered:
             block.filtered = raw[mask]
-            block.filtered_offsets = _offsets(survivors)
+            # These slots are replayed one at a time, each indexing the
+            # per-slot sequences once: plain lists read faster.
+            block.filtered_offsets = _offsets(survivors).tolist()
+            block.raw_offsets = block.raw_offsets.tolist()
+            block.raw_cycles = block.raw_cycles.tolist()
+            block.filter_cycles = block.filter_cycles.tolist()
         return block
 
     # ------------------------------------------------------------------ #

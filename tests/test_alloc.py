@@ -79,6 +79,19 @@ class TestPageTable:
         with pytest.raises(StackLevelOverflowError):
             t.page_at(2)
 
+    def test_count_tracks_out_of_order_set_page(self):
+        # The count is kept by ``set_page`` itself, so direct use of the
+        # table — holes, overwrites, clearing a null entry — stays right.
+        t = PageTable(6)
+        for idx, page in [(4, 9), (1, 3), (4, 11), (1, NULL_PAGE),
+                          (1, NULL_PAGE), (0, 5), (4, NULL_PAGE), (5, 2)]:
+            t.set_page(idx, page)
+            assert t.num_allocated() == len(t.allocated_pages())
+        assert t.num_allocated() == 2
+        with pytest.raises(StackLevelOverflowError):
+            t.set_page(6, 1)
+        assert t.num_allocated() == 2
+
 
 class TestPagedLevel:
     def make(self, pages=16):
@@ -129,6 +142,33 @@ class TestPagedLevel:
         level.write(np.arange(30, dtype=np.int32), COST)
         level.release_all()
         assert alloc.in_use == 0
+        assert level.table.num_allocated() == 0
+        assert level.table.allocated_pages() == []
+
+    def test_count_equals_scan_after_every_write(self):
+        level, alloc = self.make()
+        rng = np.random.default_rng(3)
+        for n in rng.integers(0, 128, size=40):
+            before = alloc.total_allocs
+            cycles = level.write(np.arange(n, dtype=np.int32), COST)
+            table = level.table
+            held = table.num_allocated()
+            assert held == len(table.allocated_pages()) == alloc.in_use
+            # Allocated pages form a prefix, in allocation order.
+            assert table.entries[:held] == list(range(held))
+            batches = (max(int(n), 1) + 31) // 32
+            assert cycles == (alloc.total_allocs - before) * COST.page_alloc + (
+                batches * (COST.write_batch + COST.page_check)
+            )
+
+    def test_overflow_allocates_up_to_the_table_then_raises(self):
+        level, alloc = self.make(pages=64)
+        level.write(np.arange(20, dtype=np.int32), COST)  # 2 pages held
+        with pytest.raises(StackLevelOverflowError):
+            level.write(np.arange(200, dtype=np.int32), COST)
+        # The walk filled the whole table before the index past it raised.
+        assert level.table.num_allocated() == alloc.in_use == 8
+        assert level.table.entries == list(range(8))
 
 
 class TestArrayLevel:

@@ -61,6 +61,29 @@ class TestReleaseRule:
         assert alloc.in_use == 8
 
 
+    def test_count_and_prefix_invariant_under_release(self):
+        # Held pages are always entries [0, held): writes grow from index
+        # 0, the release rule frees from the top down and never below what
+        # the write uses — so the kept count is also the first free index.
+        level, alloc = make_level(release=True)
+        rng = np.random.default_rng(11)
+        sizes = rng.integers(0, 16 * 16, size=200)
+        sizes[::7] = 1  # plenty of big shrinks
+        for n in sizes:
+            frees = alloc.total_frees
+            cycles = level.write(np.arange(n, dtype=np.int32), COST)
+            table = level.table
+            held = table.num_allocated()
+            assert held == len(table.allocated_pages()) == alloc.in_use
+            assert all(p >= 0 for p in table.entries[:held])
+            assert all(p < 0 for p in table.entries[held:])
+            assert held >= (int(n) + 15) // 16
+            assert cycles >= (alloc.total_frees - frees) * 40
+        assert alloc.total_frees > 0
+        level.release_all()
+        assert level.table.num_allocated() == alloc.in_use == 0
+
+
 class TestEngineIntegration:
     def test_counts_unchanged(self, skewed_graph):
         base = match(skewed_graph, get_pattern("P3"),

@@ -16,15 +16,20 @@ tests force block engagement with ``VectorizedBackend(min_batch=1)`` so
 tiny graphs still cover the batched path, and pin the
 ``intersect_sorted`` out-of-range clamp.
 
-The block suites at the end check both producers of a
+The block suites at the end check every producer of a
 :class:`~repro.kernels.base.Block` (``prefix_block`` windows of initial
-rows, ``leaf_block`` windows of pre-leaf candidates) slot by slot against
-``_raw`` / ``filter_candidates``, then prefix windows end to end with
-chunks that straddle them, the interruptible (non-bulk) leaf replay through
-a truncating level, and one test per documented decline.
+rows, ``child_block`` cells of another block's survivors, ``leaf_block``
+windows of pre-leaf candidates) slot by slot against ``_raw`` /
+``filter_candidates``, then prefix windows and child cells end to end with
+chunks and sync windows that straddle them, the interruptible (non-bulk)
+leaf replay through a truncating level, and one test per documented
+decline.  With ``REPRO_DIFF_SEED`` set (the ``kernel-conformance`` CI job)
+the child-cell sweeps run their whole cross-product; tier-1 runs a slice.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -70,6 +75,10 @@ from tests.fuzz import (  # shared case space (see tests/fuzz.py)
     case_labeled_graph,
     case_query,
 )
+
+#: The ``kernel-conformance`` CI job sets the seed slice and gets the whole
+#: cross-product of the child-cell sweeps; tier-1 runs a fixed slice of it.
+EXHAUSTIVE = "REPRO_DIFF_SEED" in os.environ
 
 #: Everything two backend runs must agree on.  ``elapsed_cycles`` alone
 #: nearly implies the rest (one mischarged candidate shifts the whole
@@ -534,6 +543,140 @@ class TestLeafBlockSlots:
         return shapes
 
 
+@pytest.fixture()
+def small_cells(monkeypatch):
+    """Child cells of at most 48 gathered elements under 13-row prefix
+    windows, no minimum size: every window has several cells per level,
+    some slots are over the budget on their own, and chunks and sync
+    windows straddle cell boundaries."""
+    from repro.kernels import vectorized
+
+    monkeypatch.setattr(vectorized, "PREFIX_MAX_ROWS", 13)
+    monkeypatch.setattr(vectorized, "PREFIX_VOLUME", 48)
+    monkeypatch.setattr(vectorized, "PREFIX_MIN_ROWS", 1)
+
+
+def child_shape(job, position) -> str:
+    """The list shape of ``position`` below a prefix window, by name."""
+    _, _, reuse, positions, per_slot = job.backend._shape(job, position, 2)
+    if not per_slot:
+        return "declined"
+    if reuse:
+        return "seed-segment" if positions else "seed-only"
+    return "partner" if len(positions) == 2 else "copy"
+
+
+class TestChildBlockSlots:
+    """The slot-by-slot check for child cells: under every slot of a prefix
+    window a scalar DFS walks down, writing stack levels as the matcher
+    does, and at every depth the child's slot must equal ``_raw`` /
+    ``filter_candidates`` on the same path."""
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("case", range(2 if EXHAUSTIVE else 1))
+    def test_child_equals_scalar_per_slot(self, case, labeled, small_cells):
+        seed = SEED_BASE + 1270 + case
+        graph = case_labeled_graph(seed, 2) if labeled else case_graph(seed)
+        shapes = set()
+        for name in LEAF_PATTERNS:
+            query = get_pattern(name)
+            if labeled:
+                query = query.with_labels(
+                    [(seed + u) % 2 for u in range(query.num_vertices)]
+                )
+            for removal in (False, True):
+                for reuse in (False, True):
+                    cfg = FAST.replace(stmatch_removal=removal, enable_reuse=reuse)
+                    shapes |= self._check_tree(graph, query, cfg)
+        # Alternating labels leave no position whose seed is the whole
+        # intersection (P1's and P6's leaves reuse across unequal labels).
+        wanted = {"partner", "copy", "seed-segment", "declined"}
+        assert shapes >= (wanted if labeled else wanted | {"seed-only"}), shapes
+
+    @staticmethod
+    def _check_tree(graph, query, cfg, limit=150 if EXHAUSTIVE else 100):
+        job = _direct_job(graph, query, cfg, VectorizedBackend())
+        plan, backend = job.plan, job.backend
+        k = plan.num_levels
+        st = RunState(k, WarpStack(k, job.level_factory))
+        st.valid_from = 2
+        shapes, counts = set(), {"slots": 0}
+
+        def descend(pos, block, slot):
+            """``block``'s ``slot`` resolves ``pos`` for ``st.path[:pos]``:
+            check it, write the level, and walk into its survivors."""
+            assert block.position == pos
+            assert_slot_equals_scalar(job, st, pos, block, slot)
+            counts["slots"] += 1
+            raw = block.raw_set(slot)
+            st.stack.level(pos).write(raw, job.cost)
+            if pos == k - 1:
+                # Leaf cells only count, unless matches are collected.
+                assert block.filtered is None and block.matched is None
+                return
+            offs = block.filtered_offsets
+            survivors = block.filtered[offs[slot] : offs[slot + 1]]
+            if not len(survivors):
+                return
+            child, base = backend.child_block(job, block, slot)
+            shape = child_shape(job, pos + 1)
+            if child is None:
+                if shape != "declined":
+                    # Only a slot heavier than the budget has no child.
+                    lo = block.cells.index(slot)
+                    assert block.cells[lo + 1] == slot + 1
+                    shape = "over-budget"
+                shapes.add(shape)
+                return
+            shapes.add(shape)
+            # Asking again returns the same object: built once per cell.
+            assert backend.child_block(job, block, slot) == (child, base)
+            assert child.intersections == (shape in ("partner", "seed-segment"))
+            assert child.reuse == (shape in ("seed-segment", "seed-only"))
+            for i, v in enumerate(survivors[:3]):
+                st.path[pos] = int(v)
+                descend(pos + 1, child, base + i)
+                if counts["slots"] >= limit:
+                    return
+
+        rows = graph.directed_edge_array()
+        lo = 0
+        while lo < len(rows) and counts["slots"] < limit:
+            block = backend.prefix_block(job, rows[lo:])
+            for slot, row in enumerate(block.rows):
+                st.path[0], st.path[1] = int(row[0]), int(row[1])
+                descend(2, block, slot)
+                if counts["slots"] >= limit:
+                    break
+            lo += block.window
+        return shapes
+
+    def test_cells_partition_the_slots_within_budget(self, small_cells):
+        """Cells are cut once, cover every slot exactly once, and gather at
+        most ``PREFIX_VOLUME`` elements unless they are one heavy slot."""
+        from repro.kernels import vectorized
+
+        graph = case_graph(SEED_BASE + 1271)
+        job = _direct_job(graph, get_pattern("P3"), FAST, VectorizedBackend())
+        block = job.backend.prefix_block(job, graph.directed_edge_array())
+        slot = int(np.flatnonzero(block.survivors)[0])
+        job.backend.child_block(job, block, slot)
+        cells = block.cells
+        assert cells[0] == 0 and cells[-1] == block.count
+        assert all(a < b for a, b in zip(cells, cells[1:]))
+        # P3 copies N(v1) at position 3: one survivor streams deg(v1).
+        per_slot = block.survivors * graph.degrees[block.rows[:, 1]]
+        for c, (a, b) in enumerate(zip(cells, cells[1:])):
+            volume = int(per_slot[a:b].sum())
+            if volume > vectorized.PREFIX_VOLUME:
+                assert b == a + 1 and block.children[c] is None
+            else:
+                assert block.children.get(c, True) is not None
+        assert job.backend.child_block(job, block, slot)[0] is block.children[
+            int(np.searchsorted(cells, slot, side="right")) - 1
+        ]
+
+
 class TestInterruptibleLeafReplay:
     """Tracing or a fault plan turn the bulk array-sum replay off, so every
     slot of a leaf window goes through ``_expand_leaf`` → ``_fill_level`` —
@@ -740,6 +883,366 @@ class TestPrefixBlockEndToEnd:
         for w, g in zip(want, got):
             for f in CONFORMANCE_FIELDS:
                 assert getattr(w, f) == getattr(g, f)
+
+
+class _ChildSpy(VectorizedBackend):
+    """Records what every ``child_block`` ask came back with."""
+
+    def __init__(self):
+        super().__init__()
+        self.asks = []  # (position resolved, had a child, base)
+
+    def child_block(self, job, block, slot):
+        child, base = super().child_block(job, block, slot)
+        self.asks.append((block.position + 1, child is not None, base))
+        return child, base
+
+    def built(self, position) -> int:
+        return sum(1 for p, ok, _ in self.asks if p == position and ok)
+
+
+def assert_children_conformant(graph, query, config, ctx=None, engine="tdfs"):
+    """Scalar vs vectorized on every conformance field, and the vectorized
+    run really descended through child cells.  Returns both results and the
+    spy that recorded the asks."""
+    spy = _ChildSpy()
+    scalar = match(
+        graph, query, engine=engine,
+        config=config.replace(kernel_backend="scalar"), ctx=ctx,
+    )
+    vec = match(
+        graph, query, engine=engine,
+        config=config.replace(kernel_backend=spy), ctx=ctx,
+    )
+    for f in CONFORMANCE_FIELDS:
+        assert getattr(scalar, f) == getattr(vec, f), (
+            f"{graph.name}/{query}: backends diverge on {f}: "
+            f"scalar={getattr(scalar, f)} vectorized={getattr(vec, f)}"
+        )
+    return scalar, vec, spy
+
+
+class TestChildBlockEndToEnd:
+    """Whole runs through cells of 48 gathered elements: chunks straddle
+    prefix windows, items straddle level-3 cells, sync windows straddle
+    leaf cells.  P3 has five vertices and no reuse (copy and partner
+    shapes), P5 five with a seeded leaf, P11 six."""
+
+    PATTERNS = ("P3", "P5", "P11") if EXHAUSTIVE else ("P3",)
+    CHUNKS = (1, 3, 8) if EXHAUSTIVE else (3,)
+
+    @pytest.mark.parametrize("chunk_size", CHUNKS)
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize(
+        "strategy",
+        [Strategy.TIMEOUT, Strategy.HALF_STEAL, Strategy.NEW_KERNEL, Strategy.NONE],
+    )
+    def test_strategies_and_stack_modes(
+        self, strategy, pattern, chunk_size, small_cells
+    ):
+        graph = case_graph(SEED_BASE + 1400 + chunk_size)
+        for mode in StackMode:
+            cfg = TDFSConfig(
+                num_warps=8,
+                strategy=strategy,
+                chunk_size=chunk_size,
+                tau_cycles=600,
+                stack_mode=mode,
+                new_kernel_fanout=4,
+            )
+            _, _, spy = assert_children_conformant(graph, pattern, cfg)
+            assert spy.built(3), f"{strategy.value}/{mode.value}: no cell built"
+
+    def test_sync_windows_are_slices_of_the_leaf_child(
+        self, small_plc, small_cells, monkeypatch
+    ):
+        """With a leaf-level child a sync window is a slice of it — windows
+        start at offsets all over a cell — and only slots without one (over
+        the budget) ask for a window block of their own."""
+        seen = {"child": set(), "own": 0}
+        leaf_block = MatchJob._leaf_block
+
+        def spy(self, warp, st, pos, f, i, block, first):
+            if block.parent is None and block.matched is None:
+                seen["child"].add(first)
+            else:
+                seen["own"] += 1
+            return leaf_block(self, warp, st, pos, f, i, block, first)
+
+        monkeypatch.setattr(MatchJob, "_leaf_block", spy)
+        _, vec, spy_backend = assert_children_conformant(small_plc, "P3", FAST)
+        assert spy_backend.built(4)
+        assert len(seen["child"]) > 3 and min(seen["child"]) == 0
+        assert vec.count == match(small_plc, "P3", engine="cpu").count
+
+    def test_level_two_decomposes_under_a_built_child(self, small_plc, small_cells):
+        # τ = 400: position 2 ships the rest of its level to Q_task while
+        # the cell that precomputed those survivors stays on the block; the
+        # shipped slots are never replayed, the tasks run the scalar path.
+        scalar, _, spy = assert_children_conformant(small_plc, "P3", STEAL)
+        assert scalar.timeouts > 0 and spy.built(3) and spy.built(4)
+
+    def test_half_steal_robs_a_cascaded_victim(
+        self, small_plc, small_cells, monkeypatch
+    ):
+        """A thief truncates a victim's level 2 or 3 while the victim
+        descends through cells: what the victim keeps stays aligned with its
+        child's slots, the stolen half runs without a block."""
+        depths = set()
+        steal_from = MatchJob._steal_from
+
+        def spy_steal(self, warp, victim):
+            out = steal_from(self, warp, victim)
+            if out is not None and out[0] == "prefix":
+                depths.add(len(out[1]))
+            return out
+
+        monkeypatch.setattr(MatchJob, "_steal_from", spy_steal)
+        cfg = TDFSConfig(num_warps=8, strategy=Strategy.HALF_STEAL, chunk_size=32)
+        scalar, _, spy = assert_children_conformant(small_plc, "P3", cfg)
+        assert scalar.steals > 0 and spy.built(3) and spy.built(4)
+        assert depths >= {2, 3}, depths
+
+    def test_truncation_at_a_middle_level_drops_the_child(
+        self, small_plc, small_cells, monkeypatch
+    ):
+        """Capacity 8 cuts position-3 sets of P3 (whole adjacency lists):
+        the level is rescanned, its subtree gets no child — the descendants
+        were computed from the full set — and the counts stay identically
+        wrong."""
+        seen = {"dropped": 0, "kept": 0}
+        child_of = MatchJob._child
+
+        def spy(self, st, pos, block, slot):
+            out = child_of(self, st, pos, block, slot)
+            if pos == 3 and block is not None and len(st.filtered[pos]):
+                truncated = st.stack.level(pos).length != block.raw_sizes[slot]
+                assert (out[0] is None) or not truncated
+                seen["dropped" if truncated else "kept"] += 1
+            return out
+
+        monkeypatch.setattr(MatchJob, "_child", spy)
+        cfg = FAST.replace(
+            stack_mode=StackMode.ARRAY_FIXED,
+            fixed_capacity=8,
+            truncate_on_overflow=True,
+            chunk_size=3,
+        )
+        scalar, vec, _ = assert_children_conformant(small_plc, "P3", cfg)
+        assert scalar.overflowed and vec.overflowed
+        assert scalar.count != match(small_plc, "P3", engine="cpu").count
+        assert seen["dropped"] and seen["kept"], seen
+
+    def test_overflow_raises_on_the_same_slot(self, small_plc, small_cells):
+        cfg = FAST.replace(
+            stack_mode=StackMode.ARRAY_FIXED,
+            fixed_capacity=8,
+            truncate_on_overflow=False,
+            chunk_size=3,
+        )
+        scalar, vec, _ = assert_children_conformant(small_plc, "P3", cfg)
+        assert scalar.error is not None
+        assert str(scalar.error) == str(vec.error)
+        assert scalar.chunks_fetched == vec.chunks_fetched
+
+    def test_release_pages(self, small_plc, small_cells):
+        # The release rule interleaves frees with writes: no level is ever
+        # warm, every leaf slot of a child is replayed write by write.
+        cfg = FAST.replace(release_pages=True, chunk_size=3)
+        _, _, spy = assert_children_conformant(small_plc, "P3", cfg)
+        assert spy.built(4)
+
+    @pytest.mark.parametrize("pattern", ["P3", "P5"])
+    def test_spans_identical_with_tracing_on(self, pattern, small_plc, small_cells):
+        spans = {}
+        for name in ("scalar", "vectorized"):
+            obs = Observability(tracing=True)
+            cfg = STEAL.replace(chunk_size=3, kernel_backend=name)
+            match(small_plc, pattern, config=cfg, ctx=RunContext(obs=obs))
+            spans[name] = obs.tracer.spans()
+        assert spans["scalar"] == spans["vectorized"]
+        assert any(s["name"] == "intersect" for s in spans["scalar"])
+
+    @pytest.mark.parametrize("fault_seed", range(3 if EXHAUSTIVE else 2))
+    def test_fault_plan_with_retry(self, fault_seed, small_plc, small_cells):
+        cfg = TDFSConfig(num_warps=8, chunk_size=3)
+        ctx = RunContext(
+            fault_plan=FaultPlan.seeded(SEED_BASE + 10 + fault_seed),
+            retry=RetryPolicy(max_attempts=4),
+        )
+        scalar, vec, spy = assert_children_conformant(small_plc, "P3", cfg, ctx=ctx)
+        assert scalar.recovery.to_dict() == vec.recovery.to_dict()
+        assert scalar.recovery.faults_injected > 0 and spy.built(3)
+
+    def test_checkpoint_cuts_through_a_cell(self, small_plc, small_cells):
+        """A snapshot taken while a warp is below a child cell — its stack
+        holds views of the cell's survivors — resumes to the uninterrupted
+        count, and the resumed runs conform."""
+        full = match(small_plc, "P3", config=FAST).count
+        snaps = {}
+        for name in ("scalar", "vectorized"):
+            taken = []
+
+            def hook(job, now, taken=taken):
+                deep = any(
+                    st.busy_flag and st.filtered[3] is not None
+                    and st.iters[3] < len(st.filtered[3])
+                    for st in job.run_states
+                )
+                if not taken and deep:
+                    taken.append((snapshot_pending_work(job), job.count, now))
+
+            cfg = FAST.replace(chunk_size=3, kernel_backend=name)
+            ctx = RunContext(checkpoint_every_events=25, checkpoint_hook=hook)
+            assert match(small_plc, "P3", config=cfg, ctx=ctx).count == full
+            snaps[name] = taken[0]
+        groups, base, now = snaps["scalar"]
+        vgroups, vbase, vnow = snaps["vectorized"]
+        assert (base, now) == (vbase, vnow)
+        assert [(r.tolist(), w) for r, w in groups] == [
+            (r.tolist(), w) for r, w in vgroups
+        ]
+        assert any(w > 2 for _, w in groups), "no partial item in the snapshot"
+        resumed = {}
+        for name in ("scalar", "vectorized"):
+            engine = TDFSEngine(FAST.replace(chunk_size=3, kernel_backend=name))
+            resumed[name] = engine.run_resume(
+                small_plc, get_pattern("P3"), groups, base_count=base
+            )
+            assert resumed[name].count == full
+        for f in CONFORMANCE_FIELDS:
+            assert getattr(resumed["scalar"], f) == getattr(resumed["vectorized"], f)
+
+    def test_collect_matches(self, small_plc, small_cells):
+        """Collecting keeps the leaf survivors: same embeddings, in the same
+        order, and the same schedule."""
+        spy = _ChildSpy()
+        results = {
+            name: TDFSEngine(FAST.replace(kernel_backend=backend)).run(
+                small_plc, get_pattern("P3"), collect_matches=10**6
+            )
+            for name, backend in (("scalar", "scalar"), ("vectorized", spy))
+        }
+        for f in CONFORMANCE_FIELDS:
+            assert getattr(results["scalar"], f) == getattr(results["vectorized"], f)
+        assert results["scalar"].matches == results["vectorized"].matches
+        assert len(results["scalar"].matches) == results["scalar"].count
+        assert spy.built(4)
+
+    def test_shared_backend_two_threads(self, small_plc, small_er, small_cells):
+        """Cells live on their parent block, blocks on the job: two jobs on
+        one backend instance never see each other's."""
+        import sys
+        import threading
+
+        backend = _ChildSpy()
+        cells = [(small_plc, "P3"), (small_er, "P5")]
+        want = [
+            match(g, p, config=FAST.replace(kernel_backend="scalar")) for g, p in cells
+        ]
+        got: list = [None, None]
+
+        def work(i):
+            for _ in range(2):
+                g, p = cells[i]
+                got[i] = match(g, p, config=FAST.replace(kernel_backend=backend))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for w, g in zip(want, got):
+            for f in CONFORMANCE_FIELDS:
+                assert getattr(w, f) == getattr(g, f)
+        assert backend.built(3)
+
+
+class TestChildBlockDeclines:
+    """Each documented decline of a child cell takes the per-item path and
+    still conforms."""
+
+    def test_three_lists_decline(self, small_plc, small_cells):
+        # P2 without reuse intersects three adjacency lists at its leaf.
+        cfg = FAST.replace(enable_reuse=False)
+        _, _, spy = assert_children_conformant(small_plc, "P2", cfg)
+        assert spy.asks and not spy.built(3)
+
+    def test_egsm_labeled_is_never_asked(self, small_plc, small_cells):
+        # Label-pruned adjacency: no prefix window, so nothing to descend.
+        graph = relabel_random(small_plc, 3, seed=5)
+        query = get_pattern("P3").with_labels([0, 1, 2, 0, 1])
+        _, _, spy = assert_children_conformant(graph, query, FAST, engine="egsm")
+        assert spy.asks == []
+
+    def test_single_over_budget_slot_declines(self, small_plc, monkeypatch):
+        """A hub's survivors gather more than the budget on their own: that
+        slot has no child, its neighbours in the window do."""
+        from repro.kernels import vectorized
+
+        monkeypatch.setattr(vectorized, "PREFIX_VOLUME", 48)
+        monkeypatch.setattr(vectorized, "PREFIX_MIN_ROWS", 1)
+        # The window itself stays whole (PREFIX_MAX_ROWS untouched), so the
+        # decline is the cell rule's, not the window's.
+        _, _, spy = assert_children_conformant(small_plc, "P3", FAST)
+        declined = [ask for ask in spy.asks if not ask[1]]
+        assert declined and spy.built(3) and spy.built(4)
+        assert all(base == 0 for _, _, base in declined)
+
+    def test_queue_tasks_are_never_asked(self, small_plc, small_cells, monkeypatch):
+        """A width-3 task dequeued from ``Q_task`` has no block above it: its
+        levels are filled without one and no child is asked for."""
+        seen = {"tasks": 0}
+        process_task, child_of = MatchJob._process_task, MatchJob._child
+
+        def spy_task(self, warp, st, task):
+            seen["tasks"] += task.v3 != PLACEHOLDER
+            return process_task(self, warp, st, task)
+
+        def spy_child(self, st, pos, block, slot):
+            if st.item_prefix == 3:  # inside a width-3 task
+                assert block is None
+            return child_of(self, st, pos, block, slot)
+
+        monkeypatch.setattr(MatchJob, "_process_task", spy_task)
+        monkeypatch.setattr(MatchJob, "_child", spy_child)
+        scalar, _, spy = assert_children_conformant(small_plc, "P3", STEAL)
+        assert scalar.timeouts > 0 and seen["tasks"] > 0 and spy.built(3)
+
+    def test_three_vertex_query_is_never_asked(self, small_plc, small_cells):
+        # k == 3: position 2 is the leaf, nothing descends from the window.
+        _, _, spy = assert_children_conformant(small_plc, TRIANGLE, FAST)
+        assert spy.asks == []
+
+    def test_small_blocks_decline(self, small_plc):
+        """Fewer survivors than ``PREFIX_MIN_ROWS`` in the whole parent are
+        cheaper one by one (default constants: 9 rows make no window, 13
+        make one whose handful of survivors is not worth a pass)."""
+        every = small_plc.directed_edge_array()
+        probe = _direct_job(small_plc, get_pattern("P3"), FAST, VectorizedBackend())
+        for lo in range(0, len(every) - 13, 13):
+            rows = every[lo : lo + 13]
+            survivors = len(probe.backend.prefix_block(probe, rows).filtered)
+            if 0 < survivors < PREFIX_MIN_ROWS:
+                break
+        else:
+            pytest.fail("no 13-row window with a handful of survivors")
+        results = {}
+        spy = _ChildSpy()
+        for name, backend in (("scalar", "scalar"), ("vec", spy)):
+            engine = TDFSEngine(FAST.replace(kernel_backend=backend))
+            results[name] = engine.run_resume(
+                small_plc, get_pattern("P3"), [(rows, 2)]
+            )
+        for f in CONFORMANCE_FIELDS:
+            assert getattr(results["scalar"], f) == getattr(results["vec"], f), f
+        assert spy.asks and not any(ok for _, ok, _ in spy.asks)
 
 
 class _SpyBackend(VectorizedBackend):
