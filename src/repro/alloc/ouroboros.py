@@ -104,15 +104,6 @@ class OuroborosAllocator:
         """Total reserved arena size."""
         return self.num_pages * self.page_bytes
 
-    def publish(self, registry) -> None:
-        """Export allocator totals into an obs registry (run end)."""
-        registry.counter("alloc.pages_allocated").inc(self.total_allocs)
-        registry.counter("alloc.pages_freed").inc(self.total_frees)
-        gauge = registry.gauge("alloc.pages_in_use")
-        gauge.set(self.in_use)
-        gauge.set_peak(self.peak_in_use)
-        registry.gauge("alloc.arena_bytes").set(self.arena_bytes())
-
     def release_arena(self) -> None:
         """Release the arena reservation from device memory (job end)."""
         if self._memory is not None and self._arena_handle is not None:

@@ -135,12 +135,15 @@ class PBEEngine:
 
         result.count = count
         result.elapsed_cycles = int(total_work / cfg.num_warps) + serial
-        result.memory.stack_bytes = peak_resident
-        result.memory.graph_bytes = graph.memory_bytes()
-        result.memory.device_peak_bytes = graph.memory_bytes() + peak_resident
-        result.chunks_fetched = batches_total
-        result.busy_cycles = total_work
-        result.load_imbalance = 1.0
+        result.metrics.update(
+            {
+                "mem.stack_bytes": peak_resident,
+                "mem.graph_bytes": graph.memory_bytes(),
+                "mem.device_bytes.peak": graph.memory_bytes() + peak_resident,
+                "warp.chunks_fetched": batches_total,
+                "sim.busy_cycles": total_work,
+            }
+        )
         return result
 
     # ------------------------------------------------------------------ #
@@ -182,8 +185,7 @@ def bfs_expand_level(
 ) -> tuple[int, np.ndarray, int]:
     """BFS-extend every partial match by one order position.
 
-    Shared by PBE and the hybrid BFS-DFS engine; returns
-    ``(work_cycles, next_partials, leaf_matches_found)``.
+    Returns ``(work_cycles, next_partials, leaf_matches_found)``.
     """
     k = plan.num_levels
     is_leaf = pos == k - 1

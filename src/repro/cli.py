@@ -39,13 +39,11 @@ Commands
         python -m repro delta --dataset web-google --pattern P3 --edges 8
 ``top``
     Live ops console: drive a short serve workload in-process and render
-    console frames (qps, latency percentiles, queue, caches, breakers,
-    per-shard utilization, SLO burn rates, flight-recorder counts), or
-    ``--tail FILE`` to render from a dumped metrics file (influx line
-    protocol or TSV) of a process you cannot import::
+    one frame of the service report per batch (qps, latency percentiles,
+    queue, caches, supervision, breakers, per-shard utilization, SLO burn
+    rates, flight-recorder counts) — the same report ``serve`` prints::
 
         python -m repro top --dataset dblp --requests 40 --frames 3
-        python -m repro top --tail results/serve-metrics.lp
 ``incident``
     Pretty-print an incident bundle produced by the flight recorder
     (``repro serve --dump-on-error DIR`` or ``MatchService.dump_incident``)::
@@ -55,7 +53,7 @@ Commands
     Run under deterministic fault injection and report survival.
 ``profile``
     Run one job with span tracing on and report a flamegraph-style
-    breakdown plus the metrics snapshot; ``--trace out.json`` exports a
+    breakdown plus the run's ``metrics``; ``--trace out.json`` exports a
     Chrome ``trace_event`` timeline::
 
         python -m repro profile --dataset dblp --pattern P3 --trace out.json
@@ -75,6 +73,7 @@ from repro.errors import ReproError
 from repro.kernels import available_backends
 from repro.graph.analysis import compute_stats
 from repro.graph.datasets import DATASETS, load_dataset
+from repro.obs.console import render_top
 from repro.query.patterns import get_pattern, pattern_description, pattern_names
 from repro.query.plan import compile_plan
 
@@ -260,7 +259,7 @@ def _install_drain_handler(state: dict):
             print("SIGTERM: no active service; exiting cleanly")
             raise SystemExit(0)
         stranded = service.drain(timeout=30.0)
-        print(service.render_metrics(), end="")
+        print(render_top(service.snapshot(), title="repro serve"), end="")
         print(f"SIGTERM: graceful drain complete, {stranded} stranded request(s)")
         raise SystemExit(0 if stranded == 0 else 1)
 
@@ -360,7 +359,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         with build_service(cached=not args.no_cache) as service:
             service.register_graph(args.dataset, graph)
             responses = _replay(service, args.dataset, specs, args.engine)
-            print(service.render_metrics(), end="")
+            print(render_top(service.snapshot(), title="repro serve"), end="")
             failed = [r for r in responses if not r.ok]
             print(f"requests         : {len(responses)} ({len(failed)} failed)")
             if service.incident_path:
@@ -408,7 +407,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         compiles = snap["counters"]["plan_compiles"]
         plan_hit_rate = 1.0 - compiles / completed if completed else 0.0
         cached_mean = snap["latency_ms"]["mean"]
-        print(service.render_metrics(), end="")
+        print(render_top(snap, title="repro serve"), end="")
 
     with build_service(cached=False) as service:
         service.register_graph(args.dataset, graph)
@@ -542,10 +541,9 @@ def _serve_chaos(
                 exact += 1
             else:
                 mismatched += 1
-        print(service.render_metrics(), end="")
         snap = service.snapshot()
+        print(render_top(snap, title="repro serve"), end="")
     c = snap["counters"]
-    res = snap.get("resilience", {})
     print(
         f"requests          : {total} total — {exact} exact-count, "
         f"{typed} typed-error, {mismatched} count-mismatch, "
@@ -561,8 +559,8 @@ def _serve_chaos(
         f"{c['resumed']} resumes, {c['quarantined']} quarantined"
     )
     print(
-        f"breakers          : {res.get('breaker_opens', 0)} opens, "
-        f"{res.get('breaker_rejections', 0)} shed at submit"
+        f"breakers          : {c['breaker_opens']} opens, "
+        f"{c['breaker_rejected']} shed at submit"
     )
     incident = service.incident_path
     print(f"incident          : {incident if incident else '(none)'}")
@@ -576,24 +574,9 @@ def _serve_chaos(
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    """``repro top``: render the live ops console.
-
-    Two attachment modes: ``--tail FILE`` parses a dumped metrics file
-    (influx line protocol or TSV) back into a console frame, for a serve
-    process this CLI did not start; without it, a short workload is
-    driven in-process and a frame is rendered after each batch — the
-    "screenshot" mode used by the README and the CI ops-smoke job.
-    """
-    from repro.obs.console import render_top, snapshot_from_flat, tail_metrics
-
-    if args.tail:
-        frame = render_top(
-            snapshot_from_flat(tail_metrics(args.tail)),
-            title=f"repro top (tail: {args.tail})",
-        )
-        print(frame, end="")
-        return 0
-
+    """``repro top``: drive a short workload in-process and render one
+    frame of the service report after each batch — the "screenshot" mode
+    used by the README and the CI ops-smoke job."""
     from repro.serve import MatchService, ServeConfig
 
     patterns = [p.strip() for p in args.patterns.split(",") if p.strip()]
@@ -620,7 +603,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
                 for i in range(per_frame)
             ]
             _replay(service, args.dataset, specs, args.engine)
-            snap = service.ops_snapshot()
+            snap = service.snapshot()
             alerted = alerted or bool(snap["alerts"])
             print(
                 render_top(
@@ -715,7 +698,7 @@ def _cmd_delta(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one matching run: spans + metrics snapshot (+ Chrome JSON)."""
+    """Profile one matching run: spans + its metrics (+ Chrome JSON)."""
     from repro.obs import Observability, to_chrome
 
     obs = Observability(tracing=True, sample_every=args.sample_every)
@@ -737,29 +720,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(obs.tracer.summary())
     print()
     print("--- metrics snapshot ---")
-    metrics = result.metrics or obs.flat()
-    for name, value in metrics.items():
+    for name, value in sorted(result.metrics.items()):
         print(f"{name:<28} {value}")
-    # Consistency: the registry's steal/timeout counters must equal the
-    # values reported on the MatchResult for the same deterministic run.
-    m_timeouts = metrics.get("warp.timeouts")
-    m_steals = metrics.get("warp.steals")
-    consistent = m_timeouts == result.timeouts and m_steals == result.steals
-    print()
-    print(
-        f"consistency      : metrics timeouts/steals = "
-        f"{m_timeouts}/{m_steals}, result = "
-        f"{result.timeouts}/{result.steals} "
-        f"({'OK' if consistent else 'MISMATCH'})"
-    )
     if args.trace:
+        print()
         with open(args.trace, "w") as fh:
             json.dump(to_chrome(obs.tracer.spans()), fh)
         print(
             f"trace            : {len(obs.tracer)} spans -> {args.trace} "
             f"(open in chrome://tracing or ui.perfetto.dev)"
         )
-    return 0 if consistent and not result.failed else 1
+    return 1 if result.failed else 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -964,10 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="live ops console: qps, latency percentiles, queue, caches, "
              "breakers, shard utilization, SLO burn rates",
     )
-    top_p.add_argument("--tail", default=None, metavar="FILE",
-                       help="render from a dumped metrics file (influx "
-                            "line protocol or TSV) instead of driving an "
-                            "in-process workload")
     top_p.add_argument("--dataset", default="dblp", choices=list(DATASETS))
     top_p.add_argument("--patterns", default="P1,P2",
                        help="comma-separated pattern names to cycle")

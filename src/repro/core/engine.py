@@ -21,7 +21,7 @@ from repro.alloc.stack import (
 )
 from repro.core.config import RunContext, StackMode, Strategy, TDFSConfig
 from repro.core.edge_filter import host_prefilter
-from repro.core.result import MatchResult, QueueStats, RecoveryStats
+from repro.core.result import MatchResult, RecoveryStats
 from repro.core.warp_matcher import MatchJob
 from repro.errors import (
     DeviceError,
@@ -32,7 +32,6 @@ from repro.errors import (
 from repro.gpusim.device import VirtualGPU
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DEFAULT_DEVICE_MEMORY
-from repro.obs import Observability
 from repro.query.pattern import QueryGraph
 from repro.query.plan import MatchingPlan, compile_plan
 from repro.taskqueue.ring import LockFreeTaskQueue
@@ -79,18 +78,27 @@ class TDFSEngine:
         if self.config.num_gpus > 1:
             from repro.core.multi_gpu import run_multi_gpu
 
-            return run_multi_gpu(
+            result = run_multi_gpu(
                 graph, plan, self, self.config.num_gpus, collect_matches
             )
-        if self.config.shards > 1:
+        elif self.config.shards > 1:
             from repro.shard.coordinator import ShardCoordinator
 
             # The compiled plan is passed down so portfolio resolution
             # happens exactly once, here in the coordinating process.
-            return ShardCoordinator(self).run(graph, plan, collect_matches)
-        return self._run_single(
-            graph, plan, [(graph.directed_edge_array(), 2)], "gpu0", collect_matches
-        )
+            result = ShardCoordinator(self).run(graph, plan, collect_matches)
+        else:
+            result = self._run_single(
+                graph, plan, [(graph.directed_edge_array(), 2)], "gpu0", collect_matches
+            )
+        return self._finished(result)
+
+    def _finished(self, result: MatchResult) -> MatchResult:
+        """The one way a run's statistics reach a caller's registry:
+        ``result.metrics`` stays this run alone, ``ctx.obs`` accumulates."""
+        if self.ctx.obs is not None:
+            self.ctx.obs.registry.fold(result.metrics)
+        return result
 
     def run_resume(
         self,
@@ -121,7 +129,7 @@ class TDFSEngine:
         result.resumed = True
         result.resume_rows = pending_rows(groups)
         result.resume_base_count = int(base_count)
-        return result
+        return self._finished(result)
 
     def compile(
         self,
@@ -197,8 +205,8 @@ class TDFSEngine:
         :data:`repro.faults.recovery.WorkGroup`) — is the entire workload.
         ``recovered`` marks groups that come out of a recovery snapshot
         (resume, retry, failover) rather than the initial-task space: such
-        rows already encode what host prefiltering and a hybrid BFS phase
-        would produce, so both are skipped.  With ``ctx.retry`` set,
+        rows already encode what host prefiltering would produce, so it is
+        skipped.  With ``ctx.retry`` set,
         failed attempts are retried from their own snapshots under the
         policy's degradation ladder; without it, behaviour is exactly the
         classic single-attempt run.
@@ -259,7 +267,6 @@ class TDFSEngine:
         fatal: Optional[BaseException] = None
         try:
             gpu.memory.allocate(graph.memory_bytes(), tag="csr-graph")
-            result.memory.graph_bytes = graph.memory_bytes()
             self._execute(
                 gpu,
                 graph,
@@ -275,7 +282,7 @@ class TDFSEngine:
             result.error = "OOM"
             result.count = 0
             result.elapsed_cycles = gpu.scheduler.now
-            result.memory.device_peak_bytes = gpu.memory.peak
+            result.metrics["mem.device_bytes.peak"] = gpu.memory.peak
             fatal = exc
         except StackLevelOverflowError as exc:
             result.error = "STACK_OVERFLOW"
@@ -442,23 +449,6 @@ class TDFSEngine:
         """Hook: construct the warp job (EGSM substitutes its own)."""
         return MatchJob(**kwargs)
 
-    def _initial_work(
-        self,
-        gpu: VirtualGPU,
-        graph: CSRGraph,
-        plan: MatchingPlan,
-        groups: list,
-        result: MatchResult,
-    ) -> tuple[list, int]:
-        """Hook: turn the initial-task groups into the DFS warps' work.
-
-        Returns ``(groups, device_cycles)``.  The default is the paper's
-        pipeline — the directed-edge rows as they are, no extra cost.  The
-        hybrid engine overrides this with a BFS phase that returns one
-        group of deeper prefixes.  Not called for recovered work.
-        """
-        return groups, 0
-
     def _execute(
         self,
         gpu: VirtualGPU,
@@ -472,10 +462,6 @@ class TDFSEngine:
         job_sink: Optional[list] = None,
     ) -> None:
         cfg, ctx = self.config, self.ctx
-        # Per-run observability: a caller-provided bundle accumulates across
-        # runs (profile/serve); otherwise a fresh registry makes
-        # ``result.metrics`` an exact snapshot of this run alone.
-        obs = ctx.obs if ctx.obs is not None else Observability()
         host_cycles = 0
         prefiltered = self.host_filter and not recovered
         if prefiltered:
@@ -489,24 +475,16 @@ class TDFSEngine:
                 host_cycles += cycles
                 filtered.append((rows, width))
             groups = filtered
-        result.host_preprocess_cycles = host_cycles
+            result.metrics["engine.host_cycles"] = host_cycles
         pre_cycles, job_extra = self._pre_kernel(gpu, graph, plan, result)
-        phase_cycles = 0
-        if not recovered:
-            groups, phase_cycles = self._initial_work(
-                gpu, graph, plan, groups, result
-            )
-        start_time = host_cycles + pre_cycles + phase_cycles
+        start_time = host_cycles + pre_cycles
 
         queue: Optional[LockFreeTaskQueue] = None
         if cfg.strategy is Strategy.TIMEOUT:
             queue = LockFreeTaskQueue(
-                capacity_ints=cfg.queue_capacity_tasks * 3,
-                cost=cfg.cost,
-                registry=obs.registry,
+                capacity_ints=cfg.queue_capacity_tasks * 3, cost=cfg.cost
             )
             gpu.memory.allocate(queue.memory_bytes(), tag="task-queue")
-            result.memory.queue_bytes = queue.memory_bytes()
             if injector is not None:
                 injector.attach_queue(queue)
 
@@ -524,7 +502,6 @@ class TDFSEngine:
             factory = paged_level_factory(
                 allocator, cfg.page_table_size, cfg.release_pages
             )
-            result.memory.arena_bytes = allocator.arena_bytes()
             child_stack_bytes = 0  # children draw from the shared arena
         elif cfg.stack_mode is StackMode.ARRAY_DMAX:
             capacity = max(graph.max_degree, 1)
@@ -556,7 +533,7 @@ class TDFSEngine:
             prefiltered=prefiltered,
             child_stack_bytes=child_stack_bytes,
             collect_limit=collect_matches,
-            tracer=obs.tracer,
+            tracer=ctx.obs.tracer if ctx.obs is not None else None,
             device=_device_index(gpu.name),
             **job_extra,
         )
@@ -579,63 +556,52 @@ class TDFSEngine:
             result.matches = plan.by_query_vertex(job.collected)
         result.elapsed_cycles = gpu.finish_time
         result.num_gpus = 1
-        self._account(result, job, gpu, queue, allocator, obs)
+        self._account(result, job, gpu, queue, allocator)
 
-    def _account(self, result, job, gpu, queue, allocator, obs) -> None:
-        """Hook: fold the finished run's statistics — everything but the
-        count, the matches and the elapsed cycles — into ``result`` and
-        publish them into the obs registry.  A caller that reads none of
-        them (the incremental matcher's anchored runs) overrides this."""
+    def _account(self, result, job, gpu, queue, allocator) -> None:
+        """Hook: write the finished run's statistics — everything but the
+        count, the matches and the elapsed cycles — into
+        ``result.metrics``, each value once (the typed attributes are views
+        over it, see :data:`repro.core.result.METRIC_VIEWS`).  A caller
+        that reads none of them (the incremental matcher's anchored runs)
+        overrides this."""
         result.overflowed = job.overflowed()
         agg = gpu.total_stats()
-        result.busy_cycles = agg.busy_cycles
-        result.idle_cycles = agg.idle_cycles
-        result.timeouts = agg.timeouts
-        result.steals = agg.steals
-        result.chunks_fetched = agg.chunks
-        result.kernel_launches = gpu.kernel_launches
-        result.load_imbalance = gpu.load_imbalance()
-        result.matches_per_warp_max = max(
-            (w.stats.matches for w in gpu.warps), default=0
+        result.metrics.update(
+            {
+                "engine.matches": job.count,
+                "engine.intersections": job.intersections,
+                "engine.reuse_hits": job.reuse_hits,
+                "engine.kernel_launches": gpu.kernel_launches,
+                "warp.timeouts": agg.timeouts,
+                "warp.steals": agg.steals,
+                "warp.chunks_fetched": agg.chunks,
+                "warp.load_imbalance.peak": gpu.load_imbalance(),
+                "warp.matches.peak": max(
+                    (w.stats.matches for w in gpu.warps), default=0
+                ),
+                "sim.events": gpu.scheduler.events,
+                "sim.busy_cycles": agg.busy_cycles,
+                "sim.idle_cycles": agg.idle_cycles,
+                "mem.graph_bytes": job.graph.memory_bytes(),
+                "mem.stack_bytes": job.stack_bytes(),
+                "mem.device_bytes.peak": gpu.memory.peak,
+            }
         )
         if queue is not None:
-            result.queue = QueueStats(
-                enqueued=queue.enqueued,
-                dequeued=queue.dequeued,
-                enqueue_failures=queue.enqueue_failures,
-                dequeue_failures=queue.dequeue_failures,
-                peak_tasks=queue.peak_tasks,
+            result.metrics.update(
+                {
+                    "queue.enqueued": queue.enqueued,
+                    "queue.dequeued": queue.dequeued,
+                    "queue.enqueue_failures": queue.enqueue_failures,
+                    "queue.dequeue_failures": queue.dequeue_failures,
+                    "queue.occupancy.peak": queue.peak_tasks,
+                    "mem.queue_bytes": queue.memory_bytes(),
+                }
             )
-        result.intersections = job.intersections
-        result.reuse_hits = job.reuse_hits
-        mem = result.memory
-        mem.stack_bytes = job.stack_bytes()
-        mem.device_peak_bytes = gpu.memory.peak
         if allocator is not None:
-            mem.pages_allocated = allocator.peak_in_use
-
-        reg = obs.registry
-        reg.counter("engine.matches").inc(job.count)
-        reg.counter("engine.intersections").inc(job.intersections)
-        reg.counter("engine.reuse_hits").inc(job.reuse_hits)
-        reg.counter("engine.kernel_launches").inc(gpu.kernel_launches)
-        reg.counter("warp.timeouts").inc(agg.timeouts)
-        reg.counter("warp.steals").inc(agg.steals)
-        reg.counter("warp.chunks_fetched").inc(agg.chunks)
-        reg.counter("warp.tasks_enqueued").inc(agg.tasks_enqueued)
-        reg.counter("warp.tasks_dequeued").inc(agg.tasks_dequeued)
-        reg.counter("sim.busy_cycles").inc(agg.busy_cycles)
-        reg.counter("sim.idle_cycles").inc(agg.idle_cycles)
-        gpu.scheduler.publish(reg)
-        if queue is not None:
-            queue.publish(reg)
-        if allocator is not None:
-            allocator.publish(reg)
-        mem_gauge = reg.gauge("mem.device_bytes")
-        mem_gauge.set(gpu.memory.used)
-        mem_gauge.set_peak(gpu.memory.peak)
-        reg.gauge("mem.stack_bytes").set(mem.stack_bytes)
-        result.metrics = reg.flat()
+            result.metrics["mem.arena_bytes"] = allocator.arena_bytes()
+            result.metrics["alloc.pages_in_use.peak"] = allocator.peak_in_use
 
 
 def _device_index(gpu_name: str) -> int:
@@ -715,10 +681,9 @@ def _engine_registry() -> dict[str, type]:
         from repro.baselines.egsm import EGSMEngine
         from repro.baselines.pbe import PBEEngine
         from repro.baselines.stmatch import STMatchEngine
-        from repro.core.hybrid import HybridEngine
 
         _ENGINES.update(
             tdfs=TDFSEngine, stmatch=STMatchEngine, egsm=EGSMEngine,
-            pbe=PBEEngine, cpu=CPUEngine, hybrid=HybridEngine,
+            pbe=PBEEngine, cpu=CPUEngine,
         )
     return _ENGINES

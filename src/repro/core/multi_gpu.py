@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.core.result import MatchResult, RecoveryStats
 from repro.faults.recovery import WorkGroup, pending_rows, reshard_groups
 from repro.graph.csr import CSRGraph
+from repro.obs.registry import fold_metrics
 from repro.query.plan import MatchingPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,19 +63,13 @@ def run_multi_gpu(
         free_at[g] = result.elapsed_cycles
         return result
 
-    merged = fan_out(
+    return fan_out(
         [[(edges[g::num_gpus], 2)] for g in range(num_gpus)],
         run_part,
         collect_matches,
         num_gpus=num_gpus,
         failover=engine.ctx.retry is not None,
     )
-    if engine.ctx.obs is not None:
-        # A shared obs bundle already accumulated every device's publish;
-        # its snapshot is authoritative (summing per-device snapshots of
-        # the same registry would double-count).
-        merged.metrics = engine.ctx.obs.flat()
-    return merged
 
 
 def fan_out(
@@ -151,26 +146,10 @@ def fan_out(
     return merged
 
 
-def _merge_metrics(per_gpu_metrics: list) -> dict:
-    """Combine per-device obs snapshots: sums, except ``.peak`` keys (max).
-
-    Counters and cycle totals add across devices; high-water marks are
-    per-device levels, so the fleet peak is the max.
-    """
-    merged: dict = {}
-    for metrics in per_gpu_metrics:
-        if not metrics:
-            continue
-        for key, value in metrics.items():
-            if key in merged and key.endswith(".peak"):
-                merged[key] = max(merged[key], value)
-            else:
-                merged[key] = merged.get(key, 0) + value
-    return merged or None
-
-
 def merge_results(per_gpu: list[MatchResult], num_gpus: int) -> MatchResult:
-    """Combine per-device results: counts sum, makespan is the max."""
+    """Combine per-part results: counts sum, makespan is the max, every
+    statistic folds by :func:`~repro.obs.registry.fold_metrics` (sums,
+    ``.peak`` keys max)."""
     first = per_gpu[0]
     merged = MatchResult(
         engine=first.engine,
@@ -189,26 +168,9 @@ def merge_results(per_gpu: list[MatchResult], num_gpus: int) -> MatchResult:
         # Aggregate every device's failure, not just the first one.
         merged.error = " | ".join(f"gpu{g}: {e}" for g, e in errors)
     merged.overflowed = any(r.overflowed for r in per_gpu)
-    merged.host_preprocess_cycles = sum(r.host_preprocess_cycles for r in per_gpu)
-    merged.busy_cycles = sum(r.busy_cycles for r in per_gpu)
-    merged.idle_cycles = sum(r.idle_cycles for r in per_gpu)
-    merged.timeouts = sum(r.timeouts for r in per_gpu)
-    merged.steals = sum(r.steals for r in per_gpu)
-    merged.chunks_fetched = sum(r.chunks_fetched for r in per_gpu)
-    merged.kernel_launches = sum(r.kernel_launches for r in per_gpu)
-    merged.intersections = sum(r.intersections for r in per_gpu)
-    merged.reuse_hits = sum(r.reuse_hits for r in per_gpu)
-    merged.metrics = _merge_metrics([r.metrics for r in per_gpu])
+    for r in per_gpu:
+        fold_metrics(merged.metrics, r.metrics)
+        merged.recovery.merge(r.recovery)
     spans = [s for r in per_gpu for s in (r.op_spans or [])]
     merged.op_spans = spans or None
-    merged.load_imbalance = max(r.load_imbalance for r in per_gpu)
-    merged.queue.enqueued = sum(r.queue.enqueued for r in per_gpu)
-    merged.queue.dequeued = sum(r.queue.dequeued for r in per_gpu)
-    merged.queue.peak_tasks = max(r.queue.peak_tasks for r in per_gpu)
-    merged.memory.stack_bytes = sum(r.memory.stack_bytes for r in per_gpu)
-    merged.memory.device_peak_bytes = max(
-        r.memory.device_peak_bytes for r in per_gpu
-    )
-    for r in per_gpu:
-        merged.recovery.merge(r.recovery)
     return merged

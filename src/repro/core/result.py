@@ -8,30 +8,70 @@ from typing import Optional
 from repro.gpusim.costmodel import CYCLES_PER_MS
 
 
-@dataclass
-class QueueStats:
-    """``Q_task`` counters for one run."""
+#: Typed view → key in :attr:`MatchResult.metrics`.  The one place an
+#: attribute name is tied to a metric name: ``result.timeouts`` reads
+#: ``metrics["warp.timeouts"]``, ``result.queue.peak_tasks`` reads
+#: ``metrics["queue.occupancy.peak"]``.  Keys ending ``.peak`` are levels
+#: (merged by max), everything else adds — see
+#: :func:`repro.obs.registry.fold_metrics`.
+METRIC_VIEWS: dict[str, str] = {
+    "timeouts": "warp.timeouts",
+    "steals": "warp.steals",
+    "chunks_fetched": "warp.chunks_fetched",
+    "load_imbalance": "warp.load_imbalance.peak",
+    "matches_per_warp_max": "warp.matches.peak",
+    "busy_cycles": "sim.busy_cycles",
+    "idle_cycles": "sim.idle_cycles",
+    "kernel_launches": "engine.kernel_launches",
+    "intersections": "engine.intersections",
+    "reuse_hits": "engine.reuse_hits",
+    "host_preprocess_cycles": "engine.host_cycles",
+    "queue.enqueued": "queue.enqueued",
+    "queue.dequeued": "queue.dequeued",
+    "queue.enqueue_failures": "queue.enqueue_failures",
+    "queue.dequeue_failures": "queue.dequeue_failures",
+    "queue.peak_tasks": "queue.occupancy.peak",
+    "memory.stack_bytes": "mem.stack_bytes",
+    "memory.arena_bytes": "mem.arena_bytes",
+    "memory.queue_bytes": "mem.queue_bytes",
+    "memory.graph_bytes": "mem.graph_bytes",
+    "memory.device_peak_bytes": "mem.device_bytes.peak",
+    "memory.pages_allocated": "alloc.pages_in_use.peak",
+}
 
-    enqueued: int = 0
-    dequeued: int = 0
-    enqueue_failures: int = 0
-    dequeue_failures: int = 0
-    peak_tasks: int = 0
+#: What a view reads when its run never wrote the key (anything else: 0).
+_UNWRITTEN = {"warp.load_imbalance.peak": 1.0}
 
 
-@dataclass
-class MemoryStats:
-    """Device-memory figures for one run (Tables V & VII)."""
+def _read(metrics: dict, view: str):
+    key = METRIC_VIEWS[view]
+    return metrics.get(key, _UNWRITTEN.get(key, 0))
 
-    stack_bytes: int = 0
-    """Total stack footprint across warps (pages held + page tables, or the
-    preallocated arrays for array modes)."""
-    arena_bytes: int = 0
-    """Reserved Ouroboros arena (paged mode only)."""
-    queue_bytes: int = 0
-    graph_bytes: int = 0
-    device_peak_bytes: int = 0
-    pages_allocated: int = 0
+
+class _StatsView:
+    """Read-only attribute view of one group of :data:`METRIC_VIEWS` —
+    ``result.queue`` (``Q_task`` counters) and ``result.memory``
+    (device-memory figures, Tables V & VII)."""
+
+    __slots__ = ("_metrics", "_group")
+
+    def __init__(self, metrics: dict, group: str) -> None:
+        self._metrics = metrics
+        self._group = group
+
+    def __getattr__(self, name: str):
+        try:
+            return _read(self._metrics, f"{self._group}.{name}")
+        except KeyError:
+            raise AttributeError(f"no {self._group} statistic {name!r}") from None
+
+    def to_dict(self) -> dict:
+        prefix = self._group + "."
+        return {
+            view[len(prefix) :]: _read(self._metrics, view)
+            for view in METRIC_VIEWS
+            if view.startswith(prefix)
+        }
 
 
 @dataclass
@@ -111,23 +151,12 @@ class MatchResult:
     """When enumeration was requested: matches as tuples of data-vertex ids
     indexed by *query vertex id* (capped at the requested limit)."""
 
-    # detailed accounting
-    matches_per_warp_max: int = 0
-    busy_cycles: int = 0
-    idle_cycles: int = 0
-    load_imbalance: float = 1.0
-    timeouts: int = 0
-    steals: int = 0
-    kernel_launches: int = 0
-    chunks_fetched: int = 0
-    intersections: int = 0
-    """Adjacency-list intersection operations performed (set ops)."""
-    reuse_hits: int = 0
-    """Intersections answered from the plan's reuse cache."""
-    metrics: Optional[dict] = field(default=None, repr=False)
-    """Flat observability snapshot (``repro.obs`` registry ``flat()``
-    schema) taken at the end of the run."""
-    host_preprocess_cycles: int = 0
+    metrics: dict = field(default_factory=dict, repr=False)
+    """The run's statistics — *exactly this run*, its only store: a flat
+    ``name -> number`` dict written once by the engine (or folded from
+    the parts by :func:`repro.core.multi_gpu.merge_results`).  Every typed
+    statistic (``timeouts``, ``steals``, ``queue.enqueued``, …) is a
+    read-only view over it, declared in :data:`METRIC_VIEWS`."""
     resumed: bool = False
     """True when this result continued a checkpointed run instead of
     starting from scratch (see :meth:`TDFSEngine.run_resume`)."""
@@ -135,8 +164,6 @@ class MatchResult:
     """Work rows in the resumed frontier (0 on a from-scratch run)."""
     resume_base_count: int = 0
     """Matches carried over from the checkpoint; included in ``count``."""
-    queue: QueueStats = field(default_factory=QueueStats)
-    memory: MemoryStats = field(default_factory=MemoryStats)
     recovery: RecoveryStats = field(default_factory=RecoveryStats)
     pending_work: Optional[list] = field(default=None, repr=False)
     """On terminal failure with recovery armed: the snapshot of unfinished
@@ -147,6 +174,20 @@ class MatchResult:
     :class:`repro.obs.TraceContext` was threaded through the config — how
     spans from shard worker processes travel back to the coordinator for
     stitching (see :mod:`repro.obs.ops`)."""
+
+    @property
+    def queue(self) -> _StatsView:
+        """``Q_task`` counters: ``enqueued``, ``dequeued``,
+        ``enqueue_failures``, ``dequeue_failures``, ``peak_tasks``."""
+        return _StatsView(self.metrics, "queue")
+
+    @property
+    def memory(self) -> _StatsView:
+        """Device-memory figures: ``stack_bytes`` (pages held + page
+        tables, or the preallocated arrays), ``arena_bytes`` (reserved
+        Ouroboros arena), ``queue_bytes``, ``graph_bytes``,
+        ``device_peak_bytes``, ``pages_allocated`` (peak pages in use)."""
+        return _StatsView(self.metrics, "memory")
 
     @property
     def elapsed_ms(self) -> float:
@@ -198,20 +239,8 @@ class MatchResult:
             "busy_cycles": self.busy_cycles,
             "idle_cycles": self.idle_cycles,
             "host_preprocess_ms": self.host_preprocess_cycles / CYCLES_PER_MS,
-            "queue": {
-                "enqueued": self.queue.enqueued,
-                "dequeued": self.queue.dequeued,
-                "enqueue_failures": self.queue.enqueue_failures,
-                "peak_tasks": self.queue.peak_tasks,
-            },
-            "memory": {
-                "stack_bytes": self.memory.stack_bytes,
-                "arena_bytes": self.memory.arena_bytes,
-                "queue_bytes": self.memory.queue_bytes,
-                "graph_bytes": self.memory.graph_bytes,
-                "device_peak_bytes": self.memory.device_peak_bytes,
-                "pages_allocated": self.memory.pages_allocated,
-            },
+            "queue": self.queue.to_dict(),
+            "memory": self.memory.to_dict(),
             "num_matches_collected": len(self.matches) if self.matches else 0,
             "recovery": self.recovery.to_dict(),
             "resume": {
@@ -241,3 +270,15 @@ class MatchResult:
             f"{self.count} matches in {self.elapsed_ms:.3f} ms "
             f"(imbalance {self.load_imbalance:.2f}){flag}"
         )
+
+
+def _view(name: str) -> property:
+    return property(
+        lambda self: _read(self.metrics, name),
+        doc=f"Read-only view of ``metrics[{METRIC_VIEWS[name]!r}]``.",
+    )
+
+
+for _name in METRIC_VIEWS:
+    if "." not in _name:
+        setattr(MatchResult, _name, _view(_name))

@@ -138,8 +138,8 @@ class MatchJob:
         self._labeled = plan.is_labeled and graph.is_labeled
         #: The job's whole workload as ``(rows, width)`` work groups (see
         #: :data:`repro.faults.recovery.WorkGroup`): width 2 for edge tasks
-        #: (the paper's default), deeper prefixes when a hybrid BFS phase or
-        #: a recovery snapshot seeds the DFS.  Warps claim them in order,
+        #: (the paper's default), deeper prefixes when a recovery snapshot
+        #: seeds the DFS.  Warps claim them in order,
         #: ``chunk_size`` rows at a time; ``(_group, _cursor)`` always points
         #: at an unclaimed row, or ``_group == len(groups)`` when none is left.
         self.groups: list = [
@@ -179,7 +179,7 @@ class MatchJob:
         #: on ``tracer.enabled`` and evaluates nothing when tracing is off.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.device = int(device)
-        #: Set-operation accounting (published into the obs registry).
+        #: Set-operation accounting (``engine.*`` keys of ``result.metrics``).
         self.intersections = 0
         self.reuse_hits = 0
         #: Kernel backend (see :mod:`repro.kernels`): computes candidate
@@ -311,7 +311,6 @@ class MatchJob:
                 warp.charge(cycles)
                 if task is not None:
                     self._validate_task(task)
-                    warp.stats.tasks_dequeued += 1
                     yield from self._work(warp, st, self._process_task(warp, st, task))
                     continue
             # Priority 2: fetch the next chunk of work rows.
@@ -393,7 +392,7 @@ class MatchJob:
         """Process a chunk of initial work rows (Algorithm 4 lines 4–6).
 
         Rows are edges (width 2) in the standard pipeline, or deeper
-        prefixes when a hybrid BFS phase seeded the DFS.  With a ``block``,
+        prefixes when a recovery snapshot seeded the DFS.  With a ``block``,
         row ``i`` of ``edges`` is the block's slot ``slot + i`` (a thief's
         stolen half comes without one and takes the scalar path).
         """
@@ -931,7 +930,6 @@ class MatchJob:
                     self._span(warp, "steal", span0, warp.now)
                 return False
             self._journal_add(task)
-            warp.stats.tasks_enqueued += 1
             st.iters[pos] += 1
         if self.tracer.enabled:
             self._span(warp, "steal", span0, warp.now)
@@ -955,7 +953,6 @@ class MatchJob:
                     self._span(warp, "steal", span0, warp.now)
                 return False
             self._journal_add(task)
-            warp.stats.tasks_enqueued += 1
             st.chunk_pos += 1
         if self.tracer.enabled:
             self._span(warp, "steal", span0, warp.now)

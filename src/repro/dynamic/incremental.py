@@ -150,8 +150,7 @@ class IncrementalMatcher:
     the anchored runs inherit (strategy, τ, stacks, kernel backend…).
     Thresholds come from ``config.incremental`` when set, else
     :class:`IncrementalConfig` defaults.  ``ctx`` wires the full re-match
-    fallback and receives the ``dynamic.*`` counters; the anchored runs
-    themselves are plain runs.
+    fallback; the anchored runs themselves are plain runs.
     """
 
     def __init__(
@@ -200,8 +199,8 @@ class IncrementalMatcher:
         reason = None
         if engine != "tdfs":
             # Baseline engines seed initial tasks differently (STMatch
-            # re-filters them on the host, Hybrid re-plans the split), so
-            # anchored seeding only matches tdfs semantics.
+            # re-filters them on the host), so anchored seeding only
+            # matches tdfs semantics.
             reason = "engine-not-tdfs"
         elif base_count is None:
             reason = "no-cached-base"
@@ -248,7 +247,6 @@ class IncrementalMatcher:
             out.elapsed_cycles = result.elapsed_cycles
             out.result = result
         out.host_ms = (time.perf_counter() - t0) * 1000.0
-        self._publish(out)
         return out
 
     # ------------------------------------------------------------------ #
@@ -256,7 +254,7 @@ class IncrementalMatcher:
     def _anchor_engine(self) -> _AnchorEngine:
         """The engine every anchored run of one delta goes through:
         single-device, symmetry handled at plan level, and a default
-        context — no recovery machinery, a private registry.  An engine
+        context — no recovery machinery, no statistics.  An engine
         keeps no state between runs, so each run still starts a fresh
         device at virtual time 0."""
         return _AnchorEngine(
@@ -327,9 +325,11 @@ class IncrementalMatcher:
 
         The count is exact (conformance-tested against full re-match); the
         cycle figure is the anchored runs' total — the work actually done —
-        not what a from-scratch run would have cost.
+        not what a from-scratch run would have cost.  It carries no
+        statistics: the delta's own figures (``gained``, ``lost``,
+        ``anchored_tasks``) live on the :class:`DeltaCount`.
         """
-        result = MatchResult(
+        return MatchResult(
             engine="tdfs",
             graph_name=new_graph.name,
             query_name=query.name,
@@ -338,24 +338,3 @@ class IncrementalMatcher:
             aut_size=automorphism_group_size(query),
             symmetry_enabled=self.config.enable_symmetry,
         )
-        result.metrics = {
-            "dynamic.incremental_runs": 1,
-            "dynamic.anchored_tasks": out.anchored_tasks,
-            "dynamic.gained": out.gained,
-            "dynamic.lost": out.lost,
-        }
-        return result
-
-    def _publish(self, out: DeltaCount) -> None:
-        """Fold the outcome into the caller's obs registry (when given)."""
-        obs = self.ctx.obs
-        if obs is None:
-            return
-        reg = obs.registry
-        if out.incremental:
-            reg.counter("dynamic.incremental_runs").inc()
-            reg.counter("dynamic.anchored_tasks").inc(out.anchored_tasks)
-            reg.counter("dynamic.gained").inc(out.gained)
-            reg.counter("dynamic.lost").inc(out.lost)
-        else:
-            reg.counter("dynamic.fallbacks").inc()

@@ -30,8 +30,6 @@ class WarpStats:
     busy_cycles: int = 0
     idle_cycles: int = 0
     chunks: int = 0
-    tasks_dequeued: int = 0
-    tasks_enqueued: int = 0
     matches: int = 0
     steals: int = 0
     timeouts: int = 0
@@ -182,8 +180,6 @@ class VirtualGPU:
             agg.busy_cycles += s.busy_cycles
             agg.idle_cycles += s.idle_cycles
             agg.chunks += s.chunks
-            agg.tasks_dequeued += s.tasks_dequeued
-            agg.tasks_enqueued += s.tasks_enqueued
             agg.matches += s.matches
             agg.steals += s.steals
             agg.timeouts += s.timeouts

@@ -34,7 +34,6 @@ class Scheduler:
         self._seq = 0
         self.now = 0
         self.events = 0
-        self.completed = 0
         #: Fault-injection hooks (see :mod:`repro.faults`).  ``resume_hook``
         #: is consulted before each warp resumption and may return an
         #: exception to throw into the warp (a mid-task illegal access);
@@ -83,7 +82,6 @@ class Scheduler:
                         body.throw(exc)
                 spent = body.send(None)
             except StopIteration:
-                self.completed += 1
                 finisher = getattr(warp, "_on_finish", None)
                 if finisher is not None:
                     finisher(time)
@@ -105,13 +103,3 @@ class Scheduler:
             ):
                 self.pause_hook(self.now)
         return self.now
-
-    def publish(self, registry) -> None:
-        """Export scheduler totals into an obs registry (run end).
-
-        ``registry`` is a :class:`repro.obs.Registry`; duck-typed to keep
-        the simulator importable without the obs package.
-        """
-        registry.counter("sim.events").inc(self.events)
-        registry.counter("sim.warps_completed").inc(self.completed)
-        registry.gauge("sim.now_cycles").set(self.now)

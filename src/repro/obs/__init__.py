@@ -1,9 +1,9 @@
-"""repro.obs — unified observability: typed metrics, tracing, sinks.
+"""repro.obs — observability: typed metrics, tracing, the ops layer.
 
-One substrate shared by the simulator (`gpusim`), the task queue, the
-allocator, the matching engines, the serving layer, and the benchmark
-harness.  See DESIGN.md §8 for the instrument inventory, trace schema,
-and overhead policy.
+A run's statistics live in ``MatchResult.metrics`` (a flat dict, merged
+only by :func:`fold_metrics`); a service's in one ``Registry``.  See
+DESIGN.md §8 for the store, the fold rule, the snapshot and the checked
+name catalogue (``tests/golden/telemetry.tsv``).
 
 The usual entry point is :class:`Observability`, a bundle of one
 :class:`Registry` and one :class:`Tracer` that travels through a run:
@@ -13,9 +13,9 @@ The usual entry point is :class:`Observability`, a bundle of one
     print(obs.tracer.summary())
     json.dump(to_chrome(obs.tracer.spans()), open("trace.json", "w"))
 
-Tracing is off by default (``NULL_TRACER``); metrics publishing happens
-at run end from counters the hot paths already keep, so the
-disabled-by-default path changes no simulated behaviour.
+Tracing is off by default (``NULL_TRACER``).  A supplied bundle's registry
+*accumulates*: each finished run's ``result.metrics`` is folded into it
+(:meth:`Registry.fold`), while ``result.metrics`` stays that run alone.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .ops import (
     render_incident,
     write_incident,
 )
-from .registry import Counter, Gauge, Histogram, Registry, DEFAULT_BUCKETS
-from .sinks import LineProtocolSink, MemorySink, TSVSink
+from .registry import Counter, Gauge, Histogram, Registry, fold_metrics
 from .slo import SLO, OutcomeWindow, SLOStatus, SLOTracker
 from .tracer import NULL_TRACER, TraceContext, Tracer, make_span, to_chrome
 from .tracer import ascii_timeline, straggler_tail, utilization
@@ -42,10 +41,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Registry",
-    "DEFAULT_BUCKETS",
-    "MemorySink",
-    "TSVSink",
-    "LineProtocolSink",
+    "fold_metrics",
     "TraceContext",
     "Tracer",
     "NULL_TRACER",

@@ -1,177 +1,21 @@
-"""Live ops console: the ``repro top`` renderer and metric-sink tailing.
+"""The one text view of a service: the ``repro top`` frame.
 
-Two input paths feed one renderer:
+:meth:`repro.serve.MatchService.snapshot` is the one JSON view — counters,
+histograms, caches, breakers, SLOs, flight counts, shard utilization — and
+:func:`render_top` turns it into text.  ``repro serve`` (plain, ``--smoke``,
+``--chaos``, the SIGTERM drain report) and ``repro top`` all print it; an
+incident bundle carries the same snapshot for a process you cannot import.
 
-* **in-process** — :meth:`repro.serve.MatchService.ops_snapshot` hands a
-  full JSON dict (counters, histograms, caches, breakers, SLOs, flight
-  counts, shard utilization) straight to :func:`render_top`;
-* **sink tail** — a metrics file written by the serving layer (influx
-  line protocol from :meth:`ServeMetrics.line_protocol`, or the
-  ``results/`` TSV schema) is parsed by :func:`tail_metrics` into the
-  flat registry schema, lifted back into a snapshot-shaped dict by
-  :func:`snapshot_from_flat`, and rendered the same way — so ``repro
-  top --metrics serve.lp`` works on a process you cannot import.
-
-Everything is plain text and stdlib-only; the renderer is deliberately
-tolerant of missing keys so partial snapshots (a TSV with only counters,
-an old bundle) still render.
+Plain text, stdlib only; sections whose keys are absent (a bare
+:class:`~repro.serve.ServeMetrics` snapshot has no caches, SLOs or
+supervisor) are skipped.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.errors import ReproError
-
-__all__ = [
-    "flat_from_line_protocol",
-    "flat_from_tsv",
-    "render_top",
-    "shard_utilization",
-    "snapshot_from_flat",
-    "tail_metrics",
-]
-
-#: Histogram instruments under the ``serve.`` prefix (their flat keys are
-#: ``serve.<name>.<stat>``; everything else dotted is a gauge ``.peak``).
-_SERVE_HISTOGRAMS = (
-    "latency_ms",
-    "queue_wait_ms",
-    "batch_size",
-    "checkpoint_age_ms",
-    "planner_est_error",
-)
-_HIST_STATS = ("count", "mean", "p50", "p95", "p99", "max")
-
-
-# --------------------------------------------------------------------------- #
-# Sink tailing: metrics files -> the flat registry schema
-# --------------------------------------------------------------------------- #
-
-
-def _parse_value(text: str) -> float:
-    try:
-        f = float(text)
-    except ValueError:
-        return 0.0
-    return int(f) if f.is_integer() else f
-
-
-def flat_from_line_protocol(text: str) -> dict:
-    """Latest frame of an influx line-protocol dump as a flat dict.
-
-    Lines look like ``repro_serve,metric=serve.latency_ms.p95 value=8.4
-    1234``; when the file holds several emission batches, only the rows
-    of the newest timestamp survive (that is the "tail").
-    """
-    frames: dict[int, dict] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            head, fields, ts_text = line.rsplit(" ", 2)
-        except ValueError:
-            continue
-        metric = None
-        for part in head.split(",")[1:]:
-            if part.startswith("metric="):
-                metric = part[len("metric=") :].replace("\\ ", " ")
-                metric = metric.replace("\\,", ",").replace("\\=", "=")
-        if metric is None or not fields.startswith("value="):
-            continue
-        ts = int(_parse_value(ts_text))
-        frames.setdefault(ts, {})[metric] = _parse_value(
-            fields[len("value=") :]
-        )
-    if not frames:
-        return {}
-    return frames[max(frames)]
-
-
-def flat_from_tsv(text: str) -> dict:
-    """A ``metric<TAB>value`` TSV (the ``results/`` schema) as a flat dict."""
-    flat: dict = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) < 2 or parts[0] == "metric":
-            continue
-        flat[parts[0]] = _parse_value(parts[1])
-    return flat
-
-
-def tail_metrics(path: str) -> dict:
-    """Read a metrics file (line protocol or TSV) into the flat schema."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ReproError(f"cannot read metrics file {path!r}: {exc}") from None
-    body = "\n".join(
-        ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")
-    )
-    if "\t" in body:
-        return flat_from_tsv(text)
-    flat = flat_from_line_protocol(text)
-    if not flat:
-        raise ReproError(
-            f"{path!r} contains neither line-protocol nor TSV metric rows"
-        )
-    return flat
-
-
-def snapshot_from_flat(flat: dict) -> dict:
-    """Lift the flat registry schema into a snapshot-shaped dict.
-
-    Inverse (as far as possible) of ``Registry.flat()`` restricted to the
-    serve namespace: histograms regain their stat dicts, the queue-depth
-    gauge its peak, ``slo.*`` gauges their per-window burn maps.  qps and
-    cache hit rates are not in the registry, so they stay absent.
-    """
-    snap: dict = {"counters": {}, "queue": {}, "slos": [], "alerts": []}
-    hists: dict[str, dict] = {}
-    slos: dict[str, dict] = {}
-    for key, value in flat.items():
-        if key.startswith("serve."):
-            rest = key[len("serve.") :]
-            matched = False
-            for h in _SERVE_HISTOGRAMS:
-                if rest.startswith(h + "."):
-                    hists.setdefault(h, {})[rest[len(h) + 1 :]] = value
-                    matched = True
-                    break
-            if matched:
-                continue
-            if rest == "queue_depth":
-                snap["queue"]["depth"] = value
-            elif rest == "queue_depth.peak":
-                snap["queue"]["peak_depth"] = value
-            elif rest in ("breaker_open", "pool_size"):
-                snap[rest] = value
-            elif "." not in rest:
-                snap["counters"][rest] = value
-        elif key.startswith("slo.") and not key.endswith(".peak"):
-            rest = key[len("slo.") :]
-            if rest.endswith(".alert"):
-                name = rest[: -len(".alert")]
-                slos.setdefault(name, {"name": name, "burn_rates": {}})[
-                    "alerting"
-                ] = bool(value)
-            elif ".burn." in rest:
-                name, label = rest.split(".burn.", 1)
-                slos.setdefault(name, {"name": name, "burn_rates": {}})[
-                    "burn_rates"
-                ][label] = value
-    for name, stats in hists.items():
-        snap[name] = {s: stats.get(s, 0) for s in _HIST_STATS}
-    snap["slos"] = [slos[n] for n in sorted(slos)]
-    snap["alerts"] = sorted(
-        n for n, s in slos.items() if s.get("alerting")
-    )
-    return snap
+__all__ = ["render_top", "shard_utilization"]
 
 
 # --------------------------------------------------------------------------- #
@@ -219,63 +63,106 @@ def _hist_line(h: Optional[dict]) -> str:
 
 
 def render_top(snap: dict, title: str = "repro top") -> str:
-    """One frame of the live ops console as text.
+    """One frame of the service report as text.
 
-    ``snap`` is a :meth:`MatchService.ops_snapshot` dict or the output of
-    :func:`snapshot_from_flat`; every section degrades gracefully when
-    its keys are absent.
+    ``snap`` is a :meth:`MatchService.snapshot` dict (or the ``metrics`` of
+    an incident bundle, which is one); sections whose keys are absent are
+    skipped or read as zero.
     """
     c = snap.get("counters") or {}
     q = snap.get("queue") or {}
+
+    def n(name: str) -> int:
+        return c.get(name, 0)
+
     lines = [f"=== {title} ==="]
     if "uptime_s" in snap:
         drain = "yes" if snap.get("draining") else "no"
         lines.append(
             f"uptime            : {snap['uptime_s']:.2f} s (draining: {drain})"
         )
-    if "qps" in snap or "qps_60s" in snap:
-        qps = snap.get("qps")
-        qps60 = snap.get("qps_60s")
-        parts = []
-        if qps is not None:
-            parts.append(f"{qps:.1f} req/s all-time")
-        if qps60 is not None:
-            parts.append(f"{qps60:.1f} req/s (60s)")
-        lines.append(f"throughput        : {', '.join(parts)}")
+    rates = [
+        f"{snap[key]:.1f} req/s {label}"
+        for key, label in (("qps", "all-time"), ("qps_60s", "(60s)"))
+        if snap.get(key) is not None
+    ]
+    if rates:
+        lines.append(f"throughput        : {', '.join(rates)}")
     lines.append(
         "requests          : "
-        f"{c.get('submitted', 0)} submitted, {c.get('completed', 0)} "
-        f"completed, {c.get('errors', 0)} errors, {c.get('shed', 0)} shed, "
-        f"{c.get('rejected', 0)} rejected"
+        f"{n('submitted')} submitted, {n('completed')} completed, "
+        f"{n('errors')} errors, {n('shed')} shed, {n('rejected')} rejected"
     )
-    lines.append(f"latency ms        : {_hist_line(snap.get('latency_ms'))}")
+    lat = snap.get("latency_ms") or {}
+    lines.append(
+        f"latency ms        : mean {lat.get('mean', 0):.3f}  {_hist_line(lat)}"
+    )
     lines.append(
         "queue             : "
         f"depth {q.get('depth', 0)} (peak {q.get('peak_depth', 0)}), "
         f"wait {_hist_line(snap.get('queue_wait_ms'))}"
     )
-    cache_bits = []
-    for name, label in (("plan_cache", "plan"), ("result_cache", "result")):
+    bs = snap.get("batch_size") or {}
+    lines.append(
+        "batches           : "
+        f"{n('batches')} (mean size {bs.get('mean', 0):.2f}, "
+        f"max {bs.get('max', 0):.0f})"
+    )
+    for name in ("plan_cache", "result_cache"):
         cs = snap.get(name)
         if cs:
-            cache_bits.append(
-                f"{label} {100.0 * cs.get('hit_rate', 0.0):.1f}% "
-                f"({cs.get('hits', 0)}/{cs.get('hits', 0) + cs.get('misses', 0)})"
+            lines.append(
+                f"{name.replace('_', ' '):<18}: "
+                f"{cs['hits']} hits / {cs['misses']} misses "
+                f"({100.0 * cs['hit_rate']:.1f}%), "
+                f"{cs['evictions']} evictions, size {cs['size']}"
             )
-    if cache_bits:
-        lines.append(f"caches            : {', '.join(cache_bits)}")
+    lines.append(
+        "deadlines         : "
+        f"{n('deadline_expired')} expired, {n('deadline_missed')} missed, "
+        f"{n('degraded')} degraded"
+    )
+    lines.append(
+        "deltas            : "
+        f"{n('graph_updates')} graph updates, {n('delta_requests')} requests, "
+        f"{n('delta_incremental')} incremental, "
+        f"{n('delta_fallbacks')} full re-matches "
+        f"(+{n('delta_gained')}/-{n('delta_lost')} matches)"
+    )
+    pe = snap.get("planner_est_error") or {}
+    lines.append(
+        "planner           : "
+        f"{n('planner_feedback')} feedback, {n('plan_reranks')} reranks, "
+        f"est error p50 {pe.get('p50', 0):.2f} max {pe.get('max', 0):.2f}"
+    )
+    lines.append(
+        "supervision       : "
+        f"{n('supervisor_restarts')} restarts "
+        f"({n('worker_crashes')} crashes, {n('worker_stalls')} stalls), "
+        f"{n('redeliveries')} redeliveries, {n('stranded')} stranded"
+    )
     breakers = (snap.get("resilience") or {}).get("breakers") or {}
-    open_count = snap.get("breaker_open", 0)
-    if breakers:
-        states = ", ".join(f"{sig}: {st}" for sig, st in sorted(breakers.items()))
-        lines.append(f"breakers          : {open_count} open [{states}]")
-    else:
-        lines.append(f"breakers          : {open_count} open")
-    if "pool_size" in snap or "workers" in snap:
+    states = ", ".join(f"{sig}: {st}" for sig, st in sorted(breakers.items()))
+    lines.append(
+        "breakers          : "
+        f"{snap.get('breaker_open', 0)} open, {n('breaker_opens')} opens, "
+        f"{n('breaker_rejected')} rejected" + (f" [{states}]" if states else "")
+    )
+    lines.append(
+        "quarantine        : "
+        f"{n('quarantined')} poisoned, {n('poisoned_rejected')} rejected"
+    )
+    ck = snap.get("checkpoint_age_ms") or {}
+    lines.append(
+        "checkpoints       : "
+        f"{n('checkpoints')} taken, {n('resumed')} resumed "
+        f"(age p50 {ck.get('p50', 0):.1f} ms, max {ck.get('max', 0):.1f} ms)"
+    )
+    if "workers" in snap:
         lines.append(
             "pool              : "
-            f"{snap.get('pool_size', snap.get('workers', 0))} workers alive "
-            f"(configured {snap.get('workers', '?')})"
+            f"{snap.get('pool_size', 0)} workers alive "
+            f"(configured {snap['workers']})"
         )
     util = snap.get("shard_util") or {}
     if util:
@@ -293,17 +180,14 @@ def render_top(snap: dict, title: str = "repro top") -> str:
         lines.append(
             f"slo {slo.get('name', '?'):<14}: {status} (burn {burns or 'n/a'})"
         )
-    alerts = snap.get("alerts") or []
-    lines.append(
-        "alerts            : "
-        + (", ".join(alerts) if alerts else "none")
-    )
+    if "alerts" in snap:
+        lines.append(
+            "alerts            : " + (", ".join(snap["alerts"]) or "none")
+        )
     flight = snap.get("flight") or {}
     if flight:
         lines.append(
             "flight            : "
             + ", ".join(f"{k}={v}" for k, v in sorted(flight.items()))
         )
-    if snap.get("incident_path"):
-        lines.append(f"incident          : {snap['incident_path']}")
     return "\n".join(lines) + "\n"

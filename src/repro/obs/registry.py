@@ -1,22 +1,21 @@
 """Typed metric instruments and the registry that names them.
 
-One :class:`Registry` holds every instrument of one scope — a single
-engine run, a long-lived serving process, or a whole benchmark session.
-Three instrument kinds cover everything the reproduction measures:
+One :class:`Registry` holds every instrument of one scope — a long-lived
+serving process (:class:`repro.serve.ServeMetrics`), or a caller's
+accumulation of the runs it made (``RunContext.obs``).  A single run keeps
+no registry: its statistics are the flat ``MatchResult.metrics`` dict,
+merged by :func:`fold_metrics` and accumulated by :meth:`Registry.fold`.
 
-* :class:`Counter` — monotonically increasing event count (steals,
-  timeouts, page allocations, queue pushes).
+* :class:`Counter` — monotonically increasing event count.
 * :class:`Gauge` — a level that moves both ways, with its high-water mark
-  (queue occupancy, pages in use, admission-queue depth).
+  (admission-queue depth, pages in use).
 * :class:`Histogram` — a distribution with **fixed bucket boundaries**
-  (for export and cross-run comparability) plus a bounded sliding window
-  of raw observations for exact recent percentiles.
+  (cross-run comparability) plus a bounded sliding window of raw
+  observations for exact recent percentiles.
 
-Instruments are get-or-created by name, so publishers in different
-modules share one series by agreeing on the name alone.  A registry built
-with ``threaded=True`` guards every instrument with one shared lock (the
-serving layer); the default is lock-free, which is what the
-single-threaded discrete-event simulation wants on its hot paths.
+Instruments are get-or-created by name.  A registry built with
+``threaded=True`` guards every instrument with one shared lock (the
+serving layer); the default is lock-free.
 
 Zero dependencies — stdlib only.
 """
@@ -34,13 +33,31 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Registry",
-    "DEFAULT_BUCKETS",
+    "fold_metrics",
 ]
 
 #: Default histogram boundaries: a geometric ladder wide enough for both
 #: cycle counts and millisecond latencies.  Callers with a known range
 #: (e.g. serve latency) pass their own.
 DEFAULT_BUCKETS: tuple[float, ...] = tuple(4.0**i for i in range(-2, 16))
+
+
+#: Suffix of a flat key that is a level, not a count: folded by max.
+_PEAK = ".peak"
+
+
+def fold_metrics(into: dict, other: dict) -> dict:
+    """Fold ``other`` into ``into`` — the one merge rule of the flat
+    ``name -> number`` schema: values add, except keys ending ``.peak``
+    (per-part high-water marks), which take the max.  Devices, shards and
+    rescue runs all merge through it; :meth:`Registry.fold` applies the
+    same rule to a registry."""
+    for key, value in other.items():
+        if key.endswith(_PEAK):
+            into[key] = max(into.get(key, value), value)
+        else:
+            into[key] = into.get(key, 0) + value
+    return into
 
 
 class _NullLock:
@@ -120,7 +137,7 @@ class Gauge:
             self._value -= n
 
     def set_peak(self, peak: Union[int, float]) -> None:
-        """Raise the high-water mark directly (post-run publishing)."""
+        """Raise the high-water mark without moving the level."""
         with self._lock:
             if peak > self._peak:
                 self._peak = peak
@@ -143,10 +160,10 @@ class Gauge:
 class Histogram:
     """Fixed-bucket distribution + bounded window for exact percentiles.
 
-    The cumulative bucket counts are what sinks export (stable boundaries
-    make snapshots comparable across runs); the sliding window keeps the
-    last ``window`` raw observations so percentiles reflect *recent*
-    behaviour exactly, the way a long-lived service wants.
+    The bucket counts have stable boundaries (comparable across runs); the
+    sliding window keeps the last ``window`` raw observations so
+    percentiles reflect *recent* behaviour exactly, the way a long-lived
+    service wants.
     """
 
     kind = "histogram"
@@ -210,9 +227,6 @@ class Histogram:
                 self._values.append((now, value))
                 self._prune(now)
 
-    #: Back-compat alias (the serving layer's original spelling).
-    record = observe
-
     def _prune(self, now: float) -> None:
         """Drop window entries older than ``max_age_s`` (lock held)."""
         horizon = now - self.max_age_s
@@ -244,16 +258,6 @@ class Histogram:
             0, min(len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1))))
         )
         return ordered[rank]
-
-    def bucket_rows(self) -> list[tuple[float, int]]:
-        """Cumulative ``(le_boundary, count)`` rows, ending at +inf."""
-        rows: list[tuple[float, int]] = []
-        cum = 0
-        for boundary, n in zip(self.buckets, self.bucket_counts):
-            cum += n
-            rows.append((boundary, cum))
-        rows.append((float("inf"), cum + self.bucket_counts[-1]))
-        return rows
 
     def snapshot(self) -> dict:
         return {
@@ -348,15 +352,25 @@ class Registry:
     def flat(self) -> dict[str, Union[int, float]]:
         """Every series as one flat ``name -> value`` dict (sorted).
 
-        This is the snapshot schema shared by ``MatchResult.metrics``,
-        the TSV sink, and the benchmark session dump: counters export one
-        row, gauges add a ``.peak`` row, histograms export their summary
-        statistics.
+        The schema of ``MatchResult.metrics`` and the benchmark session
+        dump: counters export one row, gauges add a ``.peak`` row,
+        histograms export their summary statistics.
         """
         out: dict[str, Union[int, float]] = {}
         for inst in self:
             out.update(inst.items())
         return dict(sorted(out.items()))
+
+    def fold(self, metrics: dict) -> None:
+        """Accumulate one run's flat metrics (``MatchResult.metrics``)
+        under the rule of :func:`fold_metrics`: values add into counters,
+        a ``.peak`` key sets its gauge's level and raises its high-water
+        mark.  How a caller's registry (``RunContext.obs``) sees a run."""
+        for key, value in metrics.items():
+            if key.endswith(_PEAK):
+                self.gauge(key[: -len(_PEAK)]).set(value)
+            else:
+                self.counter(key).inc(value)
 
     def snapshot(self) -> dict:
         """Instruments grouped by kind (JSON-compatible)."""

@@ -15,7 +15,8 @@ A long-lived serving layer for repeated queries against evolving graphs:
 * supervised serving — worker watchdog with bounded redelivery, circuit
   breakers, poison-query quarantine, and checkpoint/resume of in-flight
   matches (:mod:`repro.serve.resilience`);
-* counters/histograms with a text report (:mod:`repro.serve.metrics`);
+* counters/histograms behind one snapshot (:mod:`repro.serve.metrics`;
+  :meth:`MatchService.snapshot`, printed by ``repro.obs.console.render_top``);
 * operational observability — per-request cross-process traces, a flight
   recorder of structured events, SLO burn-rate alerting, and one-call
   incident bundles (:mod:`repro.obs.ops` / :mod:`repro.obs.slo`, wired in

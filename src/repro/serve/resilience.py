@@ -495,7 +495,7 @@ class Supervisor(threading.Thread):
             if not entry.settled:
                 self.redeliver(entry, reason)
         pool.replace(slot)
-        metrics.set_pool_size(sum(1 for w in pool.workers if w.is_alive()))
+        metrics.pool_size.set(sum(1 for w in pool.workers if w.is_alive()))
 
     # -- redelivery / quarantine ---------------------------------------- #
 
@@ -597,7 +597,7 @@ class Supervisor(threading.Thread):
         metrics = self.service.metrics
         if new is BreakerState.OPEN:
             metrics.incr("breaker_opens")
-        metrics.set_breaker_open(self.breaker.open_count())
+        metrics.breaker_open.set(self.breaker.open_count())
         self.service.flight.record(
             "breaker.transition",
             signature="/".join(str(p) for p in signature),
@@ -612,9 +612,7 @@ class Supervisor(threading.Thread):
         return {
             "restarts": self.restarts,
             "breakers": self.breaker.states(),
-            "breaker_opens": self.breaker.total_opens,
             "breaker_rejections": self.breaker.total_rejections,
             "quarantine": self.quarantine.entries(),
             "checkpoints_stored": len(self.checkpoints),
-            "checkpoints_taken": self.service.metrics.get("checkpoints"),
         }

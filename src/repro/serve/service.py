@@ -42,6 +42,7 @@ from repro.obs.ops import (
     ops_tracer,
     write_incident,
 )
+from repro.obs.console import shard_utilization
 from repro.obs.slo import SLO, SLOTracker
 from repro.query.pattern import QueryGraph
 from repro.query.patterns import get_pattern
@@ -599,7 +600,7 @@ class MatchService:
                 ):
                     self.supervisor = Supervisor(self, self.config.supervisor)
                     self.supervisor.start()
-                self.metrics.set_pool_size(self.config.workers)
+                self.metrics.pool_size.set(self.config.workers)
         return self
 
     def stop(self) -> None:
@@ -641,7 +642,6 @@ class MatchService:
         number of *stranded* requests (0 = a perfectly clean drain).
         """
         self._draining = True
-        self.metrics.incr("drains")
         self._queue.seal()
 
         def pending() -> int:
@@ -777,7 +777,7 @@ class MatchService:
             query=prepared.query_name,
             trace_id=trace.trace_id,
         )
-        self.metrics.set_queue_depth(self._queue.depth)
+        self.metrics.queue_depth.set(self._queue.depth)
         return ticket
 
     def query(
@@ -864,8 +864,8 @@ class MatchService:
                     metrics.incr("result_cache_hits")
                 if response.degraded:
                     metrics.incr("degraded")
-                metrics.observe_latency(total_ms)
-            metrics.record_outcome(total_ms, error=kind is not None)
+                metrics.latency_ms.observe(total_ms)
+            metrics.outcomes.record(total_ms, error=kind is not None)
             if self.slo_tracker is not None:
                 self.slo_tracker.evaluate()  # burns; a breach may dump
             if kind is not None:
@@ -933,17 +933,13 @@ class MatchService:
         explicit ``*.json`` path is used as-is, anything else is treated
         as a directory and gets a timestamped bundle name.
         """
-        slos = (
-            [s.to_dict() for s in self.slo_tracker.evaluate()]
-            if self.slo_tracker is not None
-            else []
-        )
+        snap = self.snapshot()
         bundle = make_incident(
             reason=reason,
             recorder=self.flight,
             tracer=self.tracer,
-            metrics=self.snapshot(),
-            slos=slos,
+            metrics=snap,
+            slos=snap["slos"],
             info={
                 "workers": self.config.workers,
                 "graphs": ", ".join(sorted(self.graphs())) or "(none)",
@@ -961,24 +957,6 @@ class MatchService:
                     f"incident-{int(time.time() * 1000)}-{os.getpid()}.json",
                 )
         return write_incident(bundle, path)
-
-    def ops_snapshot(self) -> dict:
-        """Everything the live ops console renders, one JSON dict."""
-        snap = self.snapshot()
-        if self.slo_tracker is not None:
-            snap["slos"] = [s.to_dict() for s in self.slo_tracker.evaluate()]
-            snap["alerts"] = self.slo_tracker.active_alerts()
-        else:
-            snap["slos"] = []
-            snap["alerts"] = []
-        snap["flight"] = self.flight.counts()
-        snap["qps_60s"] = round(self.metrics.windowed_qps(60.0), 3)
-        snap["spans_recorded"] = len(self.tracer)
-        snap["incident_path"] = self.incident_path
-        from repro.obs.console import shard_utilization
-
-        snap["shard_util"] = shard_utilization(self.tracer.spans())
-        return snap
 
     # ------------------------------------------------------------------ #
     # Planner feedback
@@ -1020,7 +998,7 @@ class MatchService:
         )
         self.metrics.incr("planner_feedback")
         if choice is not None and obs.rel_error is not None:
-            self.metrics.observe_plan_error(obs.rel_error)
+            self.metrics.plan_error.observe(obs.rel_error)
         if portfolio is not None and before is not None:
             after = self.feedback.preferred(signature, portfolio)
             if after.order != before.order:
@@ -1039,16 +1017,19 @@ class MatchService:
         }
 
     def snapshot(self) -> dict:
-        """Metrics + cache counters + graph registry, JSON-compatible."""
+        """The one JSON view of the service: metrics, caches, graphs,
+        supervisor state, SLO status, flight-event counts, per-shard
+        utilization — what :func:`repro.obs.console.render_top` prints and
+        an incident bundle carries."""
         snap = self.metrics.snapshot()
         snap.update(self.cache_stats())
-        snap["graphs"] = self.graphs()
         snap["workers"] = self.config.workers
         snap["draining"] = self._draining
         if self.supervisor is not None:
             snap["resilience"] = self.supervisor.snapshot()
+        tracker = self.slo_tracker
+        snap["slos"] = [s.to_dict() for s in tracker.evaluate()] if tracker else []
+        snap["alerts"] = tracker.active_alerts() if tracker else []
+        snap["flight"] = self.flight.counts()
+        snap["shard_util"] = shard_utilization(self.tracer.spans())
         return snap
-
-    def render_metrics(self) -> str:
-        """Text metrics report (the ``repro serve`` CLI output)."""
-        return self.metrics.render(cache_stats=self.cache_stats())

@@ -226,7 +226,7 @@ class Worker(threading.Thread):
                 for e in batch:
                     self.service._settle(f"ERR ({type(exc).__name__})", e)
             self.set_inflight([])
-            self.service.metrics.set_queue_depth(queue.depth)
+            self.service.metrics.queue_depth.set(queue.depth)
 
     # ------------------------------------------------------------------ #
 
@@ -288,7 +288,7 @@ class Worker(threading.Thread):
         self.beat()
         now = time.monotonic()
         queue_ms = (now - entry.submitted_at) * 1000.0
-        metrics.observe_queue_wait(queue_ms)
+        metrics.queue_ms.observe(queue_ms)
 
         base = prepared.response(
             entry.request_id, version, queue_ms=queue_ms, batch_size=batch_size
@@ -394,7 +394,7 @@ class Worker(threading.Thread):
         metrics = self.service.metrics
         if checkpoint is not None:
             metrics.incr("resumed")
-            metrics.observe_checkpoint_age(
+            metrics.checkpoint_age_ms.observe(
                 (time.monotonic() - checkpoint.taken_at) * 1000.0
             )
         t0 = time.monotonic()
@@ -469,16 +469,13 @@ class Worker(threading.Thread):
     def _flight_shard_failures(self, entry: QueueEntry, result) -> None:
         """Record a shard-process death (recovered by re-execution) as a
         fault-kind flight event — the count survived, the process didn't."""
-        failures = (getattr(result, "metrics", None) or {}).get(
-            "shard.process_failures", 0
-        )
+        metrics = result.metrics
+        failures = metrics.get("shard.process_failures", 0)
         if failures:
             self.service.flight.record(
                 "shard.failure",
                 request_id=entry.request_id,
                 failures=int(failures),
-                rows_reexecuted=int(
-                    (result.metrics or {}).get("shard.rows_reexecuted", 0)
-                ),
+                rows_reexecuted=int(metrics.get("shard.rows_reexecuted", 0)),
                 trace_id=getattr(entry.trace, "trace_id", None),
             )

@@ -21,7 +21,7 @@ pickle, an injected :class:`ShardProcessError`) hands nothing back, so
 coordinator process and does the recovery accounting (DESIGN.md "Work
 groups").  What lives here is only what is process-specific: the pool, the
 child config and context, the ``shard.dispatch`` / ``shard.run`` spans and
-the ``shard.*`` metrics.
+the ``shard.*`` keys of the merged ``metrics``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.graph.csr import CSRGraph
 from repro.obs.ops import ops_tracer
 from repro.obs.tracer import Tracer
 from repro.query.plan import MatchingPlan
-from repro.shard.planner import ShardPlan, ShardPlanner
+from repro.shard.planner import ShardPlanner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import TDFSEngine
@@ -189,7 +189,14 @@ class ShardCoordinator:
             reexecuted = sum(pending_rows(parts[s]) for s in dead)
             merged = fan_out(parts, run_part, collect_matches, results=first)
             merged.shards = self.num_shards
-            self._finalize_metrics(merged, shard_plan, failures, reexecuted)
+            # The shard-level story rides in the same dict as the folded
+            # per-shard statistics (workers cannot write to the parent).
+            merged.metrics.update(
+                {
+                    "shard.process_failures": failures,
+                    "shard.rows_reexecuted": reexecuted,
+                }
+            )
             if dispatch_ctx is not None:
                 # Adopt every child-process span into this process's tracer
                 # ring, then close the one parent span of the fan-out — the
@@ -239,39 +246,3 @@ class ShardCoordinator:
                 except Exception:
                     pass  # a dead worker: the slot stays None
         return results
-
-    def _finalize_metrics(
-        self,
-        merged: MatchResult,
-        shard_plan: ShardPlan,
-        failures: int,
-        reexecuted: int,
-    ) -> None:
-        """Stamp shard accounting into the merged obs snapshot.
-
-        ``merged.metrics`` already holds the summed/maxed per-shard
-        registry snapshots (the worker processes each ran a private
-        registry); the shard-level accounting rides alongside them.  When
-        the caller supplied a shared obs bundle, the shard counters are
-        also published into its registry — workers cannot write to the
-        parent's registry, so the coordinator accumulates the shard-level
-        story (jobs, failures, re-executed rows) on their behalf.
-        """
-        extra = {
-            "shard.count": shard_plan.num_shards,
-            "shard.rows": shard_plan.total_rows,
-            "shard.presplit": shard_plan.presplit_shards,
-            "shard.process_failures": failures,
-            "shard.rows_reexecuted": reexecuted,
-        }
-        merged.metrics = dict(merged.metrics or {})
-        merged.metrics.update(extra)
-        obs = self.engine.ctx.obs
-        if obs is not None:
-            reg = obs.registry
-            reg.counter("shard.jobs").inc(1)
-            reg.counter("shard.dispatched").inc(shard_plan.num_shards)
-            reg.counter("shard.rows").inc(shard_plan.total_rows)
-            reg.counter("shard.presplit").inc(shard_plan.presplit_shards)
-            reg.counter("shard.process_failures").inc(failures)
-            reg.counter("shard.rows_reexecuted").inc(reexecuted)

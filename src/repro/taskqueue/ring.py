@@ -55,7 +55,6 @@ class LockFreeTaskQueue:
         self,
         capacity_ints: int = DEFAULT_CAPACITY_INTS,
         cost: Optional[CostModel] = None,
-        registry=None,
     ) -> None:
         if capacity_ints < 3 or capacity_ints % 3 != 0:
             raise ReproError("queue capacity must be a positive multiple of 3")
@@ -76,11 +75,6 @@ class LockFreeTaskQueue:
         self.enqueue_failures = 0
         self.dequeue_failures = 0
         self.peak_tasks = 0
-        #: Live occupancy gauge, armed when an obs registry is supplied
-        #: (atomic-mode ops move it on every successful enqueue/dequeue).
-        self._occupancy = None
-        if registry is not None:
-            self._occupancy = registry.gauge("queue.occupancy")
 
     # ------------------------------------------------------------------ #
     # Device memory footprint
@@ -121,8 +115,6 @@ class LockFreeTaskQueue:
             cycles += self.fault_hook.on_enqueue(self, pos)
         self.enqueued += 1
         self.peak_tasks = max(self.peak_tasks, self.num_tasks)
-        if self._occupancy is not None:
-            self._occupancy.inc()
         return True, cycles
 
     def dequeue(self) -> tuple[Optional[Task], int]:
@@ -151,8 +143,6 @@ class LockFreeTaskQueue:
         if self.fault_hook is not None:
             cycles += self.fault_hook.on_dequeue(self, pos)
         self.dequeued += 1
-        if self._occupancy is not None:
-            self._occupancy.dec()
         return Task(*values), cycles
 
     # ------------------------------------------------------------------ #
@@ -202,16 +192,6 @@ class LockFreeTaskQueue:
         return Task(*values)
 
     # ------------------------------------------------------------------ #
-
-    def publish(self, registry) -> None:
-        """Export queue totals into an obs registry (run end)."""
-        registry.counter("queue.enqueued").inc(self.enqueued)
-        registry.counter("queue.dequeued").inc(self.dequeued)
-        registry.counter("queue.enqueue_failures").inc(self.enqueue_failures)
-        registry.counter("queue.dequeue_failures").inc(self.dequeue_failures)
-        gauge = registry.gauge("queue.occupancy")
-        gauge.set(self.num_tasks)
-        gauge.set_peak(self.peak_tasks)
 
     def drain(self) -> list[Task]:
         """Dequeue everything (test helper); ignores cycle costs."""

@@ -26,7 +26,7 @@ from repro.query.pattern import QueryGraph
 from repro.query.plan import MatchingPlan, compile_plan
 
 #: Engines that enumerate exact instance counts under the shared plan.
-EXACT_ENGINES = ("tdfs", "pbe", "hybrid")
+EXACT_ENGINES = ("tdfs", "pbe")
 
 #: Engines that skip symmetry breaking (report embeddings).
 EMBEDDING_ENGINES = ("egsm",)

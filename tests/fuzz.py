@@ -21,6 +21,7 @@ import os
 
 from repro import TDFSConfig
 from repro.core.config import Strategy
+from repro.core.result import METRIC_VIEWS
 from repro.graph.builder import relabel_random
 from repro.graph.generators import erdos_renyi, power_law_cluster
 from repro.query.random_queries import random_query
@@ -48,6 +49,27 @@ CONFIG_VARIANTS: dict[str, TDFSConfig] = {
     "no-reuse": FAST.replace(enable_reuse=False),
     "scalar-kernel": FAST.replace(kernel_backend="scalar"),
 }
+
+
+#: A ``Q_task`` of eight tasks under an aggressive τ: enqueues *and*
+#: dequeues fail, so every queue statistic is non-zero on a skewed graph.
+TIGHT_QUEUE = TDFSConfig(num_warps=8, tau_cycles=400, queue_capacity_tasks=8)
+
+
+def read_view(result, view: str):
+    """``result.<view>`` for a (possibly dotted) :data:`METRIC_VIEWS` name."""
+    for part in view.split("."):
+        result = getattr(result, part)
+    return result
+
+
+def assert_views_fold(merged, parts) -> None:
+    """Every typed view of a merged result equals the fold of its parts:
+    sums, except views over ``.peak`` keys, which take the max."""
+    for view, key in METRIC_VIEWS.items():
+        values = [read_view(p, view) for p in parts]
+        want = max(values) if key.endswith(".peak") else sum(values)
+        assert read_view(merged, view) == want, (view, values)
 
 
 def case_graph(seed: int):

@@ -70,7 +70,7 @@ class TestCommands:
         assert "stack bytes" in out
 
     def test_run_engines(self, capsys):
-        for engine in ("cpu", "pbe", "hybrid"):
+        for engine in ("cpu", "pbe", "egsm"):
             code = main(
                 ["run", "--dataset", "dblp", "--pattern", "P1",
                  "--engine", engine, "--warps", "8"]
@@ -132,7 +132,7 @@ class TestCommands:
         from repro.core.engine import make_engine
 
         assert available_engines() == (
-            "tdfs", "stmatch", "egsm", "pbe", "cpu", "hybrid"
+            "tdfs", "stmatch", "egsm", "pbe", "cpu"
         )
         table = engine._engine_registry()
         make_engine("cpu")

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro import TDFSConfig, match
+from repro import Observability, RunContext, TDFSConfig, match
 from repro.baselines.cpu import cpu_count
 from repro.core.engine import TDFSEngine
 from repro.core.multi_gpu import merge_results
 from repro.core.result import MatchResult
 from repro.query.patterns import get_pattern
 from repro.query.plan import compile_plan
+from tests.fuzz import TIGHT_QUEUE, assert_views_fold
 
 
 def run_gpus(graph, pattern, n):
@@ -40,6 +41,41 @@ class TestMultiGPU:
         plan = compile_plan(get_pattern("P12"))
         expect = cpu_count(labeled_plc, plan)
         assert TDFSEngine(cfg).run(labeled_plc, plan).count == expect
+
+
+class TestOneSetOfBooks:
+    """A merged result's statistics are the fold of its devices' — every
+    typed view, not the subset a hand-written merge remembered (it dropped
+    ``queue.*_failures``, ``memory.pages_allocated`` / ``arena_bytes`` /
+    ``queue_bytes`` / ``graph_bytes`` and ``matches_per_warp_max``)."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_view_is_the_fold_of_the_devices(self, straggler_graph, n):
+        plan = compile_plan(get_pattern("P3"))
+        merged = TDFSEngine(TIGHT_QUEUE.replace(num_gpus=n)).run(
+            straggler_graph, plan
+        )
+        edges = straggler_graph.directed_edge_array()
+        single = TDFSEngine(TIGHT_QUEUE)
+        parts = [
+            single._run_single(straggler_graph, plan, [(edges[g::n], 2)], f"gpu{g}")
+            for g in range(n)
+        ]
+        assert merged.queue.enqueue_failures > 0 < merged.queue.dequeue_failures
+        assert merged.memory.pages_allocated > 0
+        assert_views_fold(merged, parts)
+
+    def test_metrics_are_this_run_alone_under_a_shared_registry(self, small_plc):
+        obs = Observability()
+        engine = TDFSEngine(TDFSConfig(num_warps=8, num_gpus=2), RunContext(obs=obs))
+        first = engine.run(small_plc, get_pattern("P3"))
+        second = engine.run(small_plc, get_pattern("P3"))
+        assert second.metrics == first.metrics
+        assert second.metrics["engine.matches"] == second.count
+        flat = obs.flat()
+        assert flat["engine.matches"] == 2 * second.count
+        assert flat["sim.events"] == 2 * second.metrics["sim.events"]
+        assert flat["queue.occupancy.peak"] == second.queue.peak_tasks
 
 
 class TestHostPrefilteredMultiGPU:

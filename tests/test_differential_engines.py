@@ -1,8 +1,8 @@
 """Property-based differential harness: every engine vs the CPU oracle.
 
 Seeded ``random_query`` patterns run against seeded generated graphs
-through T-DFS, STMatch, EGSM, PBE and the hybrid scheduler, asserting all
-exact engines report identical instance counts (and EGSM reports
+through T-DFS, STMatch, EGSM and PBE, asserting all exact engines report
+identical instance counts (and EGSM reports
 ``instances × |Aut|``, since it skips symmetry breaking).  The case seed
 is threaded into :func:`repro.verify.verify_engines` so any divergence
 prints the exact engine pair and the seed that reproduces it.

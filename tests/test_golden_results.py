@@ -52,6 +52,5 @@ def test_count_matches_golden(dataset, pattern):
         f"{dataset}/{pattern}: got {result.count}, "
         f"golden fixture says {GOLDEN[(dataset, pattern)]}"
     )
-    # Every bench cell also carries the obs snapshot.
-    assert result.metrics is not None
+    # Every bench cell also carries its statistics.
     assert result.metrics["engine.matches"] == result.count

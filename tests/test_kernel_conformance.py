@@ -44,6 +44,7 @@ from repro import (
     match,
 )
 from repro.alloc.stack import WarpStack, array_level_factory
+from repro.baselines.pbe import bfs_expand_level
 from repro.core.candidates import filter_candidates
 from repro.core.config import StackMode, Strategy
 from repro.core.edge_filter import edge_mask
@@ -1301,10 +1302,20 @@ class TestPrefixBlockDeclines:
         assert spy.offers and all(b is None for b in spy.offers)
 
     def test_wider_groups_are_never_offered(self, small_plc):
-        spy = _SpyBackend()
-        vec = self._run(small_plc, "P7", FAST, spy, engine="hybrid")
-        assert vec.count == match(small_plc, "P7", engine="cpu").count
-        assert spy.offers == []
+        # Width-3 prefixes (what a recovery snapshot hands a resumed run):
+        # the DFS starts one level deeper, scalar, and still counts exactly.
+        plan = compile_plan(get_pattern("P7"))
+        edges = small_plc.directed_edge_array()
+        edges = edges[edge_mask(small_plc, plan, edges, prune_degree=True)]
+        _, rows, _ = bfs_expand_level(small_plc, plan, edges, 2, FAST.cost)
+        results = {}
+        for name, backend in (("scalar", "scalar"), ("vec", _SpyBackend())):
+            engine = TDFSEngine(FAST.replace(kernel_backend=backend))
+            results[name] = engine.run_resume(small_plc, plan, [(rows, 3)])
+        for f in CONFORMANCE_FIELDS:
+            assert getattr(results["scalar"], f) == getattr(results["vec"], f), f
+        assert results["vec"].count == match(small_plc, "P7", engine="cpu").count
+        assert backend.offers == []
 
     def test_host_prefiltered_rows_are_never_offered(self, small_plc):
         spy = _SpyBackend()

@@ -1,11 +1,12 @@
 """Tests for the unified observability layer (``repro.obs``).
 
-Covers the three instrument kinds, the registry, the span tracer with its
-Chrome ``trace_event`` export, the pull-based sinks, and — most
-importantly — the engine integration contract:
+Covers the three instrument kinds, the registry and its fold rule, the
+span tracer with its Chrome ``trace_event`` export, and — most importantly —
+the engine integration contract:
 
-* every ``MatchResult`` carries a ``metrics`` snapshot whose
-  steal/timeout counters exactly equal the result's own fields;
+* ``MatchResult.metrics`` is the one store of a run's statistics: every
+  typed view of :data:`~repro.core.result.METRIC_VIEWS` reads it, it is
+  exactly this run, and a caller's registry accumulates across runs;
 * the tracing-disabled default changes *nothing* about the simulation
   (identical event counts and elapsed cycles, zero spans recorded);
 * ``repro profile``'s trace output is valid Chrome JSON with per-warp
@@ -23,18 +24,18 @@ import pytest
 
 from repro import Observability, Registry, RunContext, TDFSConfig, Tracer, match
 from repro.core.engine import TDFSEngine
+from repro.core.result import METRIC_VIEWS
 from repro.obs import (
-    LineProtocolSink,
-    MemorySink,
     NULL_TRACER,
-    TSVSink,
     TraceContext,
+    fold_metrics,
     make_span,
     ops_tracer,
     to_chrome,
 )
 from repro.obs.registry import Counter, Gauge, Histogram
 from repro.query.patterns import get_pattern
+from tests.fuzz import read_view
 
 
 # --------------------------------------------------------------------- #
@@ -84,16 +85,6 @@ class TestHistogram:
         assert h.count == 100
         assert h.max == 100
 
-    def test_bucket_rows_cumulative(self):
-        h = Histogram("cyc", buckets=[1.0, 10.0, 100.0])
-        for v in (0.5, 5, 5, 50, 5000):
-            h.observe(v)
-        rows = dict(h.bucket_rows())
-        assert rows[1.0] == 1
-        assert rows[10.0] == 3
-        assert rows[100.0] == 4
-        assert rows[float("inf")] == 5
-
     def test_snapshot_schema(self):
         h = Histogram("x")
         h.observe(2.0)
@@ -130,6 +121,20 @@ class TestRegistry:
         assert flat["g.peak"] == 4
         assert flat["h.count"] == 1
         assert list(flat) == sorted(flat)
+
+    def test_fold_rule_is_shared_by_dicts_and_registries(self):
+        """Values add, ``.peak`` keys take the max — the same answer
+        whether two runs fold into a dict or into a registry."""
+        runs = [{"n": 2, "level.peak": 5, "x": 1.5}, {"n": 3, "level.peak": 4}]
+        folded: dict = {}
+        reg = Registry()
+        for run in runs:
+            fold_metrics(folded, run)
+            reg.fold(run)
+        assert folded == {"n": 5, "level.peak": 5, "x": 1.5}
+        flat = reg.flat()
+        assert all(flat[k] == v for k, v in folded.items())
+        assert flat["level"] == 4  # the gauge's level is the latest run's
 
     def test_snapshot_groups_by_kind(self):
         reg = Registry()
@@ -329,41 +334,6 @@ def test_one_exporter_one_event_schema(small_plc, clock, make):
         assert {"shard.run", "shard.dispatch"} <= {e["name"] for e in xs}
 
 
-# --------------------------------------------------------------------- #
-# Sinks
-# --------------------------------------------------------------------- #
-
-
-class TestSinks:
-    def _registry(self):
-        reg = Registry()
-        reg.counter("warp.steals").inc(7)
-        reg.gauge("queue.occupancy").set(3)
-        return reg
-
-    def test_memory_sink(self):
-        sink = MemorySink()
-        snap = sink.emit(self._registry())
-        assert sink.last is snap
-        assert snap["warp.steals"] == 7
-
-    def test_tsv_sink(self, tmp_path):
-        out = tmp_path / "m.tsv"
-        sink = TSVSink(str(out), comment="unit test")
-        sink.emit(self._registry())
-        lines = out.read_text().splitlines()
-        assert lines[0] == "# unit test"
-        assert lines[1] == "metric\tvalue"
-        assert "warp.steals\t7" in lines
-
-    def test_line_protocol_sink(self):
-        sink = LineProtocolSink(tags={"engine": "t dfs"})
-        batch = sink.emit(self._registry(), timestamp_ns=123)
-        steal = next(l for l in batch if "warp.steals" in l)
-        assert steal == "repro,metric=warp.steals,engine=t\\ dfs value=7 123"
-        assert sink.render().endswith("\n")
-
-
 class TestObservabilityBundle:
     def test_default_is_null_tracer(self):
         obs = Observability()
@@ -396,20 +366,32 @@ class TestEngineMetrics:
             small_plc, get_pattern("P1")
         )
         m = result.metrics
-        assert m is not None
         assert m["engine.matches"] == result.count
-        assert m["warp.timeouts"] == result.timeouts
-        assert m["warp.steals"] == result.steals
         assert m["sim.events"] > 0
         assert m["queue.enqueued"] == m["queue.dequeued"]
+
+    @pytest.mark.parametrize("view", sorted(METRIC_VIEWS))
+    def test_typed_view_reads_the_store(self, straggler_graph, view):
+        """Every typed statistic is a view: some engine writes its key (the
+        host-filter cycles are STMatch's), and the attribute (``timeouts``,
+        ``queue.peak_tasks``, …) reads exactly that, read-only."""
+        key = METRIC_VIEWS[view]
+        runs = [
+            match(straggler_graph, "P3", engine=name, config=STEAL_CFG)
+            for name in ("tdfs", "stmatch")
+        ]
+        wrote = [r for r in runs if key in r.metrics]
+        assert wrote, f"no engine writes {key}"
+        for result in wrote:
+            assert read_view(result, view) == result.metrics[key]
+            with pytest.raises(AttributeError):
+                setattr(result, view.split(".")[0], 0)
 
     def test_metrics_match_result_under_steals(self, straggler_graph):
         result = TDFSEngine(STEAL_CFG).run(straggler_graph, get_pattern("P3"))
         assert result.timeouts > 0  # the config must actually decompose
-        m = result.metrics
-        assert m["warp.timeouts"] == result.timeouts
-        assert m["warp.steals"] == result.steals
-        assert m["engine.intersections"] == result.intersections > 0
+        assert result.queue.enqueued == result.queue.dequeued > 0
+        assert result.intersections > 0
 
     def test_caller_obs_accumulates_across_runs(self, small_plc):
         obs = Observability()
@@ -417,6 +399,9 @@ class TestEngineMetrics:
         r1 = TDFSEngine(cfg, ctx).run(small_plc, get_pattern("P1"))
         r2 = TDFSEngine(cfg, ctx).run(small_plc, get_pattern("P1"))
         assert obs.flat()["engine.matches"] == r1.count + r2.count
+        # ... while each result stays exactly its own run.
+        assert r2.metrics == r1.metrics
+        assert r2.metrics["engine.matches"] == r2.count
 
     def test_tracing_off_changes_nothing(self, straggler_graph):
         """Zero-overhead contract: an armed-but-not-tracing Observability
@@ -470,9 +455,13 @@ class TestEngineMetrics:
 
     def test_reuse_hits_counted(self, small_plc):
         result = TDFSEngine(TDFSConfig(num_warps=8)).run(
-            small_plc, get_pattern("P8")  # has reusable intersections
+            small_plc, get_pattern("P5")  # has reusable intersections
         )
-        assert result.metrics["engine.reuse_hits"] == result.reuse_hits
+        assert result.reuse_hits > 0
+        off = TDFSEngine(TDFSConfig(num_warps=8, enable_reuse=False)).run(
+            small_plc, get_pattern("P5")
+        )
+        assert off.reuse_hits == 0 and off.count == result.count
 
     def test_metrics_excluded_from_cache_fingerprint(self):
         """The obs bundle is run wiring: it lives on ``RunContext``, which no
@@ -492,7 +481,8 @@ class TestEngineMetrics:
             config=TDFSConfig(num_warps=8),
             ctx=RunContext(obs=obs),
         )
-        assert result.metrics == obs.flat()
+        flat = obs.flat()
+        assert all(flat[k] == v for k, v in result.metrics.items())
 
     def test_to_dict_includes_metrics(self, small_plc):
         result = TDFSEngine(TDFSConfig(num_warps=8)).run(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.result import MatchResult, MemoryStats, QueueStats
+from repro.core.result import METRIC_VIEWS, MatchResult
 from repro.errors import (
     DeviceError,
     DeviceOOMError,
@@ -61,9 +61,17 @@ class TestMatchResult:
         assert "g/P1" in s
 
     def test_default_substats(self):
+        """A result nobody wrote statistics into reads zeros (imbalance:
+        the even 1.0) through every view, and unknown names still raise."""
         r = mk()
-        assert isinstance(r.queue, QueueStats)
-        assert isinstance(r.memory, MemoryStats)
+        assert r.metrics == {}
+        assert r.queue.enqueued == 0 and r.memory.stack_bytes == 0
+        assert r.timeouts == 0 and r.load_imbalance == 1.0
+        assert set(r.queue.to_dict()) | set(r.memory.to_dict()) == {
+            v.split(".")[1] for v in METRIC_VIEWS if "." in v
+        }
+        with pytest.raises(AttributeError):
+            r.queue.nonsense
 
 
 class TestErrors:

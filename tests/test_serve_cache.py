@@ -24,6 +24,7 @@ from repro.faults import (
     deadline_policy,
 )
 from repro.query.pattern import QueryGraph
+from repro.obs.console import render_top
 from repro.obs.registry import Histogram
 from repro.serve import (
     LRUCache,
@@ -235,7 +236,7 @@ class TestMetrics:
     def test_histogram_percentiles(self):
         h = Histogram(window=100)
         for v in range(1, 101):
-            h.record(float(v))
+            h.observe(float(v))
         snap = h.snapshot()
         assert snap["count"] == 100
         assert snap["p50"] == pytest.approx(50.0, abs=1.0)
@@ -251,14 +252,15 @@ class TestMetrics:
         m = ServeMetrics()
         m.incr("submitted")
         m.incr("completed")
-        m.observe_latency(5.0)
+        m.latency_ms.observe(5.0)
         m.observe_batch(4)
         snap = m.snapshot()
         assert snap["counters"]["submitted"] == 1
         assert snap["batch_size"]["max"] == 4.0
-        text = m.render()
-        assert "repro.serve metrics" in text
+        text = render_top(snap, title="repro serve")
+        assert "=== repro serve ===" in text
         assert "1 submitted" in text
+        assert "batches           : 1 (mean size 4.00, max 4)" in text
 
 
 class TestDeadlinePolicy:

@@ -11,8 +11,8 @@ The acceptance criteria of the PR are asserted here directly:
 * worker-kill faults (the ``repro.faults`` axis) trigger dump-on-error
   with a parseable, renderable bundle.
 
-Plus: time-driven ServeMetrics windows, the ops console renderer and its
-sink-tail parsers, and the ``repro top`` / ``repro incident`` CLI.
+Plus: time-driven ServeMetrics windows, the one service report renderer,
+and the ``repro top`` / ``repro incident`` CLI.
 """
 
 from __future__ import annotations
@@ -27,14 +27,7 @@ from repro.cli import main
 from repro.core.engine import match
 from repro.faults import WorkerFaultKind, WorkerFaultPlan, WorkerFaultSpec
 from repro.obs import SLO, SLOTracker, load_incident
-from repro.obs.console import (
-    flat_from_line_protocol,
-    flat_from_tsv,
-    render_top,
-    shard_utilization,
-    snapshot_from_flat,
-    tail_metrics,
-)
+from repro.obs.console import render_top, shard_utilization
 from repro.serve import MatchRequest, MatchService, ServeConfig, ServeMetrics
 
 
@@ -71,11 +64,10 @@ class TestServeMetricsWindows:
     def test_latency_percentiles_rotate_with_time(self):
         clock = FakeClock()
         metrics = ServeMetrics(window_s=60.0, clock=clock)
-        metrics.observe_latency(500.0)
+        metrics.latency_ms.observe(500.0)
         clock.t += 61.0
-        metrics.observe_latency(2.0)
+        metrics.latency_ms.observe(2.0)
         snap = metrics.snapshot()
-        assert snap["window_s"] == 60.0
         assert snap["latency_ms"]["p99"] == 2.0  # the spike aged out
         assert snap["latency_ms"]["count"] == 2  # cumulative count kept
 
@@ -83,24 +75,22 @@ class TestServeMetricsWindows:
         clock = FakeClock()
         metrics = ServeMetrics(clock=clock)
         for _ in range(6):
-            metrics.record_outcome(10.0)
-        metrics.record_outcome(10.0, error=True)
+            metrics.outcomes.record(10.0)
+        metrics.outcomes.record(10.0, error=True)
         clock.t += 30.0
-        assert metrics.windowed_qps(60.0) == pytest.approx(7 / 60.0)
-        windowed = metrics.snapshot()["windowed"]
-        assert windowed["requests_60s"] == 7
-        assert windowed["errors_60s"] == 1
+        assert metrics.snapshot()["qps_60s"] == pytest.approx(7 / 60.0, abs=1e-3)
+        assert metrics.outcomes.counts(60.0)[:2] == (7, 1)
         clock.t += 31.0  # everything now older than 60 s
-        assert metrics.windowed_qps(60.0) == 0.0
-        assert metrics.windowed_qps(0.0) == 0.0
+        assert metrics.snapshot()["qps_60s"] == 0.0
 
     def test_render_format_is_stable(self):
-        # CI's drain smoke greps this exact phrasing — additive keys in
-        # snapshot() must not leak into the text report.
-        text = ServeMetrics().render()
+        # CI's drain smoke greps the CLI's own drain line; the report
+        # renders from a bare metrics snapshot (no caches, SLOs, supervisor).
+        text = render_top(ServeMetrics().snapshot(), title="repro serve")
         assert "graceful drain complete" not in text  # drain line is CLI's
-        assert text.startswith("=== repro.serve metrics ===")
-        assert "windowed" not in text  # additive snapshot keys stay out
+        assert text.startswith("=== repro serve ===")
+        assert "requests          : 0 submitted, 0 completed" in text
+        assert "plan cache" not in text and "alerts" not in text
 
 
 # --------------------------------------------------------------------------- #
@@ -138,7 +128,7 @@ class TestServiceSLOs:
             assert flat["slo.lat.alert"] == 1
             assert flat["slo.err.alert"] == 0
             assert service.slo_tracker.active_alerts() == ["lat"]
-            snap = service.ops_snapshot()
+            snap = service.snapshot()
             assert snap["alerts"] == ["lat"]
             assert any(e["kind"] == "slo.breach"
                        for e in service.flight.events())
@@ -270,7 +260,7 @@ class TestDumpOnWorkerFault:
 
 
 # --------------------------------------------------------------------------- #
-# Console rendering + sink tailing
+# Console rendering
 # --------------------------------------------------------------------------- #
 
 
@@ -279,62 +269,11 @@ class TestConsole:
         with _service(slos=(SLO("lat", objective=0.9),)) as service:
             service.register_graph("g", k5)
             service.query("g", "P1")
-            frame = render_top(service.ops_snapshot())
+            frame = render_top(service.snapshot())
         assert frame.startswith("=== repro top ===")
         assert "requests          : 1 submitted, 1 completed" in frame
         assert "slo lat" in frame
         assert "alerts            :" in frame
-
-    def test_line_protocol_round_trip(self):
-        metrics = ServeMetrics()
-        metrics.incr("submitted", 5)
-        metrics.incr("completed", 4)
-        metrics.observe_latency(10.0)
-        metrics.set_queue_depth(3)
-        text = metrics.line_protocol(timestamp_ns=42)
-        flat = flat_from_line_protocol(text)
-        assert flat["serve.submitted"] == 5
-        assert flat["serve.latency_ms.p99"] == 10
-        snap = snapshot_from_flat(flat)
-        assert snap["counters"]["completed"] == 4
-        assert snap["queue"]["depth"] == 3
-        frame = render_top(snap)
-        assert "5 submitted, 4 completed" in frame
-
-    def test_line_protocol_tail_keeps_newest_frame(self):
-        text = (
-            "repro_serve,metric=serve.submitted value=1 100\n"
-            "repro_serve,metric=serve.submitted value=9 200\n"
-        )
-        assert flat_from_line_protocol(text)["serve.submitted"] == 9
-
-    def test_tsv_tail_and_slo_gauges(self, tmp_path):
-        path = tmp_path / "m.tsv"
-        path.write_text(
-            "# dump\nmetric\tvalue\n"
-            "serve.submitted\t7\n"
-            "slo.lat.burn.60s\t3.5\n"
-            "slo.lat.burn.600s\t2.5\n"
-            "slo.lat.alert\t1\n"
-        )
-        snap = snapshot_from_flat(tail_metrics(str(path)))
-        assert snap["counters"]["submitted"] == 7
-        assert snap["alerts"] == ["lat"]
-        (slo,) = snap["slos"]
-        assert slo["burn_rates"] == {"60s": 3.5, "600s": 2.5}
-        frame = render_top(snap)
-        assert "BREACH" in frame
-
-    def test_tail_metrics_rejects_garbage(self, tmp_path):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            tail_metrics(str(tmp_path / "missing"))
-        bad = tmp_path / "bad.txt"
-        bad.write_text("hello world\n")
-        with pytest.raises(ReproError):
-            tail_metrics(str(bad))
-        assert flat_from_tsv("metric\tvalue\nx\t1\n") == {"x": 1}
 
 
 # --------------------------------------------------------------------------- #
@@ -343,16 +282,6 @@ class TestConsole:
 
 
 class TestOpsCLI:
-    def test_top_tail_mode(self, tmp_path, capsys):
-        path = tmp_path / "m.lp"
-        path.write_text(
-            "repro_serve,metric=serve.submitted value=3 7\n"
-            "repro_serve,metric=serve.completed value=3 7\n"
-        )
-        assert main(["top", "--tail", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "3 submitted, 3 completed" in out
-
     def test_top_in_process(self, capsys):
         rc = main([
             "top", "--dataset", "dblp", "--requests", "4", "--frames", "2",

@@ -20,6 +20,7 @@ import pytest
 from repro import TDFSConfig, get_pattern, match
 from repro.errors import ReproError
 from repro.faults import WorkerFaultKind, WorkerFaultPlan, WorkerFaultSpec
+from repro.obs.console import render_top
 from repro.serve import (
     AdmissionRejected,
     BreakerState,
@@ -349,9 +350,9 @@ class TestKillResume:
             assert m.get("supervisor_restarts") == 1
             assert m.get("redeliveries") == 1
             assert m.get("resumed") == 1
-            snap = svc.snapshot()["resilience"]
-            assert snap["restarts"] == 1
-            assert snap["checkpoints_taken"] >= 1
+            snap = svc.snapshot()
+            assert snap["resilience"]["restarts"] == 1
+            assert snap["counters"]["checkpoints"] >= 1
             # Regression: the killed delivery's serve.request span used to
             # stay open forever (a phantom in-flight request in every later
             # incident bundle).  Once the ticket is settled nothing is in
@@ -496,7 +497,7 @@ class TestSeededChaos:
         with make_supervised(fast_config, plan) as svc:
             svc.register_graph("g", small_plc)
             submit_uncached(svc, "P1").result(timeout=60.0)
-            text = svc.render_metrics()
+            text = render_top(svc.snapshot())
         assert "supervision" in text
         assert "breakers" in text
         assert "quarantine" in text

@@ -25,17 +25,19 @@ vs-unsharded comparison — is the cycle-accounting conformance probe.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import Observability, RunContext, TDFSConfig, match
 from repro.core.engine import make_engine
 from repro.errors import ReproError, UnsupportedError
+from repro.query.patterns import get_pattern
 from repro.shard import (
     SHARD_STRATEGIES,
     ShardCoordinator,
     ShardPlanner,
 )
-from tests.fuzz import CONFIG_VARIANTS, fuzz_cases
+from tests.fuzz import CONFIG_VARIANTS, TIGHT_QUEUE, assert_views_fold, fuzz_cases
 
 #: Aggregate fields a process-mode run must reproduce bit-for-bit.
 CONFORMANCE_FIELDS = (
@@ -197,6 +199,30 @@ class TestSingleShardIdentity:
         assert r.elapsed_cycles == base.elapsed_cycles
 
 
+class TestOneSetOfBooks:
+    def test_every_view_is_the_fold_of_the_shards(self, straggler_graph):
+        """``shards=2`` merges through the same routine as devices: every
+        typed view of the merged result is the fold of the per-shard runs
+        (the hand-written merge lost the queue failures and five more)."""
+        config = TIGHT_QUEUE.replace(shards=2)
+        coord = coordinator(config, mode="inline")
+        plan = coord.engine.compile(get_pattern("P3"))
+        merged = coord.run(straggler_graph, plan)
+        single = make_engine("tdfs", coord.child_config)
+        parts = [  # a shard fetches its share as one edge array (_run_shard)
+            single._run_single(
+                straggler_graph,
+                plan,
+                [(np.concatenate([rows for rows, _ in groups]), 2)],
+                f"shard{i}",
+            )
+            for i, groups in enumerate(coord.planner.plan(straggler_graph).shards)
+        ]
+        assert merged.queue.enqueue_failures > 0 < merged.queue.dequeue_failures
+        assert_views_fold(merged, parts)
+        assert merged.metrics["shard.process_failures"] == 0
+
+
 class TestShardFaultRecovery:
     """A dead shard process is re-executed, never lost or double-counted."""
 
@@ -219,30 +245,27 @@ class TestShardFaultRecovery:
     def test_context_crosses_the_process_boundary_in_one_place(self):
         """A context full of things that cannot (a registry with locks, a
         lambda hook) or must not (the kill list) reach a shard child: the
-        process run returns the inline count and the shard-level story
-        lands in the caller's registry."""
+        process run — through the engine, as a caller reaches it — returns
+        the inline count and the shard-level story lands in the caller's
+        registry."""
         seed, graph, query = next(iter(fuzz_cases(1, base=1400)))
-        config = CONFIG_VARIANTS["fast"]
-        runs = {}
-        for mode in ("inline", "process"):
-            obs = Observability()
-            ctx = RunContext(
-                obs=obs,
-                checkpoint_every_events=10,
-                checkpoint_hook=lambda job, now: None,
-                shard_faults=(0,),
-            )
-            r = coordinator(config, num_shards=2, mode=mode, ctx=ctx).run(
-                graph, query
-            )
-            runs[mode] = (r, obs.flat())
-        (inline, _), (process, published) = runs["inline"], runs["process"]
+        config = CONFIG_VARIANTS["fast"].replace(shards=2)
+        obs = Observability()
+        ctx = RunContext(
+            obs=obs,
+            checkpoint_every_events=10,
+            checkpoint_hook=lambda job, now: None,
+            shard_faults=(0,),
+        )
+        inline = coordinator(config, mode="inline", ctx=ctx).run(graph, query)
+        assert obs.flat() == {}  # only a finished top-level run is folded
+        process = make_engine("tdfs", config, ctx).run(graph, query)
+        published = obs.flat()
         assert_bit_equal(inline, process, "ctx-boundary")
         assert process.count == match(graph, query, config=config).count
-        assert published["shard.jobs"] == 1
-        assert published["shard.dispatched"] == 2
         assert published["shard.process_failures"] == 1
         assert published["shard.rows_reexecuted"] > 0
+        assert published["engine.matches"] == process.count
 
     def test_all_shards_killed_still_exact(self):
         seed, graph, query = next(iter(fuzz_cases(1, base=1450)))

@@ -1,17 +1,18 @@
-"""Thread-based stress test for ``Q_task`` with obs instrumentation armed.
+"""Thread-based stress test for ``Q_task`` and its own ledger.
 
 The DES serializes warp resumptions, so each atomic-mode queue operation
 is atomic at its virtual timestamp; real Python threads model that regime
 by holding one lock across each whole operation while the *schedule* —
 which thread runs which operation when — stays adversarially random.
-With an obs registry attached, the live ``queue.occupancy`` gauge moves
-on every successful operation, so the stress run checks two things the
-interleaving suite (``test_taskqueue_concurrency``) cannot:
+The stress run checks two things the interleaving suite
+(``test_taskqueue_concurrency``) cannot:
 
 * conservation under genuine preemptive scheduling — every dequeued
   triple is exactly one enqueued triple, none lost, none duplicated;
-* the gauge reconciles with the push/pop ledger at every quiescent point
-  (occupancy == enqueued − dequeued, peak never exceeds capacity).
+* the occupancy the engine reports (``num_tasks`` / ``peak_tasks``, the
+  source of ``queue.occupancy.peak``) reconciles with the push/pop ledger
+  at every quiescent point (occupancy == enqueued − dequeued, peak never
+  exceeds capacity).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import threading
 from collections import Counter as Multiset
 
-from repro.obs import Registry
 from repro.taskqueue.ring import LockFreeTaskQueue
 from repro.taskqueue.tasks import Task
 
@@ -30,11 +30,8 @@ def stress_run(
     per_producer: int,
     capacity_tasks: int,
 ):
-    """Run one threaded schedule; returns (queue, registry, produced, got)."""
-    registry = Registry(threaded=True)
-    q = LockFreeTaskQueue(
-        capacity_ints=capacity_tasks * 3, registry=registry
-    )
+    """Run one threaded schedule; returns (queue, produced, got)."""
+    q = LockFreeTaskQueue(capacity_ints=capacity_tasks * 3)
     op_lock = threading.Lock()  # DES-style: whole ops atomic, order random
     total = n_producers * per_producer
     consumed_total = [0]
@@ -50,8 +47,7 @@ def stress_run(
                     if ok:
                         produced[tid].append(task)
                         # Quiescent-point reconciliation under the lock.
-                        occ = registry.gauge("queue.occupancy")
-                        assert occ.value == q.enqueued - q.dequeued
+                        assert q.num_tasks == q.enqueued - q.dequeued
                         break
 
     def consumer(cid: int) -> None:
@@ -63,8 +59,7 @@ def stress_run(
                 if task is not None:
                     consumed_total[0] += 1
                     got[cid].append(task)
-                    occ = registry.gauge("queue.occupancy")
-                    assert occ.value == q.enqueued - q.dequeued
+                    assert q.num_tasks == q.enqueued - q.dequeued
 
     threads = [
         threading.Thread(target=producer, args=(t,))
@@ -80,7 +75,7 @@ def stress_run(
         assert not t.is_alive(), "stress thread failed to finish"
     flat_prod = [t for chunk in produced for t in chunk]
     flat_got = [t for chunk in got for t in chunk]
-    return q, registry, flat_prod, flat_got
+    return q, flat_prod, flat_got
 
 
 def assert_conserved(produced: list[Task], got: list[Task]) -> None:
@@ -91,60 +86,42 @@ def assert_conserved(produced: list[Task], got: list[Task]) -> None:
 
 class TestThreadedStress:
     def test_balanced(self):
-        q, reg, produced, got = stress_run(4, 4, 200, capacity_tasks=16)
+        q, produced, got = stress_run(4, 4, 200, capacity_tasks=16)
         assert_conserved(produced, got)
         assert q.num_tasks == 0
 
     def test_producer_heavy_small_ring(self):
         # Full-ring back-pressure: producers spin on enqueue failures.
-        q, reg, produced, got = stress_run(6, 2, 100, capacity_tasks=4)
+        q, produced, got = stress_run(6, 2, 100, capacity_tasks=4)
         assert_conserved(produced, got)
         assert q.enqueue_failures > 0  # the ring really filled up
 
     def test_consumer_heavy(self):
         # Empty-queue polling: consumers spin on dequeue failures.
-        q, reg, produced, got = stress_run(2, 6, 150, capacity_tasks=32)
+        q, produced, got = stress_run(2, 6, 150, capacity_tasks=32)
         assert_conserved(produced, got)
         assert q.dequeue_failures > 0
 
     def test_gauge_reconciles_after_run(self):
-        q, reg, produced, got = stress_run(4, 4, 150, capacity_tasks=8)
-        occ = reg.gauge("queue.occupancy")
-        assert occ.value == 0 == q.enqueued - q.dequeued
-        assert 0 < occ.peak <= 8
+        q, produced, got = stress_run(4, 4, 150, capacity_tasks=8)
+        assert q.num_tasks == 0 == q.enqueued - q.dequeued
+        assert 0 < q.peak_tasks <= 8
         assert q.enqueued == q.dequeued == len(produced)
-
-    def test_publish_totals_match_ledger(self):
-        q, _, produced, _ = stress_run(3, 3, 100, capacity_tasks=8)
-        out = Registry()
-        q.publish(out)
-        flat = out.flat()
-        assert flat["queue.enqueued"] == len(produced)
-        assert flat["queue.dequeued"] == len(produced)
-        assert flat["queue.occupancy"] == 0
-        assert flat["queue.occupancy.peak"] == q.peak_tasks
 
 
 class TestSerialGaugeSemantics:
-    """The live gauge's exact motion, checked without thread noise."""
+    """The occupancy ledger's exact motion, checked without thread noise."""
 
     def test_inc_dec_and_peak(self):
-        reg = Registry()
-        q = LockFreeTaskQueue(capacity_ints=4 * 3, registry=reg)
-        occ = reg.gauge("queue.occupancy")
+        q = LockFreeTaskQueue(capacity_ints=4 * 3)
         for i in range(4):
             assert q.enqueue(Task(i, i, i))[0]
-            assert occ.value == i + 1
-        assert not q.enqueue(Task(9, 9, 9))[0]  # full: gauge unmoved
-        assert occ.value == 4
+            assert q.num_tasks == i + 1
+        assert not q.enqueue(Task(9, 9, 9))[0]  # full: occupancy unmoved
+        assert q.num_tasks == 4
         for i in range(4):
             assert q.dequeue()[0] is not None
-        assert q.dequeue()[0] is None  # empty: gauge unmoved
-        assert occ.value == 0
-        assert occ.peak == 4
-
-    def test_no_registry_means_no_gauge(self):
-        q = LockFreeTaskQueue(capacity_ints=6)
-        assert q._occupancy is None
-        assert q.enqueue(Task(1, 2, 3))[0]  # still fully functional
-        assert q.dequeue()[0] == Task(1, 2, 3)
+        assert q.dequeue()[0] is None  # empty: occupancy unmoved
+        assert q.num_tasks == 0
+        assert q.peak_tasks == 4
+        assert (q.enqueue_failures, q.dequeue_failures) == (1, 1)

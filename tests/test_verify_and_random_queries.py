@@ -91,8 +91,8 @@ def test_random_patterns_cross_engine(small_er, k, density, qseed):
     expect = cpu_count(small_er, plan)
     got = TDFSEngine(TDFSConfig(num_warps=4)).run(small_er, plan)
     assert got.count == expect
-    hybrid = match(small_er, query, engine="hybrid", config=TDFSConfig(num_warps=4))
-    assert hybrid.count == expect
+    pbe = match(small_er, query, engine="pbe", config=TDFSConfig(num_warps=4))
+    assert pbe.count == expect
 
 
 @settings(max_examples=10, deadline=None)
