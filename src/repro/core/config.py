@@ -118,8 +118,8 @@ class TDFSConfig:
     shards: int = 1
     """Shard the initial-task space over N worker processes (see
     :mod:`repro.shard`).  1 = in-process execution, unchanged.  N > 1 fans
-    deterministic shards out over a ``ProcessPoolExecutor`` and merges the
-    per-shard results; match counts are invariant for any N, and the merge
+    deterministic shards out over the process's standing workers and merges
+    the per-shard results; match counts are invariant for any N, and the merge
     is bit-identical to running the same shard plan sequentially."""
     shard_strategy: str = "hash"
     """Shard partitioning strategy: ``"hash"`` (content-hash, seed-stable)

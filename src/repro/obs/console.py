@@ -26,9 +26,12 @@ __all__ = ["render_top", "shard_utilization"]
 def shard_utilization(spans: Iterable[dict]) -> dict:
     """Per-shard work summary from ``shard.run`` spans.
 
-    Returns ``{"s<index>": {"runs": n, "rows": r, "ms": t, "pids": k}}``
-    — how the dispatched work (and wall time) spread over shard worker
-    processes, the "per-shard utilization" row of ``repro top``.
+    Returns ``{"s<index>": {"runs": n, "rows": r, "ms": t, "cpu_ms": c,
+    "rss_mb": m, "pids": k}}`` — how the dispatched work, wall time and CPU
+    spread over shard worker processes, the "per-shard utilization" row of
+    ``repro top``.  ``cpu_ms`` and ``rss_mb`` (peak) are each worker's own
+    readings: standing workers are never reaped, so the parent's
+    ``RUSAGE_CHILDREN`` does not contain them.
     """
     util: dict[str, dict] = {}
     for span in spans:
@@ -37,14 +40,18 @@ def shard_utilization(spans: Iterable[dict]) -> dict:
         tags = span.get("tags") or {}
         key = f"s{tags.get('shard', '?')}"
         slot = util.setdefault(
-            key, {"runs": 0, "rows": 0, "ms": 0.0, "pids": set()}
+            key,
+            {"runs": 0, "rows": 0, "ms": 0.0, "cpu_ms": 0.0, "rss_mb": 0.0, "pids": set()},
         )
         slot["runs"] += 1
         slot["rows"] += int(tags.get("rows", 0) or 0)
         slot["ms"] += float(span.get("dur_ms", 0.0))
+        slot["cpu_ms"] += float(tags.get("cpu_ms", 0.0))
+        slot["rss_mb"] = max(slot["rss_mb"], float(tags.get("rss_mb", 0.0)))
         slot["pids"].add(span.get("pid"))
     for slot in util.values():
         slot["ms"] = round(slot["ms"], 3)
+        slot["cpu_ms"] = round(slot["cpu_ms"], 3)
         slot["pids"] = len(slot["pids"] - {None})
     return dict(sorted(util.items()))
 
@@ -168,6 +175,7 @@ def render_top(snap: dict, title: str = "repro top") -> str:
     if util:
         bits = [
             f"{k} {v['runs']} run(s)/{v['rows']} rows/{v['ms']:.1f} ms"
+            f"/{v.get('cpu_ms', 0):.1f} cpu ms/{v.get('rss_mb', 0):.0f} MB"
             for k, v in util.items()
         ]
         lines.append(f"shards            : {'  '.join(bits)}")

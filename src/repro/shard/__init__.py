@@ -14,9 +14,10 @@ Two pieces:
   deterministic shards (``hash`` content-hash partitioning or ``degree``
   greedy work balancing), pre-splitting oversized shards through
   :func:`repro.faults.recovery.reshard_groups`;
-* :class:`ShardCoordinator` — fans the shards out over a
-  ``concurrent.futures.ProcessPoolExecutor``, runs the unmodified engine
-  per shard, re-executes killed shard processes via the reshard path, and
+* :class:`ShardCoordinator` — feeds the shards to the process's standing
+  worker pool (launched once by the first sharded run, drained at exit or
+  by :func:`shutdown_workers`), runs the unmodified engine per shard,
+  re-executes the shards of dead workers via the reshard path, and
   merges the per-shard :class:`~repro.core.result.MatchResult`\\ s (counts
   sum, makespan is the max, obs snapshots and RecoveryStats fold) into one
   result identical to running the same shard plan in a single process.
@@ -26,7 +27,11 @@ DESIGN.md §12 for the exactness argument and the failure/re-execution
 path.
 """
 
-from repro.shard.coordinator import ShardCoordinator, ShardProcessError
+from repro.shard.coordinator import (
+    ShardCoordinator,
+    ShardProcessError,
+    shutdown_workers,
+)
 from repro.shard.planner import (
     SHARD_STRATEGIES,
     ShardPlan,
@@ -39,4 +44,5 @@ __all__ = [
     "ShardPlan",
     "ShardPlanner",
     "ShardProcessError",
+    "shutdown_workers",
 ]

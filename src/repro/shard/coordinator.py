@@ -12,21 +12,28 @@ The coordinator's exactness contract has two halves:
   the coordinator's process.  The merged result (counts sum, makespan is
   the max, counters sum, ``.peak`` metrics max — the one
   :func:`~repro.core.multi_gpu.merge_results`) is therefore identical
-  whether the shards ran over a ``ProcessPoolExecutor`` or inline, which
-  is what ``tests/test_shard_conformance.py`` sweeps.
+  whether the shards ran on the standing workers or inline, which is what
+  ``tests/test_shard_conformance.py`` sweeps.  The workers are *reused*,
+  so this holds for a process's hundredth job as for its first:
+  :func:`_run_shard` keeps nothing from one call to the next.
 
-Failure path: a shard process that dies (a killed worker, a poisoned
-pickle, an injected :class:`ShardProcessError`) hands nothing back, so
-:func:`repro.core.multi_gpu.fan_out` re-runs its whole shard in the
-coordinator process and does the recovery accounting (DESIGN.md "Work
-groups").  What lives here is only what is process-specific: the pool, the
-child config and context, the ``shard.dispatch`` / ``shard.run`` spans and
-the ``shard.*`` keys of the merged ``metrics``.
+Failure path: a shard whose worker hands nothing back (an injected
+:class:`ShardProcessError` raised by a healthy worker, a poisoned pickle,
+a killed worker that takes the whole pool down with it) leaves its slot
+``None``, so :func:`repro.core.multi_gpu.fan_out` re-runs that whole shard
+in the coordinator process and does the recovery accounting (DESIGN.md
+"Work groups").  What lives here is only what is process-specific: the
+standing worker pool, the child config and context, the ``shard.dispatch``
+/ ``shard.run`` spans and the ``shard.*`` keys of the merged ``metrics``.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
+import resource
+import threading
+import time
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
@@ -91,17 +98,151 @@ def _run_shard(
     if groups:
         rows = np.concatenate([r for r, _ in groups])
     trace = config.trace_context
-    # Recorded here — inside the (possibly forked) worker process — so the
-    # span's pid proves which process ran the shard.  It travels back to the
-    # coordinator inside the pickled result, hence the throwaway collector.
+    # Recorded here — inside the worker process — so the span's pid proves
+    # which process ran the shard, and its cpu_ms / rss_mb are that
+    # process's own readings (a standing worker is never reaped, so the
+    # coordinator's RUSAGE_CHILDREN cannot see it).  The span travels back
+    # inside the pickled result, hence the throwaway collector.
     tracer = Tracer(enabled=trace is not None, max_spans=1)
+    cpu0 = time.process_time()
     with tracer.span("shard.run", ctx=trace, shard=shard_index, rows=len(rows)) as span:
         result = engine._run_single(
             graph, plan, [(rows, 2)], f"shard{shard_index}", collect_matches
         )
-        span.tags["count"] = int(result.count)
+        span.tags.update(
+            count=int(result.count),
+            cpu_ms=round((time.process_time() - cpu0) * 1e3, 3),
+            rss_mb=round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
+            ),
+        )
     result.op_spans = (result.op_spans or []) + tracer.spans() or None
     return result
+
+
+def cpu_budget() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` and cgroup cpusets shrink it), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _settle_worker(slots) -> None:
+    """Worker initializer: take a CPU, and exit when the parent is gone.
+
+    *A CPU of its own.*  Jobs reach a worker over a pipe, and the kernel
+    likes to wake a pipe's reader on the writer's CPU: unpinned, two workers
+    fed by one coordinator were seen sharing a core for whole 50 ms jobs
+    (``shard.run`` ``cpu_ms`` half its ``dur_ms``) with the next core idle.
+    A standing worker can afford what a per-request one could not: worker
+    ``slot`` pins itself to the ``slot``-th CPU the process may use (wrapping
+    when a request asked for more workers than CPUs).
+
+    *Not an orphan.*  A parent that exits normally drains its workers
+    (:func:`shutdown_workers`); one that is killed cannot, and an idle
+    worker would wait on its job pipe for ever.  The parent sentinel
+    ``multiprocessing`` gives every child becomes ready when the parent
+    dies, whatever killed it.
+    """
+    import multiprocessing as mp
+    from multiprocessing.connection import wait
+
+    if hasattr(os, "sched_setaffinity"):
+        allowed = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {allowed[slots.get() % len(allowed)]})
+    sentinel = mp.parent_process().sentinel
+
+    def exit_with_parent() -> None:
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+
+
+class _StandingWorkers:
+    """The process's one pool of shard worker processes.
+
+    Built by the first sharded run, fed jobs by every
+    :class:`ShardCoordinator` on every thread from then on, and drained by
+    :func:`shutdown_workers`.  It holds :func:`cpu_budget` workers; a
+    request that asks for more (``ShardCoordinator(max_workers=…)``) swaps
+    in a larger pool and the old one retires once its jobs are done.
+    ``fork`` is preferred (start-up is milliseconds); ``spawn`` works too
+    since :func:`_run_shard` is module-level and every argument pickles.
+    """
+
+    def __init__(self) -> None:
+        self._reset()
+        # A forked child inherits the pool object but not its manager
+        # thread; it starts over with no pool (and an unheld lock).
+        os.register_at_fork(after_in_child=self._reset)
+
+    def _reset(self) -> None:
+        self._lock = threading.Lock()
+        self._pool = None
+        self._size = 0
+
+    def submit(self, jobs: list[tuple], need: int) -> tuple:
+        """``(pool, futures)`` of :func:`_run_shard` over ``jobs`` on a pool
+        of at least ``need`` workers."""
+        import concurrent.futures as cf
+        import multiprocessing as mp
+
+        # Under the lock throughout, so no swap can close the pool between
+        # choosing it and submitting to it.
+        with self._lock:
+            while True:
+                if self._pool is None or self._size < need:
+                    retired, self._size = self._pool, max(need, cpu_budget())
+                    context = mp.get_context(
+                        "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+                    )
+                    slots = context.SimpleQueue()  # one number per worker
+                    for slot in range(self._size):
+                        slots.put(slot)
+                    self._pool = cf.ProcessPoolExecutor(
+                        self._size, context, _settle_worker, (slots,)
+                    )
+                    if retired is not None:
+                        retired.shutdown(wait=False)  # its queued jobs still run
+                pool = self._pool
+                try:
+                    return pool, [pool.submit(_run_shard, *job) for job in jobs]
+                except cf.BrokenExecutor:
+                    # Another request's worker died and its coordinator has
+                    # not retired the pool yet: this one starts on a fresh one.
+                    self._forget(pool)
+
+    def _forget(self, pool) -> None:
+        if self._pool is pool:
+            self._pool = None
+        pool.shutdown(wait=False)
+
+    def retire(self, pool) -> None:
+        """Discard ``pool`` (broken: a worker died); the next request builds
+        a fresh one."""
+        with self._lock:
+            self._forget(pool)
+
+    def shutdown(self) -> None:
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)  # in-flight jobs finish first
+
+
+_WORKERS = _StandingWorkers()
+
+
+@atexit.register
+def shutdown_workers() -> None:
+    """Stop the standing shard workers once their in-flight jobs are done.
+
+    Runs at interpreter exit; tests and embedders may call it any time —
+    the next sharded run starts a new pool.
+    """
+    _WORKERS.shutdown()
 
 
 class ShardCoordinator:
@@ -214,35 +355,27 @@ class ShardCoordinator:
     # ------------------------------------------------------------------ #
 
     def _execute_pool(self, jobs: list[tuple]) -> list[Optional[MatchResult]]:
-        """Fan the shard jobs out over a process pool.
+        """Fan the shard jobs out over the process's standing workers.
 
-        ``fork`` is preferred (the graph is shared copy-on-write and
-        startup is milliseconds); ``spawn`` works too since
-        :func:`_run_shard` is module-level and every argument pickles.
-        Any worker-side failure — injected death, a broken pool after a
-        real kill — leaves that shard's slot ``None`` (dead, to be re-run)
-        rather than failing the job.
+        Any worker-side failure — an injected death, a poisoned pickle, a
+        really dead worker (which breaks the pool under every request in
+        flight on it) — leaves that shard's slot ``None`` (dead, to be
+        re-run) rather than failing the job.  An explicit ``max_workers``
+        bounds how many of this request's shards are out at once.
         """
         import concurrent.futures as cf
-        import multiprocessing as mp
 
-        context = mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        )
-        workers = self.max_workers or min(
-            len(jobs), max(1, os.cpu_count() or 1)
-        )
         results: list[Optional[MatchResult]] = [None] * len(jobs)
-        with cf.ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        ) as pool:
-            futures = {
-                pool.submit(_run_shard, *job): s for s, job in enumerate(jobs)
-            }
-            for future in cf.as_completed(futures):
-                s = futures[future]
+        limit = self.max_workers or len(jobs)
+        for start in range(0, len(jobs), limit):
+            pool, futures = _WORKERS.submit(
+                jobs[start : start + limit], self.max_workers or 1
+            )
+            for s, future in enumerate(futures, start):
                 try:
                     results[s] = future.result()
+                except cf.BrokenExecutor:
+                    _WORKERS.retire(pool)
                 except Exception:
-                    pass  # a dead worker: the slot stays None
+                    pass  # a dead shard: the slot stays None
         return results

@@ -159,6 +159,7 @@ class TestCrossProcessTraces:
             dump_on_error=str(tmp_path / "bundle.json"),
             enable_result_cache=False,
         ) as service:
+            service.tracer.clear()  # the ring is process-wide
             service.register_graph("g", k5)
             response = service.query("g", "P1")
             assert response.ok
@@ -186,6 +187,10 @@ class TestCrossProcessTraces:
         util = shard_utilization(bundle["spans"])
         assert set(util) == {"s0", "s1"}
         assert util["s0"]["runs"] >= 2  # killed attempt + re-execution
+        # Each worker measured itself (the parent cannot see unreaped ones),
+        # and `repro top` prints it.
+        assert all(u["cpu_ms"] > 0 and u["rss_mb"] > 1 for u in util.values())
+        assert "cpu ms" in render_top({"shard_util": util})
 
     def test_trace_context_threads_through_queue_and_worker(self, k5):
         with _service() as service:

@@ -10,7 +10,9 @@ worker kill and one shed:
   ``max`` for ``.peak`` keys — the rule of ``repro.obs.fold_metrics``);
 * ``counter`` / ``snapshot`` — a serve counter / a top-level key of
   ``MatchService.snapshot()``;
-* ``span`` / ``flight`` — a span name / a flight-recorder event kind.
+* ``span`` / ``flight`` — a span name / a flight-recorder event kind;
+* ``tag`` — ``shard.run.<tag>``: a tag of the span a shard worker ships
+  back (its reader quotes the bare tag name).
 
 ``read_by`` names a file *other than the writer* that mentions the name as
 a quoted literal (the spine layer table, ``render_top``, the view table, a
@@ -82,7 +84,16 @@ def produced() -> set[tuple[str, str, str]]:
     rows.update(("span", name, "-") for name in obs.tracer.counts)
     metrics_of(match(graph, "P3", config=STEAL.replace(num_gpus=2)))
     traced = STEAL.replace(shards=2, trace_context=TraceContext.mint(test="contract"))
-    metrics_of(match(graph, "P3", config=traced))
+    sharded = match(graph, "P3", config=traced)
+    metrics_of(sharded)
+    # The one span whose tags are read by name on the far side of a process
+    # boundary (`repro top`'s per-shard row, the scaling bench's CPU ratio).
+    rows.update(
+        ("tag", f"shard.run.{tag}", "-")
+        for span in sharded.op_spans
+        if span["name"] == "shard.run"
+        for tag in span["tags"]
+    )
 
     def service_rows(service: MatchService) -> None:
         snap = service.snapshot()
@@ -166,8 +177,9 @@ def test_produced_names_equal_the_catalogue_and_every_row_has_a_reader():
         text = (ROOT / read_by).read_text()
         # Spans and flight events all reach the incident bundle and the
         # Chrome export by kind; a statistic needs a reader that names it.
+        literal = name.rpartition(".")[2] if kind == "tag" else name
         assert kind in ("span", "flight") or (
-            f'"{name}"' in text or f"'{name}'" in text
+            f'"{literal}"' in text or f"'{literal}'" in text
         ), f"{kind} {name}: {read_by} does not mention it"
     # What BENCHMARK.json's per-layer rows are computed from.
     names = {(kind, name) for kind, name, _ in rows}
