@@ -17,7 +17,11 @@ loop iterations.  On frontier-bound cells (P1/P2 everywhere — mean leaf
 batch below the vectorization threshold) sync-window leaf blocks decline;
 what the backend saves there comes from prefix windows and the child cells
 below them, which resolve every level of a row per window (DESIGN.md §9),
-and the full (non-quick) run includes those cells to show both.
+and the full (non-quick) run includes those cells to show both.  The P3
+cells time out at the default τ: the rows and level-2 candidates they ship
+to ``Q_task`` keep the block slot that resolved them, so the dequeuing warp
+replays slots too (edge tasks always; three-vertex tasks where no reuse
+seed sits at position 2 — not P1 / P2, whose tasks run the scalar path).
 """
 
 import time

@@ -28,6 +28,7 @@ charging cycles.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Generator, Optional
 
 import numpy as np
@@ -208,6 +209,13 @@ class MatchJob:
         self.journal: Optional[dict[Task, int]] = (
             {} if self.ctx.recovery_armed else None
         )
+        #: Host-side hand-off beside the journal: a task in the ring → the
+        #: ``(block, slot)`` that resolved its first unfilled position on the
+        #: warp that shipped it (an edge task's row in its prefix window, a
+        #: three-vertex task's candidate in the level-2 child).  Written only
+        #: for a task the ring accepted, popped at its dequeue — never more
+        #: entries than tasks in the ring; a miss runs the scalar path.
+        self.handoff: dict[Task, tuple[Block, int]] = {}
 
     # ------------------------------------------------------------------ #
     # Termination
@@ -265,9 +273,13 @@ class MatchJob:
         """Record one virtual span (callers guard on ``tracer.enabled``)."""
         self.tracer.record(make_span(name, None, start, end, self.device, warp.wid))
 
-    def _journal_add(self, task: Task) -> None:
+    def _shipped(self, task: Task, block: Optional[Block], slot: int) -> None:
+        """Book a task the ring accepted: in the journal when it is armed,
+        and in the hand-off when ``block``'s ``slot`` already resolved it."""
         if self.journal is not None:
             self.journal[task] = self.journal.get(task, 0) + 1
+        if block is not None:
+            self.handoff[task] = (block, slot)
 
     def _validate_task(self, task: Task) -> None:
         """Detect corrupted ring slots (range check + journal membership).
@@ -409,7 +421,9 @@ class MatchJob:
                 and st.chunk_pos < len(st.chunk) - 1
             ):
                 # Decompose: ship the remaining edges as 2-vertex tasks.
-                shipped = yield from self._enqueue_remaining_edges(warp, st)
+                shipped = yield from self._enqueue_remaining_edges(
+                    warp, st, block, slot
+                )
                 if shipped:
                     st.chunk = None
                     return
@@ -424,15 +438,32 @@ class MatchJob:
     def _process_task(
         self, warp: Warp, st: RunState, task: Task
     ) -> Generator[int, None, None]:
-        """Process a task dequeued from ``Q_task`` (Algorithm 4 lines 1–3)."""
+        """Process a task dequeued from ``Q_task`` (Algorithm 4 lines 1–3).
+
+        The task starts from the block slot its shipper handed off, when
+        there is one: an edge task is its prefix window's row again; a
+        three-vertex task takes the level-2 child's slot where the shape
+        rule allows (see :attr:`_task_blocks_end`).
+        """
+        block, slot = self.handoff.pop(task, (None, 0))
         st.path[0] = task.v1
         st.path[1] = task.v2
         prefix_len = 2
         if task.v3 != PLACEHOLDER:
             st.path[2] = task.v3
             prefix_len = 3
+            if block is not None and self._task_blocks_end == 3:
+                block = None
         st.t0 = warp.now
-        yield from self._process_item(warp, st, prefix_len)
+        yield from self._process_item(warp, st, prefix_len, block, slot)
+
+    @cached_property
+    def _task_blocks_end(self) -> int:
+        """The shape rule, decided once per job: the first position whose
+        block a three-vertex task may not take (``k`` when every block
+        holds for it; see :meth:`KernelBackend.shape_holds`)."""
+        holds = self.backend.shape_holds
+        return next((p for p in range(3, self._k) if not holds(self, p, 3)), self._k)
 
     def _process_stolen(
         self, warp: Warp, st: RunState, pending: tuple
@@ -472,9 +503,10 @@ class MatchJob:
         slot: int = 0,
     ) -> Generator[int, None, None]:
         """DFS below ``st.path[:prefix_len]``; ``block``/``slot`` carry the
-        precomputed first level of a width-2 row (see :meth:`_fill_level`),
-        and every level filled from a block asks it for the child that
-        resolves the next one (see :meth:`_child`)."""
+        precomputed first level of a width-2 row or of a ``Q_task`` task
+        that inherited one (see :meth:`_fill_level`), and every level filled
+        from a block asks it for the child that resolves the next one (see
+        :meth:`_child`)."""
         cost = self.cost
         k = self._k
         st.item_prefix = prefix_len
@@ -527,7 +559,9 @@ class MatchJob:
                     and st.item_prefix == 2
                     and warp.now - st.t0 > self.tau
                 ):
-                    all_shipped = yield from self._decompose_level(warp, st, pos)
+                    all_shipped = yield from self._decompose_level(
+                        warp, st, pos, *kids[pos]
+                    )
                     if all_shipped:
                         st.iters[pos] = len(st.filtered[pos])
                         continue
@@ -583,11 +617,13 @@ class MatchJob:
         ``block``'s ``slot``: the block resolving ``pos + 1`` for its
         survivors (see :meth:`KernelBackend.child_block`).  A level that
         was filled without a block has none, and neither has one that
-        truncated — the descendants were computed from the full set."""
+        truncated — the descendants were computed from the full set — nor,
+        below a three-vertex task, a position the shape rule withholds."""
         if (
             block is None
             or not len(st.filtered[pos])
             or st.stack.level(pos).length != block.raw_sizes[slot]
+            or (st.valid_from > 2 and pos + 1 >= self._task_blocks_end)
         ):
             return None, 0
         return block.child_at(slot) or self.backend.child_block(self, block, slot)
@@ -904,9 +940,15 @@ class MatchJob:
     # ------------------------------------------------------------------ #
 
     def _decompose_level(
-        self, warp: Warp, st: RunState, pos: int
+        self,
+        warp: Warp,
+        st: RunState,
+        pos: int,
+        child: Optional[Block],
+        base: int,
     ) -> Generator[int, None, bool]:
-        """Enqueue the remaining candidates at ``pos`` as 3-vertex tasks.
+        """Enqueue the remaining candidates at ``pos`` as 3-vertex tasks;
+        candidate ``i`` hands off slot ``base + i`` of the level's ``child``.
 
         Returns True when everything was shipped; on a full queue, resets
         ``t0`` and leaves the remainder for in-place processing (paper
@@ -929,16 +971,17 @@ class MatchJob:
                 if self.tracer.enabled:
                     self._span(warp, "steal", span0, warp.now)
                 return False
-            self._journal_add(task)
+            self._shipped(task, child, base + st.iters[pos])
             st.iters[pos] += 1
         if self.tracer.enabled:
             self._span(warp, "steal", span0, warp.now)
         return True
 
     def _enqueue_remaining_edges(
-        self, warp: Warp, st: RunState
+        self, warp: Warp, st: RunState, block: Optional[Block], slot: int
     ) -> Generator[int, None, bool]:
-        """Ship the chunk's unprocessed edges as 2-vertex tasks."""
+        """Ship the chunk's unprocessed edges as 2-vertex tasks; row
+        ``chunk_pos`` hands off slot ``slot + chunk_pos`` of ``block``."""
         warp.stats.timeouts += 1
         span0 = warp.now
         while st.chunk_pos < len(st.chunk):
@@ -952,7 +995,7 @@ class MatchJob:
                 if self.tracer.enabled:
                     self._span(warp, "steal", span0, warp.now)
                 return False
-            self._journal_add(task)
+            self._shipped(task, block, slot + st.chunk_pos)
             st.chunk_pos += 1
         if self.tracer.enabled:
             self._span(warp, "steal", span0, warp.now)

@@ -167,6 +167,19 @@ class KernelBackend(abc.ABC):
         """
         return 0
 
+    def shape_holds(self, job: "MatchJob", position: int, valid_from: int) -> bool:
+        """Whether a block built below a prefix window holds, at
+        ``position``, what an item whose stack is valid from ``valid_from``
+        computes there.
+
+        Blocks are built under ``valid_from`` 2 (every level from 2 down is
+        the item's own).  A three-vertex ``Q_task`` task never filled level
+        2, so the reuse rule ``entry.source >= valid_from`` gives it another
+        list shape — other charges, other counters — wherever the seed is
+        position 2; the block may stand in only where the two shapes are one.
+        """
+        return False
+
     def leaf_block(
         self,
         job: "MatchJob",

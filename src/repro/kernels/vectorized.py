@@ -27,8 +27,8 @@ and all hand the matcher one :class:`~repro.kernels.base.Block`:
   resolved once per window and the per-item work left in the matcher is a
   stack write and a charge;
 * :meth:`VectorizedBackend.leaf_block` — the leaf for one sync window
-  (≤ 64 candidates) of an item that has no block above it (``Q_task``
-  tasks, unblocked rows, stolen halves).
+  (≤ 64 candidates) of an item that has no block above it (unblocked
+  rows, stolen halves, ``Q_task`` tasks that inherited none).
 
 Supported list shapes, per slot: one streamed adjacency list, alone or
 against one other list — a partner vertex's adjacency list or a reuse
@@ -334,6 +334,9 @@ class VectorizedBackend(KernelBackend):
         self, job: "MatchJob", st: "RunState", position: int
     ) -> int:
         return self._shape(job, position, st.valid_from)[0]
+
+    def shape_holds(self, job: "MatchJob", position: int, valid_from: int) -> bool:
+        return self._shape(job, position, valid_from) == self._shape(job, position, 2)
 
     # ------------------------------------------------------------------ #
     # Leaf windows

@@ -30,6 +30,8 @@ the child-cell sweeps run their whole cross-product; tier-1 runs a slice.
 from __future__ import annotations
 
 import os
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,6 +100,14 @@ CONFORMANCE_FIELDS = (
 )
 
 
+def assert_same(a, b, label=""):
+    """Two runs agree on the whole conformance field set."""
+    for f in CONFORMANCE_FIELDS:
+        assert getattr(a, f) == getattr(b, f), (
+            f"{label}: runs diverge on {f}: {getattr(a, f)} != {getattr(b, f)}"
+        )
+
+
 def assert_conformant(graph, query, config, engine="tdfs", label="", ctx=None):
     """Run both backends and assert the full conformance field set."""
     scalar = match(
@@ -108,13 +118,58 @@ def assert_conformant(graph, query, config, engine="tdfs", label="", ctx=None):
         graph, query, engine=engine,
         config=config.replace(kernel_backend="vectorized"), ctx=ctx,
     )
-    for f in CONFORMANCE_FIELDS:
-        assert getattr(scalar, f) == getattr(vec, f), (
-            f"{label or graph.name}/{query if isinstance(query, str) else query.name}"
-            f" [{engine}]: backends diverge on {f}: "
-            f"scalar={getattr(scalar, f)} vectorized={getattr(vec, f)}"
-        )
+    name = query if isinstance(query, str) else query.name
+    assert_same(scalar, vec, f"{label or graph.name}/{name} [{engine}]")
     return scalar, vec
+
+
+def assert_spans_identical(graph, query, cfg):
+    """Tracing on: both backends record the same virtual spans, one
+    ``intersect`` per replayed slot included."""
+    spans = []
+    for name in ("scalar", "vectorized"):
+        obs = Observability(tracing=True)
+        ctx = RunContext(obs=obs)
+        match(graph, query, config=cfg.replace(kernel_backend=name), ctx=ctx)
+        spans.append(obs.tracer.spans())
+    assert spans[0] == spans[1]
+    assert any(s["name"] == "intersect" for s in spans[0])
+
+
+def assert_checkpoint_resumes(graph, pattern, cfg, every, when):
+    """Both backends snapshot at the first checkpoint where ``when(job)``
+    holds: the snapshots are equal — arrays of vertex ids, nothing of a
+    block — and both resume to the uninterrupted count, conformant.
+    Returns the snapshot's groups and what ``when`` said on each backend."""
+    full = match(graph, pattern, config=cfg).count
+    snaps = {}
+    for name in ("scalar", "vectorized"):
+        taken = []
+
+        def hook(job, now, taken=taken):
+            note = not taken and when(job)
+            if note:
+                taken.append((snapshot_pending_work(job), job.count, now, note))
+
+        ctx = RunContext(checkpoint_every_events=every, checkpoint_hook=hook)
+        run = match(graph, pattern, config=cfg.replace(kernel_backend=name), ctx=ctx)
+        assert run.count == full
+        snaps[name] = taken[0]
+    groups, base, now, note = snaps["scalar"]
+    vgroups, vbase, vnow, vnote = snaps["vectorized"]
+    assert (base, now) == (vbase, vnow)
+    assert [(r.tolist(), w) for r, w in groups] == [
+        (r.tolist(), w) for r, w in vgroups
+    ]
+    resumed = [
+        TDFSEngine(cfg.replace(kernel_backend=name)).run_resume(
+            graph, get_pattern(pattern), groups, base_count=base
+        )
+        for name in ("scalar", "vectorized")
+    ]
+    assert resumed[0].count == resumed[1].count == full
+    assert_same(*resumed)
+    return groups, note, vnote
 
 
 class TestUnlabeledConformance:
@@ -233,6 +288,14 @@ class TestForcedBlockEngagement:
     """White-box: ``min_batch=1`` removes the size gate, so even tiny
     graphs drive the batched leaf path; results must still be exact."""
 
+    @pytest.fixture(autouse=True)
+    def no_windows(self, monkeypatch):
+        """Under a prefix window only what inherits no block offers sync
+        windows; with every window declined, every item does."""
+        from repro.kernels import vectorized
+
+        monkeypatch.setattr(vectorized, "PREFIX_MIN_ROWS", 1 << 30)
+
     def test_forced_blocks_agree(self):
         engaged = 0
         for case in range(6):
@@ -253,10 +316,7 @@ class TestForcedBlockEngagement:
 
             backend.leaf_block = spy
             vec = match(graph, query, config=FAST.replace(kernel_backend=backend))
-            for f in CONFORMANCE_FIELDS:
-                assert getattr(scalar, f) == getattr(vec, f), (
-                    f"forced-block case {case}: diverge on {f}"
-                )
+            assert_same(scalar, vec, f"forced-block case {case}")
             accepted = [b for b in produced if b is not None]
             assert all(b.count >= 1 for b in accepted)
             engaged += len(accepted)
@@ -277,8 +337,7 @@ class TestForcedBlockEngagement:
             query,
             config=STEAL.replace(kernel_backend=VectorizedBackend(min_batch=1)),
         )
-        for f in CONFORMANCE_FIELDS:
-            assert getattr(scalar, f) == getattr(vec, f)
+        assert_same(scalar, vec)
 
 
 class TestIntersectSortedClamp:
@@ -557,6 +616,10 @@ def small_cells(monkeypatch):
     monkeypatch.setattr(vectorized, "PREFIX_MIN_ROWS", 1)
 
 
+def _no_parent():
+    raise AssertionError("Block.parent() dereferenced above an inherited child")
+
+
 def child_shape(job, position) -> str:
     """The list shape of ``position`` below a prefix window, by name."""
     _, _, reuse, positions, per_slot = job.backend._shape(job, position, 2)
@@ -595,11 +658,17 @@ class TestChildBlockSlots:
         assert shapes >= (wanted if labeled else wanted | {"seed-only"}), shapes
 
     @staticmethod
-    def _check_tree(graph, query, cfg, limit=150 if EXHAUSTIVE else 100):
-        job = _direct_job(graph, query, cfg, VectorizedBackend())
+    def _check_tree(
+        graph, query, cfg, limit=150 if EXHAUSTIVE else 100, job=None, hits=None
+    ):
+        """Walks below every slot of ``job``'s prefix windows — or, given
+        ``hits`` (``(task, block, slot)`` hand-offs of ``Q_task``), below
+        each task's inherited slot with the stack valid from the task's
+        depth.  Past ``limit`` slots a slot is still checked, not entered."""
+        job = job or _direct_job(graph, query, cfg, VectorizedBackend())
         plan, backend = job.plan, job.backend
         k = plan.num_levels
-        st = RunState(k, WarpStack(k, job.level_factory))
+        st = RunState(k, WarpStack(k, array_level_factory(max(graph.max_degree, 1))))
         st.valid_from = 2
         shapes, counts = set(), {"slots": 0}
 
@@ -616,13 +685,15 @@ class TestChildBlockSlots:
                 assert block.filtered is None and block.matched is None
                 return
             offs = block.filtered_offsets
-            survivors = block.filtered[offs[slot] : offs[slot + 1]]
-            if not len(survivors):
+            survivors = st.filtered[pos] = block.filtered[offs[slot] : offs[slot + 1]]
+            if not len(survivors) or counts["slots"] >= limit:
                 return
-            child, base = backend.child_block(job, block, slot)
+            child, base = job._child(st, pos, block, slot)
             shape = child_shape(job, pos + 1)
             if child is None:
-                if shape != "declined":
+                if not backend.shape_holds(job, pos + 1, st.valid_from):
+                    shape = "shape-rule"
+                elif shape != "declined":
                     # Only a slot heavier than the budget has no child.
                     lo = block.cells.index(slot)
                     assert block.cells[lo + 1] == slot + 1
@@ -637,12 +708,21 @@ class TestChildBlockSlots:
             for i, v in enumerate(survivors[:3]):
                 st.path[pos] = int(v)
                 descend(pos + 1, child, base + i)
-                if counts["slots"] >= limit:
-                    return
 
+        for task, block, slot in hits or ():
+            n = st.valid_from = task.depth
+            st.path[:n] = task[:n]
+            if n == 3 and not backend.shape_holds(job, 3, 3):
+                shapes.add("shape-rule")  # the task runs scalar, as dequeued
+                continue
+            if block.parent is not None:
+                # Whatever the walk builds below an inherited child reads no
+                # block above it: the window may be gone by the dequeue.
+                block.parent = _no_parent
+            descend(n, block, slot)
         rows = graph.directed_edge_array()
         lo = 0
-        while lo < len(rows) and counts["slots"] < limit:
+        while hits is None and lo < len(rows) and counts["slots"] < limit:
             block = backend.prefix_block(job, rows[lo:])
             for slot, row in enumerate(block.rows):
                 st.path[0], st.path[1] = int(row[0]), int(row[1])
@@ -733,8 +813,7 @@ class TestInterruptibleLeafReplay:
             )
             for name in ("scalar", "vectorized")
         }
-        for f in CONFORMANCE_FIELDS:
-            assert getattr(results["scalar"], f) == getattr(results["vectorized"], f), f
+        assert_same(results["scalar"], results["vectorized"])
         assert results["scalar"].overflowed
         assert seen["slots"] > seen["truncated"] > 0, seen
 
@@ -790,14 +869,7 @@ class TestPrefixBlockEndToEnd:
 
     @pytest.mark.parametrize("query", ["P3", TRIANGLE], ids=str)
     def test_spans_identical_with_tracing_on(self, query, small_plc, small_windows):
-        spans = {}
-        for name in ("scalar", "vectorized"):
-            obs = Observability(tracing=True)
-            cfg = STEAL.replace(chunk_size=3, kernel_backend=name)
-            match(small_plc, query, config=cfg, ctx=RunContext(obs=obs))
-            spans[name] = obs.tracer.spans()
-        assert spans["scalar"] == spans["vectorized"]
-        assert any(s["name"] == "intersect" for s in spans["scalar"])
+        assert_spans_identical(small_plc, query, STEAL.replace(chunk_size=3))
 
     @pytest.mark.parametrize("fault_seed", range(3))
     def test_fault_plan_with_retry(self, fault_seed, small_plc, small_windows):
@@ -815,42 +887,17 @@ class TestPrefixBlockEndToEnd:
     def test_checkpoint_cuts_through_a_window(self, small_plc, small_windows):
         """A snapshot taken while the cursor is inside a window resumes to
         the uninterrupted count, and the resumed runs conform too."""
-        full = match(small_plc, "P2", config=FAST).count
-        snaps = {}
-        for name in ("scalar", "vectorized"):
-            taken = []
 
-            def hook(job, now, taken=taken):
-                inside = job._block is None or job._cursor > job._block_lo
-                if not taken and job._cursor and inside:
-                    mid_window = (
-                        job._block is not None
-                        and job._cursor < job._block_lo + job._block.window
-                    )
-                    taken.append(
-                        (snapshot_pending_work(job), job.count, now, mid_window)
-                    )
+        def when(job):
+            block, lo = job._block, job._block_lo
+            if job._cursor and (block is None or job._cursor > lo):
+                mid_window = block is not None and job._cursor < lo + block.window
+                return "mid-window" if mid_window else "outside"
 
-            cfg = FAST.replace(chunk_size=3, kernel_backend=name)
-            ctx = RunContext(checkpoint_every_events=40, checkpoint_hook=hook)
-            assert match(small_plc, "P2", config=cfg, ctx=ctx).count == full
-            snaps[name] = taken[0]
-        groups, base, now, _ = snaps["scalar"]
-        vgroups, vbase, vnow, mid_window = snaps["vectorized"]
-        assert mid_window, "the checkpoint did not land inside a window"
-        assert (base, now) == (vbase, vnow)
-        assert [(r.tolist(), w) for r, w in groups] == [
-            (r.tolist(), w) for r, w in vgroups
-        ]
-        resumed = {}
-        for name in ("scalar", "vectorized"):
-            engine = TDFSEngine(FAST.replace(chunk_size=3, kernel_backend=name))
-            resumed[name] = engine.run_resume(
-                small_plc, get_pattern("P2"), groups, base_count=base
-            )
-            assert resumed[name].count == full
-        for f in CONFORMANCE_FIELDS:
-            assert getattr(resumed["scalar"], f) == getattr(resumed["vectorized"], f)
+        _, _, note = assert_checkpoint_resumes(
+            small_plc, "P2", FAST.replace(chunk_size=3), 40, when
+        )
+        assert note == "mid-window", "the checkpoint did not land inside a window"
 
     def test_shared_backend_two_threads(self, small_plc, small_er):
         """The serve configuration: one backend instance, two concurrent
@@ -882,8 +929,7 @@ class TestPrefixBlockEndToEnd:
         finally:
             sys.setswitchinterval(interval)
         for w, g in zip(want, got):
-            for f in CONFORMANCE_FIELDS:
-                assert getattr(w, f) == getattr(g, f)
+            assert_same(w, g)
 
 
 class _ChildSpy(VectorizedBackend):
@@ -915,11 +961,7 @@ def assert_children_conformant(graph, query, config, ctx=None, engine="tdfs"):
         graph, query, engine=engine,
         config=config.replace(kernel_backend=spy), ctx=ctx,
     )
-    for f in CONFORMANCE_FIELDS:
-        assert getattr(scalar, f) == getattr(vec, f), (
-            f"{graph.name}/{query}: backends diverge on {f}: "
-            f"scalar={getattr(scalar, f)} vectorized={getattr(vec, f)}"
-        )
+    assert_same(scalar, vec, f"{graph.name}/{query}")
     return scalar, vec, spy
 
 
@@ -1055,14 +1097,7 @@ class TestChildBlockEndToEnd:
 
     @pytest.mark.parametrize("pattern", ["P3", "P5"])
     def test_spans_identical_with_tracing_on(self, pattern, small_plc, small_cells):
-        spans = {}
-        for name in ("scalar", "vectorized"):
-            obs = Observability(tracing=True)
-            cfg = STEAL.replace(chunk_size=3, kernel_backend=name)
-            match(small_plc, pattern, config=cfg, ctx=RunContext(obs=obs))
-            spans[name] = obs.tracer.spans()
-        assert spans["scalar"] == spans["vectorized"]
-        assert any(s["name"] == "intersect" for s in spans["scalar"])
+        assert_spans_identical(small_plc, pattern, STEAL.replace(chunk_size=3))
 
     @pytest.mark.parametrize("fault_seed", range(3 if EXHAUSTIVE else 2))
     def test_fault_plan_with_retry(self, fault_seed, small_plc, small_cells):
@@ -1079,40 +1114,18 @@ class TestChildBlockEndToEnd:
         """A snapshot taken while a warp is below a child cell — its stack
         holds views of the cell's survivors — resumes to the uninterrupted
         count, and the resumed runs conform."""
-        full = match(small_plc, "P3", config=FAST).count
-        snaps = {}
-        for name in ("scalar", "vectorized"):
-            taken = []
 
-            def hook(job, now, taken=taken):
-                deep = any(
-                    st.busy_flag and st.filtered[3] is not None
-                    and st.iters[3] < len(st.filtered[3])
-                    for st in job.run_states
-                )
-                if not taken and deep:
-                    taken.append((snapshot_pending_work(job), job.count, now))
-
-            cfg = FAST.replace(chunk_size=3, kernel_backend=name)
-            ctx = RunContext(checkpoint_every_events=25, checkpoint_hook=hook)
-            assert match(small_plc, "P3", config=cfg, ctx=ctx).count == full
-            snaps[name] = taken[0]
-        groups, base, now = snaps["scalar"]
-        vgroups, vbase, vnow = snaps["vectorized"]
-        assert (base, now) == (vbase, vnow)
-        assert [(r.tolist(), w) for r, w in groups] == [
-            (r.tolist(), w) for r, w in vgroups
-        ]
-        assert any(w > 2 for _, w in groups), "no partial item in the snapshot"
-        resumed = {}
-        for name in ("scalar", "vectorized"):
-            engine = TDFSEngine(FAST.replace(chunk_size=3, kernel_backend=name))
-            resumed[name] = engine.run_resume(
-                small_plc, get_pattern("P3"), groups, base_count=base
+        def when(job):
+            return any(
+                st.busy_flag and st.filtered[3] is not None
+                and st.iters[3] < len(st.filtered[3])
+                for st in job.run_states
             )
-            assert resumed[name].count == full
-        for f in CONFORMANCE_FIELDS:
-            assert getattr(resumed["scalar"], f) == getattr(resumed["vectorized"], f)
+
+        groups, _, _ = assert_checkpoint_resumes(
+            small_plc, "P3", FAST.replace(chunk_size=3), 25, when
+        )
+        assert any(w > 2 for _, w in groups), "no partial item in the snapshot"
 
     def test_collect_matches(self, small_plc, small_cells):
         """Collecting keeps the leaf survivors: same embeddings, in the same
@@ -1124,8 +1137,7 @@ class TestChildBlockEndToEnd:
             )
             for name, backend in (("scalar", "scalar"), ("vectorized", spy))
         }
-        for f in CONFORMANCE_FIELDS:
-            assert getattr(results["scalar"], f) == getattr(results["vectorized"], f)
+        assert_same(results["scalar"], results["vectorized"])
         assert results["scalar"].matches == results["vectorized"].matches
         assert len(results["scalar"].matches) == results["scalar"].count
         assert spy.built(4)
@@ -1160,8 +1172,7 @@ class TestChildBlockEndToEnd:
         finally:
             sys.setswitchinterval(interval)
         for w, g in zip(want, got):
-            for f in CONFORMANCE_FIELDS:
-                assert getattr(w, f) == getattr(g, f)
+            assert_same(w, g)
         assert backend.built(3)
 
 
@@ -1196,26 +1207,6 @@ class TestChildBlockDeclines:
         assert declined and spy.built(3) and spy.built(4)
         assert all(base == 0 for _, _, base in declined)
 
-    def test_queue_tasks_are_never_asked(self, small_plc, small_cells, monkeypatch):
-        """A width-3 task dequeued from ``Q_task`` has no block above it: its
-        levels are filled without one and no child is asked for."""
-        seen = {"tasks": 0}
-        process_task, child_of = MatchJob._process_task, MatchJob._child
-
-        def spy_task(self, warp, st, task):
-            seen["tasks"] += task.v3 != PLACEHOLDER
-            return process_task(self, warp, st, task)
-
-        def spy_child(self, st, pos, block, slot):
-            if st.item_prefix == 3:  # inside a width-3 task
-                assert block is None
-            return child_of(self, st, pos, block, slot)
-
-        monkeypatch.setattr(MatchJob, "_process_task", spy_task)
-        monkeypatch.setattr(MatchJob, "_child", spy_child)
-        scalar, _, spy = assert_children_conformant(small_plc, "P3", STEAL)
-        assert scalar.timeouts > 0 and seen["tasks"] > 0 and spy.built(3)
-
     def test_three_vertex_query_is_never_asked(self, small_plc, small_cells):
         # k == 3: position 2 is the leaf, nothing descends from the window.
         _, _, spy = assert_children_conformant(small_plc, TRIANGLE, FAST)
@@ -1241,8 +1232,7 @@ class TestChildBlockDeclines:
             results[name] = engine.run_resume(
                 small_plc, get_pattern("P3"), [(rows, 2)]
             )
-        for f in CONFORMANCE_FIELDS:
-            assert getattr(results["scalar"], f) == getattr(results["vec"], f), f
+        assert_same(results["scalar"], results["vec"])
         assert spy.asks and not any(ok for _, ok, _ in spy.asks)
 
 
@@ -1269,8 +1259,7 @@ class TestPrefixBlockDeclines:
         vec = match(
             graph, query, engine=engine, config=config.replace(kernel_backend=backend)
         )
-        for f in CONFORMANCE_FIELDS:
-            assert getattr(scalar, f) == getattr(vec, f), f
+        assert_same(scalar, vec)
         return vec
 
     def test_engaged_by_default(self, small_plc):
@@ -1290,8 +1279,7 @@ class TestPrefixBlockDeclines:
             results[name] = engine.run_resume(
                 small_plc, get_pattern("P2"), [(rows, 2)]
             )
-        for f in CONFORMANCE_FIELDS:
-            assert getattr(results["scalar"], f) == getattr(results["vec"], f), f
+        assert_same(results["scalar"], results["vec"])
         assert backend.offers and all(b is None for b in backend.offers)
 
     def test_egsm_labeled_declines(self, small_plc):
@@ -1312,8 +1300,7 @@ class TestPrefixBlockDeclines:
         for name, backend in (("scalar", "scalar"), ("vec", _SpyBackend())):
             engine = TDFSEngine(FAST.replace(kernel_backend=backend))
             results[name] = engine.run_resume(small_plc, plan, [(rows, 3)])
-        for f in CONFORMANCE_FIELDS:
-            assert getattr(results["scalar"], f) == getattr(results["vec"], f), f
+        assert_same(results["scalar"], results["vec"])
         assert results["vec"].count == match(small_plc, "P7", engine="cpu").count
         assert backend.offers == []
 
@@ -1327,28 +1314,230 @@ class TestPrefixBlockDeclines:
         self._run(small_plc, QueryGraph(2, [(0, 1)], name="edge"), FAST, spy)
         assert spy.offers == []
 
-    def test_queue_tasks_take_the_scalar_path(self, straggler_graph, monkeypatch):
-        seen = {"edge_tasks": 0, "scalar_level2": 0, "block_level2": 0}
-        process_task, fill_level = MatchJob._process_task, MatchJob._fill_level
 
-        def spy_task(self, warp, st, task):
-            seen["edge_tasks"] += task.v3 == PLACEHOLDER
-            return process_task(self, warp, st, task)
+# --------------------------------------------------------------------------- #
+# Q_task tasks inherit the block slot that resolved them (MatchJob.handoff)
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture()
+def handoffs(monkeypatch, small_cells):
+    """Spies on both ends of the hand-off.  Every write and every dequeue
+    holds the bound — entries ≤ tasks in the ring — and every hit passes the
+    index-alignment oracle: the slot's own path is the task.  ``kinds``
+    tallies ``(depth, hit)`` per dequeue, ``hits`` keeps ``(task, block,
+    slot)``, ``jobs`` every job that dequeued."""
+    seen = SimpleNamespace(kinds=Counter(), hits=[], jobs={})
+
+    def reset():
+        """A finished job has handed everything off."""
+        assert all(not job.handoff for job in seen.jobs.values())
+        seen.kinds.clear(), seen.hits.clear(), seen.jobs.clear()
+
+    seen.reset = reset
+    shipped, process_task = MatchJob._shipped, MatchJob._process_task
+
+    def spy_shipped(self, task, block, slot):
+        shipped(self, task, block, slot)
+        assert len(self.handoff) <= self.queue.num_tasks
+
+    def spy_task(self, warp, st, task):
+        # The dequeued task has left the ring; its entry is popped next.
+        assert len(self.handoff) <= self.queue.num_tasks + 1
+        hit = self.handoff.get(task)
+        seen.kinds[task.depth, hit is not None] += 1
+        seen.jobs[id(self)] = self
+        if hit is not None:
+            block, slot = hit
+            seen.hits.append((task, block, slot))
+            if task.v3 == PLACEHOLDER:
+                assert tuple(block.rows[slot]) == task[:2]
+            elif block.matched is not None:  # a leaf child keeps no paths
+                assert block.position == 3 and block.rows is None
+                assert tuple(int(m[slot]) for m in block.matched) == task
+        return process_task(self, warp, st, task)
+
+    monkeypatch.setattr(MatchJob, "_shipped", spy_shipped)
+    monkeypatch.setattr(MatchJob, "_process_task", spy_task)
+    yield seen
+    reset()
+
+
+class TestTaskHandoff:
+    """A dequeued task starts from the slot its shipper handed off: edge
+    tasks from their prefix window's row, three-vertex tasks from the
+    level-2 child's slot where the shape rule allows — and every miss or
+    decline is the scalar path, cycle for cycle."""
+
+    #: τ and the chunk are small enough that chunks ship their tails and
+    #: level 2 ships its rest on every graph of the sweep.
+    TASKS = TDFSConfig(num_warps=8, tau_cycles=300, chunk_size=4)
+    CHUNKS = (1, 4, 8) if EXHAUSTIVE else (4,)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("case", range(2 if EXHAUSTIVE else 1))
+    def test_inherited_slots_equal_scalar(self, case, labeled, handoffs):
+        seed = SEED_BASE + 1500 + case
+        graph = case_labeled_graph(seed, 2) if labeled else case_graph(seed)
+        shapes, tally = {}, {name: Counter() for name in LEAF_PATTERNS}
+        for name in LEAF_PATTERNS:
+            query = get_pattern(name)
+            if labeled:
+                query = query.with_labels(
+                    [(seed + u) % 2 for u in range(query.num_vertices)]
+                )
+            for removal in (False, True):
+                for reuse in (False, True):
+                    cfg = self.TASKS.replace(
+                        stmatch_removal=removal,
+                        enable_reuse=reuse,
+                        chunk_size=self.CHUNKS[(removal + reuse) % len(self.CHUNKS)],
+                    )
+                    handoffs.reset()
+                    assert_conformant(graph, query, cfg, label=name)
+                    # The scalar run's dequeues all miss; the vectorized
+                    # run's edge tasks all hit.
+                    kinds = handoffs.kinds
+                    assert kinds[2, True] == kinds[2, False]
+                    tally[name] += kinds
+                    job = next(reversed(handoffs.jobs.values()), None)
+                    for depth in (2, 3):
+                        hits = [h for h in handoffs.hits if h[0].depth == depth]
+                        shapes.setdefault((name, reuse), set()).update(
+                            TestChildBlockSlots._check_tree(
+                                graph, query, cfg, limit=40, job=job, hits=hits
+                            )
+                        )
+        # Every pattern dequeued both kinds of task.
+        for name, kinds in tally.items():
+            assert kinds[2, True] and kinds[3, False], (name, kinds)
+        if not labeled:
+            # Position 2 seeds P1, P2 and P7 at position 3 and P5 below it.
+            for name in ("P1", "P5", "P7"):
+                assert "shape-rule" in shapes[name, True], (name, shapes)
+                assert "shape-rule" not in shapes[name, False], (name, shapes)
+            assert "shape-rule" not in shapes["P3", True]
+
+    def test_edge_tasks_fill_level_two_from_the_window(
+        self, straggler_graph, handoffs, monkeypatch
+    ):
+        """Level 2 of an edge task is its window's slot, never ``_raw``."""
+        fills = Counter()
+        fill_level = MatchJob._fill_level
 
         def spy_fill(self, warp, st, pos, block, slot):
-            if pos == 2:
-                seen["block_level2" if block is not None else "scalar_level2"] += 1
+            if pos == 2:  # ``st.chunk`` is set while a warp works through rows
+                fills[st.chunk is None, block is not None] += 1
             return fill_level(self, warp, st, pos, block, slot)
 
         cfg = TDFSConfig(num_warps=8, tau_cycles=300, chunk_size=8)
         scalar = match(
             straggler_graph, "P2", config=cfg.replace(kernel_backend="scalar")
         )
-        monkeypatch.setattr(MatchJob, "_process_task", spy_task)
+        handoffs.reset()
         monkeypatch.setattr(MatchJob, "_fill_level", spy_fill)
-        vec = match(straggler_graph, "P2", config=cfg)
-        for f in CONFORMANCE_FIELDS:
-            assert getattr(scalar, f) == getattr(vec, f), f
-        assert seen["edge_tasks"] > 0
-        assert seen["scalar_level2"] == seen["edge_tasks"]
-        assert seen["block_level2"] > 0
+        assert_same(scalar, match(straggler_graph, "P2", config=cfg))
+        edge_tasks = handoffs.kinds[2, True]
+        assert edge_tasks > 0 and not handoffs.kinds[2, False]
+        assert fills[True, True] == edge_tasks and not fills[True, False]
+        assert fills[False, True] > 0
+
+    @pytest.mark.parametrize("truncating", [False, True])
+    def test_three_vertex_tasks_ask_the_child(
+        self, truncating, small_plc, handoffs, monkeypatch
+    ):
+        """Level 3 of an inherited task is the child's slot — no ``_raw`` —
+        and the level below is asked of it; capacity 8 cuts position-3 sets
+        of P3 on the dequeuing warp, which drops the child there and keeps
+        the counts identically wrong."""
+        asked = Counter()
+        child_of, raw = MatchJob._child, MatchJob._raw
+
+        def spy_child(self, st, pos, block, slot):
+            out = child_of(self, st, pos, block, slot)
+            if st.item_prefix == pos == 3 and block is not None:
+                cut = st.stack.level(pos).length != block.raw_sizes[slot]
+                assert out[0] is None or not cut
+                asked["child", cut] += 1
+            return out
+
+        def spy_raw(self, st, pos):
+            asked["raw"] += st.item_prefix == pos == 3
+            return raw(self, st, pos)
+
+        cfg = TestInterruptibleLeafReplay.TRUNCATING if truncating else FAST
+        cfg = cfg.replace(tau_cycles=300, chunk_size=4)  # TASKS, capacity 8
+        scalar = match(small_plc, "P3", config=cfg.replace(kernel_backend="scalar"))
+        handoffs.reset()
+        monkeypatch.setattr(MatchJob, "_child", spy_child)
+        monkeypatch.setattr(MatchJob, "_raw", spy_raw)
+        assert_same(scalar, match(small_plc, "P3", config=cfg))
+        hits, misses = handoffs.kinds[3, True], handoffs.kinds[3, False]
+        assert hits and asked["child", False] + asked["child", True] == hits
+        assert asked["raw"] == misses
+        assert scalar.overflowed == bool(asked["child", True]) == truncating
+        exact = match(small_plc, "P3", engine="cpu").count
+        assert (scalar.count != exact) == truncating
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"queue_capacity_tasks": n} for n in (2, 3, 4)] + [{"release_pages": True}],
+        ids=str,
+    )
+    def test_full_queue_and_page_release(self, overrides, small_plc, handoffs):
+        # A refused enqueue books nothing — the fixture holds entries ≤ ring
+        # tasks at every write — and the remainder is processed in place.
+        cfg = self.TASKS.replace(**overrides)
+        _, vec = assert_conformant(small_plc, "P3", cfg)
+        assert handoffs.kinds[2, True] and handoffs.kinds[3, True]
+        assert bool(vec.queue.enqueue_failures) == ("queue_capacity_tasks" in overrides)
+
+    def test_spans_identical_with_tracing_on(self, small_plc, handoffs):
+        assert_spans_identical(small_plc, "P3", self.TASKS)
+        assert handoffs.kinds[2, True] and handoffs.kinds[3, True]
+
+    @pytest.mark.parametrize("pattern", ["P1", "P3"])  # a leaf child, a middle one
+    def test_collect_matches(self, pattern, small_plc, handoffs):
+        cfg = self.TASKS.replace(enable_reuse=False)
+        scalar, vec = (
+            TDFSEngine(cfg.replace(kernel_backend=name)).run(
+                small_plc, get_pattern(pattern), collect_matches=10**6
+            )
+            for name in ("scalar", "vectorized")
+        )
+        assert_same(scalar, vec)
+        assert scalar.matches == vec.matches and len(vec.matches) == vec.count
+        assert handoffs.kinds[2, True] and handoffs.kinds[3, True]
+
+    @pytest.mark.parametrize("fault_seed", range(3 if EXHAUSTIVE else 2))
+    def test_queue_corruption_with_retry(self, fault_seed, small_plc, handoffs):
+        ctx = RunContext(
+            fault_plan=FaultPlan(
+                seed=SEED_BASE + fault_seed, queue_corruption_rate=0.01
+            ),
+            retry=RetryPolicy(max_attempts=6),
+        )
+        scalar, vec = assert_conformant(small_plc, "P3", self.TASKS, ctx=ctx)
+        assert scalar.recovery.to_dict() == vec.recovery.to_dict()
+        assert scalar.recovery.faults_by_kind["queue-corruption"] > 0
+        assert vec.count == match(small_plc, "P3", engine="cpu").count
+        assert handoffs.kinds[2, True] and handoffs.kinds[3, True]
+        # An aborted attempt dies with its entries; the recovered tasks of
+        # the next one come out of the journal and miss.
+        assert any(job.handoff for job in handoffs.jobs.values())
+        handoffs.jobs.clear()
+
+    def test_checkpoint_with_tasks_in_flight(self, small_plc, handoffs):
+        """The snapshot is built from the journal and carries no block; the
+        resumed runs start every queued task without one."""
+        _, _, entries = assert_checkpoint_resumes(
+            small_plc, "P3", self.TASKS, 25,
+            lambda job: job.queue.num_tasks >= 4 and ("entries", len(job.handoff)),
+        )
+        assert entries[1] >= 4
+
+    def test_shards(self, small_plc):
+        # No spies: the shard workers are other processes.
+        scalar, vec = assert_conformant(small_plc, "P3", self.TASKS.replace(shards=2))
+        assert scalar.timeouts > 0
+        assert vec.count == match(small_plc, "P3", engine="cpu").count
