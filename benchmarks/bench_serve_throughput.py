@@ -84,6 +84,7 @@ def run_serve_throughput() -> Table:
         service = MatchService(
             ServeConfig(
                 workers=2,
+                max_queue=n_requests,  # a replay queues every request at once
                 enable_plan_cache=cached,
                 enable_result_cache=cached,
                 match_config=match_config,

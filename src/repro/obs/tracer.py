@@ -196,8 +196,7 @@ class _OpenSpan:
     ``close`` closes it once (later calls are no-ops), so a body may
     close early with its outcome tags and still rely on ``with`` to close
     it — tagged ``error=<exception type>`` — on every other exit.  A span
-    of a disabled tracer is born closed.  ``ctx=None`` (an inline span)
-    is a root whose ids are drawn when it closes.
+    of a disabled tracer is born closed.
     """
 
     __slots__ = ("tracer", "name", "ctx", "start_ms", "tags", "closed")
@@ -340,13 +339,19 @@ class Tracer:
                 self._active[id(handle)] = handle
         return handle
 
-    def inline_span(self, name: str, **tags) -> _OpenSpan:
-        """Open a root host span that closes inside the caller's own call.
-        It lives too briefly to matter to an incident's in-flight list, so
-        it is never listed by :meth:`active_spans` and opening it takes no
-        lock; it mints no :class:`TraceContext` either — its ids are drawn
-        when it closes.  It is counted and retained like any other."""
-        return _OpenSpan(self, name, None, tags)
+    def record_root(self, name: str, start_ms: float, **tags) -> None:
+        """Record a root host span that opened at ``start_ms`` (unix-epoch
+        milliseconds) and closes now, inside the caller's own call.  It
+        lives too briefly to matter to an incident's in-flight list, so it
+        is never open: no handle, no :meth:`active_spans` entry, no
+        :class:`TraceContext` — its ids are drawn here, at close.  It is
+        counted, totalled and retained like any other, in one acquisition
+        of the lock."""
+        if not self.enabled:
+            return
+        record = _host_record(name, None, start_ms, time.time() * 1000.0, tags)
+        with self._lock:
+            self._tally(name, record[7], record)
 
     # -- introspection -------------------------------------------------- #
 

@@ -577,11 +577,17 @@ class MatchService:
 
     def start(self) -> "MatchService":
         """Start the worker pool (idempotent)."""
+        if not self._start():
+            raise ReproError("this MatchService was stopped; build a new one")
+        return self
+
+    def _start(self) -> bool:
+        """:meth:`start`, answering False instead of raising once stopped."""
         from repro.serve.workers import WorkerPool
 
         with self._lifecycle:
             if self._stopped:
-                raise ReproError("this MatchService was stopped; build a new one")
+                return False
             if self._pool is None:
                 self._pool = WorkerPool(self, self.config.workers)
                 self._pool.start()
@@ -592,10 +598,13 @@ class MatchService:
                     self.supervisor = Supervisor(self, self.config.supervisor)
                     self.supervisor.start()
                 self.metrics.pool_size.set(self.config.workers)
-        return self
+        return True
 
     def stop(self) -> None:
-        """Drain nothing, reject the queued remainder, stop the workers."""
+        """Drain nothing, reject the queued remainder, stop the workers.
+
+        Every later :meth:`submit` — a result-cache hit too — raises
+        :class:`AdmissionRejected`, booked as a refusal."""
         with self._lifecycle:
             if self._stopped:
                 return
@@ -624,8 +633,9 @@ class MatchService:
     def drain(self, timeout: float = 30.0) -> int:
         """Gracefully drain: seal intake, let in-flight work finish, stop.
 
-        New submissions are rejected (typed :class:`AdmissionRejected`)
-        while queued and in-flight requests run to completion — supervisor
+        New submissions, result-cache hits included, are rejected (typed
+        :class:`AdmissionRejected`, booked as refusals) while queued and
+        in-flight requests run to completion — supervisor
         redelivery still lands, so a worker dying mid-drain does not lose
         its entries.  After ``timeout`` seconds whatever is still queued or
         running is settled with typed errors by :meth:`stop`.  Returns the
@@ -663,7 +673,9 @@ class MatchService:
 
         Raises :class:`AdmissionRejected` when the request cannot be
         admitted (queue full and priority too low, service draining, or
-        service stopped), :class:`CircuitOpenError` when the request's
+        service stopped — a result-cache hit is refused alike), each booked
+        as ``submitted`` and ``rejected`` with one ``request.rejected``
+        flight event; :class:`CircuitOpenError` when the request's
         ``(graph, plan)`` signature has an open circuit,
         :class:`PoisonedRequestError` when an identical request was
         quarantined, and :class:`ReproError` for an unknown graph or
@@ -672,8 +684,18 @@ class MatchService:
         t_submit = time.monotonic()
         prepared = self._prepare(request)
         rid = next(self._ids)
+        graph_id = request.graph_id
         try:
-            version = self.graph_version(request.graph_id)
+            if self._stopped or self._draining:
+                self._refused(rid, graph_id, None)
+                raise AdmissionRejected(
+                    "service is stopped"
+                    if self._stopped
+                    else "service is draining; intake sealed"
+                )
+            # One read of the version, without _graphs_lock (DESIGN §7).
+            slot = self._graphs.get(graph_id)
+            version = slot.version if slot is not None else self.graph_version(graph_id)
             if self.supervisor is not None:
                 self._screen(prepared)
         except BaseException:
@@ -681,32 +703,33 @@ class MatchService:
             raise
 
         # Fast path: an exact repeat of a cached result answers immediately,
-        # without touching the admission queue (no entry, no per-entry lock).
-        # Its span opens and closes inside this call: not tracked as active,
-        # and a root whose ids are drawn only when it closes.
+        # without touching the admission queue (no entry, no per-entry lock)
+        # and settles in one pass from its span's start time.
         key = prepared.result_key(version)
         cached = self.result_cache.get(key) if key is not None else None
         if cached is not None:
             response = prepared.response(
                 rid, version, result=cached, result_cache_hit=True
             )
-            with self.tracer.inline_span(
-                "serve.request", request_id=rid, cache="hit"
-            ) as span:
-                self._settle(
-                    response, span=span, prepared=prepared, submitted_at=t_submit
-                )
+            self._settle(
+                response,
+                prepared=prepared,
+                submitted_at=t_submit,
+                start_ms=time.time() * 1000.0,
+            )
             return MatchTicket(rid, response)  # born settled: nobody to wake
 
         self.metrics.incr("submitted")
         ticket = MatchTicket(rid)
         trace = TraceContext.mint(
             request_id=rid,
-            graph=request.graph_id,
+            graph=graph_id,
             engine=request.engine,
             query=prepared.query_name,
         )
-        self.start()
+        if not self._start():
+            self._refused(rid, graph_id, trace.trace_id)
+            raise AdmissionRejected("service is stopped")
         deadline_at = None
         if request.deadline_ms is not None:
             deadline_at = t_submit + request.deadline_ms / 1000.0
@@ -723,23 +746,26 @@ class MatchService:
         try:
             self._queue.offer(entry)
         except AdmissionRejected:
-            self.metrics.incr("rejected")
-            self.flight.record(
-                "request.rejected",
-                request_id=rid,
-                graph=request.graph_id,
-                trace_id=trace.trace_id,
-            )
+            self._refused(rid, graph_id, trace.trace_id)
             raise
         self.flight.record(
             "request.admitted",
             request_id=rid,
-            graph=request.graph_id,
+            graph=graph_id,
             query=prepared.query_name,
             trace_id=trace.trace_id,
         )
         self.metrics.queue_depth.set(self._queue.depth)
         return ticket
+
+    def _refused(self, rid: int, graph_id: str, trace_id: Optional[str]) -> None:
+        """Book a submission the service turned away (its ``submitted`` is
+        booked by the caller): one ``rejected``, one ``request.rejected``
+        flight event."""
+        self.metrics.incr("rejected")
+        self.flight.record(
+            "request.rejected", request_id=rid, graph=graph_id, trace_id=trace_id
+        )
 
     def query(
         self,
@@ -797,20 +823,23 @@ class MatchService:
         *,
         prepared: Optional[_PreparedRequest] = None,
         submitted_at: float = 0.0,
+        start_ms: float = 0.0,
     ) -> bool:
         """The one ending of every request — exactly once, one set of books.
 
         ``outcome`` is the response, the marker of an error response (built
         here, ``graph_version=None``), or the typed rejection of an admitted
-        request, whose ``kind`` is ``"shed"`` or ``"rejected"``.  Only a
-        result-cache hit in :meth:`submit` has no ``entry``: it names
-        ``prepared`` / ``submitted_at`` itself and its ticket is born
-        settled.  ``span`` is the delivery's open ``serve.request`` span.
-        Returns False when somebody else already settled the entry (a
-        zombie worker racing its replacement); the loser's outcome is
-        dropped, uncounted.  The order below is fixed, and the ticket wakes
-        last: a caller woken by ``query()`` finds the books closed (and any
-        breach-triggered incident dump started).
+        request, whose ``kind`` is ``"shed"`` or ``"rejected"``.  ``span``
+        is the delivery's open ``serve.request`` span.  Only a result-cache
+        hit in :meth:`submit` has no ``entry``: it names ``prepared``,
+        ``submitted_at`` and its span's ``start_ms`` itself and takes one
+        pass — no claim, no marker, no flight event; its span is recorded
+        closed from ``start_ms`` and its ticket is born settled.  Returns
+        False when somebody else already settled the entry (a zombie worker
+        racing its replacement); the loser's outcome is dropped, uncounted.
+        The order below is fixed, and the ticket wakes last: a caller woken
+        by ``query()`` finds the books closed (and any breach-triggered
+        incident dump started).
         """
         if entry is not None:
             if not entry.claim_settle():
@@ -845,6 +874,13 @@ class MatchService:
                 )
             if span is not None:
                 span.close(**({"error": marker} if marker is not None else {}))
+            elif entry is None:
+                self.tracer.record_root(
+                    "serve.request",
+                    start_ms,
+                    request_id=response.request_id,
+                    cache="hit",
+                )
             sup = self.supervisor
             if sup is not None and not sup.stopped and response is not None:
                 if marker is None and not response.deadline_missed:

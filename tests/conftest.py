@@ -87,10 +87,10 @@ def fast_config():
 @pytest.fixture
 def start_later(monkeypatch):
     """Services whose pool does not start on submit, so their queue keeps
-    what it is given; call the returned ``MatchService.start`` on a
-    service to start it for real."""
+    what it is given; call the returned function on a service to start it
+    for real."""
     from repro.serve import MatchService
 
-    start = MatchService.start
-    monkeypatch.setattr(MatchService, "start", lambda self: self)
+    start = MatchService._start
+    monkeypatch.setattr(MatchService, "_start", lambda self: True)
     return start

@@ -113,14 +113,20 @@ class TestSpanRecordContract:
             ("obs/tracer.py", "make_span"),
             ("obs/tracer.py", "_OpenSpan.to_span"),
             ("obs/tracer.py", "_OpenSpan.close"),
+            ("obs/tracer.py", "Tracer.record_root"),
         }, builds
         # Spans are counted and retained through one method, reached from a
-        # recorded dict or a closing span — a hit has no path of its own.
+        # recorded dict, a closing span or a root recorded closed (a hit).
         tallies = _sites(_called("_tally"))
         assert tallies == {
             ("obs/tracer.py", "Tracer._record"),
             ("obs/tracer.py", "_OpenSpan.close"),
+            ("obs/tracer.py", "Tracer.record_root"),
         }, tallies
+        # The hit is the one caller of the closed-root record.
+        assert _sites(_called("record_root")) == {
+            ("serve/service.py", "MatchService._settle")
+        }
         # Nothing outside the Tracer touches its ring.
         ring = _sites(
             lambda node, _p: isinstance(node, ast.Attribute) and node.attr == "_spans"

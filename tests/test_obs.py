@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -345,16 +346,17 @@ class TestHostRecords:
     as the dicts it used to build eagerly."""
 
     @pytest.mark.parametrize("sample_every, max_spans", [(1, 100), (3, 4)])
-    def test_inline_spans_read_as_eager_dicts(self, monkeypatch, sample_every, max_spans):
+    def test_closed_roots_read_as_eager_dicts(self, monkeypatch, sample_every, max_spans):
         clock = _StepClock(2.0**-9)  # 1.953125 ms: exact on the epoch axis
         monkeypatch.setattr("repro.obs.tracer.time", clock)
         tracer = Tracer(sample_every=sample_every, max_spans=max_spans, threaded=True)
         starts = []
         for rid in range(20):
-            with tracer.inline_span("serve.request", request_id=rid, cache="hit") as span:
-                starts.append(span.start_ms)
-                if rid == 7:
-                    span.close(error="X")
+            starts.append(clock.time() * 1000.0)
+            tags = {"error": "X"} if rid == 7 else {}
+            tracer.record_root(
+                "serve.request", starts[-1], request_id=rid, cache="hit", **tags
+            )
         total = 0
         for _ in range(20):
             total += round(1.953125, 3)
@@ -386,8 +388,7 @@ class TestHostRecords:
         tracer = Tracer(max_spans=10)
         other = TraceContext.mint()
         tracer.record(vspan("match", 1, 0, 10))
-        with tracer.inline_span("serve.request", cache="hit"):
-            pass
+        tracer.record_root("serve.request", time.time() * 1000.0, cache="hit")
         shipped = make_span("shard.run", other, 1.0, 2.5, pid=4242, tid=7, shard=0)
         assert tracer.adopt([shipped]) == 1
         spans = tracer.spans()
@@ -411,8 +412,7 @@ class TestHostRecords:
 
         tracer = Tracer(threaded=True)
         for _ in range(50):
-            with tracer.inline_span("serve.request", cache="hit"):
-                pass
+            tracer.record_root("serve.request", time.time() * 1000.0, cache="hit")
         with tracer.span("shard.run", shard=1):
             pass
         built = []

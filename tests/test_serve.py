@@ -266,6 +266,71 @@ class TestQueryPath:
         rejected = svc.flight.events(kind="request.rejected")
         assert [e["request_id"] for e in rejected] == [2, 3]
 
+    @staticmethod
+    def assert_refusals_booked(svc, ids, admitted):
+        """Refused submissions are booked as a sealed queue books them:
+        submitted and rejected, one ``request.rejected`` event each, and no
+        answer, latency or outcome."""
+        m = svc.metrics
+        assert m.get("submitted") == admitted + len(ids)
+        assert m.get("rejected") == len(ids)
+        assert m.get("completed") == m.latency_ms.count == len(m.outcomes) == admitted
+        assert m.get("result_cache_hits") == 0
+        rejected = svc.flight.events(kind="request.rejected")
+        assert [e["request_id"] for e in rejected] == ids
+
+    def test_stopped_service_refuses_hits_and_misses(self, k4):
+        """Regression: after ``stop()`` a hit was answered from the cache and
+        a miss raised an untyped ``ReproError`` from ``start()``."""
+        svc = make_service()
+        svc.register_graph("g", k4)
+        with svc:
+            svc.query("g", "P1")
+        for query in ("P1", "P2"):  # a hit, then a miss
+            with pytest.raises(AdmissionRejected, match="service is stopped"):
+                svc.submit(MatchRequest(graph_id="g", query=query))
+        self.assert_refusals_booked(svc, [2, 3], admitted=1)
+        with pytest.raises(ReproError, match="was stopped"):
+            svc.start()
+
+    def test_draining_service_refuses_hits_and_misses(self, k4, monkeypatch):
+        """Regression: during ``drain()`` a hit was answered while a miss
+        was refused.  A held miss keeps the drain waiting while both are
+        submitted."""
+        from repro.core.engine import TDFSEngine
+
+        armed, release = threading.Event(), threading.Event()
+        run = TDFSEngine.run
+
+        def held(self, *args, **kwargs):
+            if armed.is_set():
+                release.wait(timeout=30.0)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(TDFSEngine, "run", held)
+        svc = make_service()
+        svc.register_graph("g", k4)
+        with svc:
+            svc.query("g", "P1")
+            armed.set()
+            ticket = svc.submit(MatchRequest(graph_id="g", query="P2"))
+            stranded: list = []
+            drainer = threading.Thread(target=lambda: stranded.append(svc.drain()))
+            drainer.start()
+            give_up = time.monotonic() + 30.0
+            while not svc._draining and time.monotonic() < give_up:
+                time.sleep(0.001)
+            try:
+                for query in ("P1", "P3"):  # a hit, then a miss
+                    with pytest.raises(AdmissionRejected, match="draining"):
+                        svc.submit(MatchRequest(graph_id="g", query=query))
+            finally:
+                release.set()
+                drainer.join(timeout=30.0)
+        assert not drainer.is_alive() and stranded == [0]
+        assert ticket.result(timeout=0).count == match(k4, "P2").count
+        self.assert_refusals_booked(svc, [3, 4], admitted=2)
+
 
 class TestHitPath:
     """A result-cache hit skips the queue, not the contract: the same
@@ -388,12 +453,68 @@ class TestHitPath:
             r.request_id for r in responses if r.result_cache_hit
         }
 
+    def test_a_fixed_script_keeps_its_books(self, k4, monkeypatch):
+        """Hits, misses and one hit refused by an open breaker: the books
+        each instrument keeps, pinned, and every hit's span read back as
+        the dict a tracer used to build eagerly, under a trace of its own."""
+        from tests.test_obs import _eager_host_span
+
+        svc, _ = self.warm_supervised(k4, monkeypatch)  # request 1: a P1 miss
+        tracer = ops_tracer()
+        tracer.clear()
+        count, total = tracer.counts["serve.request"], tracer.totals["serve.request"]
+        with svc:
+            script = ("P1", "P2", "P1", "P2", "P2", "P3", "P3")
+            hits = [svc.query("g", q).result_cache_hit for q in script]
+            assert not svc.query("g", "P1", use_result_cache=False).result_cache_hit
+            sig = self.signature(svc, MatchRequest(graph_id="g", query="P3"))
+            for _ in range(svc.supervisor.breaker.threshold):
+                svc.supervisor.breaker.record_failure(sig)
+            with pytest.raises(CircuitOpenError):
+                svc.submit(MatchRequest(graph_id="g", query="P3"))
+            snap = svc.snapshot()
+        assert hits == [True, False, True, True, True, False, True]
+        counters = {k: v for k, v in snap["counters"].items() if v}
+        assert counters == {
+            "batches": 4, "breaker_opens": 1, "breaker_rejected": 1,
+            "completed": 9, "plan_compiles": 3, "rejected": 1,
+            "result_cache_hits": 5, "submitted": 10,
+        }
+        m = svc.metrics
+        assert m.latency_ms.count == len(m.outcomes) == 9
+        assert svc.cache_stats() == {
+            "plan_cache": {
+                "capacity": 256, "evictions": 0, "hit_rate": 0.25, "hits": 1,
+                "invalidations": 0, "misses": 3, "size": 3,
+            },
+            "result_cache": {
+                "capacity": 1024, "evictions": 0, "hit_rate": 0.4545, "hits": 5,
+                "invalidations": 0, "misses": 6, "size": 3,
+            },
+        }
+        spans = tracer.spans(name="serve.request")
+        assert tracer.counts["serve.request"] - count == len(spans) == 8
+        dur = sum(s["dur_ms"] for s in spans)
+        assert tracer.totals["serve.request"] - total == pytest.approx(dur, abs=1e-9)
+        hit_spans = [s for s in spans if s["tags"].get("cache") == "hit"]
+        assert len(hit_spans) == 5
+        assert len({s["trace_id"] for s in hit_spans}) == 5
+        for span in hit_spans:
+            start = span["start_ms"]
+            assert span == _eager_host_span(
+                "serve.request", span["trace_id"], span["span_id"],
+                start, start + span["dur_ms"], span["tags"],
+            )
+            assert list(span["tags"]) == ["request_id", "cache"]
+
     def test_threaded_hits_keep_exact_counters(self, k4):
         import sys
 
         clients, per_client = 4, 500
         tracer = ops_tracer()
+        tracer.clear()
         spans_before = tracer.counts.get("serve.request", 0)
+        total_before = tracer.totals.get("serve.request", 0)
         failures: list = []
         with make_service() as svc:
             svc.register_graph("g", k4)
@@ -423,7 +544,12 @@ class TestHitPath:
         assert m.get("submitted") == m.get("completed") == hits + 1
         assert m.get("result_cache_hits") == hits
         assert m.latency_ms.count == len(m.outcomes) == hits + 1
-        assert tracer.counts["serve.request"] - spans_before == hits + 1
+        # Every request's span is counted and totalled once, hits and miss.
+        spans = tracer.spans(name="serve.request")
+        assert tracer.counts["serve.request"] - spans_before == len(spans) == hits + 1
+        assert tracer.totals["serve.request"] - total_before == pytest.approx(
+            sum(s["dur_ms"] for s in spans), abs=1e-6
+        )
 
     def test_ticket_wakeup_is_never_lost(self):
         # The event a waiter sleeps on is allocated lazily, racing the
