@@ -334,18 +334,6 @@ class TDFSEngine:
         # the queue or arena): nothing was consumed, everything is pending.
         return list(groups)
 
-    def _degraded_config(self, base: TDFSConfig, rungs: tuple) -> TDFSConfig:
-        """Apply ladder rungs to a config (cpu-fallback is driver-handled)."""
-        from repro.faults.plan import RUNG_ARRAY_STACKS, RUNG_SHRINK_CHUNK
-
-        cfg = base
-        for rung in rungs:
-            if rung == RUNG_SHRINK_CHUNK:
-                cfg = cfg.replace(chunk_size=max(1, base.chunk_size // 2))
-            elif rung == RUNG_ARRAY_STACKS and cfg.stack_mode is StackMode.PAGED:
-                cfg = cfg.replace(stack_mode=StackMode.ARRAY_DMAX)
-        return cfg
-
     def _run_resilient(
         self,
         graph: CSRGraph,
@@ -362,7 +350,7 @@ class TDFSEngine:
         finished, so the final count equals the fault-free count.
         """
         from repro.baselines.cpu import cpu_count
-        from repro.faults.plan import RUNG_CPU_FALLBACK
+        from repro.faults.plan import RUNG_CPU_FALLBACK, apply_rungs
         from repro.faults.recovery import pending_rows
 
         policy = self.ctx.retry
@@ -405,7 +393,7 @@ class TDFSEngine:
                 pending = None
                 break
 
-            self.config = self._degraded_config(base_cfg, rungs)
+            self.config = apply_rungs(base_cfg, rungs)
             try:
                 result, job, _gpu, fatal = self._run_attempt(
                     graph,

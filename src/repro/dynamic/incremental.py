@@ -39,7 +39,6 @@ recovers instance counts when the caller's config has symmetry on.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -89,7 +88,6 @@ class DeltaCount:
     """Anchored runs made: ``|E_Q|`` per non-empty side of the delta."""
     elapsed_cycles: int = 0
     """Virtual cycles across the anchored (or fallback) runs."""
-    host_ms: float = 0.0
     result: Optional[MatchResult] = None
     """A result for ``G'`` carrying the exact count (synthesized from the
     anchored runs on the incremental path, the real run on fallback)."""
@@ -173,7 +171,6 @@ class IncrementalMatcher:
         ``"tdfs"``, when the delta or the affected-match set is too large,
         or when an anchored run fails; ``fallback_reason`` says why.
         """
-        t0 = time.perf_counter()
         if isinstance(query, str):
             query = get_pattern(query)
         target = query
@@ -236,7 +233,6 @@ class IncrementalMatcher:
             out.fallback_reason = reason
             out.elapsed_cycles = result.elapsed_cycles
             out.result = result
-        out.host_ms = (time.perf_counter() - t0) * 1000.0
         return out
 
     # ------------------------------------------------------------------ #

@@ -37,9 +37,13 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, TYPE_CHECKING
 
+from repro.core.config import StackMode
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    from repro.core.config import TDFSConfig
 
 
 class FaultKind(enum.Enum):
@@ -186,6 +190,18 @@ RUNG_ARRAY_STACKS = "array-stacks"
 RUNG_CPU_FALLBACK = "cpu-fallback"
 
 DEFAULT_LADDER = (RUNG_SHRINK_CHUNK, RUNG_ARRAY_STACKS, RUNG_CPU_FALLBACK)
+
+
+def apply_rungs(config: "TDFSConfig", rungs: tuple) -> "TDFSConfig":
+    """``config`` under the ladder ``rungs``, each applied once:
+    ``shrink-chunk`` halves ``chunk_size`` and ``array-stacks`` turns paged
+    stacks into array ones.  ``cpu-fallback`` leaves the config alone: the
+    engine's retry driver runs that rung itself."""
+    if RUNG_SHRINK_CHUNK in rungs:
+        config = config.replace(chunk_size=max(1, config.chunk_size // 2))
+    if RUNG_ARRAY_STACKS in rungs and config.stack_mode is StackMode.PAGED:
+        config = config.replace(stack_mode=StackMode.ARRAY_DMAX)
+    return config
 
 
 @dataclass(frozen=True)

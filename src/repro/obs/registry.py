@@ -11,9 +11,8 @@ merged by :func:`fold_metrics` and accumulated by :meth:`Registry.fold`.
   (admission-queue depth, pages in use).
 * :class:`ReadGauge` — a level computed when it is read (the ``slo.*``
   burn rates), so nothing writes it on a hot path.
-* :class:`Histogram` — a distribution with **fixed bucket boundaries**
-  (cross-run comparability) plus a bounded sliding window of raw
-  observations for exact recent percentiles.
+* :class:`Histogram` — an observation count and maximum plus a bounded
+  sliding window of raw observations for exact recent percentiles.
 * :class:`TimeRing` — the one store of every windowed series here: a
   histogram's window and :class:`repro.obs.OutcomeWindow` keep their samples
   in it.
@@ -32,7 +31,7 @@ import math
 import threading
 import time
 from array import array
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Union
 
 __all__ = [
     "Counter",
@@ -43,12 +42,6 @@ __all__ = [
     "TimeRing",
     "fold_metrics",
 ]
-
-#: Default histogram boundaries: a geometric ladder wide enough for both
-#: cycle counts and millisecond latencies.  Callers with a known range
-#: (e.g. serve latency) pass their own.
-DEFAULT_BUCKETS: tuple[float, ...] = tuple(4.0**i for i in range(-2, 16))
-
 
 #: Suffix of a flat key that is a level, not a count: folded by max.
 _PEAK = ".peak"
@@ -89,11 +82,10 @@ class Counter:
     """Monotonically increasing event count."""
 
     kind = "counter"
-    __slots__ = ("name", "help", "_value", "_lock")
+    __slots__ = ("name", "_value", "_lock")
 
-    def __init__(self, name: str, help: str = "", lock: Optional[_LockLike] = None) -> None:
+    def __init__(self, name: str, lock: Optional[_LockLike] = None) -> None:
         self.name = name
-        self.help = help
         self._value = 0
         self._lock = lock if lock is not None else _NULL_LOCK
 
@@ -120,14 +112,13 @@ class Counter:
 
 
 class Gauge:
-    """A level that moves both ways; tracks its high-water mark."""
+    """A level, set by :meth:`set`; tracks its high-water mark."""
 
     kind = "gauge"
-    __slots__ = ("name", "help", "_value", "_peak", "_lock")
+    __slots__ = ("name", "_value", "_peak", "_lock")
 
-    def __init__(self, name: str, help: str = "", lock: Optional[_LockLike] = None) -> None:
+    def __init__(self, name: str, lock: Optional[_LockLike] = None) -> None:
         self.name = name
-        self.help = help
         self._value = 0
         self._peak = 0
         self._lock = lock if lock is not None else _NULL_LOCK
@@ -137,22 +128,6 @@ class Gauge:
             self._value = value
             if value > self._peak:
                 self._peak = value
-
-    def inc(self, n: Union[int, float] = 1) -> None:
-        with self._lock:
-            self._value += n
-            if self._value > self._peak:
-                self._peak = self._value
-
-    def dec(self, n: Union[int, float] = 1) -> None:
-        with self._lock:
-            self._value -= n
-
-    def set_peak(self, peak: Union[int, float]) -> None:
-        """Raise the high-water mark without moving the level."""
-        with self._lock:
-            if peak > self._peak:
-                self._peak = peak
 
     @property
     def value(self) -> Union[int, float]:
@@ -174,17 +149,15 @@ class ReadGauge:
     history, so it has no high-water mark and exports one row."""
 
     kind = "gauge"
-    __slots__ = ("name", "help", "_read")
+    __slots__ = ("name", "_read")
 
     def __init__(
         self,
         name: str,
         read: Callable[[], Union[int, float]],
-        help: str = "",
         lock: Optional[_LockLike] = None,  # unused: ``read`` locks its source
     ) -> None:
         self.name = name
-        self.help = help
         self._read = read
 
     @property
@@ -387,22 +360,17 @@ def _nearest_rank(ordered: list, p: float) -> float:
 
 
 class Histogram:
-    """Fixed-bucket distribution + bounded window for exact percentiles.
+    """Observation count and maximum + bounded window for exact percentiles.
 
-    The bucket counts have stable boundaries (comparable across runs); the
-    sliding window keeps the last ``window`` raw observations so
+    The sliding window keeps the last ``window`` raw observations so
     percentiles reflect *recent* behaviour exactly, the way a long-lived
-    service wants.
+    service wants; :meth:`snapshot` is their one reader.
     """
 
     kind = "histogram"
     __slots__ = (
         "name",
-        "help",
-        "buckets",
-        "bucket_counts",
         "count",
-        "total",
         "max",
         "max_age_s",
         "_clock",
@@ -413,22 +381,13 @@ class Histogram:
     def __init__(
         self,
         name: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
         window: int = 4096,
-        help: str = "",
         lock: Optional[_LockLike] = None,
         max_age_s: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.name = name
-        self.help = help
-        self.buckets = tuple(sorted(float(b) for b in buckets))
-        if not self.buckets:
-            raise ValueError("histogram needs at least one bucket boundary")
-        # One count per boundary plus the +inf overflow bucket.
-        self.bucket_counts = [0] * (len(self.buckets) + 1)
         self.count = 0
-        self.total = 0.0
         self.max = 0.0
         if max_age_s is not None and max_age_s <= 0:
             raise ValueError("histogram max_age_s must be positive")
@@ -449,9 +408,7 @@ class Histogram:
         """:meth:`observe` with the lock held by the caller; ``now`` is a
         reading of this histogram's clock the caller already took (None:
         read it here when the window is timed)."""
-        self.bucket_counts[bisect.bisect_left(self.buckets, value)] += 1
         self.count += 1
-        self.total += value
         if value > self.max:
             self.max = value
         if self.max_age_s is None:
@@ -466,18 +423,6 @@ class Histogram:
             if self.max_age_s is None:
                 return self._window.window()
             return self._window.window(self._clock() - self.max_age_s)
-
-    @property
-    def mean(self) -> float:
-        """Mean over the sliding window."""
-        values = self._window_values()
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
-
-    def percentile(self, p: float) -> float:
-        """Window percentile via nearest-rank (``p`` in [0, 100])."""
-        return _nearest_rank(sorted(self._window_values()), p)
 
     def snapshot(self) -> dict:
         """Count, max, and the window's mean and percentiles — all from one
@@ -526,37 +471,27 @@ class Registry:
     # Instrument creation
     # ------------------------------------------------------------------ #
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(name, Counter, help=help)
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(name, Counter)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(name, Gauge, help=help)
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(name, Gauge)
 
-    def read_gauge(
-        self, name: str, read: Callable[[], Union[int, float]], help: str = ""
-    ) -> ReadGauge:
+    def read_gauge(self, name: str, read: Callable[[], Union[int, float]]) -> ReadGauge:
         """A gauge whose value is ``read()`` at each read; ``read`` takes
         whatever lock its source needs (the registry holds none while it
         exports)."""
-        return self._get_or_create(name, ReadGauge, read=read, help=help)
+        return self._get_or_create(name, ReadGauge, read=read)
 
     def histogram(
         self,
         name: str,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
         window: int = 4096,
-        help: str = "",
         max_age_s: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> Histogram:
         return self._get_or_create(
-            name,
-            Histogram,
-            help=help,
-            buckets=buckets,
-            window=window,
-            max_age_s=max_age_s,
-            clock=clock,
+            name, Histogram, window=window, max_age_s=max_age_s, clock=clock
         )
 
     def _get_or_create(self, name: str, cls, **kwargs) -> Instrument:
@@ -611,18 +546,3 @@ class Registry:
                 self.gauge(key[: -len(_PEAK)]).set(value)
             else:
                 self.counter(key).inc(value)
-
-    def snapshot(self) -> dict:
-        """Instruments grouped by kind (JSON-compatible)."""
-        grouped: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-        for inst in self:
-            if inst.kind == "counter":
-                grouped["counters"][inst.name] = inst.value
-            elif inst.kind == "gauge":
-                grouped["gauges"][inst.name] = {
-                    "value": inst.value,
-                    "peak": inst.peak,
-                }
-            else:
-                grouped["histograms"][inst.name] = inst.snapshot()
-        return grouped

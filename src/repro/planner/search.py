@@ -71,8 +71,6 @@ class PlanChoice:
     plan: MatchingPlan
     est_cycles: float
     est_matches: float
-    cardinalities: tuple[float, ...]
-    """Estimated partial-match count per search level."""
     breakdown: dict[str, float] = field(compare=False)
     """Predicted cycles by component (intersect/page/filter/emit/...)."""
     source: str = "beam"
@@ -95,9 +93,6 @@ class PlanPortfolio:
     @property
     def best(self) -> PlanChoice:
         return self.choices[0]
-
-    def plans(self) -> list[MatchingPlan]:
-        return [c.plan for c in self.choices]
 
     def choice_for_order(self, order: tuple[int, ...]) -> Optional[PlanChoice]:
         for c in self.choices:
@@ -320,7 +315,6 @@ def plan_query(
                 plan=plan,
                 est_cycles=cycles,
                 est_matches=levels[-1].cardinality,
-                cardinalities=tuple(lv.cardinality for lv in levels),
                 breakdown=breakdown,
                 source=source,
             )

@@ -52,8 +52,6 @@ class GraphProfile:
     first."""
     label_freq: dict[int, float]
     """Fraction of vertices carrying each label ({0: 1.0} when unlabeled)."""
-    label_avg_degree: dict[int, float]
-    """Mean degree within each label class."""
     seed: int
     samples: int
     _sorted_degrees: dict[int, np.ndarray] = field(
@@ -153,19 +151,14 @@ def compute_profile(
 
     sorted_degrees: dict[int, np.ndarray] = {-1: np.sort(degrees)}
     label_freq: dict[int, float] = {}
-    label_avg: dict[int, float] = {}
     if graph.is_labeled and n:
         for lab in np.unique(graph.labels):
             lab = int(lab)
             mask = graph.labels == lab
-            count = int(mask.sum())
-            label_freq[lab] = count / n
-            class_degs = degrees[mask]
-            label_avg[lab] = float(class_degs.mean()) if count else 0.0
-            sorted_degrees[lab] = np.sort(class_degs)
+            label_freq[lab] = int(mask.sum()) / n
+            sorted_degrees[lab] = np.sort(degrees[mask])
     else:
         label_freq[0] = 1.0
-        label_avg[0] = avg
         sorted_degrees[0] = sorted_degrees[-1]
 
     return GraphProfile(
@@ -178,7 +171,6 @@ def compute_profile(
         edge_prob=edge_prob,
         closure_rate=_sample_closure_rate(graph, samples, seed),
         label_freq=label_freq,
-        label_avg_degree=label_avg,
         seed=seed,
         samples=samples,
         _sorted_degrees=sorted_degrees,

@@ -9,10 +9,10 @@ through one :meth:`ServeMetrics.snapshot`, which
 :meth:`MatchService.snapshot` extends and
 :func:`repro.obs.console.render_top` prints.
 
-Latencies go into obs histograms with millisecond buckets; percentiles
-stay exact over a bounded sliding window of recent observations, so a
-long-lived service reports *recent* latency, not all-time latency.  Each
-window, like the outcome window, is a typed
+Latencies go into obs histograms in milliseconds; percentiles stay exact
+over a bounded sliding window of recent observations, so a long-lived
+service reports *recent* latency, not all-time latency.  Each window,
+like the outcome window, is a typed
 :class:`~repro.obs.registry.TimeRing` with a fixed cap: a settled request
 holds 24 bytes of the outcome window and 16 of each timed histogram, and
 no Python object.
@@ -24,20 +24,6 @@ import time
 from typing import Optional
 
 from repro.obs import Counter, OutcomeWindow, Registry
-
-#: Fixed bucket boundaries for latency histograms (milliseconds).
-LATENCY_BUCKETS_MS = (
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
-    100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
-)
-
-#: Fixed bucket boundaries for batch-size histograms.
-BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
-#: Bucket boundaries for the planner's relative estimator error
-#: ``|est - actual| / actual`` (0.1 = within 10 %, 10 = off by 10×).
-PLAN_ERROR_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 100.0)
-
 
 #: Counter names every snapshot reports (0 until their event occurs), so
 #: a reader can index ``snapshot()["counters"]`` without guarding.
@@ -108,7 +94,6 @@ class ServeMetrics:
         self._clock = clock if clock is not None else time.monotonic
         self.latency_ms = self.registry.histogram(
             _PREFIX + "latency_ms",
-            buckets=LATENCY_BUCKETS_MS,
             window=latency_window,
             max_age_s=window_s,
             clock=clock,
@@ -119,32 +104,22 @@ class ServeMetrics:
         last burst."""
         self.queue_ms = self.registry.histogram(
             _PREFIX + "queue_wait_ms",
-            buckets=LATENCY_BUCKETS_MS,
             window=latency_window,
             max_age_s=window_s,
             clock=clock,
         )
         """Admission-queue wait per executed request."""
-        self.batch_size = self.registry.histogram(
-            _PREFIX + "batch_size", buckets=BATCH_BUCKETS, window=4096
-        )
+        self.batch_size = self.registry.histogram(_PREFIX + "batch_size")
         """Requests per micro-batch."""
         self.queue_depth = self.registry.gauge(_PREFIX + "queue_depth")
-        self.checkpoint_age_ms = self.registry.histogram(
-            _PREFIX + "checkpoint_age_ms",
-            buckets=LATENCY_BUCKETS_MS,
-            window=4096,
-        )
+        self.checkpoint_age_ms = self.registry.histogram(_PREFIX + "checkpoint_age_ms")
         """Age of the checkpoint a resumed run continued from (how much
         progress a crash could cost at the configured cadence)."""
         self.breaker_open = self.registry.gauge(_PREFIX + "breaker_open")
         self.pool_size = self.registry.gauge(_PREFIX + "pool_size")
-        self.plan_error = self.registry.histogram(
-            _PREFIX + "planner_est_error",
-            buckets=PLAN_ERROR_BUCKETS,
-            window=4096,
-        )
-        """Relative estimator-vs-actual cycle error per planner-fed run."""
+        self.plan_error = self.registry.histogram(_PREFIX + "planner_est_error")
+        """Relative estimator-vs-actual cycle error ``|est - actual| / actual``
+        per planner-fed run."""
         self.outcomes = OutcomeWindow(
             max_age_s=max(window_s or 0.0, 3600.0),
             clock=self._clock,

@@ -124,12 +124,8 @@ class MatchCheckpoint:
     adding ``count`` reproduces the uninterrupted total exactly.
     """
 
-    request_id: int
     groups: list
     count: int
-    elapsed_cycles: int
-    seq: int
-    """1-based checkpoint index within the delivery that took it."""
     taken_at: float
     """Wall-clock (``time.monotonic``) timestamp, for the age histogram."""
 
@@ -197,8 +193,6 @@ class CircuitBreaker:
         self.on_transition = on_transition
         self._lock = threading.Lock()
         self._breakers: dict[tuple, _Breaker] = {}
-        self.total_opens = 0
-        self.total_rejections = 0
 
     # -- internals ----------------------------------------------------- #
 
@@ -229,7 +223,6 @@ class CircuitBreaker:
         b.open_for_s = self._jittered_open_s(sig, b.consecutive_opens)
         b.probe_inflight = False
         b.failures.clear()
-        self.total_opens += 1
         return self._transition(sig, b, BreakerState.OPEN)
 
     def _fire(self, event: Optional[tuple]) -> None:
@@ -253,7 +246,6 @@ class CircuitBreaker:
             if b.state is BreakerState.OPEN:
                 remaining = b.opened_at + b.open_for_s - now
                 if remaining > 0:
-                    self.total_rejections += 1
                     raise CircuitOpenError(
                         f"circuit open for signature {signature!r}; "
                         f"retry in {remaining:.3f}s",
@@ -265,7 +257,6 @@ class CircuitBreaker:
             else:
                 # HALF_OPEN: exactly one probe at a time.
                 if b.probe_inflight:
-                    self.total_rejections += 1
                     raise CircuitOpenError(
                         f"circuit half-open for signature {signature!r}; "
                         "probe already in flight",
@@ -343,16 +334,9 @@ class Quarantine:
 
     def __init__(self, capacity: int = 256) -> None:
         self._entries = LRUCache(capacity)
-        self.total_poisoned = 0
-
-    @property
-    def total_rejections(self) -> int:
-        """Submissions rejected so far — every :meth:`check` that hit."""
-        return self._entries.stats().hits
 
     def poison(self, fingerprint: tuple, failure: str, request_id: int) -> None:
         self._entries.put(fingerprint, (failure, request_id))
-        self.total_poisoned += 1
 
     def check(self, fingerprint: tuple) -> None:
         """Raise :class:`PoisonedRequestError` for a quarantined repeat."""
@@ -427,8 +411,6 @@ class Supervisor(threading.Thread):
             service.config, "worker_faults", None
         )
         self._stop_event = threading.Event()
-        self.restarts = 0
-        self.last_error: Optional[str] = None
 
     # -- lifecycle ------------------------------------------------------ #
 
@@ -448,8 +430,7 @@ class Supervisor(threading.Thread):
             try:
                 self.sweep()
             except Exception:  # the watchdog must survive anything
-                self.last_error = traceback.format_exc()
-                logger.warning("supervisor sweep failed:\n%s", self.last_error)
+                logger.warning("supervisor sweep failed:\n%s", traceback.format_exc())
 
     # -- the watchdog sweep --------------------------------------------- #
 
@@ -492,7 +473,6 @@ class Supervisor(threading.Thread):
         # Count the restart before re-offering anything: a sibling worker may
         # settle a redelivered entry (and wake its caller) before this thread
         # runs again, and a settled response must find the books closed.
-        self.restarts += 1
         metrics.incr("supervisor_restarts")
         # One death is one failure of each query it interrupted: a batch
         # holds up to 16 entries of one signature, and charging each would
@@ -574,11 +554,8 @@ class Supervisor(threading.Thread):
             seq += 1
             worker.beat()
             entry.checkpoint = MatchCheckpoint(
-                request_id=entry.request_id,
                 groups=snapshot_pending_work(job),
                 count=base_count + job.count,
-                elapsed_cycles=int(now_cycles),
-                seq=seq,
                 taken_at=time.monotonic(),
             )
             metrics.incr("checkpoints")
@@ -618,8 +595,6 @@ class Supervisor(threading.Thread):
     def snapshot(self) -> dict:
         """JSON-compatible resilience state (merged into service snapshot)."""
         return {
-            "restarts": self.restarts,
             "breakers": self.breaker.states(),
-            "breaker_rejections": self.breaker.total_rejections,
             "quarantine": self.quarantine.entries(),
         }

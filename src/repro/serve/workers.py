@@ -42,6 +42,7 @@ from typing import Optional
 from repro.core.config import RunContext
 from repro.core.engine import make_engine
 from repro.errors import ReproError, UnsupportedError
+from repro.faults.plan import apply_rungs
 from repro.faults.recovery import deadline_policy
 from repro.faults.workers import WorkerCrash
 from repro.obs.ops import ops_tracer
@@ -283,7 +284,7 @@ class Worker(threading.Thread):
             remaining_ms = (entry.deadline_at - time.monotonic()) * 1000.0
             retry, rungs = deadline_policy(remaining_ms, request.deadline_ms)
             if rungs:
-                config = config.replace(chunk_size=max(1, config.chunk_size // 2))
+                config = apply_rungs(config, rungs)
                 base.degraded = True
 
         # Supervised checkpointing: install the supervisor's hook so the

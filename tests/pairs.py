@@ -10,9 +10,15 @@ the unchanged ``benchmarks/spine/run.py`` of each side as a subprocess,
 pair 2 this tree first, ...), so a slow spell of the host lands on both.
 Every run uses the same seed.  It then prints one markdown row per
 end-to-end metric that ``BENCHMARK.json`` names: both medians, the gap,
-the parent's quartiles and their distance (IQR), and the pairs this tree
-won.  A gain is resolved when the tree wins nearly every pair and the
-median gap exceeds the parent's IQR.
+the parent's quartiles and their distance (IQR), the pairs this tree won,
+the metric's bound and a verdict:
+
+* ``unresolved`` — the median gap is inside the parent's IQR, or outside
+  it but neither of the two below;
+* ``gain`` — this tree is better by more than the IQR and won at least
+  nine pairs in ten, over ten pairs or more;
+* ``regression`` — this tree is worse by more than the IQR and by more
+  than the metric's bound (a fraction of the parent's median).
 
 Exits 1 when ``virtual_ms`` differs between any two runs (a host-side
 change must not move simulated time) or any op failed, 2 on a bad
@@ -75,12 +81,27 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def verdict(gain: float, iqr: float, bound: float, wins: int, pairs: int) -> str:
+    """One metric's verdict from its median ``gain`` (the amount this tree
+    is better by, negative when worse, as a fraction of the parent's
+    median), the parent's IQR as the same fraction, its bound and the pairs
+    this tree won."""
+    if abs(gain) <= iqr:
+        return "unresolved"
+    if gain > 0 and pairs >= 10 and wins >= 0.9 * pairs:
+        return "gain"
+    if -gain > bound:
+        return "regression"
+    return "unresolved"
+
+
 def report(runs: dict, end_to_end: list[dict]) -> list[str]:
     """The markdown table: one row per end-to-end metric."""
     pairs = len(runs["parent"])
     lines = [
-        "| metric | parent | change | gap | parent q1..q3 | parent IQR | wins |",
-        "| --- | --- | --- | --- | --- | --- | --- |",
+        "| metric | parent | change | gap | parent q1..q3 | parent IQR | wins "
+        "| bound | verdict |",
+        "| --- | --- | --- | --- | --- | --- | --- | --- | --- |",
     ]
     for metric in end_to_end:
         name = metric["name"]
@@ -90,9 +111,12 @@ def report(runs: dict, end_to_end: list[dict]) -> list[str]:
         q1, q3 = quartiles(a)
         sign = 1 if metric["better"] == "lower" else -1
         wins = sum(sign * (x - y) > 0 for x, y in zip(a, b))
+        gap = (med_b - med_a) / med_a
+        call = verdict(-sign * gap, (q3 - q1) / med_a, metric["bound"], wins, pairs)
         lines.append(
-            f"| `{name}` | {med_a:.4g} | {med_b:.4g} | {(med_b - med_a) / med_a:+.1%} "
-            f"| {q1:.4g}..{q3:.4g} | {q3 - q1:.3g} | {wins}/{pairs} |"
+            f"| `{name}` | {med_a:.4g} | {med_b:.4g} | {gap:+.1%} "
+            f"| {q1:.4g}..{q3:.4g} | {q3 - q1:.3g} | {wins}/{pairs} "
+            f"| {metric['bound']:.0%} | {call} |"
         )
     return lines
 

@@ -97,3 +97,35 @@ class TestHarness:
     def test_run_cell_label_override(self):
         result = run_cell("orkut", "P1", "pbe", num_labels=0)
         assert not result.failed
+
+
+class TestPairsVerdict:
+    """``python -m tests.pairs``: one verdict per end-to-end metric."""
+
+    def test_verdicts(self):
+        from tests.pairs import verdict
+
+        # A gap inside the parent's IQR settles nothing, either way.
+        assert verdict(0.05, 0.06, 0.1, 10, 10) == "unresolved"
+        assert verdict(-0.5, 0.6, 0.1, 0, 10) == "unresolved"
+        # A gain needs the gap past the IQR and nine pairs in ten, of ten
+        # or more.
+        assert verdict(0.04, 0.01, 0.1, 9, 10) == "gain"
+        assert verdict(0.04, 0.01, 0.1, 8, 10) == "unresolved"
+        assert verdict(0.04, 0.01, 0.1, 5, 5) == "unresolved"
+        # A regression is a gap worse than both the IQR and the bound.
+        assert verdict(-0.11, 0.01, 0.1, 0, 10) == "regression"
+        assert verdict(-0.09, 0.01, 0.1, 0, 10) == "unresolved"
+
+    def test_report_row_reads_the_better_direction(self):
+        from tests.pairs import report
+
+        def runs(*values):
+            return [{"metrics": {"m": {"value": v}}} for v in values]
+
+        parent = [10.0 + k / 10 for k in range(10)]
+        side = {"parent": runs(*parent), "change": runs(*(v + 2 for v in parent))}
+        lower = report(side, [{"name": "m", "better": "lower", "bound": 0.1}])[-1]
+        higher = report(side, [{"name": "m", "better": "higher", "bound": 0.1}])[-1]
+        assert lower.endswith("| 0/10 | 10% | regression |"), lower
+        assert higher.endswith("| 10/10 | 10% | gain |"), higher

@@ -13,14 +13,31 @@ import ast
 import pathlib
 import pickle
 from dataclasses import fields
+from types import SimpleNamespace
 
 from repro import RunContext, TDFSConfig
 from repro.gpusim.costmodel import CostModel
 from repro.obs import OutcomeWindow
 from repro.obs.registry import Histogram, TimeRing
 from repro.serve import ServeConfig, SupervisorConfig
+from repro.serve.resilience import Supervisor
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def _visit(visit) -> None:
+    """Call ``visit(node, path, scope)`` on every AST node in ``src/repro``;
+    ``scope`` is the tuple of enclosing class and function names."""
+
+    def walk(node, scope, path):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        visit(node, path, scope)
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope, path)
+
+    for path in sorted(SRC.rglob("*.py")):
+        walk(ast.parse(path.read_text()), (), path)
 
 
 def _sites(predicate) -> set[tuple[str, str]]:
@@ -28,16 +45,11 @@ def _sites(predicate) -> set[tuple[str, str]]:
     for which ``predicate(node, path)`` holds."""
     found: set[tuple[str, str]] = set()
 
-    def walk(node, scope, path):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            scope = scope + (node.name,)
+    def visit(node, path, scope):
         if predicate(node, path):
             found.add((path.relative_to(SRC).as_posix(), ".".join(scope)))
-        for child in ast.iter_child_nodes(node):
-            walk(child, scope, path)
 
-    for path in sorted(SRC.rglob("*.py")):
-        walk(ast.parse(path.read_text()), (), path)
+    _visit(visit)
     return found
 
 
@@ -231,6 +243,102 @@ RETIRED = (
     "batch_window_ms",
     "window_ms",
 )
+
+#: Second books and telemetry state nothing read, retired: each copied a
+#: serve counter moved at the same point, or was written and never read.
+#: ``Owner.member`` may not be defined on ``Owner`` again (a method, a
+#: parameter of its methods, a ``self.`` attribute or a class-body field);
+#: a bare name may not appear in ``src/`` at all.
+RETIRED_BOOKS = (
+    "CircuitBreaker.total_opens",
+    "CircuitBreaker.total_rejections",
+    "Quarantine.total_poisoned",
+    "Quarantine.total_rejections",
+    "Supervisor.restarts",
+    "Supervisor.last_error",
+    "breaker_rejections",
+    "Histogram.buckets",
+    "Histogram.bucket_counts",
+    "Registry.buckets",
+    "DEFAULT_BUCKETS",
+    "LATENCY_BUCKETS_MS",
+    "BATCH_BUCKETS",
+    "PLAN_ERROR_BUCKETS",
+    "Histogram.total",
+    "Counter.help",
+    "Gauge.help",
+    "ReadGauge.help",
+    "Histogram.help",
+    "Registry.help",
+    "Histogram.mean",
+    "Histogram.percentile",
+    "Gauge.inc",
+    "Gauge.dec",
+    "Gauge.set_peak",
+    "Registry.snapshot",
+    "MatchCheckpoint.request_id",
+    "MatchCheckpoint.elapsed_cycles",
+    "MatchCheckpoint.seq",
+    "DeltaCount.host_ms",
+    "GraphProfile.label_avg_degree",
+    "PlanChoice.cardinalities",
+    "PlanPortfolio.plans",
+)
+
+
+def _definitions(node) -> set:
+    """Names ``node`` defines on its class: a method, a parameter, a
+    ``self.`` attribute or a class-body field."""
+    if isinstance(node, ast.FunctionDef):
+        return {node.name}
+    if isinstance(node, ast.arg):
+        return {node.arg}
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
+        return {node.attr}
+    if isinstance(node, ast.ClassDef):
+        return {
+            target.id
+            for stmt in node.body
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            for target in getattr(stmt, "targets", [getattr(stmt, "target", None)])
+            if isinstance(target, ast.Name)
+        }
+    return set()
+
+
+def _mentions(node) -> set:
+    """Names ``node`` mentions: a definition, a name, an import, an
+    attribute or a string constant."""
+    names = {getattr(node, key, None) for key in ("name", "arg", "id", "attr")}
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names.add(node.value)
+    return names
+
+
+class TestRetiredBooksContract:
+    """Every record the ops layer writes has one home and a reader."""
+
+    def test_retired_books_stay_retired(self):
+        owners = {e.partition(".")[0] for e in RETIRED_BOOKS if "." in e}
+        bare = {e for e in RETIRED_BOOKS if "." not in e}
+        classes, hits = set(), []
+
+        def visit(node, path, scope):
+            if isinstance(node, ast.ClassDef) and len(scope) == 1:
+                classes.add(node.name)
+            owned = {f"{scope[0]}.{name}" for name in _definitions(node)} if scope else set()
+            for entry in sorted(owned & set(RETIRED_BOOKS) | _mentions(node) & bare):
+                hits.append((path.relative_to(SRC).as_posix(), ".".join(scope), entry))
+
+        _visit(visit)
+        assert owners <= classes, sorted(owners - classes)
+        assert not hits, hits
+
+    def test_supervisor_snapshot_keeps_no_counts(self):
+        # Restarts and breaker rejections are the serve counters
+        # supervisor_restarts / breaker_rejected, read by render_top.
+        sup = Supervisor(SimpleNamespace(config=ServeConfig()))
+        assert set(sup.snapshot()) == {"breakers", "quarantine"}
 
 
 class TestConfigContract:

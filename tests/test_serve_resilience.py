@@ -70,14 +70,15 @@ def make_breaker(**overrides) -> tuple[CircuitBreaker, FakeClock]:
 
 class TestCircuitBreaker:
     def test_closed_until_threshold(self):
-        b, _ = make_breaker()
+        events = []
+        b, _ = make_breaker(on_transition=lambda *e: events.append(e))
         b.record_failure(SIG)
         b.record_failure(SIG)
         assert b.state(SIG) is BreakerState.CLOSED
         b.check(SIG)  # still admitting
         b.record_failure(SIG)
         assert b.state(SIG) is BreakerState.OPEN
-        assert b.total_opens == 1
+        assert events == [(SIG, BreakerState.CLOSED, BreakerState.OPEN)]
 
     def test_open_rejects_until_backoff_elapses(self):
         b, clock = make_breaker()
@@ -87,7 +88,9 @@ class TestCircuitBreaker:
             b.check(SIG)
         assert exc.value.signature == SIG
         assert 0.0 < exc.value.retry_after_s <= 1.2  # jitter <= 20%
-        assert b.total_rejections == 1
+        clock.advance(exc.value.retry_after_s)
+        b.check(SIG)  # the backoff elapsed: admitted as the probe
+        assert b.state(SIG) is BreakerState.HALF_OPEN
 
     def test_half_open_admits_single_probe(self):
         b, clock = make_breaker()
@@ -188,8 +191,12 @@ class TestQuarantine:
         assert exc.value.fingerprint == self.FP
         assert "worker-crash" in exc.value.failure
         assert exc.value.request_id == 7
-        assert q.total_poisoned == 1
-        assert q.total_rejections == 1
+        assert len(q) == 1
+        assert q.entries() == {
+            "g/planfp/tdfs/cfgfp": {
+                "failure": "POISONED (worker-crash x3)", "request_id": 7,
+            }
+        }
 
     def test_release_lifts_quarantine(self):
         q = Quarantine()
@@ -280,7 +287,7 @@ def submit_uncached(svc, pattern: str, **kwargs):
 
 class TestRecoveryBookkeeping:
     def test_books_are_closed_before_an_entry_is_reoffered(self):
-        """Regression: ``_recover`` bumped ``restarts`` only after the
+        """Regression: ``_recover`` counted the restart only after the
         re-offer and ``redeliver`` counted after ``offer``, so a sibling
         worker could settle the entry — and wake a caller who then read
         stale counters — first.  A queue whose ``offer`` looks at the books
@@ -298,7 +305,6 @@ class TestRecoveryBookkeeping:
             def offer(self, entry, force=False):
                 if entry.redeliveries:
                     seen.update(
-                        restarts=sup.restarts,
                         supervisor_restarts=service.metrics.get(
                             "supervisor_restarts"
                         ),
@@ -327,7 +333,6 @@ class TestRecoveryBookkeeping:
         )
         sup = Supervisor(service)
         sup._recover(pool, 0, dead, "worker-crash")
-        assert seen["restarts"] == 1
         assert seen["supervisor_restarts"] == 1
         assert seen["redeliveries"] == 1
         assert seen["flight"]["worker.crash"] == 1
@@ -432,7 +437,7 @@ class TestKillResume:
             assert m.get("redeliveries") == 1
             assert m.get("resumed") == 1
             snap = svc.snapshot()
-            assert snap["resilience"]["restarts"] == 1
+            assert snap["counters"]["supervisor_restarts"] == 1
             assert snap["counters"]["checkpoints"] >= 1
             # Regression: the killed delivery's serve.request span used to
             # stay open forever (a phantom in-flight request in every later
