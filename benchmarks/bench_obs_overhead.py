@@ -21,11 +21,19 @@ Cells run with ``shards=2`` — the configuration where tracing-on does
 real cross-process work; with one shard both modes are near-identical
 and the comparison would be vacuous.  Counts must agree across all three
 series: tracing must never change results.
+
+* **a cached hit** — host µs per result-cache hit with the process ops
+  tracer (:func:`repro.obs.ops_tracer`, where a hit records its
+  ``serve.request`` span) enabled and disabled, the fastest of
+  ``HIT_REPEATS`` replays each, alternating, and their ratio: the share
+  of a hit's cost its span takes.  Printed only; the tracer's switch is
+  restored afterwards.
 """
 
 import time
 
 import pytest
+from bench_serve_throughput import HIT_REPEATS, PATTERNS, replay, us_per_hit
 from conftest import pedantic
 
 from repro.bench.harness import SESSION_METRICS, patterns_for
@@ -33,7 +41,8 @@ from repro.bench.reporting import Table
 from repro.core.config import TDFSConfig
 from repro.core.engine import match
 from repro.graph.datasets import DATASETS, load_dataset
-from repro.obs import TraceContext
+from repro.obs import TraceContext, ops_tracer
+from repro.serve import MatchService, ServeConfig
 
 ROUNDS = 3
 
@@ -111,3 +120,37 @@ def run_overhead(dataset: str) -> Table:
 @pytest.mark.parametrize("dataset", [d for d, _ in CELLS])
 def test_obs_overhead(benchmark, report, dataset):
     report(pedantic(benchmark, lambda: run_overhead(dataset)))
+
+
+def run_hit_overhead() -> Table:
+    dataset, n_requests = "dblp", 300
+    config = TDFSConfig(num_warps=8, device_memory=DATASETS[dataset].device_memory)
+    tracer = ops_tracer()
+    enabled = tracer.enabled
+    us = {True: float("inf"), False: float("inf")}
+    with MatchService(ServeConfig(match_config=config, max_queue=n_requests)) as svc:
+        svc.register_graph(dataset, load_dataset(dataset))
+        replay(svc, dataset, len(PATTERNS))  # the cold runs fill the cache
+        try:
+            for _ in range(HIT_REPEATS):
+                for spans_on in (True, False):
+                    tracer.enabled = spans_on
+                    us[spans_on] = min(us[spans_on], us_per_hit(svc, dataset, n_requests))
+        finally:
+            tracer.enabled = enabled
+    table = Table(
+        f"Obs overhead on {dataset} cached hits",
+        ["requests", "us/hit spans on", "us/hit spans off", "on / off"],
+    )
+    table.add_row(
+        n_requests, f"{us[True]:.2f}", f"{us[False]:.2f}", f"{us[True] / us[False]:.3f}"
+    )
+    table.add_note(
+        f"fastest of {HIT_REPEATS} alternating replays per arm; timings "
+        "printed only, no bound yet"
+    )
+    return table
+
+
+def test_obs_hit_overhead(benchmark, report):
+    report(pedantic(benchmark, run_hit_overhead))

@@ -137,16 +137,20 @@ class IncrementalMatcher:
     the anchored runs inherit (strategy, τ, stacks, kernel backend…).
     Beyond ``MAX_DELTA_EDGES`` or ``MAX_ANCHOR_MATCHES`` it falls back to
     a full re-match.  ``ctx`` wires the full re-match fallback; the
-    anchored runs themselves are plain runs.
+    anchored runs themselves are plain runs.  ``trace`` parents the
+    ``delta.*`` spans (and is threaded into the fallback's config) when
+    ``config`` carries no ``trace_context`` of its own.
     """
 
     def __init__(
         self,
         config: Optional[TDFSConfig] = None,
         ctx: Optional[RunContext] = None,
+        trace=None,
     ) -> None:
         self.config = config or TDFSConfig()
         self.ctx = ctx or RunContext()
+        self.trace = self.config.trace_context or trace
 
     # ------------------------------------------------------------------ #
 
@@ -193,7 +197,7 @@ class IncrementalMatcher:
             net = delta if isinstance(delta, NetDelta) else delta.normalize(old_graph)
             if net.size > MAX_DELTA_EDGES:
                 reason = "delta-too-large"
-        trace = self.config.trace_context
+        trace = self.trace
         if reason is None:
             anchored = self._anchor_engine()
             with ops_tracer(trace).span("delta.count", parent=trace) as span:
@@ -221,7 +225,10 @@ class IncrementalMatcher:
                     )
         if reason is not None:
             # The one full re-match: exact, never wrong.
-            rematch = make_engine(engine, self.config, self.ctx)
+            config = self.config
+            if config.trace_context is None and trace is not None:
+                config = config.replace(trace_context=trace)
+            rematch = make_engine(engine, config, self.ctx)
             with ops_tracer(trace).span("delta.fallback", parent=trace, reason=reason):
                 result = rematch.run(new_graph, target)
             if result.error is not None:
@@ -242,12 +249,16 @@ class IncrementalMatcher:
         single-device, symmetry handled at plan level, and a default
         context — no recovery machinery, no statistics.  An engine
         keeps no state between runs, so each run still starts a fresh
-        device at virtual time 0."""
-        return _AnchorEngine(
-            self.config.replace(
+        device at virtual time 0.  Its config is derived once per caller
+        config and kept on it (frozen), as the cache fingerprint is."""
+        try:
+            anchored = self.config._anchor_config
+        except AttributeError:
+            anchored = self.config.replace(
                 shards=1, num_gpus=1, planner=None, enable_symmetry=False
             )
-        )
+            object.__setattr__(self.config, "_anchor_config", anchored)
+        return _AnchorEngine(anchored)
 
     def _affected(
         self,

@@ -256,8 +256,10 @@ class CSRGraph:
 
         ``delta`` is a :class:`repro.dynamic.DeltaBatch` (anything with
         a ``normalize(graph)`` method returning net added/removed pair
-        arrays works).  The receiver is untouched — graphs stay immutable;
-        the batch-dynamic layer swaps whole instances.
+        arrays works), or the :class:`repro.dynamic.NetDelta` a batch
+        already normalized against this graph.  The receiver is untouched —
+        graphs stay immutable; the batch-dynamic layer swaps whole
+        instances.
 
         The build is fully vectorized: removal is one ``np.isin`` mask
         over the directed CSR entries (no per-edge Python loop), and
@@ -266,7 +268,7 @@ class CSRGraph:
         Vertex-growing adds extend ``|V|``; new vertices of a labeled
         graph get label 0.
         """
-        net = delta.normalize(self)
+        net = delta.normalize(self) if hasattr(delta, "normalize") else delta
         n_old = self.num_vertices
         n = net.num_vertices
         col = self.col_idx.astype(np.int64, copy=False)

@@ -57,6 +57,8 @@ class QueueEntry:
     priority: int
     batch_key: Hashable
     submitted_at: float
+    deadline_ms: Optional[float] = None
+    """The request's own budget; ``deadline_at`` is when it runs out."""
     deadline_at: Optional[float] = None
     sequence: int = 0
     redeliveries: int = 0

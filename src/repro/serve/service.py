@@ -220,60 +220,84 @@ class MatchTicket:
             event.set()
 
 
-@dataclass
+@dataclass(eq=False)
 class _PreparedRequest:
-    """A request after submit-time normalization (internal) — and the one
-    place its keys are derived."""
+    """A request *shape* after submit-time normalization (internal), shared
+    by every request of that shape (:meth:`MatchService._prepare`) — and
+    the one place its keys are derived.  A request's own fields
+    (``deadline_ms``, ``priority``) live on its queue entry."""
 
-    request: MatchRequest
+    graph_id: str
+    engine: str
+    collect_matches: int
     query: Union[QueryGraph, MatchingPlan]
+    query_name: str
     config: TDFSConfig
     plan_fp: str
     config_fp: str
     cache_results: bool
     """The service and the request both allow the result cache."""
-
-    @property
-    def query_name(self) -> str:
-        q = self.query.query if isinstance(self.query, MatchingPlan) else self.query
-        return q.name
+    _keyed: tuple = (None, None)
+    """The latest ``(version, result key)``, replaced in one assignment."""
+    _template: Optional[MatchResponse] = None
+    """The latest hit's response, which later hits of its result copy."""
 
     @property
     def signature(self) -> tuple:
         """Breaker and planner-feedback key: what reproducibly identifies
         a killer query (and what a planner's order was ranked for)."""
-        return (self.request.graph_id, self.plan_fp)
+        return (self.graph_id, self.plan_fp)
 
     @property
     def fingerprint(self) -> tuple:
         """Quarantine key: the full repeat-identity of a request."""
-        return (*self.signature, self.request.engine, self.config_fp)
+        return (*self.signature, self.engine, self.config_fp)
 
     @property
     def batch_key(self) -> tuple:
         """Requests sharing it share one graph resolution in a worker."""
-        return (self.request.graph_id, self.request.engine, self.config_fp)
+        return (self.graph_id, self.engine, self.config_fp)
 
     def _key(self, make, version: Optional[int], last) -> tuple:
-        r = self.request
-        return make(r.graph_id, version, self.plan_fp, r.engine, self.config_fp, last)
+        return make(
+            self.graph_id, version, self.plan_fp, self.engine, self.config_fp, last
+        )
 
     def result_key(self, version: int) -> Optional[tuple]:
         """``None`` = neither look nor store: the service or the request
         has result caching off."""
-        if not self.cache_results:
-            return None
-        return self._key(result_key, version, self.request.collect_matches)
+        keyed = self._keyed
+        if keyed[0] != version:
+            key = None
+            if self.cache_results:
+                key = self._key(result_key, version, self.collect_matches)
+            keyed = self._keyed = (version, key)
+        return keyed[1]
 
     def plan_key(self, version: int, planned: bool) -> tuple:
         return self._key(plan_key, version, planned)
 
     def response(self, request_id: int, version: Optional[int], **telemetry):
         """A :class:`MatchResponse` with this request's identity fields."""
-        r = self.request
         return MatchResponse(
-            request_id, r.graph_id, version, r.engine, self.query_name, **telemetry
+            request_id, self.graph_id, version, self.engine, self.query_name,
+            **telemetry,
         )
+
+    def hit(self, request_id: int, version: int, cached: MatchResult):
+        """A result-cache hit's response: a copy of the template while it
+        still answers with ``cached`` at ``version``."""
+        template = self._template
+        if template is None or template.result is not cached or (
+            template.graph_version != version
+        ):
+            template = self._template = self.response(
+                0, version, result=cached, result_cache_hit=True
+            )
+        response = object.__new__(MatchResponse)  # a field copy, no __init__
+        response.__dict__ = template.__dict__.copy()
+        response.request_id = request_id
+        return response
 
 
 # --------------------------------------------------------------------------- #
@@ -386,6 +410,9 @@ class MatchService:
         """Planner portfolios keyed like plan-cache entries (planner only)."""
         self.feedback = PlanFeedbackStore()
         """Observed per-plan runtime; drives portfolio promote/demote."""
+        self._shapes: dict[tuple, _PreparedRequest] = {}
+        """Prepared request shapes, oldest first (:meth:`_prepare`)."""
+        self._shapes_lock = threading.Lock()
         self._graphs: dict[str, _GraphSlot] = {}
         self._graphs_lock = threading.RLock()
         self._queue = AdmissionQueue(
@@ -475,21 +502,26 @@ class MatchService:
         prepared = self._prepare(
             MatchRequest(graph_id, query, engine=engine, config=config)
         )
-        # Fingerprinted: the caller's (memoising) object, not the traced copy.
+        # The caller's (memoising) config: its fingerprint and anchor config
+        # are kept on it, so the trace travels beside it.
         cfg = prepared.config
-        if cfg.trace_context is None:
-            cfg = cfg.replace(trace_context=trace)
         ctx = RunContext(shard_faults=self.config.shard_faults)
         batch = DeltaBatch.make(add=add, remove=remove)
+        net = None
+
+        def successor(old):
+            nonlocal net  # normalized once, against the graph being replaced
+            net = batch.normalize(old)
+            return old.apply_delta(net)
         old_graph, old_version, new_graph, version = self._advance(
-            graph_id, lambda old: old.apply_delta(batch)
+            graph_id, successor
         )
         old_key = prepared.result_key(old_version)
         base = self.result_cache.get(old_key) if old_key is not None else None
-        out = IncrementalMatcher(cfg, ctx).count_delta(
+        out = IncrementalMatcher(cfg, ctx, trace=trace).count_delta(
             old_graph,
             new_graph,
-            batch,
+            net,
             prepared.query,
             base.count if base is not None else None,
             engine=engine,
@@ -708,9 +740,7 @@ class MatchService:
         key = prepared.result_key(version)
         cached = self.result_cache.get(key) if key is not None else None
         if cached is not None:
-            response = prepared.response(
-                rid, version, result=cached, result_cache_hit=True
-            )
+            response = prepared.hit(rid, version, cached)
             self._settle(
                 response,
                 prepared=prepared,
@@ -724,7 +754,7 @@ class MatchService:
         trace = TraceContext.mint(
             request_id=rid,
             graph=graph_id,
-            engine=request.engine,
+            engine=prepared.engine,
             query=prepared.query_name,
         )
         if not self._start():
@@ -740,6 +770,7 @@ class MatchService:
             priority=request.priority,
             batch_key=prepared.batch_key,
             submitted_at=t_submit,
+            deadline_ms=request.deadline_ms,
             deadline_at=deadline_at,
             trace=trace,
         )
@@ -794,18 +825,28 @@ class MatchService:
             raise
 
     def _prepare(self, request: MatchRequest) -> _PreparedRequest:
+        """The request's shape: built once, kept among the newest
+        :data:`PLAN_CACHE_SIZE`.  A query object or config counts by
+        identity; the shape holds both, so no id is reused while it lives."""
+        query, config = request.query, request.config or self.config.match_config
+        shape = (request.graph_id, query if isinstance(query, str) else id(query),
+                 request.engine, id(config), request.use_result_cache,
+                 request.collect_matches)
+        prepared = self._shapes.get(shape)
+        if prepared is not None:
+            return prepared
         if not is_engine(request.engine):
             raise UnsupportedError(
                 f"unknown engine {request.engine!r}; available: "
                 f"{', '.join(available_engines())}"
             )
-        query = request.query
         if isinstance(query, str):
             query = get_pattern(query)
-        config = request.config or self.config.match_config
-        return _PreparedRequest(
-            request=request,
+        plan_query = query.query if isinstance(query, MatchingPlan) else query
+        prepared = _PreparedRequest(
+            request.graph_id, request.engine, request.collect_matches,
             query=query,
+            query_name=plan_query.name,
             config=config,
             plan_fp=plan_fingerprint(query),
             config_fp=config_fingerprint(config),
@@ -813,6 +854,11 @@ class MatchService:
                 self.config.enable_result_cache and request.use_result_cache
             ),
         )
+        with self._shapes_lock:
+            while len(self._shapes) >= PLAN_CACHE_SIZE:
+                del self._shapes[next(iter(self._shapes))]
+            self._shapes[shape] = prepared
+        return prepared
 
     def _settle(
         self,

@@ -196,7 +196,7 @@ class Worker(threading.Thread):
     def _process_batch(self, batch: list[QueueEntry]) -> None:
         service = self.service
         service.metrics.observe_batch(len(batch))
-        graph_id = batch[0].request.request.graph_id
+        graph_id = batch[0].request.graph_id
         try:
             graph, version = service.resolve_graph(graph_id)
         except ReproError:
@@ -245,7 +245,6 @@ class Worker(threading.Thread):
         metrics = service.metrics
         sup = service.supervisor
         prepared = entry.request
-        request = prepared.request
         self.beat()
         now = time.monotonic()
         queue_ms = (now - entry.submitted_at) * 1000.0
@@ -282,7 +281,7 @@ class Worker(threading.Thread):
         retry = None
         if entry.deadline_at is not None:
             remaining_ms = (entry.deadline_at - time.monotonic()) * 1000.0
-            retry, rungs = deadline_policy(remaining_ms, request.deadline_ms)
+            retry, rungs = deadline_policy(remaining_ms, entry.deadline_ms)
             if rungs:
                 config = apply_rungs(config, rungs)
                 base.degraded = True
@@ -295,7 +294,7 @@ class Worker(threading.Thread):
             sup is not None
             and not sup.stopped
             and sup.checkpointing
-            and not request.collect_matches
+            and not prepared.collect_matches
         )
         ctx = RunContext(
             retry=retry,
@@ -307,7 +306,7 @@ class Worker(threading.Thread):
                 sup.checkpoint_hook_for(entry, self) if checkpointing else None
             ),
         )
-        engine = make_engine(request.engine, config, ctx)
+        engine = make_engine(prepared.engine, config, ctx)
         supports_resume = bool(getattr(engine, "supports_resume", False))
 
         planned = (
@@ -325,7 +324,7 @@ class Worker(threading.Thread):
         # count plus the re-executed remainder equals the uninterrupted
         # total exactly.
         checkpoint = entry.checkpoint
-        if not supports_resume or request.collect_matches:
+        if not supports_resume or prepared.collect_matches:
             checkpoint = None
         result = self._run_engine(entry, engine, graph, plan, checkpoint, base)
         if result is not None:
@@ -353,7 +352,7 @@ class Worker(threading.Thread):
         shard-failure flight event.  Returns the result, or ``None`` when
         the engine raised (``base.error`` then says why).
         """
-        request = entry.request.request
+        prepared = entry.request
         metrics = self.service.metrics
         if checkpoint is not None:
             metrics.incr("resumed")
@@ -364,7 +363,7 @@ class Worker(threading.Thread):
         with ops_tracer(entry.trace).span(
             "engine.resume" if checkpoint is not None else "engine.run",
             parent=entry.trace,
-            engine=request.engine,
+            engine=prepared.engine,
         ) as span:
             try:
                 if checkpoint is not None:
@@ -373,7 +372,7 @@ class Worker(threading.Thread):
                     )
                 else:
                     result = engine.run(
-                        graph, plan, collect_matches=request.collect_matches
+                        graph, plan, collect_matches=prepared.collect_matches
                     )
             except UnsupportedError:
                 base.error = span.tags["error"] = "N/A"

@@ -10,6 +10,7 @@ site fails here by name.
 from __future__ import annotations
 
 import ast
+import functools
 import pathlib
 import pickle
 from dataclasses import fields
@@ -25,19 +26,38 @@ from repro.serve.resilience import Supervisor
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
-def _visit(visit) -> None:
-    """Call ``visit(node, path, scope)`` on every AST node in ``src/repro``;
-    ``scope`` is the tuple of enclosing class and function names."""
+@functools.cache
+def _trees() -> tuple:
+    """``(path, tree)`` of every module in ``src/repro``, parsed once per
+    session; the checks only read the trees."""
+    return tuple(
+        (path, ast.parse(path.read_text())) for path in sorted(SRC.rglob("*.py"))
+    )
+
+
+@functools.cache
+def _nodes() -> tuple:
+    """``(node, path, scope)`` of every AST node in ``src/repro``, walked
+    once per session; ``scope`` is the tuple of enclosing class and
+    function names."""
+    nodes = []
 
     def walk(node, scope, path):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope = scope + (node.name,)
-        visit(node, path, scope)
+        nodes.append((node, path, scope))
         for child in ast.iter_child_nodes(node):
             walk(child, scope, path)
 
-    for path in sorted(SRC.rglob("*.py")):
-        walk(ast.parse(path.read_text()), (), path)
+    for path, tree in _trees():
+        walk(tree, (), path)
+    return tuple(nodes)
+
+
+def _visit(visit) -> None:
+    """Call ``visit(node, path, scope)`` on every AST node in ``src/repro``."""
+    for node, path, scope in _nodes():
+        visit(node, path, scope)
 
 
 def _sites(predicate) -> set[tuple[str, str]]:
@@ -377,8 +397,7 @@ class TestConfigContract:
         # nothing.
         read = {
             node.attr
-            for path in sorted(SRC.rglob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text()))
+            for node, _path, _scope in _nodes()
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         }
         unread = sorted({f.name for f in fields(CostModel)} - read)
@@ -548,7 +567,7 @@ class TestDispatchContract:
     injection wraps warp bodies and checkpoints ride the event limit."""
 
     def test_the_dispatch_loop_reads_no_hook(self):
-        tree = ast.parse((SRC / "gpusim" / "scheduler.py").read_text())
+        tree = dict(_trees())[SRC / "gpusim" / "scheduler.py"]
         run = next(
             node
             for cls in tree.body

@@ -9,10 +9,11 @@ import time
 import pytest
 
 from repro import TDFSConfig, available_engines, get_pattern, match
-from repro.dynamic import DeltaError
+from repro.dynamic import DeltaBatch, DeltaError
 from repro.errors import ReproError, UnsupportedError
 from repro.gpusim.costmodel import DEFAULT_COST_MODEL
 from repro.obs.ops import ops_tracer
+from repro.query.pattern import QueryGraph
 from repro.serve import (
     AdmissionRejected,
     BreakerState,
@@ -26,7 +27,9 @@ from repro.serve import (
     plan_fingerprint,
     resilience,
 )
+from repro.serve import service as service_module
 from repro.serve.batcher import AdmissionQueue, QueueEntry
+from repro.serve.service import PLAN_CACHE_SIZE
 from tests.fuzz import delta_stream_cases
 
 
@@ -615,6 +618,130 @@ class TestHitPath:
         assert not waiter.is_alive() and ticket.done()
         assert ticket.result(timeout=0).count == match(k4, "P1").count
         svc.stop()
+
+
+class TestRequestShapes:
+    """A request shape is prepared once and shared by every request of it;
+    a request's own fields stay its own."""
+
+    def test_equal_requests_share_one_shape(self, k4, monkeypatch):
+        builds = []
+        real = service_module._PreparedRequest
+        monkeypatch.setattr(
+            service_module,
+            "_PreparedRequest",
+            lambda *args, **kw: builds.append(args[0]) or real(*args, **kw),
+        )
+        with make_service() as svc:
+            svc.register_graph("g", k4)
+            responses = [svc.query("g", "P1") for _ in range(5)]
+            assert svc.match_delta("g", "P1", remove=[(0, 1)]).incremental
+            assert svc.query("g", "P1").result_cache_hit  # the delta's count
+        assert builds == ["g"]
+        assert [r.result_cache_hit for r in responses] == [False, True, True, True, True]
+        assert len({r.request_id for r in responses}) == 5
+
+    def test_every_shape_field_keys_apart(self, k4):
+        svc = make_service()
+        svc.register_graph("g", k4)
+        base = dict(graph_id="g", query="P1")
+        config = svc.config.match_config
+        variants = [
+            MatchRequest(**base),
+            MatchRequest(**base, config=dataclasses.replace(config, chunk_size=4)),
+            MatchRequest(**base, collect_matches=5),
+            MatchRequest(**base, use_result_cache=False),
+            MatchRequest(**base, engine="stmatch"),
+        ]
+        shapes = [svc._prepare(r) for r in variants]
+        assert len({id(p) for p in shapes}) == len(variants)
+        keys = [p.result_key(1) for p in shapes]
+        assert keys[3] is None  # the result cache is neither read nor written
+        cached = [k for k in keys if k is not None]
+        assert len(set(cached)) == len(cached) == 4
+        # An equal config that is another object is another shape, same key.
+        twin = svc._prepare(MatchRequest(**base, config=dataclasses.replace(config)))
+        assert twin is not shapes[0] and twin.result_key(1) == keys[0]
+        with svc:
+            assert [svc.submit(r).result(timeout=30.0).result_cache_hit
+                    for r in variants] == [False] * len(variants)
+            assert [svc.submit(r).result(timeout=30.0).result_cache_hit
+                    for r in variants] == [True, True, True, False, True]
+
+    def test_fresh_queries_never_grow_the_memo_past_its_bound(self, k4):
+        svc = make_service()
+        svc.register_graph("g", k4)
+        p1 = get_pattern("P1")
+        queries = [
+            QueryGraph(p1.num_vertices, p1.edges()) for _ in range(PLAN_CACHE_SIZE + 40)
+        ]
+        for n, query in enumerate(queries, start=1):
+            svc._prepare(MatchRequest(graph_id="g", query=query))
+            assert len(svc._shapes) == min(n, PLAN_CACHE_SIZE)
+        kept = [p.query for p in svc._shapes.values()]
+        assert kept == queries[-PLAN_CACHE_SIZE:]  # the newest, oldest first
+
+    def test_hits_racing_version_bumps_answer_their_own_version(self, k4):
+        import sys
+
+        expected = {1: match(k4, "P1").count}
+        expected[0] = match(k4.apply_delta(DeltaBatch.make(remove=[(0, 1)])), "P1").count
+        assert expected[0] != expected[1]
+        request = MatchRequest(graph_id="g", query="P1")
+        wrong, failures, done = [], [], threading.Event()
+        with make_service() as svc:
+            svc.register_graph("g", k4)
+
+            def client():
+                seen = 1  # versions only grow, so a client's answers must too
+                try:
+                    while not done.is_set():
+                        r = svc.submit(request).result(timeout=30.0)
+                        if (
+                            r.count != expected[r.graph_version % 2]
+                            or r.graph_version < seen
+                        ):
+                            wrong.append((seen, r.graph_version, r.count))
+                        seen = r.graph_version
+                except BaseException as exc:  # surfaced below, not lost
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=client) for _ in range(2)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for i in range(40):
+                    change = {"add": [(0, 1)]} if i % 2 else {"remove": [(0, 1)]}
+                    svc.apply_edges("g", **change)
+                    time.sleep(0.002)
+            finally:
+                done.set()
+                for t in threads:
+                    t.join(timeout=60.0)
+                sys.setswitchinterval(interval)
+            hits = svc.metrics.get("result_cache_hits")
+            last = [svc.query("g", "P1") for _ in range(2)]
+        assert failures == [] and wrong == []
+        assert not any(t.is_alive() for t in threads) and hits > 0
+        assert last[1].result_cache_hit
+        assert [(r.graph_version, r.count) for r in last] == [(41, expected[1])] * 2
+
+    def test_a_hit_response_is_the_callers_own(self, k4):
+        with make_service() as svc:
+            svc.register_graph("g", k4)
+            request = MatchRequest(graph_id="g", query="P1")
+            svc.query("g", "P1")
+            first = svc.submit(request).result(timeout=0)
+            first.error, first.graph_version, first.result_cache_hit = "x", 99, False
+            first.total_ms = -1.0
+            second = svc.submit(request).result(timeout=0)
+        assert second is not first
+        assert (second.error, second.graph_version, second.result_cache_hit) == (
+            None, 1, True
+        )
+        assert second.total_ms >= 0.0 and second.request_id == first.request_id + 1
 
 
 class TestDynamicDeltas:
