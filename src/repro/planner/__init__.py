@@ -10,9 +10,9 @@ The subsystem has four layers (DESIGN.md §11):
   orders, scored in :class:`~repro.gpusim.costmodel.CostModel` virtual
   cycles with reuse- and symmetry-aware discounts, producing a ranked
   :class:`PlanPortfolio`;
-* :mod:`repro.planner.feedback` — a :class:`PlanFeedbackStore` of observed
-  per-plan cycles/timeouts/steals that the serving layer consults to
-  promote or demote portfolio members.
+* :mod:`repro.planner.feedback` — a :class:`PlanFeedback`, the serving
+  layer's plan-cache entry of a planned key: a portfolio and the observed
+  cycles/errors of its members, which promote or demote them.
 
 Switched on via ``TDFSConfig.planner``; off (the default) preserves the
 legacy greedy planner bit-for-bit.
@@ -24,7 +24,7 @@ from repro.planner.estimator import (
     refine_estimates,
     sample_branch_factors,
 )
-from repro.planner.feedback import PlanFeedbackStore, PlanObservation
+from repro.planner.feedback import PlanFeedback, PlanObservation
 from repro.planner.search import (
     DEFAULT_PLANNER_CONFIG,
     PlanChoice,
@@ -41,7 +41,7 @@ __all__ = [
     "GraphProfile",
     "LevelEstimate",
     "PlanChoice",
-    "PlanFeedbackStore",
+    "PlanFeedback",
     "PlanObservation",
     "PlannerConfig",
     "PlanPortfolio",

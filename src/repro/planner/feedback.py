@@ -1,29 +1,26 @@
 """Runtime feedback for the planner: observed plan performance.
 
-The serving layer records, for every completed request, which plan order
-actually ran and what it cost (virtual cycles, timeouts, steals — read
-from the engine's obs metrics).  The :class:`PlanFeedbackStore` aggregates
-these observations per ``(graph_id, plan_fp)`` and per order, and answers
-one question: *given a portfolio, which member should run next?*
+A :class:`PlanFeedback` is the plan-cache entry of one planned key — one
+query under one engine and config on one graph version (see
+:func:`repro.serve.cache.plan_key`).  It holds the cost-ranked portfolio
+and the observations of its own members' runs (virtual cycles, engine
+errors), and answers one question: *which member should run next?*  Its
+observations live and die with the entry: a version bump strands it with
+the key, and another engine's or config's runs land in another entry.
 
 Promotion policy: orders with recorded runs are compared by mean observed
 cycles (same unit as the estimator's predicted cycles, so unobserved
 orders compete on their estimates); orders that produced engine errors
 are demoted behind everything else.  This converges to the truly best
-member after one observation each, while estimator-vs-actual error is published
-so regressions in the cost model are visible.
+member after one observation each.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.planner.search import PlanChoice, PlanPortfolio
-
-FeedbackKey = tuple[str, str]
-"""``(graph_id, plan_fp)`` — one logical query on one logical graph."""
 
 
 @dataclass
@@ -32,74 +29,35 @@ class PlanObservation:
 
     runs: int = 0
     total_cycles: float = 0.0
-    timeouts: int = 0
-    steals: int = 0
     errors: int = 0
-    est_cycles: float = 0.0
-    """Estimator prediction at record time (for error tracking)."""
 
     @property
     def avg_cycles(self) -> float:
         return self.total_cycles / self.runs if self.runs else 0.0
 
-    @property
-    def rel_error(self) -> Optional[float]:
-        """Relative estimator error ``|est - actual| / actual`` (None until
-        a run has been observed)."""
-        if not self.runs or self.avg_cycles <= 0:
-            return None
-        return abs(self.est_cycles - self.avg_cycles) / self.avg_cycles
 
+class PlanFeedback:
+    """A portfolio and the observed runs of its members (thread-safe)."""
 
-@dataclass
-class _Entry:
-    observations: dict[tuple[int, ...], PlanObservation] = field(default_factory=dict)
-
-
-class PlanFeedbackStore:
-    """Thread-safe per-``(graph_id, plan_fp)`` observation store."""
-
-    def __init__(self) -> None:
+    def __init__(self, portfolio: PlanPortfolio) -> None:
+        self.portfolio = portfolio
+        self.observations: dict[tuple[int, ...], PlanObservation] = {}
         self._lock = threading.Lock()
-        self._entries: dict[FeedbackKey, _Entry] = {}
 
-    # ------------------------------------------------------------------ #
-
-    def record(
-        self,
-        key: FeedbackKey,
-        order: tuple[int, ...],
-        cycles: float,
-        est_cycles: float = 0.0,
-        timeouts: int = 0,
-        steals: int = 0,
-        error: bool = False,
-    ) -> PlanObservation:
-        """Record one run of ``order`` under ``key``; returns the updated
-        aggregate."""
+    def record(self, choice: PlanChoice, cycles: float, error: bool = False) -> bool:
+        """Record one run of ``choice``; True when it changed the member
+        :meth:`preferred` picks (a re-rank)."""
         with self._lock:
-            entry = self._entries.setdefault(key, _Entry())
-            obs = entry.observations.setdefault(tuple(order), PlanObservation())
+            before = self._preferred()
+            obs = self.observations.setdefault(choice.order, PlanObservation())
             if error:
                 obs.errors += 1
             else:
                 obs.runs += 1
                 obs.total_cycles += float(cycles)
-                obs.timeouts += int(timeouts)
-                obs.steals += int(steals)
-                obs.est_cycles = float(est_cycles)
-            return obs
+            return self._preferred() is not before
 
-    def observation(
-        self, key: FeedbackKey, order: tuple[int, ...]
-    ) -> Optional[PlanObservation]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            return entry.observations.get(tuple(order))
-
-    def preferred(self, key: FeedbackKey, portfolio: PlanPortfolio) -> PlanChoice:
+    def preferred(self) -> PlanChoice:
         """Pick the portfolio member to run next.
 
         Each member is ranked by ``(error_demotion, expected_cycles)``
@@ -108,39 +66,16 @@ class PlanFeedbackStore:
         which keeps the selection deterministic.
         """
         with self._lock:
-            entry = self._entries.get(key)
+            return self._preferred()
 
-            def rank(item: tuple[int, PlanChoice]) -> tuple[int, float, int]:
-                idx, choice = item
-                obs = None
-                if entry is not None:
-                    obs = entry.observations.get(choice.order)
-                if obs is None:
-                    return (0, choice.est_cycles, idx)
-                demote = 1 if obs.errors > obs.runs else 0
-                expected = obs.avg_cycles if obs.runs else choice.est_cycles
-                return (demote, expected, idx)
+    def _preferred(self) -> PlanChoice:
+        def rank(item: tuple[int, PlanChoice]) -> tuple[int, float, int]:
+            idx, choice = item
+            obs = self.observations.get(choice.order)
+            if obs is None:
+                return (0, choice.est_cycles, idx)
+            demote = 1 if obs.errors > obs.runs else 0
+            expected = obs.avg_cycles if obs.runs else choice.est_cycles
+            return (demote, expected, idx)
 
-            best_idx, best = min(enumerate(portfolio.choices), key=rank)
-            return best
-
-    # ------------------------------------------------------------------ #
-
-    def invalidate_graph(self, graph_id: str) -> int:
-        """Drop every observation for ``graph_id`` (graph was replaced).
-
-        Returns the number of dropped entries.
-        """
-        with self._lock:
-            stale = [k for k in self._entries if k[0] == graph_id]
-            for k in stale:
-                del self._entries[k]
-            return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return min(enumerate(self.portfolio.choices), key=rank)[1]

@@ -15,7 +15,6 @@ minimum can never be worse than the paper's default heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import ReproError
 from repro.gpusim.costmodel import WARP_SIZE, CostModel, DEFAULT_COST_MODEL
@@ -93,12 +92,6 @@ class PlanPortfolio:
     @property
     def best(self) -> PlanChoice:
         return self.choices[0]
-
-    def choice_for_order(self, order: tuple[int, ...]) -> Optional[PlanChoice]:
-        for c in self.choices:
-            if c.order == order:
-                return c
-        return None
 
     def describe(self) -> str:
         """Human-readable ranking table (used by ``repro plan --explain``)."""

@@ -5,8 +5,9 @@ A long-lived serving layer for repeated queries against evolving graphs:
 * :class:`MatchService` — graph registry (versioned), request submission,
   blocking ``query()`` convenience wrapper;
 * plan + result caches keyed by ``(graph_id, graph_version,
-  plan_fingerprint, engine, config_fingerprint)`` with version-based lazy
-  invalidation — graph and version only where the entry depends on them
+  plan_fingerprint, engine, config_fingerprint)`` — graph and version only
+  where the entry depends on them, and the version in the key is the only
+  invalidation; a planner's entry holds its portfolio and feedback
   (:mod:`repro.serve.cache`);
 * bounded admission queue with priority shedding and micro-batching
   (:mod:`repro.serve.batcher`);

@@ -5,15 +5,15 @@ Both caches are LRU maps keyed by
     (graph_id, graph_version, plan_fingerprint, engine, config_fingerprint)
 
 (the result cache additionally keys on the collect-matches limit).  The
-*graph version* is the invalidation mechanism: :class:`~repro.serve.service.
-MatchService` bumps a graph's version on every ``update_graph`` /
+*graph version* in the key is the only invalidation: :class:`~repro.serve.
+service.MatchService` bumps a graph's version on every ``update_graph`` /
 ``apply_edges``, so entries built against the old version simply stop being
 addressable and age out of the LRU — batch-dynamic edge updates can never
-serve a stale count, and no eager scan of the result cache is required
-(:meth:`LRUCache.invalidate_graph` drops a planner's plans, portfolios and
-feedback, which must not outlive the statistics they were ranked on).  A
-plan compiled without a planner depends on no graph, so its key names
-none (:func:`plan_key`) and it survives every update.
+serve a stale count, and nothing scans a cache.  A planner's entry (its
+portfolio and the feedback on it, :class:`~repro.planner.PlanFeedback`) is
+stranded the same way.  A plan compiled without a planner depends on no
+graph, so its key names none (:func:`plan_key`) and it survives every
+update.
 
 Fingerprints are content hashes (SHA-256, truncated): two structurally
 identical queries hit the same plan-cache entry regardless of object
@@ -45,7 +45,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    invalidations: int = 0
     size: int = 0
     capacity: int = 0
 
@@ -60,7 +59,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "invalidations": self.invalidations,
             "size": self.size,
             "capacity": self.capacity,
             "hit_rate": round(self.hit_rate, 4),
@@ -71,12 +69,7 @@ _ABSENT = object()
 
 
 class LRUCache:
-    """A thread-safe LRU map with hit/miss/eviction counters.
-
-    Keys are tuples whose first element is the ``graph_id`` they depend on
-    or ``None`` (see :func:`plan_key` / :func:`result_key`), which is what
-    makes :meth:`invalidate_graph` possible without a reverse index.
-    """
+    """A thread-safe LRU map with hit/miss/eviction counters."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -87,7 +80,6 @@ class LRUCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._invalidations = 0
 
     def get(self, key: Hashable) -> Optional[Any]:
         """Value for ``key`` (marking it most-recent), or ``None``."""
@@ -119,44 +111,12 @@ class LRUCache:
         with self._lock:
             return list(self._entries.items())
 
-    def invalidate_graph(self, graph_id: str) -> int:
-        """Eagerly drop every entry keyed to ``graph_id``; returns count."""
-        with self._lock:
-            stale = [k for k in self._entries if k[0] == graph_id]
-            for k in stale:
-                del self._entries[k]
-            self._invalidations += len(stale)
-            return len(stale)
-
-    def invalidate_matching(self, graph_id: str, plan_fp: str) -> int:
-        """Drop every entry for one ``(graph_id, plan_fp)`` pair.
-
-        Used by the planner's feedback loop: when runtime observations
-        re-rank a plan portfolio, the cached plan for that query must go —
-        across *all* versions and configs — so the next request re-resolves
-        through the feedback store instead of serving the demoted order.
-        """
-        with self._lock:
-            stale = [
-                k for k in self._entries if k[0] == graph_id and k[2] == plan_fp
-            ]
-            for k in stale:
-                del self._entries[k]
-            self._invalidations += len(stale)
-            return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._invalidations += len(self._entries)
-            self._entries.clear()
-
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
-                invalidations=self._invalidations,
                 size=len(self._entries),
                 capacity=self.capacity,
             )
@@ -248,14 +208,13 @@ def plan_key(
     config_fp: str,
     planned: bool = True,
 ) -> tuple:
-    """Key of one plan-cache (or portfolio-cache) entry.
+    """Key of one plan-cache entry.
 
     Graph identity and version are in the key iff a planner produced the
-    plan (``planned``): a cost-ranked order depends on the graph's
-    statistics, so it lives at one version and the ``invalidate_*`` scans
-    find it by its graph.  Without a planner ``engine.compile`` ignores the
-    graph, so one entry serves every graph at every version and no graph's
-    invalidation matches it.
+    entry (``planned``): a cost-ranked portfolio and the runs observed on
+    it depend on the graph's statistics, so they live at one version and a
+    version bump strands them.  Without a planner ``engine.compile``
+    ignores the graph, so one entry serves every graph at every version.
     """
     if planned:
         return (graph_id, graph_version, plan_fp, engine, config_fp)

@@ -4,9 +4,12 @@
 long-lived, embeddable service:
 
 * a registry of named graphs, each with a monotonically increasing
-  **version** — ``update_graph`` / ``apply_edges`` bump it, which lazily
-  invalidates every cache entry built against the old version;
-* plan and result caches (:mod:`repro.serve.cache`);
+  **version** — ``update_graph`` / ``apply_edges`` bump it, and the version
+  in every graph-dependent cache key is the only invalidation: entries
+  built against the old version are never addressed again;
+* plan and result caches (:mod:`repro.serve.cache`); a planner's plan-cache
+  entry holds its portfolio and the runs observed on it
+  (:class:`repro.planner.PlanFeedback`);
 * a bounded admission queue with priority shedding and micro-batching
   (:mod:`repro.serve.batcher`);
 * a worker-thread pool, each worker building one engine per delivery
@@ -64,7 +67,7 @@ from repro.serve.resilience import (
 )
 
 
-#: LRU capacities of the plan (and portfolio) cache and the result cache.
+#: LRU capacities of the plan cache and the result cache.
 PLAN_CACHE_SIZE = 256
 RESULT_CACHE_SIZE = 1024
 
@@ -244,8 +247,7 @@ class _PreparedRequest:
 
     @property
     def signature(self) -> tuple:
-        """Breaker and planner-feedback key: what reproducibly identifies
-        a killer query (and what a planner's order was ranked for)."""
+        """Breaker key: what reproducibly identifies a killer query."""
         return (self.graph_id, self.plan_fp)
 
     @property
@@ -381,8 +383,6 @@ class MatchService:
     """
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
-        from repro.planner.feedback import PlanFeedbackStore
-
         self.config = config or ServeConfig()
         self.metrics = ServeMetrics()
         self.tracer = ops_tracer()
@@ -406,10 +406,6 @@ class MatchService:
             self.flight.on_fault(self._auto_dump)
         self.plan_cache = LRUCache(PLAN_CACHE_SIZE)
         self.result_cache = LRUCache(RESULT_CACHE_SIZE)
-        self.portfolio_cache = LRUCache(PLAN_CACHE_SIZE)
-        """Planner portfolios keyed like plan-cache entries (planner only)."""
-        self.feedback = PlanFeedbackStore()
-        """Observed per-plan runtime; drives portfolio promote/demote."""
         self._shapes: dict[tuple, _PreparedRequest] = {}
         """Prepared request shapes, oldest first (:meth:`_prepare`)."""
         self._shapes_lock = threading.Lock()
@@ -590,17 +586,6 @@ class MatchService:
             slot.version += 1
             new = slot.graph, slot.version
         self.metrics.incr("graph_updates")
-        # Planner-produced plans, their portfolios and feedback are *always*
-        # eagerly invalidated on a version bump: a matching order chosen for
-        # the old graph's statistics (or promoted by runs against it) must
-        # never be served against the new graph.  Version keying already
-        # makes old entries unreachable; the eager drop also stops the
-        # feedback store from resurrecting stale observations under a
-        # recycled key.  Plans compiled without a planner depend on no
-        # graph, are keyed on none (``plan_key``) and so stay.
-        self.plan_cache.invalidate_graph(graph_id)
-        self.portfolio_cache.invalidate_graph(graph_id)
-        self.feedback.invalidate_graph(graph_id)
         return (*old, *new)
 
     # ------------------------------------------------------------------ #
@@ -1007,54 +992,6 @@ class MatchService:
                     f"incident-{int(time.time() * 1000)}-{os.getpid()}.json",
                 )
         return write_incident(bundle, path)
-
-    # ------------------------------------------------------------------ #
-    # Planner feedback
-    # ------------------------------------------------------------------ #
-
-    def record_plan_feedback(
-        self,
-        signature: tuple,
-        portfolio_key: tuple,
-        plan: MatchingPlan,
-        result: MatchResult,
-    ) -> None:
-        """Fold one completed run into the plan feedback loop.
-
-        Records the plan's observed virtual cycles (plus timeouts/steals
-        from the engine metrics) against its order, publishes the
-        estimator-vs-actual error, and — when the observation re-ranks the
-        portfolio — eagerly invalidates the cached plan for this request
-        ``signature`` (``(graph_id, plan_fp)``) so the next request runs
-        the promoted member.
-        """
-        portfolio = self.portfolio_cache.get(portfolio_key)
-        choice = (
-            portfolio.choice_for_order(plan.order) if portfolio is not None else None
-        )
-        before = (
-            self.feedback.preferred(signature, portfolio)
-            if portfolio is not None
-            else None
-        )
-        obs = self.feedback.record(
-            signature,
-            plan.order,
-            cycles=result.elapsed_cycles,
-            est_cycles=choice.est_cycles if choice is not None else 0.0,
-            timeouts=result.timeouts,
-            steals=result.steals,
-            error=result.error is not None,
-        )
-        self.metrics.incr("planner_feedback")
-        if choice is not None and obs.rel_error is not None:
-            self.metrics.plan_error.observe(obs.rel_error)
-        if portfolio is not None and before is not None:
-            after = self.feedback.preferred(signature, portfolio)
-            if after.order != before.order:
-                # Re-rank: the cached plan now points at a demoted order.
-                self.plan_cache.invalidate_matching(*signature)
-                self.metrics.incr("plan_reranks")
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -46,6 +46,7 @@ from repro.faults.plan import apply_rungs
 from repro.faults.recovery import deadline_policy
 from repro.faults.workers import WorkerCrash
 from repro.obs.ops import ops_tracer
+from repro.planner.feedback import PlanFeedback
 from repro.query.plan import MatchingPlan
 from repro.serve.batcher import QueueEntry
 
@@ -313,9 +314,8 @@ class Worker(threading.Thread):
             getattr(engine.config, "planner", None) is not None
             and hasattr(engine, "plan_portfolio")
         )
-        pkey = prepared.plan_key(version, planned)
-        plan, compile_ms, plan_hit = self._resolve_plan(
-            engine, prepared, pkey, graph, planned
+        plan, compile_ms, plan_hit, ran = self._resolve_plan(
+            engine, prepared, prepared.plan_key(version, planned), graph, planned
         )
         base.compile_ms = compile_ms
         base.plan_cache_hit = plan_hit
@@ -328,8 +328,15 @@ class Worker(threading.Thread):
             checkpoint = None
         result = self._run_engine(entry, engine, graph, plan, checkpoint, base)
         if result is not None:
-            if planned and not isinstance(prepared.query, MatchingPlan):
-                service.record_plan_feedback(prepared.signature, pkey, plan, result)
+            if ran is not None:
+                feedback, choice = ran
+                cycles, failed = result.elapsed_cycles, result.error is not None
+                metrics.incr("planner_feedback")
+                if feedback.record(choice, cycles, error=failed):
+                    metrics.incr("plan_reranks")
+                if not failed and cycles > 0:
+                    # The estimator's error on this run, not on the mean.
+                    metrics.plan_error.observe(abs(choice.est_cycles - cycles) / cycles)
             if checkpoint is None:
                 if (
                     entry.deadline_at is not None
@@ -392,41 +399,40 @@ class Worker(threading.Thread):
     # ------------------------------------------------------------------ #
 
     def _resolve_plan(self, engine, prepared, key: tuple, graph, planned: bool):
-        """Plan for the request: precompiled > cached > freshly compiled.
+        """Plan for the request: precompiled > cached > freshly compiled,
+        and ``(entry, choice)`` when a planner chose it (else ``None``).
 
         Compilation goes through ``engine.compile`` so engines that pin
         their own plan flags (EGSM disables symmetry breaking, STMatch
         disables reuse) cache exactly the plan they would have built.
 
         When ``planned`` (``config.planner`` set and a planner-capable
-        engine; ``key`` was built with it), a compile miss resolves a
-        cost-ranked portfolio instead, caches it,
-        and picks the member the feedback store currently prefers — so a
-        re-rank (which drops the plan-cache entry) promotes the observed
-        winner on the very next request.
+        engine; ``key`` was built with it), the plan-cache entry is a
+        :class:`~repro.planner.PlanFeedback` — the cost-ranked portfolio
+        and the runs observed on it — and every request runs the member it
+        prefers now, so a re-rank takes effect on the very next request.
         """
         service = self.service
         if isinstance(prepared.query, MatchingPlan):
-            return prepared.query, 0.0, False
-        if service.config.enable_plan_cache:
-            plan = service.plan_cache.get(key)
-            if plan is not None:
-                return plan, 0.0, True
-        t0 = time.monotonic()
-        if planned:
-            portfolio = service.portfolio_cache.get(key)
-            if portfolio is None:
-                portfolio = engine.plan_portfolio(graph, prepared.query)
-                service.portfolio_cache.put(key, portfolio)
-            choice = service.feedback.preferred(prepared.signature, portfolio)
-            plan = choice.plan
-        else:
-            plan = engine.compile(prepared.query, graph)
-        compile_ms = (time.monotonic() - t0) * 1000.0
-        service.metrics.incr("plan_compiles")
-        if service.config.enable_plan_cache:
-            service.plan_cache.put(key, plan)
-        return plan, compile_ms, False
+            return prepared.query, 0.0, False, None
+        cache = service.plan_cache if service.config.enable_plan_cache else None
+        entry = cache.get(key) if cache is not None else None
+        hit = entry is not None
+        compile_ms = 0.0
+        if not hit:
+            t0 = time.monotonic()
+            if planned:
+                entry = PlanFeedback(engine.plan_portfolio(graph, prepared.query))
+            else:
+                entry = engine.compile(prepared.query, graph)
+            compile_ms = (time.monotonic() - t0) * 1000.0
+            service.metrics.incr("plan_compiles")
+            if cache is not None:
+                cache.put(key, entry)
+        if not planned:
+            return entry, compile_ms, hit, None
+        choice = entry.preferred()
+        return choice.plan, compile_ms, hit, (entry, choice)
 
     def _flight_shard_failures(self, entry: QueueEntry, result) -> None:
         """Record a shard-process death (recovered by re-execution) as a

@@ -303,6 +303,28 @@ RETIRED_BOOKS = (
     "GraphProfile.label_avg_degree",
     "PlanChoice.cardinalities",
     "PlanPortfolio.plans",
+    # A planner's portfolio and feedback live in its plan-cache entry
+    # (planner.feedback.PlanFeedback); the version in the key is the only
+    # invalidation.
+    "PlanFeedbackStore",
+    "FeedbackKey",
+    "_Entry",
+    "PlanFeedback.invalidate_graph",
+    "PlanFeedback.clear",
+    "PlanFeedback.observation",
+    "PlanFeedback.__len__",
+    "MatchService.portfolio_cache",
+    "MatchService.feedback",
+    "MatchService.record_plan_feedback",
+    "LRUCache.invalidate_graph",
+    "LRUCache.invalidate_matching",
+    "LRUCache.clear",
+    "CacheStats.invalidations",
+    "PlanObservation.timeouts",
+    "PlanObservation.steals",
+    "PlanObservation.est_cycles",
+    "PlanObservation.rel_error",
+    "PlanPortfolio.choice_for_order",
 )
 
 

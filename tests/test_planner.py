@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -20,8 +21,9 @@ from repro.core.result import MatchResult
 from repro.errors import PlanError, ReproError, UnsupportedError
 from repro.planner import (
     CardinalityEstimator,
-    PlanFeedbackStore,
+    PlanFeedback,
     PlannerConfig,
+    PlanPortfolio,
     compute_profile,
     plan_query,
     profile_graph,
@@ -30,7 +32,7 @@ from repro.planner import (
 )
 from repro.query.ordering import choose_matching_order, validate_order
 from repro.query.pattern import QueryGraph
-from repro.serve import MatchService, ServeConfig, plan_fingerprint, plan_key
+from repro.serve import MatchRequest, MatchService, ServeConfig, plan_fingerprint
 from repro.serve.cache import config_fingerprint
 
 #: Small planner budget — keeps the full-suite runtime low while still
@@ -168,7 +170,7 @@ class TestPlanSearch:
         # be absent if portfolio_size orders beat it — impossible for k=3
         # where all orders tie structurally, so check membership or that
         # every member costs no more than some candidate).
-        choice = portfolio.choice_for_order(greedy)
+        choice = next((c for c in portfolio.choices if c.order == greedy), None)
         if choice is not None:
             assert choice.source == "greedy"
         assert portfolio.best.est_cycles <= max(
@@ -268,62 +270,45 @@ class TestEngineIntegration:
 
 
 # --------------------------------------------------------------------------- #
-# Feedback store
+# Plan feedback (a planned plan-cache entry)
 # --------------------------------------------------------------------------- #
 
 
-class TestFeedbackStore:
-    KEY = ("g", "fp")
-
+class TestPlanFeedback:
     def _portfolio(self, small_plc):
         return plan_query(small_plc, get_pattern("P4"), FAST_PLANNER)
 
-    def test_record_and_aggregate(self):
-        store = PlanFeedbackStore()
-        store.record(self.KEY, (0, 1, 2), cycles=100.0, est_cycles=80.0)
-        obs = store.record(self.KEY, (0, 1, 2), cycles=200.0, timeouts=1)
+    def test_record_and_aggregate(self, small_plc):
+        portfolio = self._portfolio(small_plc)
+        entry = PlanFeedback(portfolio)
+        best = portfolio.best
+        entry.record(best, cycles=100.0)
+        entry.record(best, cycles=200.0)
+        obs = entry.observations[best.order]
         assert obs.runs == 2
         assert obs.avg_cycles == pytest.approx(150.0)
-        assert obs.timeouts == 1
-        assert store.observation(self.KEY, (0, 1, 2)) is obs
-        assert store.observation(self.KEY, (2, 1, 0)) is None
-        assert len(store) == 1
-
-    def test_rel_error(self):
-        store = PlanFeedbackStore()
-        obs = store.record(self.KEY, (0, 1), cycles=100.0, est_cycles=150.0)
-        assert obs.rel_error == pytest.approx(0.5)
-        fresh = store.record(("h", "fp"), (0, 1), cycles=0.0, error=True)
-        assert fresh.rel_error is None
+        assert portfolio.choices[1].order not in entry.observations
+        assert len(entry.observations) == 1
 
     def test_preferred_unobserved_follows_estimates(self, small_plc):
         portfolio = self._portfolio(small_plc)
-        store = PlanFeedbackStore()
-        assert store.preferred(self.KEY, portfolio) is portfolio.best
+        assert PlanFeedback(portfolio).preferred() is portfolio.best
 
     def test_observed_cycles_promote(self, small_plc):
         portfolio = self._portfolio(small_plc)
         assert len(portfolio.choices) >= 2
         best, runner = portfolio.choices[0], portfolio.choices[1]
-        store = PlanFeedbackStore()
+        entry = PlanFeedback(portfolio)
         # Observation: the estimated runner-up is actually much cheaper.
-        store.record(self.KEY, best.order, cycles=best.est_cycles * 10)
-        store.record(self.KEY, runner.order, cycles=1.0)
-        assert store.preferred(self.KEY, portfolio) is runner
+        entry.record(best, cycles=best.est_cycles * 10)
+        entry.record(runner, cycles=1.0)
+        assert entry.preferred() is runner
 
     def test_errors_demote(self, small_plc):
         portfolio = self._portfolio(small_plc)
-        store = PlanFeedbackStore()
-        store.record(self.KEY, portfolio.best.order, cycles=0.0, error=True)
-        assert store.preferred(self.KEY, portfolio) is portfolio.choices[1]
-
-    def test_invalidate_graph(self):
-        store = PlanFeedbackStore()
-        store.record(("g", "a"), (0, 1), cycles=1.0)
-        store.record(("g", "b"), (0, 1), cycles=1.0)
-        store.record(("h", "a"), (0, 1), cycles=1.0)
-        assert store.invalidate_graph("g") == 2
-        assert len(store) == 1
+        entry = PlanFeedback(portfolio)
+        assert entry.record(portfolio.best, cycles=0.0, error=True)
+        assert entry.preferred() is portfolio.choices[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -418,6 +403,37 @@ def planner_service(**overrides) -> MatchService:
     return MatchService(ServeConfig(**defaults))
 
 
+def engine_runs(monkeypatch, results=()) -> list:
+    """Record ``(engine, order)`` of every engine run; the first runs
+    return ``results`` (a ``MatchResult`` each) instead of matching."""
+    runs, canned = [], list(results)
+    real = TDFSEngine.run
+
+    def run(engine, graph, plan, **kwargs):
+        runs.append((engine.name, plan.order))
+        return canned.pop(0) if canned else real(engine, graph, plan, **kwargs)
+
+    monkeypatch.setattr(TDFSEngine, "run", run)
+    return runs
+
+
+def canned(cycles: int, error=None) -> MatchResult:
+    return MatchResult(
+        engine="tdfs", graph_name="g", query_name="P4", count=0,
+        elapsed_cycles=cycles, error=error,
+    )
+
+
+def planned_entries(svc: MatchService) -> list:
+    return [e for _, e in svc.plan_cache.items() if isinstance(e, PlanFeedback)]
+
+
+def uncached(svc: MatchService, engine: str = "tdfs"):
+    return svc.submit(
+        MatchRequest("g", "P4", engine=engine, use_result_cache=False)
+    ).result(timeout=120)
+
+
 class TestServePlanner:
     def test_counts_and_feedback_flow(self, small_plc, fast_config):
         with planner_service() as svc:
@@ -426,8 +442,10 @@ class TestServePlanner:
             cold = svc.query("g", "P4")
             assert cold.count == expected
             assert svc.metrics.get("planner_feedback") == 1
-            assert len(svc.feedback) == 1
-            assert len(svc.portfolio_cache) == 1
+            # One plan-cache entry holds the portfolio and its one run.
+            (entry,) = planned_entries(svc)
+            assert len(svc.plan_cache) == 1
+            assert sum(o.runs for o in entry.observations.values()) == 1
             # Estimator error was published for the executed member.
             assert svc.metrics.plan_error.snapshot()["count"] == 1
             # Second request: plan cache hit, same count, more feedback
@@ -439,51 +457,77 @@ class TestServePlanner:
         with planner_service() as svc:
             svc.register_graph("g", small_plc)
             svc.query("g", "P4")
-            assert len(svc.feedback) == 1
+            (old,) = planned_entries(svc)
             svc.apply_edges("g", add=[(0, 1), (0, 2)])
-            # Plans, portfolios and feedback for the old statistics are
-            # gone (the result cache relies on version keys alone).
-            assert len(svc.feedback) == 0
-            assert len(svc.portfolio_cache) == 0
-            assert len(svc.plan_cache) == 0
+            # The old version's entry is stranded by its key, not dropped,
+            # and the first request at the new version starts from none of
+            # its observations: a plan-cache miss whose entry holds only
+            # its own run.
+            after = svc.query("g", "P4")
+            assert not after.plan_cache_hit
+            new = [e for e in planned_entries(svc) if e is not old]
+            assert len(new) == 1 and len(svc.plan_cache) == 2
+            assert sum(o.runs + o.errors for o in new[0].observations.values()) == 1
+            assert sum(o.runs for o in old.observations.values()) == 1
 
-    def test_rerank_invalidates_cached_plan(self, small_plc):
-        svc = planner_service()
-        q = get_pattern("P4")
-        portfolio = plan_query(small_plc, q, FAST_PLANNER)
-        assert len(portfolio.choices) >= 2
-        fp = plan_fingerprint(q)
-        key = plan_key("g", 1, fp, "tdfs", "cfg")
-        svc.portfolio_cache.put(key, portfolio)
-        svc.plan_cache.put(key, portfolio.best.plan)
-
-        def result(error=None) -> MatchResult:
-            return MatchResult(
-                engine="tdfs",
-                graph_name=small_plc.name,
-                query_name="P4",
-                count=0,
-                elapsed_cycles=100,
-                error=error,
-            )
-
+    def test_rerank_invalidates_cached_plan(self, small_plc, monkeypatch):
         # A clean run of the best member does not re-rank, and neither
-        # does a single failure (demotion needs errors to outnumber runs).
-        svc.record_plan_feedback(("g", fp), key, portfolio.best.plan, result())
-        svc.record_plan_feedback(
-            ("g", fp), key, portfolio.best.plan, result(error="OOM")
+        # does a single failure (demotion needs errors to outnumber runs);
+        # a second failure does, and the very next request runs the
+        # promoted member from the same plan-cache entry.
+        runs = engine_runs(
+            monkeypatch, [canned(100), canned(100, "OOM"), canned(100, "OOM")]
         )
-        assert len(svc.plan_cache) == 1
-        assert svc.metrics.get("plan_reranks") == 0
-        # A second failure tips the balance: the member is demoted and the
-        # cached plan must be dropped so the next request resolves the
-        # promoted member.
-        svc.record_plan_feedback(
-            ("g", fp), key, portfolio.best.plan, result(error="OOM")
+        with planner_service() as svc:
+            svc.register_graph("g", small_plc)
+            uncached(svc)
+            (entry,) = planned_entries(svc)
+            choices = entry.portfolio.choices
+            assert len(choices) >= 2
+            uncached(svc)
+            assert svc.metrics.get("plan_reranks") == 0
+            uncached(svc)
+            assert svc.metrics.get("plan_reranks") == 1
+            nxt = uncached(svc)
+            assert nxt.ok and nxt.plan_cache_hit
+            assert [order for _, order in runs] == [choices[0].order] * 3 + [
+                choices[1].order
+            ]
+            assert len(svc.plan_cache) == 1
+
+    def test_observations_stay_with_their_engine(self, small_plc, monkeypatch):
+        # STMatch's observed cycles must not rank T-DFS's orders: a T-DFS
+        # request after only STMatch runs of the same query runs its own
+        # portfolio's best member.
+        runs = engine_runs(monkeypatch)
+        cfg = TDFSConfig(num_warps=8, planner=FAST_PLANNER)
+        best = make_engine("tdfs", cfg).plan_portfolio(small_plc, get_pattern("P4")).best
+        with planner_service() as svc:
+            svc.register_graph("g", small_plc)
+            for _ in range(4):
+                assert uncached(svc, "stmatch").ok
+            assert uncached(svc, "tdfs").ok
+        assert runs[-1] == ("tdfs", best.order)
+        assert {engine for engine, _ in runs[:-1]} == {"stmatch"}
+
+    def test_est_error_is_per_run(self, small_plc, monkeypatch):
+        # Runs of 100 and 300 cycles against an estimate of 200 are off by
+        # 1.0 and 1/3 each (the running mean, 200, would read 0.0).
+        only = plan_query(small_plc, get_pattern("P4"), FAST_PLANNER).best
+        portfolio = PlanPortfolio(
+            "P4", small_plc.name, (replace(only, est_cycles=200.0),), None
         )
-        assert len(svc.plan_cache) == 0
-        assert svc.metrics.get("plan_reranks") == 1
-        assert svc.plan_cache.stats().invalidations == 1
+        monkeypatch.setattr(
+            TDFSEngine, "plan_portfolio", lambda engine, graph, query: portfolio
+        )
+        engine_runs(monkeypatch, [canned(100), canned(300)])
+        with planner_service() as svc:
+            svc.register_graph("g", small_plc)
+            uncached(svc)
+            uncached(svc)
+            snap = svc.metrics.plan_error.snapshot()
+        assert snap["count"] == 2
+        assert snap["mean"] == pytest.approx((1.0 + 1 / 3) / 2, abs=1e-4)
 
     def test_planner_off_service_untouched(self, small_plc):
         cfg = TDFSConfig(num_warps=8)
@@ -493,5 +537,4 @@ class TestServePlanner:
             svc.register_graph("g", small_plc)
             svc.query("g", "P1")
             assert svc.metrics.get("planner_feedback") == 0
-            assert len(svc.portfolio_cache) == 0
-            assert len(svc.feedback) == 0
+            assert planned_entries(svc) == []

@@ -49,15 +49,6 @@ class TestLRUCache:
         assert c.get(("g", 1)) == 1
         assert c.stats().evictions == 1
 
-    def test_invalidate_graph_only_drops_matching(self):
-        c = LRUCache(8)
-        c.put(("a", 1, "fp"), 1)
-        c.put(("a", 2, "fp"), 2)
-        c.put(("b", 1, "fp"), 3)
-        assert c.invalidate_graph("a") == 2
-        assert len(c) == 1
-        assert c.get(("b", 1, "fp")) == 3
-
     def test_pop_and_items(self):
         c = LRUCache(4)
         c.put(("g", 1), "x")
@@ -154,14 +145,6 @@ class TestFingerprints:
         assert result_key("g", 1, "fp", "tdfs", "cfg", 0) != result_key(
             "g", 1, "fp", "tdfs", "cfg", 10
         )
-
-    def test_graph_invalidation_follows_the_key_shape(self):
-        c = LRUCache(8)
-        c.put(plan_key("g", 1, "fp", "tdfs", "cfg"), "planned")
-        c.put(plan_key("g", 1, "fp", "tdfs", "cfg", planned=False), "greedy")
-        assert c.invalidate_graph("g") == 1
-        assert c.invalidate_matching("g", "fp") == 0
-        assert [v for _, v in c.items()] == ["greedy"]
 
 
 class TestFingerprintMemo:

@@ -300,11 +300,11 @@ class TestHitPath:
         }
         assert svc.cache_stats() == {
             "plan_cache": {
-                "hits": 3, "misses": 2, "evictions": 0, "invalidations": 0,
+                "hits": 3, "misses": 2, "evictions": 0,
                 "size": 2, "capacity": 256, "hit_rate": 0.6,
             },
             "result_cache": {
-                "hits": 13, "misses": 8, "evictions": 0, "invalidations": 0,
+                "hits": 13, "misses": 8, "evictions": 0,
                 "size": 5, "capacity": 1024, "hit_rate": 0.619,
             },
         }

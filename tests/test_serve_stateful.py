@@ -12,7 +12,8 @@ checks after every step what the serve path must never get wrong:
 * a result-cache hit is served only for an identical ``(structure, engine,
   config fingerprint, collect)`` computed at the current version;
 * a plan is reused across versions (and graphs) iff it was compiled
-  without a planner; a planner's plan only at the version it was made for.
+  without a planner; a planner's plan only at the version it was made for,
+  and no planned plan-cache entry of a stale version serves a request.
 
 Tier-1 runs a small derandomized slice.  With ``REPRO_FAULT_SEED`` set (the
 ``serve-resilience`` CI job) it runs the exhaustive profile under that seed.
@@ -98,6 +99,7 @@ class ServeMachine(RuleBasedStateMachine):
         self.results: set = set()  # result keys computed and cached
         self.unplanned: set = set()  # (plan_fp, engine, config_fp) compiled
         self.planned: set = set()  # (graph_id, version, plan_fp, engine, config_fp)
+        self.stale: dict = {}  # stale planned plan key -> its recorded runs
         self.tickets: list = []
         self.settles: Counter = Counter()
         settles, init, settle = self.settles, MatchTicket.__init__, MatchTicket._settle
@@ -266,12 +268,18 @@ class ServeMachine(RuleBasedStateMachine):
         )
 
     @invariant()
-    def graph_keyed_plans_are_current(self) -> None:
+    def no_planned_plan_is_served_from_another_version(self) -> None:
+        # A planned entry records every run it serves; once its version is
+        # stale (it ages out of the LRU, nothing drops it) it must record
+        # no more.
         svc = self.svc
         assert svc.graphs() == {g: v for g, (_, v) in self.model.items()}
-        for key, _ in svc.plan_cache.items() + svc.portfolio_cache.items():
+        for key, entry in svc.plan_cache.items():
             graph_id, version = key[:2]
-            assert graph_id is None or self.model[graph_id][1] == version
+            if graph_id is None or self.model[graph_id][1] == version:
+                continue
+            runs = sum(o.runs + o.errors for o in entry.observations.values())
+            assert self.stale.setdefault(key, runs) == runs
 
 
 TestServeStateful = ServeMachine.TestCase
