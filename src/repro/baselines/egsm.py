@@ -36,14 +36,11 @@ MAX_CHILD_WARPS = 32
 
 
 class ChildKernelJob(MatchJob):
-    """MatchJob that hands a level larger than ``new_kernel_fanout`` to a
-    child kernel; that fill may launch one, so only leaf blocks fold."""
+    """MatchJob that hands a level larger than ``fanout`` to a child
+    kernel; that fill may launch one, so only leaf blocks fold."""
 
+    fanout = 96
     folds_above_leaf = False
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.fanout = self.config.new_kernel_fanout
 
     def _spawn(self, warp: Warp, st: RunState, pos: int) -> Generator[int, None, None]:
         """Hand the just-filled level to a freshly launched child kernel.

@@ -20,10 +20,10 @@ Design choices reproduced from the paper's description:
 * Symmetry breaking is performed (like T-DFS, unlike EGSM).
 
 STMatch shares the warp matcher's kernel-backend hook (:mod:`repro.kernels`):
-its ``stmatch_removal`` set-difference charge and fixed-capacity truncation
-are reproduced by the vectorized backend (which re-scans truncated levels so
-the wrong counts stay *identically* wrong), so the kernel-conformance suite
-covers this engine too.
+its set-difference charge (:attr:`STMatchJob.stmatch_removal`) and
+fixed-capacity truncation are reproduced by the vectorized backend (which
+re-scans truncated levels so the wrong counts stay *identically* wrong), so
+the kernel-conformance suite covers this engine too.
 """
 
 from __future__ import annotations
@@ -119,6 +119,13 @@ class HalfStealJob(MatchJob):
         yield from self._process_aux(warp, st)
 
 
+class STMatchJob(HalfStealJob):
+    """HalfStealJob that also pays STMatch's separate set-difference pass
+    for matched-vertex removal on every filter."""
+
+    stmatch_removal = True
+
+
 class STMatchEngine(TDFSEngine):
     """STMatch re-implemented on the shared virtual-GPU substrate."""
 
@@ -133,12 +140,13 @@ class STMatchEngine(TDFSEngine):
             base.replace(
                 strategy=Strategy.HALF_STEAL,
                 stack_mode=StackMode.ARRAY_FIXED,
-                truncate_on_overflow=True,
-                stmatch_removal=True,
                 enable_reuse=False,
             ),
             ctx,
         )
+
+    def _make_job(self, **kwargs) -> STMatchJob:
+        return STMatchJob(**kwargs)
 
     def with_dmax_stacks(self) -> "STMatchEngine":
         """Variant the paper benchmarks against: capacity raised to d_max

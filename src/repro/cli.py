@@ -519,7 +519,6 @@ def _serve_chaos(
             checkpoint_every_events=args.checkpoint_events,
             watchdog_interval_s=0.02,
             heartbeat_timeout_s=0.25,
-            max_redeliveries=2,
             seed=seed,
         ),
         worker_faults=plan,

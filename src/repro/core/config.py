@@ -46,8 +46,10 @@ class StackMode(enum.Enum):
 #: time; the τ-ablation benches sweep the same ×10 grid around it.
 DEFAULT_TAU_CYCLES = 10_000
 
-#: STMatch's hardcoded per-level capacity (vertex ids).  The paper notes
-#: this loses correctness on skewed graphs; scaled here with the datasets.
+#: STMatch's hardcoded per-level capacity (vertex ids) — every
+#: :attr:`StackMode.ARRAY_FIXED` level, which truncates what does not fit.
+#: The paper notes this loses correctness on skewed graphs; scaled here
+#: with the datasets.  The engine reads it through this module at run time.
 STMATCH_FIXED_CAPACITY = 96
 
 
@@ -77,30 +79,17 @@ class TDFSConfig:
     """Capacity of ``Q_task`` in tasks (each task = 3 int slots)."""
 
     stack_mode: StackMode = StackMode.PAGED
-    page_bytes: int = 64
     page_table_size: int = 24
     arena_pages: int = 65_536
     release_pages: bool = False
     """Enable the paper's optional page-release rule (Section III: free the
     last n/2 pages of a level when a refill uses no more than n/4)."""
-    fixed_capacity: int = STMATCH_FIXED_CAPACITY
-    """Per-level capacity for :attr:`StackMode.ARRAY_FIXED`."""
-    truncate_on_overflow: bool = True
-    """ARRAY_FIXED overflow policy: truncate silently (STMatch behaviour,
-    wrong counts) instead of raising."""
 
     enable_symmetry: bool = True
     enable_reuse: bool = True
     enable_edge_filter: bool = True
     """Degree-based pruning of initial edges (label/symmetry checks are
     correctness-critical and always applied)."""
-
-    stmatch_removal: bool = False
-    """Model STMatch's separate set-difference pass for matched-vertex
-    removal (extra set operation per extension; paper Section IV-B)."""
-
-    new_kernel_fanout: int = 96
-    """Fanout threshold that triggers a child kernel (NEW_KERNEL only)."""
 
     kernel_backend: Union[str, "KernelBackend"] = "vectorized"
     """Candidate-computation kernel (see :mod:`repro.kernels`): a backend
@@ -158,12 +147,8 @@ class TDFSConfig:
             raise ReproError("num_gpus must be >= 1")
         if self.tau_cycles <= 0:
             raise ReproError("tau_cycles must be positive; use no_timeout()")
-        if self.page_bytes < 4 or self.page_bytes % 4:
-            raise ReproError("page_bytes must be a positive multiple of 4")
         if self.arena_pages < 1:
             raise ReproError("arena_pages must be >= 1")
-        if self.fixed_capacity < 1:
-            raise ReproError("fixed_capacity must be >= 1")
         if self.shards < 1:
             raise ReproError("shards must be >= 1")
         if self.shards > 1 and self.num_gpus > 1:

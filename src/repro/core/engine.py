@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+from repro.alloc import ouroboros
 from repro.alloc.ouroboros import OuroborosAllocator
 from repro.alloc.stack import (
     OverflowPolicy,
     array_level_factory,
     paged_level_factory,
 )
+from repro.core import config as core_config
 from repro.core.config import RunContext, StackMode, Strategy, TDFSConfig
 from repro.core.edge_filter import host_prefilter
 from repro.core.result import MatchResult, RecoveryStats
@@ -453,7 +455,8 @@ class TDFSEngine:
         return 0, {}
 
     def _make_job(self, **kwargs) -> MatchJob:
-        """Hook: construct the warp job (:func:`job_class`; EGSM overrides it)."""
+        """Hook: construct the warp job (:func:`job_class`; STMatch and EGSM
+        override it)."""
         return job_class(self.config.strategy)(**kwargs)
 
     def _execute(
@@ -499,10 +502,11 @@ class TDFSEngine:
         if cfg.stack_mode is StackMode.PAGED:
             # Size the arena to the configured page count, but never beyond
             # 85 % of what is left on the device (the rest is working room).
-            max_pages = max(64, int(gpu.memory.free * 0.85) // cfg.page_bytes)
+            page_bytes = ouroboros.DEFAULT_PAGE_BYTES
+            max_pages = max(64, int(gpu.memory.free * 0.85) // page_bytes)
             pages = min(cfg.arena_pages, max_pages)
             allocator = OuroborosAllocator(
-                num_pages=pages, page_bytes=cfg.page_bytes, memory=gpu.memory
+                num_pages=pages, page_bytes=page_bytes, memory=gpu.memory
             )
             factory = paged_level_factory(
                 allocator, cfg.page_table_size, cfg.release_pages
@@ -514,16 +518,11 @@ class TDFSEngine:
             gpu.memory.allocate(per_warp * cfg.num_warps, tag="array-stacks")
             factory = array_level_factory(capacity, OverflowPolicy.RAISE)
             child_stack_bytes = per_warp
-        else:  # ARRAY_FIXED (STMatch default)
-            capacity = cfg.fixed_capacity
-            policy = (
-                OverflowPolicy.TRUNCATE
-                if cfg.truncate_on_overflow
-                else OverflowPolicy.RAISE
-            )
+        else:  # ARRAY_FIXED (STMatch default): truncates what does not fit
+            capacity = core_config.STMATCH_FIXED_CAPACITY
             per_warp = levels * capacity * 4
             gpu.memory.allocate(per_warp * cfg.num_warps, tag="array-stacks")
-            factory = array_level_factory(capacity, policy)
+            factory = array_level_factory(capacity, OverflowPolicy.TRUNCATE)
             child_stack_bytes = per_warp
 
         job = self._make_job(

@@ -115,12 +115,15 @@ class MatchJob:
     Subclasses set the load balancing through four class attributes, read
     plainly on the hot paths: ``steals`` (idle warps call ``_steal``),
     ``fill_lock`` (cycles per level fill), ``fanout`` (a larger level goes
-    to ``_spawn``) and ``folds_above_leaf`` (see :attr:`fold_from`)."""
+    to ``_spawn``) and ``folds_above_leaf`` (see :attr:`fold_from`).  A
+    fifth, ``stmatch_removal``, charges STMatch's separate set-difference
+    pass for matched-vertex removal on every filter (paper Section IV-B)."""
 
     steals = False
     fill_lock = 0
     fanout = float("inf")
     folds_above_leaf = True
+    stmatch_removal = False
 
     def __init__(
         self,
@@ -713,7 +716,7 @@ class MatchJob:
             pos,
             level.values(),
             self.cost,
-            self.config.stmatch_removal,
+            self.stmatch_removal,
         )
         return filtered, cycles + filter_cycles
 
@@ -1129,8 +1132,8 @@ class MatchJob:
 
     def overflowed(self) -> bool:
         """True when any fixed-capacity level truncated candidates (only
-        a truncating array level counts any: one that raises ends the run)."""
-        cfg = self.config
-        if cfg.stack_mode is not StackMode.ARRAY_FIXED or not cfg.truncate_on_overflow:
+        an ``ARRAY_FIXED`` level truncates; any other overflow raises and
+        ends the run)."""
+        if self.config.stack_mode is not StackMode.ARRAY_FIXED:
             return False
         return any(level.overflows for st in self.run_states for level in st.levels)

@@ -60,11 +60,12 @@ class KernelLaunchError(DeviceError):
 
 
 class StackLevelOverflowError(ReproError):
-    """A fixed-capacity stack level overflowed.
+    """A stack level could not hold its candidates: a paged level's page
+    table is full, or an ``OverflowPolicy.RAISE`` array level overflowed.
 
     STMatch's fixed 4096-slot levels overflow on skewed graphs, which the
-    paper shows leads to *incorrect counts* — engines may either raise this
-    or record-and-truncate depending on their ``on_overflow`` policy.
+    paper shows leads to *incorrect counts*: an ``ARRAY_FIXED`` level
+    truncates instead and the result reports ``overflowed``.
     """
 
 

@@ -114,7 +114,7 @@ def filter_cycles_vec(job: "MatchJob", position: int, raw_sizes) -> np.ndarray:
     charged only on non-empty sets, like the scalar early return)."""
     cost = job.cost
     cycles = filter_cost_vec(cost, raw_sizes)
-    if job.config.stmatch_removal:
+    if job.stmatch_removal:
         cycles = cycles + np.where(
             np.asarray(raw_sizes) > 0,
             intersect_cost_vec(cost, raw_sizes, max(1, position)),

@@ -112,7 +112,7 @@ def render_top(snap: dict, title: str = "repro top") -> str:
     bs = snap.get("batch_size") or {}
     lines.append(
         "batches           : "
-        f"{n('batches')} (mean size {bs.get('mean', 0):.2f}, "
+        f"{bs.get('count', 0)} (mean size {bs.get('mean', 0):.2f}, "
         f"max {bs.get('max', 0):.0f})"
     )
     for name in ("plan_cache", "result_cache"):

@@ -63,7 +63,7 @@ class QueueEntry:
     sequence: int = 0
     redeliveries: int = 0
     """Times the supervisor re-enqueued this entry after a worker died or
-    wedged mid-flight (bounded by ``SupervisorConfig.max_redeliveries``)."""
+    wedged mid-flight (bounded by ``resilience.MAX_REDELIVERIES``)."""
     checkpoint: object = field(default=None, repr=False)
     """Latest :class:`~repro.serve.resilience.MatchCheckpoint` of this
     request's run, written by the supervisor's checkpoint hook: a

@@ -101,11 +101,6 @@ class LRUCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
-    def pop(self, key: Hashable) -> Optional[Any]:
-        """Remove ``key`` and return its value (``None`` when absent)."""
-        with self._lock:
-            return self._entries.pop(key, None)
-
     def items(self) -> list[tuple[Hashable, Any]]:
         """Snapshot of ``(key, value)`` pairs, least-recent first."""
         with self._lock:

@@ -2,7 +2,7 @@
 
 Every instrument lives in a :class:`repro.obs.Registry` built with
 ``threaded=True``.  Callers move the instruments directly
-(``metrics.queue_depth.set(n)``, ``metrics.incr("batches")``), except at
+(``metrics.queue_depth.set(n)``, ``metrics.batch_size.observe(n)``), except at
 a request's ending: :meth:`ServeMetrics.settle` moves its counters,
 ``latency_ms`` and the outcome window together.  Everything is read back
 through one :meth:`ServeMetrics.snapshot`, which
@@ -38,7 +38,6 @@ COUNTERS = (
     "deadline_expired",
     "deadline_missed",
     "degraded",
-    "batches",
     "graph_updates",
     # -- dynamic deltas (repro.dynamic) --------------------------------- #
     "delta_requests",
@@ -177,10 +176,6 @@ class ServeMetrics:
     def get(self, name: str) -> int:
         counter = self.registry.get(_PREFIX + name)
         return counter.value if counter is not None else 0
-
-    def observe_batch(self, size: int) -> None:
-        self.incr("batches")
-        self.batch_size.observe(size)
 
     # ------------------------------------------------------------------ #
 

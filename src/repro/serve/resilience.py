@@ -141,6 +141,9 @@ BREAKER_THRESHOLD = 3
 BREAKER_OPEN_S = 1.0
 BREAKER_JITTER = 0.2
 
+#: Redelivery budget per entry; exhausting it quarantines the request.
+MAX_REDELIVERIES = 2
+
 
 class BreakerState(enum.Enum):
     CLOSED = "closed"
@@ -344,10 +347,6 @@ class Quarantine:
         if hit is not None:
             raise PoisonedRequestError(fingerprint, *hit)
 
-    def release(self, fingerprint: tuple) -> bool:
-        """Manually lift a quarantine (operator override)."""
-        return self._entries.pop(fingerprint) is not None
-
     def entries(self) -> dict:
         return {
             "/".join(str(p) for p in fp): {
@@ -377,8 +376,6 @@ class SupervisorConfig:
     and abandoned.  Must exceed the worst-case gap between heartbeats —
     with checkpointing on, that is the wall time between checkpoints; with
     it off, a whole uninterrupted match."""
-    max_redeliveries: int = 2
-    """Redelivery budget per entry; exhausting it quarantines the request."""
     checkpoint_every_events: int = 0
     """Checkpoint cadence in scheduler events (0 disables checkpointing —
     redelivered entries then restart from scratch)."""
@@ -386,8 +383,6 @@ class SupervisorConfig:
     """Seeds the breaker's backoff jitter (determinism under test)."""
 
     def __post_init__(self) -> None:
-        if self.max_redeliveries < 0:
-            raise ReproError("supervisor: max_redeliveries must be >= 0")
         if self.checkpoint_every_events < 0:
             raise ReproError("supervisor: checkpoint_every_events must be >= 0")
 
@@ -496,7 +491,7 @@ class Supervisor(threading.Thread):
         metrics = self.service.metrics
         flight = self.service.flight
         entry.redeliveries += 1
-        if entry.redeliveries > self.config.max_redeliveries:
+        if entry.redeliveries > MAX_REDELIVERIES:
             self.quarantine.poison(entry.request.fingerprint, reason, entry.request_id)
             metrics.incr("quarantined")
             flight.record(

@@ -196,7 +196,7 @@ class Worker(threading.Thread):
 
     def _process_batch(self, batch: list[QueueEntry]) -> None:
         service = self.service
-        service.metrics.observe_batch(len(batch))
+        service.metrics.batch_size.observe(len(batch))
         graph_id = batch[0].request.graph_id
         try:
             graph, version = service.resolve_graph(graph_id)

@@ -7,7 +7,8 @@ from repro.baselines.cpu import CPUEngine, cpu_count
 from repro.baselines.ctindex import CuckooTrieIndex
 from repro.baselines.egsm import EGSMEngine
 from repro.baselines.pbe import PBEEngine
-from repro.baselines.stmatch import STMatchEngine
+from repro.baselines.stmatch import STMatchEngine, STMatchJob
+from repro.core import config as config_module
 from repro.core.engine import TDFSEngine
 from repro.errors import UnsupportedError
 from repro.query.patterns import get_pattern
@@ -85,8 +86,16 @@ class TestSTMatch:
 
         assert engine.config.strategy is Strategy.HALF_STEAL
         assert engine.config.stack_mode is StackMode.ARRAY_FIXED
-        assert engine.config.stmatch_removal
         assert not engine.config.enable_reuse
+
+    def test_job_pays_the_removal_pass(self, small_plc, monkeypatch):
+        # STMatchJob charges the separate set-difference pass; the same run
+        # without it finds the same matches in fewer cycles.
+        paid = STMatchEngine(FAST).run(small_plc, get_pattern("P3"))
+        monkeypatch.setattr(STMatchJob, "stmatch_removal", False)
+        unpaid = STMatchEngine(FAST).run(small_plc, get_pattern("P3"))
+        assert paid.count == unpaid.count
+        assert paid.elapsed_cycles > unpaid.elapsed_cycles
 
     def test_correct_when_capacity_suffices(self, small_plc):
         plan = compile_plan(get_pattern("P3"), enable_reuse=False)
@@ -95,19 +104,20 @@ class TestSTMatch:
         assert result.count == expect
         assert not result.overflowed
 
-    def test_wrong_on_skewed_graph(self, skewed_graph):
+    def test_wrong_on_skewed_graph(self, skewed_graph, monkeypatch):
         # The paper's finding: fixed 4096-slot levels silently truncate.
-        cfg = FAST.replace(fixed_capacity=8)
+        monkeypatch.setattr(config_module, "STMATCH_FIXED_CAPACITY", 8)
         plan = compile_plan(get_pattern("P3"))
         expect = cpu_count(skewed_graph, plan)
-        result = STMatchEngine(cfg).run(skewed_graph, get_pattern("P3"))
+        result = STMatchEngine(FAST).run(skewed_graph, get_pattern("P3"))
         assert result.overflowed
         assert result.count != expect
 
-    def test_dmax_variant_restores_correctness(self, skewed_graph):
+    def test_dmax_variant_restores_correctness(self, skewed_graph, monkeypatch):
+        monkeypatch.setattr(config_module, "STMATCH_FIXED_CAPACITY", 8)
         plan = compile_plan(get_pattern("P3"))
         expect = cpu_count(skewed_graph, plan)
-        engine = STMatchEngine(FAST.replace(fixed_capacity=8)).with_dmax_stacks()
+        engine = STMatchEngine(FAST).with_dmax_stacks()
         result = engine.run(skewed_graph, get_pattern("P3"))
         assert result.count == expect
         assert not result.overflowed

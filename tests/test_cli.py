@@ -152,6 +152,26 @@ class TestCommands:
         assert "OOM" in capsys.readouterr().out
 
 
+class TestBaselineConstants:
+    """A baseline's constants (STMatch's 96-slot truncating levels and
+    set-difference pass, EGSM's child-kernel fanout) pin these headlines."""
+
+    @pytest.mark.parametrize(
+        "argv, headline, overflow",
+        [
+            (["--engine", "stmatch", "--dataset", "pokec"], "8238 matches in 0.849 ms", True),
+            (["--stack-mode", "array-fixed", "--dataset", "pokec"], "8238 matches in 0.096 ms", True),
+            (["--engine", "egsm", "--dataset", "youtube"], "3664 matches in 3.098 ms", False),
+        ],
+        ids=["stmatch", "array-fixed", "egsm"],
+    )
+    def test_run_headline(self, argv, headline, overflow, capsys):
+        assert main(["run", *argv, "--pattern", "P3"]) == 0
+        out = capsys.readouterr().out
+        assert headline in out
+        assert ("[OVERFLOW" in out) is overflow
+
+
 class TestInputValidation:
     """Bad list flags exit 2 with a usage message, never a traceback."""
 

@@ -16,6 +16,8 @@ import pickle
 from dataclasses import fields
 from types import SimpleNamespace
 
+import pytest
+
 from repro import RunContext, TDFSConfig
 from repro.gpusim.costmodel import CostModel
 from repro.obs import OutcomeWindow
@@ -23,7 +25,10 @@ from repro.obs.registry import Histogram, TimeRing
 from repro.serve import ServeConfig, SupervisorConfig
 from repro.serve.resilience import Supervisor
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+BENCHMARKS = ROOT / "benchmarks"
+EXAMPLES = ROOT / "examples"
 
 
 @functools.cache
@@ -203,17 +208,12 @@ TDFSConfig.strategy
 TDFSConfig.tau_cycles
 TDFSConfig.queue_capacity_tasks
 TDFSConfig.stack_mode
-TDFSConfig.page_bytes
 TDFSConfig.page_table_size
 TDFSConfig.arena_pages
 TDFSConfig.release_pages
-TDFSConfig.fixed_capacity
-TDFSConfig.truncate_on_overflow
 TDFSConfig.enable_symmetry
 TDFSConfig.enable_reuse
 TDFSConfig.enable_edge_filter
-TDFSConfig.stmatch_removal
-TDFSConfig.new_kernel_fanout
 TDFSConfig.kernel_backend
 TDFSConfig.device_memory
 TDFSConfig.num_gpus
@@ -239,12 +239,16 @@ ServeConfig.dump_on_error
 ServeConfig.shard_faults
 SupervisorConfig.watchdog_interval_s
 SupervisorConfig.heartbeat_timeout_s
-SupervisorConfig.max_redeliveries
 SupervisorConfig.checkpoint_every_events
 SupervisorConfig.seed
 """.split()
 
-#: Settings that became constants; none may come back as a name in ``src/``.
+#: Settings that became constants; none may come back in ``src/``,
+#: ``benchmarks/`` or ``examples/``.  A bare name may not appear there at
+#: all.  ``Config.field`` names a setting whose name lives on at its new
+#: owner (``OuroborosAllocator(page_bytes=...)``,
+#: ``STMatchJob.stmatch_removal``): it may not be passed to ``Config`` or
+#: to a ``replace``, nor read off a ``config`` / ``cfg``.
 RETIRED = (
     "shard_strategy",
     "SHARD_STRATEGIES",
@@ -262,6 +266,16 @@ RETIRED = (
     "min_batch",
     "batch_window_ms",
     "window_ms",
+    # A baseline's constants live on its engine (STMATCH_FIXED_CAPACITY,
+    # STMatchJob, ChildKernelJob.fanout); the page size and the redelivery
+    # budget on their modules (ouroboros.DEFAULT_PAGE_BYTES,
+    # resilience.MAX_REDELIVERIES).  An ARRAY_FIXED level always truncates.
+    "TDFSConfig.page_bytes",
+    "fixed_capacity",
+    "truncate_on_overflow",
+    "TDFSConfig.stmatch_removal",
+    "new_kernel_fanout",
+    "max_redeliveries",
 )
 
 #: Second books and telemetry state nothing read, retired: each copied a
@@ -325,6 +339,10 @@ RETIRED_BOOKS = (
     "PlanObservation.est_cycles",
     "PlanObservation.rel_error",
     "PlanPortfolio.choice_for_order",
+    # Nothing outside the tests lifted a quarantine; the pop was its one
+    # caller.
+    "Quarantine.release",
+    "LRUCache.pop",
 )
 
 
@@ -355,6 +373,20 @@ def _mentions(node) -> set:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         names.add(node.value)
     return names
+
+
+def _sets_or_reads(node, owner: str, member: str) -> bool:
+    """Whether ``node`` passes ``member`` to ``owner(...)`` or to a
+    ``replace(...)``, or reads it off a ``config`` / ``cfg``."""
+    if isinstance(node, ast.Call):
+        callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+        return callee in (owner, "replace") and any(
+            keyword.arg == member for keyword in node.keywords
+        )
+    if isinstance(node, ast.Attribute) and node.attr == member:
+        base = getattr(node.value, "id", getattr(node.value, "attr", None))
+        return base in ("config", "cfg")
+    return False
 
 
 class TestRetiredBooksContract:
@@ -388,7 +420,7 @@ class TestConfigContract:
 
     def test_config_and_context_stay_apart(self):
         config, context = ({f.name for f in fields(c)} for c in (TDFSConfig, RunContext))
-        assert len(config) == 24, sorted(config)
+        assert len(config) == 19, sorted(config)
         assert len(context) == 6, sorted(context)
         assert len(fields(ServeConfig)) == 10, [f.name for f in fields(ServeConfig)]
         assert not config & context, sorted(config & context)
@@ -401,17 +433,46 @@ class TestConfigContract:
             for f in fields(cls)
         ]
         assert options == OPTIONS
-        assert len(options) == 45
+        assert len(options) == 39
+        assert len(fields(SupervisorConfig)) == 4
 
     def test_constants_stay_constants(self):
-        hits = [
-            f"{path.relative_to(SRC)}:{n}: {line.strip()}"
-            for path in sorted(SRC.rglob("*"))
+        files = [
+            path
+            for path in (*SRC.rglob("*"), *BENCHMARKS.rglob("*.py"), *EXAMPLES.rglob("*"))
             if path.is_file() and "__pycache__" not in path.parts
-            for n, line in enumerate(path.read_text().splitlines(), 1)
-            if any(name in line for name in RETIRED)
         ]
+        bare = [name for name in RETIRED if "." not in name]
+        hits = [
+            f"{path.relative_to(ROOT)}:{n}: {line.strip()}"
+            for path in files
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if any(name in line for name in bare)
+        ]
+        qualified = [name.split(".") for name in RETIRED if "." in name]
+        for path in files:
+            if path.suffix != ".py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                for owner, member in qualified:
+                    if _sets_or_reads(node, owner, member):
+                        hits.append(f"{path.relative_to(ROOT)}:{node.lineno}: {owner}.{member}")
         assert not hits, hits
+
+    @pytest.mark.parametrize(
+        "source, flagged",
+        [
+            ("TDFSConfig(page_bytes=32)", True),
+            ("cfg.replace(stmatch_removal=True)", True),
+            ("self.config.page_bytes", True),
+            ("OuroborosAllocator(4, page_bytes=64)", False),
+            ("job.stmatch_removal", False),
+        ],
+    )
+    def test_a_retired_field_is_caught_at_its_caller(self, source, flagged):
+        node = ast.parse(source, mode="eval").body
+        retired = [name.split(".") for name in RETIRED if "." in name]
+        assert any(_sets_or_reads(node, *name) for name in retired) is flagged
 
     def test_every_cost_model_field_is_read(self):
         # Every CostModel field enters config_fingerprint: one that no code

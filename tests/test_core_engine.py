@@ -4,6 +4,8 @@ import pytest
 
 from repro import QueryGraph, RunContext, StackMode, Strategy, TDFSConfig, match
 from repro.baselines.cpu import cpu_count
+from repro.alloc import ouroboros
+from repro.core import config as config_module
 from repro.core import engine as engine_module
 from repro.core.engine import TDFSEngine
 from repro.errors import ReproError, UnsupportedError
@@ -127,27 +129,28 @@ class TestStackModes:
         expect = cpu_count(small_plc, plan)
         assert TDFSEngine(cfg).run(small_plc, plan).count == expect
 
-    def test_fixed_truncation_detected(self, skewed_graph):
-        cfg = TDFSConfig(
-            num_warps=8,
-            stack_mode=StackMode.ARRAY_FIXED,
-            fixed_capacity=8,
-            truncate_on_overflow=True,
-        )
+    def test_fixed_truncation_detected(self, skewed_graph, monkeypatch):
+        monkeypatch.setattr(config_module, "STMATCH_FIXED_CAPACITY", 8)
+        cfg = TDFSConfig(num_warps=8, stack_mode=StackMode.ARRAY_FIXED)
         plan = compile_plan(get_pattern("P3"))
         result = TDFSEngine(cfg).run(skewed_graph, plan)
         assert result.overflowed
         assert result.count < cpu_count(skewed_graph, plan)
 
-    def test_fixed_raise_policy(self, skewed_graph):
-        cfg = TDFSConfig(
-            num_warps=8,
-            stack_mode=StackMode.ARRAY_FIXED,
-            fixed_capacity=8,
-            truncate_on_overflow=False,
-        )
+    def test_full_page_table_raises(self, skewed_graph):
+        # A paged level overflows only when its page table is full.
+        cfg = TDFSConfig(num_warps=8, page_table_size=1)
         result = TDFSEngine(cfg).run(skewed_graph, get_pattern("P3"))
         assert result.error == "STACK_OVERFLOW"
+        assert not result.overflowed
+
+    def test_page_size_is_the_allocators_constant(self, skewed_graph, monkeypatch):
+        plan = compile_plan(get_pattern("P3"))
+        wide = TDFSEngine(TDFSConfig(num_warps=8)).run(skewed_graph, plan)
+        monkeypatch.setattr(ouroboros, "DEFAULT_PAGE_BYTES", 16)
+        narrow = TDFSEngine(TDFSConfig(num_warps=8)).run(skewed_graph, plan)
+        assert narrow.count == wide.count
+        assert narrow.memory.pages_allocated > wide.memory.pages_allocated
 
     def test_paged_uses_less_stack_memory(self, skewed_graph):
         plan = compile_plan(get_pattern("P3"))
@@ -217,7 +220,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("page_bytes", 0), ("page_bytes", 3), ("arena_pages", 0), ("fixed_capacity", 0)],
+        [("arena_pages", 0)],
     )
     def test_rejects_stack_sizes_a_run_cannot_use(self, field, value):
         # Each of these used to fail mid-run with an untyped error.

@@ -8,6 +8,7 @@ launches).
 import pytest
 
 from repro import Strategy, TDFSConfig
+from repro.baselines.egsm import ChildKernelJob
 from repro.baselines.cpu import cpu_count
 from repro.core.engine import TDFSEngine
 from repro.query.patterns import get_pattern
@@ -92,23 +93,20 @@ class TestHalfSteal:
 
 
 class TestNewKernel:
-    def test_kernels_launched_on_fanout(self, skewed_graph):
-        result = run(
-            skewed_graph, "P3", Strategy.NEW_KERNEL, new_kernel_fanout=16
-        )
+    def test_kernels_launched_on_fanout(self, skewed_graph, monkeypatch):
+        monkeypatch.setattr(ChildKernelJob, "fanout", 16)
+        result = run(skewed_graph, "P3", Strategy.NEW_KERNEL)
         assert result.kernel_launches > 0
 
-    def test_no_kernel_below_threshold(self, small_plc):
-        result = run(
-            small_plc, "P2", Strategy.NEW_KERNEL, new_kernel_fanout=10_000
-        )
+    def test_no_kernel_below_threshold(self, small_plc, monkeypatch):
+        monkeypatch.setattr(ChildKernelJob, "fanout", 10_000)
+        result = run(small_plc, "P2", Strategy.NEW_KERNEL)
         assert result.kernel_launches == 0
 
-    def test_launch_cost_charged(self, skewed_graph):
+    def test_launch_cost_charged(self, skewed_graph, monkeypatch):
         fast = run(skewed_graph, "P3", Strategy.NONE)
-        kern = run(
-            skewed_graph, "P3", Strategy.NEW_KERNEL, new_kernel_fanout=16
-        )
+        monkeypatch.setattr(ChildKernelJob, "fanout", 16)
+        kern = run(skewed_graph, "P3", Strategy.NEW_KERNEL)
         assert kern.count == fast.count
 
 

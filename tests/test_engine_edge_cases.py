@@ -3,6 +3,7 @@
 import pytest
 
 from repro import StackMode, Strategy, TDFSConfig, from_edges, match
+from repro.baselines.egsm import ChildKernelJob
 from repro.core.engine import TDFSEngine
 from repro.errors import UnsupportedError
 from repro.query.pattern import QueryGraph
@@ -125,9 +126,10 @@ class TestStrategyEdgeCases:
         assert result.steals == 0
         assert result.count > 0
 
-    def test_new_kernel_threshold_one(self, small_plc):
+    def test_new_kernel_threshold_one(self, small_plc, monkeypatch):
         # Pathological threshold: everything spawns kernels; still correct.
-        cfg = FAST.replace(strategy=Strategy.NEW_KERNEL, new_kernel_fanout=1)
+        monkeypatch.setattr(ChildKernelJob, "fanout", 1)
+        cfg = FAST.replace(strategy=Strategy.NEW_KERNEL)
         plan = compile_plan(get_pattern("P1"))
         base = TDFSEngine(FAST).run(small_plc, plan)
         kern = TDFSEngine(cfg).run(small_plc, plan)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import TDFSConfig, match
+from repro.baselines.egsm import ChildKernelJob
 from repro.core.config import Strategy
 from repro.errors import DeviceError, DeviceOOMError
 from repro.faults import FaultInjector, FaultPlan
@@ -82,9 +83,7 @@ class TestSchedulerParity:
         Strategy.HALF_STEAL: TDFSConfig(
             num_warps=8, strategy=Strategy.HALF_STEAL, chunk_size=64
         ),
-        Strategy.NEW_KERNEL: TDFSConfig(
-            num_warps=8, strategy=Strategy.NEW_KERNEL, new_kernel_fanout=4
-        ),
+        Strategy.NEW_KERNEL: TDFSConfig(num_warps=8, strategy=Strategy.NEW_KERNEL),
     }
 
     @staticmethod
@@ -135,6 +134,7 @@ class TestSchedulerParity:
     @pytest.mark.parametrize("strategy", list(CASES), ids=lambda s: s.value)
     def test_identity_charge_hook(self, strategy, small_plc, monkeypatch):
         cfg = self.CASES[strategy]
+        monkeypatch.setattr(ChildKernelJob, "fanout", 4)
         plain, plain_stats, late, plain_order = self._run(
             small_plc, cfg, monkeypatch, False
         )

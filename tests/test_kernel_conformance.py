@@ -45,9 +45,12 @@ from repro import (
     get_pattern,
     match,
 )
+from repro.alloc import ouroboros
 from repro.alloc.stack import array_level_factory
+from repro.baselines.egsm import ChildKernelJob
 from repro.baselines.pbe import bfs_expand_level
 from repro.baselines.stmatch import HalfStealJob
+from repro.core import config as config_module
 from repro.core.candidates import filter_candidates
 from repro.core.config import StackMode, Strategy
 from repro.core.edge_filter import edge_mask
@@ -253,15 +256,12 @@ class TestStackVariantConformance:
         cfg = FAST.replace(release_pages=True)
         assert_conformant(small_plc, "P3", cfg, label="release")
 
-    def test_truncating_array_stacks(self, small_plc):
+    def test_truncating_array_stacks(self, small_plc, monkeypatch):
         # STMatch-style fixed levels with silent truncation: both backends
         # must truncate the *same* candidates (the vectorized plan declines
         # on any would-be overflow) and report the overflow flag.
-        cfg = FAST.replace(
-            stack_mode=StackMode.ARRAY_FIXED,
-            fixed_capacity=8,
-            truncate_on_overflow=True,
-        )
+        monkeypatch.setattr(config_module, "STMATCH_FIXED_CAPACITY", 8)
+        cfg = FAST.replace(stack_mode=StackMode.ARRAY_FIXED)
         scalar, vec = assert_conformant(small_plc, "P3", cfg, label="trunc")
         assert scalar.overflowed and vec.overflowed
 
@@ -492,7 +492,7 @@ def assert_slot_equals_scalar(job, st, position, block, slot):
         job.reuse_hits - before[1],
     )
     want, filter_cycles = filter_candidates(
-        job.graph, job.plan, st.path, position, raw, job.cost, cfg.stmatch_removal
+        job.graph, job.plan, st.path, position, raw, job.cost, job.stmatch_removal
     )
     assert block.survivors[slot] == want.size
     assert block.filter_cycles[slot] == filter_cycles
@@ -520,10 +520,9 @@ class TestPrefixBlockRows:
                     [(seed + u) % 3 for u in range(query.num_vertices)]
                 )
             for removal in (False, True):
+                monkeypatch.setattr(MatchJob, "stmatch_removal", removal)
                 for prune in (False, True):
-                    cfg = FAST.replace(
-                        stmatch_removal=removal, enable_edge_filter=prune
-                    )
+                    cfg = FAST.replace(enable_edge_filter=prune)
                     checked += self._check_rows(graph, query, cfg)
         assert checked, "no row survived the edge filter anywhere in the case"
 
@@ -573,7 +572,7 @@ class TestLeafBlockSlots:
 
     @pytest.mark.parametrize("labeled", [False, True])
     @pytest.mark.parametrize("case", range(2))
-    def test_block_equals_scalar_per_slot(self, case, labeled):
+    def test_block_equals_scalar_per_slot(self, case, labeled, monkeypatch):
         seed = SEED_BASE + 1250 + case
         graph = case_labeled_graph(seed, 2) if labeled else case_graph(seed)
         shapes = set()
@@ -584,8 +583,9 @@ class TestLeafBlockSlots:
                     [(seed + u) % 2 for u in range(query.num_vertices)]
                 )
             for removal in (False, True):
+                monkeypatch.setattr(MatchJob, "stmatch_removal", removal)
                 for reuse in (False, True):
-                    cfg = FAST.replace(stmatch_removal=removal, enable_reuse=reuse)
+                    cfg = FAST.replace(enable_reuse=reuse)
                     shapes |= self._check_windows(graph, query, cfg)
         # Both kinds of block were produced, and some shape declined.
         assert shapes >= {"shared", "segmented", "declined"}, shapes
@@ -605,7 +605,7 @@ class TestLeafBlockSlots:
             raw, _ = job._raw(st, pos)
             st.levels[pos - 2].write(raw, job.cost)
             filtered, _ = filter_candidates(
-                graph, plan, st.path, pos, raw, job.cost, cfg.stmatch_removal
+                graph, plan, st.path, pos, raw, job.cost, job.stmatch_removal
             )
             if pos == k - 2:
                 if len(filtered):
@@ -676,7 +676,7 @@ class TestChildBlockSlots:
 
     @pytest.mark.parametrize("labeled", [False, True])
     @pytest.mark.parametrize("case", range(2 if EXHAUSTIVE else 1))
-    def test_child_equals_scalar_per_slot(self, case, labeled, small_cells):
+    def test_child_equals_scalar_per_slot(self, case, labeled, small_cells, monkeypatch):
         seed = SEED_BASE + 1270 + case
         graph = case_labeled_graph(seed, 2) if labeled else case_graph(seed)
         shapes = set()
@@ -687,8 +687,9 @@ class TestChildBlockSlots:
                     [(seed + u) % 2 for u in range(query.num_vertices)]
                 )
             for removal in (False, True):
+                monkeypatch.setattr(MatchJob, "stmatch_removal", removal)
                 for reuse in (False, True):
-                    cfg = FAST.replace(stmatch_removal=removal, enable_reuse=reuse)
+                    cfg = FAST.replace(enable_reuse=reuse)
                     shapes |= self._check_tree(graph, query, cfg)
         # Alternating labels leave no position whose seed is the whole
         # intersection (P1's and P6's leaves reuse across unequal labels).
@@ -802,11 +803,9 @@ class TestInterruptibleLeafReplay:
     ``_expand_leaf`` → ``_fill_level`` — including slots whose
     fixed-capacity level truncates and is rescanned."""
 
-    TRUNCATING = FAST.replace(
-        stack_mode=StackMode.ARRAY_FIXED,
-        fixed_capacity=8,
-        truncate_on_overflow=True,
-    )
+    #: STMatch's truncating array stacks; each test using them patches
+    #: their capacity to 8.
+    TRUNCATING = FAST.replace(stack_mode=StackMode.ARRAY_FIXED)
     #: The leaf reads one whole adjacency list, so hubs overflow the level:
     #: the swept vertex's list (a segmented block) or a fixed one's (shared).
     LOLLIPOP = QueryGraph(
@@ -851,6 +850,7 @@ class TestInterruptibleLeafReplay:
             return fold(self, warp, st, block, lo, hi)
 
         monkeypatch.setattr(MatchJob, "_fold", spy_fold)
+        monkeypatch.setattr(config_module, "STMATCH_FIXED_CAPACITY", 8)
         results = {
             name: match(
                 small_plc,
@@ -875,9 +875,12 @@ class TestPrefixBlockEndToEnd:
         "strategy",
         [Strategy.TIMEOUT, Strategy.HALF_STEAL, Strategy.NEW_KERNEL, Strategy.NONE],
     )
-    def test_strategies_and_stack_modes(self, strategy, chunk_size, small_windows):
+    def test_strategies_and_stack_modes(
+        self, strategy, chunk_size, small_windows, monkeypatch
+    ):
         seed = SEED_BASE + 1300 + chunk_size
         graph, query = case_graph(seed), case_query(seed)
+        monkeypatch.setattr(ChildKernelJob, "fanout", 4)
         for mode in StackMode:
             cfg = TDFSConfig(
                 num_warps=8,
@@ -885,32 +888,24 @@ class TestPrefixBlockEndToEnd:
                 chunk_size=chunk_size,
                 tau_cycles=600,
                 stack_mode=mode,
-                new_kernel_fanout=4,
             )
             assert_conformant(graph, query, cfg, label=f"{strategy.value}/{mode.value}")
 
     @pytest.mark.parametrize("query", ["P2", "P3", TRIANGLE], ids=str)
-    def test_truncation_at_level_two(self, query, small_plc, small_windows):
+    def test_truncation_at_level_two(self, query, small_plc, small_windows, monkeypatch):
         # Capacity 2 cuts most position-2 sets: the replay must rescan what
         # was stored (k > 3) or count it (k == 3), exactly as scalar does.
-        cfg = FAST.replace(
-            stack_mode=StackMode.ARRAY_FIXED,
-            fixed_capacity=2,
-            truncate_on_overflow=True,
-            chunk_size=3,
-        )
+        monkeypatch.setattr(config_module, "STMATCH_FIXED_CAPACITY", 2)
+        cfg = FAST.replace(stack_mode=StackMode.ARRAY_FIXED, chunk_size=3)
         scalar, vec = assert_conformant(small_plc, query, cfg, label="trunc-l2")
         assert scalar.overflowed and vec.overflowed
         exact = match(small_plc, query, engine="cpu").count
         assert scalar.count != exact  # the truncation really bit
 
-    def test_overflow_raises_on_the_same_row(self, small_plc, small_windows):
-        cfg = FAST.replace(
-            stack_mode=StackMode.ARRAY_FIXED,
-            fixed_capacity=2,
-            truncate_on_overflow=False,
-            chunk_size=3,
-        )
+    def test_overflow_raises_on_the_same_row(self, small_plc, small_windows, monkeypatch):
+        # A full page table raises: one page of two ids here.
+        monkeypatch.setattr(ouroboros, "DEFAULT_PAGE_BYTES", 8)
+        cfg = FAST.replace(page_table_size=1, chunk_size=3)
         scalar, vec = assert_conformant(small_plc, "P2", cfg, label="raise-l2")
         assert scalar.error is not None
         assert str(scalar.error) == str(vec.error)
@@ -1049,6 +1044,7 @@ class TestChildBlockEndToEnd:
         )
         if not bitset:
             monkeypatch.setattr(csr, "ADJACENCY_BITS_MAX_BYTES", 0)
+        monkeypatch.setattr(ChildKernelJob, "fanout", 4)
         for mode in StackMode:
             cfg = TDFSConfig(
                 num_warps=8,
@@ -1056,7 +1052,6 @@ class TestChildBlockEndToEnd:
                 chunk_size=chunk_size,
                 tau_cycles=600,
                 stack_mode=mode,
-                new_kernel_fanout=4,
             )
             _, _, spy = assert_children_conformant(graph, pattern, cfg)
             if bitset:
@@ -1086,6 +1081,7 @@ class TestChildBlockEndToEnd:
 
         monkeypatch.setattr(MatchJob, "_fold", spy_fold)
         monkeypatch.setattr(MatchJob, "_fill_level", spy_fill)
+        monkeypatch.setattr(config_module, "STMATCH_FIXED_CAPACITY", 8)
         truncating = TestInterruptibleLeafReplay
         for query, cfg in (("P3", FAST), (truncating.LOLLIPOP, truncating.TRUNCATING)):
             seen = {"child": set(), "replayed": 0}
@@ -1143,24 +1139,17 @@ class TestChildBlockEndToEnd:
             return out
 
         monkeypatch.setattr(MatchJob, "_child", spy)
-        cfg = FAST.replace(
-            stack_mode=StackMode.ARRAY_FIXED,
-            fixed_capacity=8,
-            truncate_on_overflow=True,
-            chunk_size=3,
-        )
+        monkeypatch.setattr(config_module, "STMATCH_FIXED_CAPACITY", 8)
+        cfg = FAST.replace(stack_mode=StackMode.ARRAY_FIXED, chunk_size=3)
         scalar, vec, _ = assert_children_conformant(small_plc, "P3", cfg)
         assert scalar.overflowed and vec.overflowed
         assert scalar.count != match(small_plc, "P3", engine="cpu").count
         assert seen["dropped"] and seen["kept"], seen
 
-    def test_overflow_raises_on_the_same_slot(self, small_plc, small_cells):
-        cfg = FAST.replace(
-            stack_mode=StackMode.ARRAY_FIXED,
-            fixed_capacity=8,
-            truncate_on_overflow=False,
-            chunk_size=3,
-        )
+    def test_overflow_raises_on_the_same_slot(self, small_plc, small_cells, monkeypatch):
+        # A full page table raises: one page of eight ids here.
+        monkeypatch.setattr(ouroboros, "DEFAULT_PAGE_BYTES", 32)
+        cfg = FAST.replace(page_table_size=1, chunk_size=3)
         scalar, vec, _ = assert_children_conformant(small_plc, "P3", cfg)
         assert scalar.error is not None
         assert str(scalar.error) == str(vec.error)
@@ -1462,7 +1451,9 @@ class TestTaskHandoff:
     @pytest.mark.parametrize("name", LEAF_PATTERNS)
     @pytest.mark.parametrize("labeled", [False, True])
     @pytest.mark.parametrize("case", range(2 if EXHAUSTIVE else 1))
-    def test_inherited_slots_equal_scalar(self, case, labeled, name, handoffs):
+    def test_inherited_slots_equal_scalar(
+        self, case, labeled, name, handoffs, monkeypatch
+    ):
         seed = SEED_BASE + 1500 + case
         graph = case_labeled_graph(seed, 2) if labeled else case_graph(seed)
         shapes, tally = {}, Counter()
@@ -1472,9 +1463,9 @@ class TestTaskHandoff:
                 [(seed + u) % 2 for u in range(query.num_vertices)]
             )
         for removal in (False, True):
+            monkeypatch.setattr(MatchJob, "stmatch_removal", removal)
             for reuse in (False, True):
                 cfg = self.TASKS.replace(
-                    stmatch_removal=removal,
                     enable_reuse=reuse,
                     chunk_size=self.CHUNKS[(removal + reuse) % len(self.CHUNKS)],
                 )
@@ -1568,6 +1559,7 @@ class TestTaskHandoff:
             asked["folded"] += st.item_prefix == block.position == 3 and took
             return took
 
+        monkeypatch.setattr(config_module, "STMATCH_FIXED_CAPACITY", 8)
         cfg = TestInterruptibleLeafReplay.TRUNCATING if truncating else FAST
         cfg = cfg.replace(tau_cycles=300, chunk_size=4)  # TASKS, capacity 8
         scalar = match(small_plc, "P3", config=cfg.replace(kernel_backend="scalar"))
@@ -2049,14 +2041,14 @@ class TestSubtreeFold:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("strategy", list(Strategy))
-    def test_strategies_and_stack_modes(self, strategy, mode, small_plc, folds):
+    def test_strategies_and_stack_modes(self, strategy, mode, small_plc, folds, monkeypatch):
+        monkeypatch.setattr(ChildKernelJob, "fanout", 4)
         cfg = TDFSConfig(
             num_warps=8,
             strategy=strategy,
             chunk_size=3,
             tau_cycles=600,
             stack_mode=mode,
-            new_kernel_fanout=4,
         )
         assert_conformant(small_plc, "P3", cfg, label=f"{strategy.value}/{mode.value}")
         if strategy in (Strategy.TIMEOUT, Strategy.NONE):
@@ -2075,8 +2067,8 @@ class TestSubtreeFold:
         peak, stack bytes, events and every warp's busy cycles equal the
         per-slot replay's."""
         ended = _attempts(monkeypatch)
-        cfg = self.STOPS.replace(page_bytes=page_bytes)
-        scalar, vec = assert_conformant(small_plc, "P3", cfg)
+        monkeypatch.setattr(ouroboros, "DEFAULT_PAGE_BYTES", page_bytes)
+        scalar, vec = assert_conformant(small_plc, "P3", self.STOPS)
         for key in (
             "alloc.pages_in_use.peak", "mem.stack_bytes", "sim.busy_cycles", "sim.events"
         ):
@@ -2085,15 +2077,16 @@ class TestSubtreeFold:
         assert folds.grew and folds.grown, "no fold took page growth"
 
     #: Where a fold may not take its growth, as ``(graph, pattern, config,
-    #: error)``: the arena lacks the pages (one short of the run's peak), the
-    #: page table cannot hold them, or their charge would reach a live check.
+    #: page bytes, error)``: the arena lacks the pages (one short of the
+    #: run's peak), the page table cannot hold them, or their charge would
+    #: reach a live check.
     FALLBACKS = {
-        "arena": ("small_plc", "P5", FAST, DeviceOOMError),
+        "arena": ("small_plc", "P5", FAST, 64, DeviceOOMError),
         "table": (
-            "small_er", "P3", FAST.replace(page_table_size=2, page_bytes=16),
+            "small_er", "P3", FAST.replace(page_table_size=2), 16,
             StackLevelOverflowError,
         ),
-        "tau": ("small_plc", "P3", STOPS.replace(page_bytes=16, tau_cycles=3000), type(None)),
+        "tau": ("small_plc", "P3", STOPS.replace(tau_cycles=3000), 16, type(None)),
     }
 
     @pytest.mark.parametrize("fallback", list(FALLBACKS))
@@ -2103,7 +2096,8 @@ class TestSubtreeFold:
         scalar run — the same error at the same count, cycle and busy
         cycles, or, under τ, a stop before a row whose replay shows only
         the allocation."""
-        name, pattern, cfg, error = self.FALLBACKS[fallback]
+        name, pattern, cfg, page_bytes, error = self.FALLBACKS[fallback]
+        monkeypatch.setattr(ouroboros, "DEFAULT_PAGE_BYTES", page_bytes)
         graph = request.getfixturevalue(name)
         if fallback == "arena":
             peak = match(graph, pattern, config=cfg).metrics["alloc.pages_in_use.peak"]
@@ -2118,9 +2112,10 @@ class TestSubtreeFold:
                 "no fold stopped for its growth charge alone"
             )
 
-    def test_truncating_array_stacks(self, small_plc, folds):
+    def test_truncating_array_stacks(self, small_plc, folds, monkeypatch):
         # A slot whose subtree would truncate is cold: it and everything
         # after it in the run go slot by slot, the rest folds.
+        monkeypatch.setattr(config_module, "STMATCH_FIXED_CAPACITY", 8)
         cfg = TestInterruptibleLeafReplay.TRUNCATING.replace(chunk_size=3)
         scalar, vec = assert_conformant(small_plc, "P3", cfg)
         assert scalar.overflowed and vec.overflowed and folds.rows

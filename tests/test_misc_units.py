@@ -7,8 +7,9 @@ from repro import TDFSConfig
 from repro.baselines.ctindex import CuckooTrieIndex
 from repro.baselines.egsm import EGSMEngine
 from repro.baselines.pbe import PBEEngine, bfs_expand_level
-from repro.baselines.stmatch import STMatchEngine
-from repro.core.config import StackMode
+from repro.baselines.stmatch import STMatchEngine, STMatchJob
+from repro.core.config import StackMode, Strategy
+from repro.core.engine import job_class
 from repro.gpusim.costmodel import CostModel
 from repro.graph.builder import from_edges, relabel_random
 from repro.query.patterns import get_pattern
@@ -116,7 +117,11 @@ class TestEngineConfigIdentity:
         engine = STMatchEngine(FAST.replace(chunk_size=4)).with_dmax_stacks()
         assert engine.config.stack_mode is StackMode.ARRAY_DMAX
         assert engine.config.chunk_size == 4
-        assert engine.config.stmatch_removal
+        assert type(engine) is STMatchEngine  # whose jobs pay the removal pass
+
+    def test_only_stmatch_jobs_pay_the_removal_pass(self):
+        assert STMatchJob.stmatch_removal
+        assert not any(job_class(s).stmatch_removal for s in Strategy)
 
     def test_user_config_respected_where_allowed(self):
         engine = STMatchEngine(FAST.replace(num_warps=16))

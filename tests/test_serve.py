@@ -354,8 +354,8 @@ class TestHitPath:
         return ("g", plan_fingerprint(get_pattern(request.query)))
 
     def test_hit_is_rejected_like_a_miss(self, small_plc, monkeypatch):
-        svc, hit = self.warm_supervised(small_plc, monkeypatch)
         miss = MatchRequest(graph_id="g", query="P1", use_result_cache=False)
+        svc, hit = self.warm_supervised(small_plc, monkeypatch)
         with svc:
             sig = self.signature(svc, hit)
             poisoned = (*sig, "tdfs", config_fingerprint(svc.config.match_config))
@@ -364,15 +364,20 @@ class TestHitPath:
                 with pytest.raises(PoisonedRequestError):
                     svc.submit(request)
                 assert svc.metrics.get("poisoned_rejected") == n
-            svc.supervisor.quarantine.release(poisoned)
+            assert svc.metrics.get("rejected") == 2
+            assert svc.metrics.get("result_cache_hits") == 0
 
+        # A fresh service, so no quarantine stands before its breaker.
+        svc, hit = self.warm_supervised(small_plc, monkeypatch)
+        with svc:
+            sig = self.signature(svc, hit)
             for _ in range(svc.supervisor.breaker.threshold):
                 svc.supervisor.breaker.record_failure(sig)
             for n, request in enumerate((hit, miss), start=1):
                 with pytest.raises(CircuitOpenError):
                     svc.submit(request)
                 assert svc.metrics.get("breaker_rejected") == n
-            assert svc.metrics.get("rejected") == 4
+            assert svc.metrics.get("rejected") == 2
             assert svc.metrics.get("result_cache_hits") == 0
 
     def test_hit_closes_a_half_open_breaker(self, small_plc, monkeypatch):
@@ -479,10 +484,11 @@ class TestHitPath:
         assert hits == [True, False, True, True, True, False, True]
         counters = {k: v for k, v in snap["counters"].items() if v}
         assert counters == {
-            "batches": 4, "breaker_opens": 1, "breaker_rejected": 1,
+            "breaker_opens": 1, "breaker_rejected": 1,
             "completed": 9, "plan_compiles": 3, "rejected": 1,
             "result_cache_hits": 5, "submitted": 10,
         }
+        assert snap["batch_size"]["count"] == 4
         m = svc.metrics
         assert m.latency_ms.count == len(m.outcomes) == 9
         assert svc.cache_stats() == {
@@ -1118,7 +1124,7 @@ class TestConcurrency:
         expected = match(small_plc, "P1", config=TDFSConfig(num_warps=8)).count
         assert [r.batch_size for r in responses] == [6] * 6
         assert [r.count for r in responses] == [expected] * 6
-        assert svc.metrics.get("batches") == 1
+        assert svc.metrics.batch_size.count == 1
 
     def test_worker_takes_queued_entries_without_waiting(
         self, k4, monkeypatch, start_later

@@ -49,14 +49,13 @@ class TestLRUCache:
         assert c.get(("g", 1)) == 1
         assert c.stats().evictions == 1
 
-    def test_pop_and_items(self):
+    def test_items_least_recent_first(self):
         c = LRUCache(4)
         c.put(("g", 1), "x")
         c.put(("g", 2), "y")
         assert c.items() == [(("g", 1), "x"), (("g", 2), "y")]
-        assert c.pop(("g", 1)) == "x"
-        assert c.pop(("g", 1)) is None
-        assert c.items() == [(("g", 2), "y")]
+        c.get(("g", 1))
+        assert c.items() == [(("g", 2), "y"), (("g", 1), "x")]
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -73,17 +72,12 @@ CHANGED = dict(
     tau_cycles=77,
     queue_capacity_tasks=99,
     stack_mode=StackMode.ARRAY_DMAX,
-    page_bytes=128,
     page_table_size=8,
     arena_pages=1024,
     release_pages=True,
-    fixed_capacity=7,
-    truncate_on_overflow=False,
     enable_symmetry=False,
     enable_reuse=False,
     enable_edge_filter=False,
-    stmatch_removal=True,
-    new_kernel_fanout=5,
     kernel_backend="scalar",
     device_memory=1 << 20,
     num_gpus=2,
@@ -227,7 +221,7 @@ class TestMetrics:
         m.incr("submitted")
         m.incr("completed")
         m.latency_ms.observe(5.0)
-        m.observe_batch(4)
+        m.batch_size.observe(4)
         snap = m.snapshot()
         assert snap["counters"]["submitted"] == 1
         assert snap["batch_size"]["max"] == 4.0

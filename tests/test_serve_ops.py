@@ -292,12 +292,14 @@ class TestHitPath:
         tickets = [svc.submit(MatchRequest("g", "P2")) for _ in range(5)]
         assert [t.result().count for t in tickets] == [2] * 5
         svc.stop()
-        counters = {k: v for k, v in svc.metrics.snapshot()["counters"].items() if v}
+        snap = svc.metrics.snapshot()
+        counters = {k: v for k, v in snap["counters"].items() if v}
         assert counters == {
-            "batches": 5, "completed": 17, "delta_incremental": 1, "delta_lost": 22,
+            "completed": 17, "delta_incremental": 1, "delta_lost": 22,
             "delta_requests": 1, "graph_updates": 2, "plan_compiles": 2,
             "result_cache_hits": 12, "submitted": 17,
         }
+        assert snap["batch_size"]["count"] == 5
         assert svc.cache_stats() == {
             "plan_cache": {
                 "hits": 3, "misses": 2, "evictions": 0,

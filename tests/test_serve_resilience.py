@@ -198,13 +198,6 @@ class TestQuarantine:
             }
         }
 
-    def test_release_lifts_quarantine(self):
-        q = Quarantine()
-        q.poison(self.FP, "POISONED", request_id=1)
-        assert q.release(self.FP)
-        q.check(self.FP)  # no raise
-        assert not q.release(self.FP)
-
     def test_capacity_evicts_oldest(self):
         q = Quarantine(capacity=2)
         fps = [("g", f"p{i}", "tdfs", "c") for i in range(3)]
@@ -261,12 +254,10 @@ def make_supervised(
     workers: int = 2,
     checkpoint_every_events: int = 30,
     heartbeat_timeout_s: float = 0.4,
-    max_redeliveries: int = 2,
 ) -> MatchService:
     sup = SupervisorConfig(
         watchdog_interval_s=0.02,
         heartbeat_timeout_s=heartbeat_timeout_s,
-        max_redeliveries=max_redeliveries,
         checkpoint_every_events=checkpoint_every_events,
         seed=SEED,
     )
@@ -493,16 +484,17 @@ class TestKillResume:
 
 class TestQuarantineE2E:
     def test_redelivery_exhaustion_poisons_and_rejects_repeats(
-        self, small_plc, fast_config
+        self, small_plc, fast_config, monkeypatch
     ):
         # Kill every delivery: budget of 1 redelivery is exhausted fast.
+        monkeypatch.setattr(resilience, "MAX_REDELIVERIES", 1)
         plan = WorkerFaultPlan(schedule=(
             WorkerFaultSpec(
                 WorkerFaultKind.KILL, request_id=1, at_checkpoint=1,
                 delivery=None,
             ),
         ))
-        with make_supervised(fast_config, plan, max_redeliveries=1) as svc:
+        with make_supervised(fast_config, plan) as svc:
             svc.register_graph("g", small_plc)
             resp = submit_uncached(svc, "P1").result(timeout=60.0)
             assert resp.error is not None
@@ -523,13 +515,14 @@ class TestQuarantineE2E:
     ):
         monkeypatch.setattr(resilience, "BREAKER_THRESHOLD", 2)
         monkeypatch.setattr(resilience, "BREAKER_OPEN_S", 30.0)
+        monkeypatch.setattr(resilience, "MAX_REDELIVERIES", 3)
         plan = WorkerFaultPlan(schedule=(
             WorkerFaultSpec(
                 WorkerFaultKind.KILL, request_id=1, at_checkpoint=1,
                 delivery=None,
             ),
         ))
-        with make_supervised(fast_config, plan, max_redeliveries=3) as svc:
+        with make_supervised(fast_config, plan) as svc:
             svc.register_graph("g", small_plc)
             resp = submit_uncached(svc, "P1").result(timeout=60.0)
             assert resp.error is not None and resp.error.startswith("POISONED")

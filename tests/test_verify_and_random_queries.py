@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import TDFSConfig, match
 from repro.baselines.cpu import cpu_count
+from repro.core import config as config_module
 from repro.core.engine import TDFSEngine
 from repro.errors import QueryError, UnsupportedError
 from repro.query.plan import compile_plan
@@ -63,9 +64,9 @@ class TestVerifyEngines:
         with pytest.raises(UnsupportedError):
             verify_engines(small_plc, "P12", config=FAST)
 
-    def test_overflow_flagged_not_failed(self, skewed_graph):
-        cfg = FAST.replace(fixed_capacity=8)
-        report = verify_engines(skewed_graph, "P3", config=cfg)
+    def test_overflow_flagged_not_failed(self, skewed_graph, monkeypatch):
+        monkeypatch.setattr(config_module, "STMATCH_FIXED_CAPACITY", 8)
+        report = verify_engines(skewed_graph, "P3", config=FAST)
         assert report.ok  # overflow is flagged, not a mismatch
         assert any(e == "stmatch" for e, _ in report.flagged)
 

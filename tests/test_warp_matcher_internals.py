@@ -12,6 +12,7 @@ import pytest
 
 from repro.alloc.ouroboros import OuroborosAllocator
 from repro.alloc.stack import paged_level_factory
+from repro.baselines.egsm import ChildKernelJob
 from repro.core.config import RunContext, Strategy, TDFSConfig
 from repro.core.engine import job_class, match
 from repro.core.warp_matcher import MatchJob, RunState, SYNC_INTERVAL
@@ -161,10 +162,12 @@ class TestRunStateHygiene:
 
 
 class TestChildKernels:
+    @pytest.fixture(autouse=True)
+    def _fanout(self, monkeypatch):
+        monkeypatch.setattr(ChildKernelJob, "fanout", 4)
+
     def test_child_kernel_spawn_and_count(self, wheel_graph):
-        job, gpu = make_job(
-            wheel_graph, strategy=Strategy.NEW_KERNEL, new_kernel_fanout=4
-        )
+        job, gpu = make_job(wheel_graph, strategy=Strategy.NEW_KERNEL)
         gpu.launch(job.warp_body)
         gpu.run()
         assert gpu.kernel_launches > 0
@@ -174,9 +177,7 @@ class TestChildKernels:
         assert job.count == baseline.count
 
     def test_kernel_warps_tracked_in_stats(self, wheel_graph):
-        job, gpu = make_job(
-            wheel_graph, strategy=Strategy.NEW_KERNEL, new_kernel_fanout=4
-        )
+        job, gpu = make_job(wheel_graph, strategy=Strategy.NEW_KERNEL)
         gpu.launch(job.warp_body)
         gpu.run()
         # Child warps were created beyond the 4 resident ones.
@@ -238,13 +239,8 @@ class TestJobLifetime:
 
         monkeypatch.setattr(MatchJob, "__init__", spy)
         # Timeouts, steals and child kernels all fire on this config.
-        cfg = TDFSConfig(
-            num_warps=8,
-            chunk_size=8,
-            strategy=strategy,
-            tau_cycles=200,
-            new_kernel_fanout=4,
-        )
+        monkeypatch.setattr(ChildKernelJob, "fanout", 4)
+        cfg = TDFSConfig(num_warps=8, chunk_size=8, strategy=strategy, tau_cycles=200)
         hooked: list = []
         ctx = lifetime_context(run, hooked)
         gc.collect()
@@ -290,13 +286,8 @@ class TestJobLifetime:
 
         monkeypatch.setattr(MatchJob, "new_run_state", spy_run_state)
         monkeypatch.setattr(VirtualGPU, "launch", spy_launch)
-        cfg = TDFSConfig(
-            num_warps=8,
-            chunk_size=8,
-            strategy=strategy,
-            tau_cycles=200,
-            new_kernel_fanout=4,
-        )
+        monkeypatch.setattr(ChildKernelJob, "fanout", 4)
+        cfg = TDFSConfig(num_warps=8, chunk_size=8, strategy=strategy, tau_cycles=200)
 
         def live():
             return [o for o in gc.get_objects() if isinstance(o, kinds)]
